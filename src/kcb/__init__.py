@@ -4,8 +4,6 @@ spaces in affine type A."""
 from .laurent import (
     LaurentPoly,
     NotDivisibleError,
-    bar,
-    bar_symmetrize_nonpos,
     exact_div,
     qfact,
     qint,
@@ -52,14 +50,10 @@ from .canonical import (
     CanonicalBasis,
     CanonicalElement,
     ReductionError,
-    canonical_basis_at_weight,
-    canonical_element,
-    decomposition_entry,
+    compute_shape,
     diamond,
     get_basis,
     is_svelte,
-    monomial_element,
-    shape_of,
 )
 from .closedform import (
     AmbiguousCaseError,
@@ -67,13 +61,11 @@ from .closedform import (
     FamilySpec,
     choice_sequences,
     closed_canonical_family,
-    closed_canonical_top,
     closed_canonical_weyl,
     defect_congruences,
     defect_top_row,
+    family_term,
     inv,
-    pi0,
-    pin,
     shape_fn,
     shape_fn_closed,
     small_defect_families,

@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 from dataclasses import dataclass
 
 from .crystal import (
@@ -67,32 +68,14 @@ def compute_shape(vector: FockVector, defect: int) -> tuple[int, ...]:
     return tuple(shape)
 
 
-def shape_of(g: CanonicalElement) -> tuple[int, ...]:
-    return compute_shape(g.vector, g.weight.defect)
-
-
 def is_svelte(g: CanonicalElement) -> bool:
     """Shape is all ones of length defect + 1."""
     return g.shape == (1,) * (g.weight.defect + 1)
 
 
-def decomposition_entry(g: CanonicalElement, lam: Multipartition) -> LaurentPoly:
-    """Coefficient of lam in g (the zero polynomial if absent)."""
-    return g.vector.coefficient(lam)
-
-
 def dominance_sort_key(mp: Multipartition):
     """Total order refining dominance: profile first, then the tuple itself."""
     return (prefix_profile(mp, max(1, total_size(mp))), mp)
-
-
-def monomial_element(ctx: FockContext, mp: Multipartition) -> FockVector:
-    """Divided powers along the residue-collected path applied to the
-    highest weight vector; bar-invariant by construction."""
-    vec = FockVector.basis(ctx.highest_weight_vertex())
-    for i, k in residue_collected_path(ctx, mp):
-        vec = apply_f_divided(ctx, vec, i, k)
-    return vec
 
 
 def diamond(ctx: FockContext, mp: Multipartition) -> tuple[FockContext, Multipartition]:
@@ -146,6 +129,8 @@ class CanonicalBasis:
     # monomials
 
     def monomial(self, mp: Multipartition) -> FockVector:
+        """Divided powers along the residue-collected path applied to the
+        highest weight vector; bar-invariant by construction."""
         return self._monomial_for_path(residue_collected_path(self.ctx, mp))
 
     def _monomial_for_path(self, path: tuple) -> FockVector:
@@ -268,9 +253,11 @@ class CanonicalBasis:
         path = self._cache_path(elem.label)
         if not path:
             return
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
+        root = os.path.dirname(path)
+        os.makedirs(root, exist_ok=True)
+        # a private temporary file per write, so concurrent writers never share one
+        fd, tmp = tempfile.mkstemp(dir=root, suffix=".tmp")
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             json.dump(element_to_json(elem), fh)
         os.replace(tmp, path)
 
@@ -286,14 +273,6 @@ def get_basis(ctx: FockContext, cache_dir: str | None = None) -> CanonicalBasis:
         basis = CanonicalBasis(ctx, cache_dir)
         _BASES[key] = basis
     return basis
-
-
-def canonical_basis_at_weight(ctx: FockContext, cont) -> dict[Multipartition, CanonicalElement]:
-    return get_basis(ctx).at_weight(cont)
-
-
-def canonical_element(ctx: FockContext, mp: Multipartition) -> CanonicalElement:
-    return get_basis(ctx).element(mp)
 
 
 # serialization

@@ -15,10 +15,9 @@ import sys
 
 from .canonical import element_to_json, get_basis
 from .closedform import (
-    AmbiguousCaseError,
+    FAMILIES,
     FamilySpec,
     closed_canonical_family,
-    closed_canonical_top,
     closed_canonical_weyl,
     shape_table,
 )
@@ -139,16 +138,12 @@ def cmd_shape_table(args) -> int:
 
 
 def cmd_closed_form(args) -> int:
-    if args.family == "top-row":
-        elem = closed_canonical_top(args.a, args.i, args.k)
-    elif args.family == "weyl":
-        elem = closed_canonical_weyl(args.a, args.i, args.k, args.n)
-    else:
+    if args.family in FAMILIES:
         spec = FamilySpec(args.family, args.a, args.k, args.n, args.dual)
-        try:
-            elem = closed_canonical_family(spec, rule=args.rule)
-        except AmbiguousCaseError as exc:
-            raise UsageError(str(exc)) from exc
+        elem = closed_canonical_family(spec, rule=args.rule)
+    else:
+        n = 0 if args.family == "top-row" else args.n
+        elem = closed_canonical_weyl(args.a, args.i, args.k, n)
     _emit_json(element_to_json(elem), args)
     return 0
 
@@ -168,7 +163,7 @@ def _run_suite(args):
     if suite == "structural":
         return verify_structural(args.a, args.max_degree or 9)
     if suite == "conjecture":
-        return conjecture_scan(args.a, args.max_degree or 13)
+        return conjecture_scan(args.a, 13 if args.max_degree is None else args.max_degree)
     raise UsageError(f"unknown suite {suite!r}")
 
 
@@ -183,15 +178,6 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_conjecture_scan(args) -> int:
-    report = conjecture_scan(args.a, args.max_degree)
-    if args.format == "json":
-        _emit_json(report.to_json(), args)
-    else:
-        _emit(report.to_text(), args)
-    return 0
-
-
 def _add_context_opts(p: argparse.ArgumentParser) -> None:
     p.add_argument("--e", type=int, default=2, help="rank (default 2)")
     p.add_argument("--charges", type=str, default=None, help="comma-separated charges")
@@ -201,8 +187,6 @@ def _add_context_opts(p: argparse.ArgumentParser) -> None:
 def _add_common(p: argparse.ArgumentParser, formats=("json", "text")) -> None:
     p.add_argument("--format", choices=formats, default=formats[0])
     p.add_argument("--out", type=str, default=None, help="write output to a file")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker cap (results are identical regardless)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -240,13 +224,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("closed-form", help="closed-form canonical element")
     p.add_argument("--family", required=True,
-                   choices=("top-row", "weyl", "p0k1", "p10k", "p010k"))
+                   choices=("top-row", "weyl", *FAMILIES))
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--i", type=int, default=0, choices=(0, 1))
     p.add_argument("--dual", action="store_true")
-    p.add_argument("--rule", choices=("plain", "corrected"), default="corrected")
+    p.add_argument("--rule", choices=("partner", "corrected", "plain"), default="partner")
     _add_common(p)
     p.set_defaults(fn=cmd_closed_form)
 
@@ -256,16 +240,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--i", type=int, default=0, choices=(0, 1))
     p.add_argument("--n", type=int, default=1)
-    p.add_argument("--family", choices=("p0k1", "p10k", "p010k"), default="p0k1")
+    p.add_argument("--family", choices=FAMILIES, default="p0k1")
     p.add_argument("--max-degree", type=int, default=None)
     _add_common(p, ("text", "json"))
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("conjecture-scan", help="exploratory stabilized-path scan")
+    p = sub.add_parser("conjecture-scan", help="alias of verify --suite conjecture")
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--max-degree", type=int, default=13)
     _add_common(p)
-    p.set_defaults(fn=cmd_conjecture_scan)
+    p.set_defaults(fn=cmd_verify, suite="conjecture")
 
     return ap
 

@@ -179,7 +179,7 @@ def tau(a: int, i: int, n: int, s1: ChoiceSequence) -> Multipartition:
 # the family engine
 
 
-FAMILIES = ("top-row", "weyl", "p0k1", "p10k", "p010k")
+FAMILIES = ("p0k1", "p10k", "p010k")
 
 # families whose case tables admit conflicting exponent readings at n >= 1;
 # never resolved silently: closed_canonical_family needs an explicit rule,
@@ -200,12 +200,10 @@ class FamilySpec:
             raise ValueError(f"unknown family {self.family!r}")
         if self.a < 1:
             raise ValueError("need a >= 1")
-        if not 0 <= self.k <= self.a:
-            raise ValueError(f"need 0 <= k <= a, got k={self.k}, a={self.a}")
+        if not 1 <= self.k <= self.a:
+            raise ValueError(f"need 1 <= k <= a, got k={self.k}, a={self.a}")
         if self.n < 0:
             raise ValueError("need n >= 0")
-        if self.family in ("p0k1", "p10k", "p010k") and self.k < 1:
-            raise ValueError(f"family {self.family} needs k >= 1")
         if self.family == "p010k" and self.k < 2:
             raise ValueError(
                 "family p010k needs k >= 2 (for k = 1 the path collapses to p0k1)"
@@ -222,32 +220,19 @@ def family_stages(spec: FamilySpec) -> tuple[list[tuple[int, int | None]], int]:
     a, k, n = spec.a, spec.k, spec.n
     i0 = 1 if spec.dual else 0
     i1 = 1 - i0
-    if spec.family == "top-row":
-        stages: list[tuple[int, int | None]] = [(i0, k)]
-        m = 1
-        n = 0
-    elif spec.family == "weyl":
-        stages = [(i0, k)]
-        m = 1
-    elif spec.family == "p0k1":
+    stages: list[tuple[int, int | None]]
+    if spec.family == "p0k1":
         stages = [(i0, k), (i1, 1 if n == 0 else 2 * k + a - 1)]
-        m = 2
     elif spec.family == "p10k":
         stages = [(i1, 1), (i0, k)]
-        m = 2
-        if n >= 1:
-            stages.append((i1, 2 * k + a - 2))
-            m = 3
     else:  # p010k
         stages = [(i0, 1), (i1, 1), (i0, k - 1)]
-        m = 3
-        if n >= 1:
-            stages.append((i1, 2 * k + a - 2))
-            m = 4
+    if n >= 1 and spec.family != "p0k1":
+        stages.append((i1, 2 * k + a - 2))
+    m = len(stages)  # every stage so far is a choice stage
     # remaining strings are filled completely, alternating residues
-    extra = n if spec.family == "weyl" else (n - 1 if n >= 1 else 0)
     res = stages[-1][0]
-    for _ in range(extra):
+    for _ in range(n - 1):
         res = 1 - res
         stages.append((res, None))
     return stages, m
@@ -285,7 +270,6 @@ def expand_family(
                     f"stage {idx + 1} is past the choice stages but leaves "
                     f"{len(adds) - kk} nodes unused"
                 )
-            base = kk * (kk - 1) // 2
             for T in combinations(range(len(adds)), kk):
                 invp = sum(pos - t for t, pos in enumerate(T))
                 corr = sum(adds[pos][2] for pos in T)
@@ -337,19 +321,10 @@ def _element_from_vector(ctx: FockContext, label: Multipartition, vec: FockVecto
     return CanonicalElement(label, vec, info, compute_shape(vec, info.defect))
 
 
-def closed_canonical_top(a: int, i: int, k: int) -> CanonicalElement:
-    """sum over S(a,k) of v^Inv(S) tau^0_i(S); label is tau^0_i at the
-    all-ones-first choice."""
-    ctx = symmetric_context(a)
-    terms = [
-        (tau(a, i, 0, s), LaurentPoly.monomial(inv(s))) for s in choice_sequences(a, k)
-    ]
-    label = tau(a, i, 0, ChoiceSequence((1,) * k + (0,) * (a - k)))
-    return _element_from_vector(ctx, label, FockVector(terms))
-
-
 def closed_canonical_weyl(a: int, i: int, k: int, n: int) -> CanonicalElement:
-    """Same coefficients with tau^n multipartitions (string-reflected images)."""
+    """sum over S(a,k) of v^Inv(S) tau^n_i(S); label is tau^n_i at the
+    all-ones-first choice.  n = 0 is the top row, n >= 1 its
+    string-reflected images, with the same coefficients."""
     ctx = symmetric_context(a)
     terms = [
         (tau(a, i, n, s), LaurentPoly.monomial(inv(s))) for s in choice_sequences(a, k)
@@ -391,7 +366,6 @@ def replay_choices(
             if mult is not None and mult != len(adds):
                 raise ValueError(f"stage {idx + 1} is not a full string")
             picks = list(range(len(adds)))
-        kk = len(picks)
         invp = sum(pos - t for t, pos in enumerate(picks))
         corr = sum(adds[pos][2] for pos in picks)
         ep += invp
@@ -401,7 +375,10 @@ def replay_choices(
     return mp, ep, ec
 
 
-def _pi(spec: FamilySpec, choices, rule: str | None):
+def family_term(spec: FamilySpec, choices, rule: str | None = None):
+    """One family term for explicit choice sequences: (multipartition,
+    coefficient exponent).  rule None means "corrected", except where a
+    flagged family's readings disagree, which raises AmbiguousCaseError."""
     ctx = symmetric_context(spec.a)
     mp, ep, ec = replay_choices(ctx, spec, choices)
     if rule is None:
@@ -415,20 +392,6 @@ def _pi(spec: FamilySpec, choices, rule: str | None):
     if rule not in ("plain", "corrected"):
         raise ValueError(f"unknown exponent rule {rule!r}")
     return mp, (ep if rule == "plain" else ec)
-
-
-def pi0(spec: FamilySpec, choices, rule: str | None = None):
-    """One n = 0 family term: (multipartition, coefficient exponent)."""
-    if spec.n != 0:
-        raise ValueError("pi0 needs n = 0")
-    return _pi(spec, choices, rule)
-
-
-def pin(spec: FamilySpec, choices, rule: str | None = None):
-    """One n >= 1 family term: (multipartition, coefficient exponent)."""
-    if spec.n < 1:
-        raise ValueError("pin needs n >= 1")
-    return _pi(spec, choices, rule)
 
 
 def _partners(spec: FamilySpec) -> list[tuple[str, LaurentPoly]]:
@@ -463,10 +426,6 @@ def closed_canonical_family(spec: FamilySpec, rule: str | None = None) -> Canoni
     corrected sum (module docstring).  rule None means "corrected", except
     on flagged families, which raise AmbiguousCaseError.
     """
-    if spec.family not in ("p0k1", "p10k", "p010k"):
-        raise ValueError(
-            f"closed_canonical_family covers the path families, not {spec.family!r}"
-        )
     if rule is None:
         if spec.flagged:
             raise AmbiguousCaseError(

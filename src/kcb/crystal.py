@@ -92,9 +92,6 @@ class CrystalGraph:
         default=None, repr=False
     )
 
-    def vertices(self) -> list[Multipartition]:
-        return sorted(self.degrees)
-
     def by_content(self) -> dict[tuple[int, ...], list[Multipartition]]:
         if self._by_content is None:
             buckets: dict[tuple[int, ...], list[Multipartition]] = {}
@@ -104,9 +101,6 @@ class CrystalGraph:
                 v.sort()
             self._by_content = buckets
         return self._by_content
-
-    def weight(self, cont) -> WeightInfo:
-        return weight_info(self.ctx, cont)
 
 
 def generate_crystal(ctx: FockContext, max_degree: int) -> CrystalGraph:

@@ -204,14 +204,6 @@ class FockVector:
     def __sub__(self, other: "FockVector") -> "FockVector":
         return self.add_scaled(other, LaurentPoly.from_int(-1))
 
-    def scaled(self, mult: LaurentPoly) -> "FockVector":
-        out = FockVector.__new__(FockVector)
-        if mult.is_zero():
-            out._terms = {}
-        else:
-            out._terms = {mp: c * mult for mp, c in self._terms.items()}
-        return out
-
     def add_scaled(self, other: "FockVector", mult: LaurentPoly) -> "FockVector":
         """self + mult * other."""
         t = dict(self._terms)

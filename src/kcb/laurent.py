@@ -248,25 +248,3 @@ def exact_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     return LaurentPoly({plo - qlo + i: c for i, c in enumerate(out)})
 
 
-def bar(p: LaurentPoly) -> LaurentPoly:
-    """Free-standing form of LaurentPoly.bar (v -> v^-1)."""
-    return p.bar()
-
-
-def bar_symmetrize_nonpos(p: LaurentPoly) -> LaurentPoly:
-    """The unique bar-fixed polynomial agreeing with p in all degrees <= 0.
-
-    beta = c_0 + sum_{i>0} c_{-i} (v^i + v^-i).  Subtracting beta from p
-    leaves only strictly positive exponents whenever p's non-positive part
-    determines it; this is the scalar correction used by the canonical
-    basis reduction.
-    """
-    t: dict[int, int] = {}
-    c0 = p.coeff(0)
-    if c0:
-        t[0] = c0
-    for e, c in p._terms.items():
-        if e < 0:
-            t[e] = t.get(e, 0) + c
-            t[-e] = t.get(-e, 0) + c
-    return LaurentPoly(t)

@@ -8,13 +8,11 @@ they are collected so one invocation characterizes a whole statement.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
-from .canonical import diamond, get_basis, is_svelte
+from .canonical import ReductionError, diamond, get_basis, is_svelte
 from .closedform import (
     FamilySpec,
-    closed_canonical_top,
     closed_canonical_weyl,
     defect_congruences,
     expand_family,
@@ -30,8 +28,8 @@ from .crystal import (
     residue_collected_path,
     weight_info,
 )
-from .fock import FockContext, FockVector, content, symmetric_context
-from .laurent import LaurentPoly
+from .fock import FockContext, FockVector, symmetric_context
+from .laurent import LaurentPoly, NotDivisibleError
 from .partitions import conjugate, total_size, transpose_each
 
 
@@ -47,7 +45,6 @@ class VerificationReport:
     suite: str
     params: dict
     instances: list[Instance] = field(default_factory=list)
-    wall_time: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -65,7 +62,6 @@ class VerificationReport:
             "params": self.params,
             "passed": self.passed,
             "counts": self.counts(),
-            "wall_time": round(self.wall_time, 3),
             "instances": [
                 {"params": i.params, "verdict": i.verdict, "detail": i.detail}
                 for i in self.instances
@@ -75,8 +71,7 @@ class VerificationReport:
     def to_text(self) -> str:
         lines = [
             f"suite {self.suite} {self.params}: "
-            f"{'PASS' if self.passed else 'FAIL'} {self.counts()} "
-            f"in {self.wall_time:.2f}s"
+            f"{'PASS' if self.passed else 'FAIL'} {self.counts()}"
         ]
         for i in self.instances:
             if i.verdict in ("mismatch", "flagged"):
@@ -91,15 +86,11 @@ def _difference(expected: FockVector, got: FockVector) -> dict | None:
     return {"symbolic_difference": delta.to_json()}
 
 
-def _timed(suite: str, params: dict):
-    return VerificationReport(suite, params), time.perf_counter()
-
-
 def verify_top_row_forms(a: int, i: int, k: int) -> VerificationReport:
     """Top-row closed form equals the recursive element; shape matches the
     recursive shape function."""
-    report, t0 = _timed("top-row", {"a": a, "i": i, "k": k})
-    closed = closed_canonical_top(a, i, k)
+    report = VerificationReport("top-row", {"a": a, "i": i, "k": k})
+    closed = closed_canonical_weyl(a, i, k, 0)
     basis = get_basis(symmetric_context(a))
     oracle = basis.element(closed.label)
     detail: dict = {"label": str(closed.label)}
@@ -114,7 +105,6 @@ def verify_top_row_forms(a: int, i: int, k: int) -> VerificationReport:
     report.instances.append(
         Instance({"a": a, "i": i, "k": k}, "match" if ok and shape_ok else "mismatch", detail)
     )
-    report.wall_time = time.perf_counter() - t0
     return report
 
 
@@ -122,7 +112,7 @@ def verify_weyl_stability(
     a: int, i: int, k: int, n_max: int, degree_cap: int = 13
 ) -> VerificationReport:
     """String-reflected top-row elements keep the same coefficients and shape."""
-    report, t0 = _timed(
+    report = VerificationReport(
         "weyl-stability", {"a": a, "i": i, "k": k, "n_max": n_max, "degree_cap": degree_cap}
     )
     basis = get_basis(symmetric_context(a))
@@ -137,7 +127,6 @@ def verify_weyl_stability(
         ok = closed.vector == oracle.vector and closed.shape == shape_row(a, k) == oracle.shape
         detail = None if ok else (_difference(oracle.vector, closed.vector) or {"shape": list(closed.shape)})
         report.instances.append(Instance(params, "match" if ok else "mismatch", detail))
-    report.wall_time = time.perf_counter() - t0
     return report
 
 
@@ -151,7 +140,7 @@ def verify_path_families(
     hard mismatches.  The "partner" reading of closed_canonical_family,
     which subtracts the sibling families' closed forms, is not reported.
     """
-    report, t0 = _timed(
+    report = VerificationReport(
         "path-families", {"a": a, "family": family, "k": k, "n_max": n_max}
     )
     ctx = symmetric_context(a)
@@ -195,7 +184,6 @@ def verify_path_families(
                 verdict = "mismatch"
                 detail.update(_difference(oracle.vector, corrected) or {})
             report.instances.append(Instance(params, verdict, detail))
-    report.wall_time = time.perf_counter() - t0
     return report
 
 
@@ -203,7 +191,7 @@ def verify_duality(ctx: FockContext, max_degree: int) -> VerificationReport:
     """The conjugate/diamond duality across the dual pair of crystals, plus
     the defect-0 and defect-1 characterizations and the uniqueness of the
     v^defect term."""
-    report, t0 = _timed(
+    report = VerificationReport(
         "duality", {"e": ctx.e, "charges": list(ctx.charges), "max_degree": max_degree}
     )
     basis = get_basis(ctx)
@@ -239,7 +227,6 @@ def verify_duality(ctx: FockContext, max_degree: int) -> VerificationReport:
                 problems or None,
             )
         )
-    report.wall_time = time.perf_counter() - t0
     return report
 
 
@@ -254,7 +241,7 @@ def _lowered(cont, i):
 def verify_svelte_step(ctx: FockContext, max_degree: int) -> VerificationReport:
     """Above every defect-0 bottom end of an i-string, the single-step-up
     element is svelte with defect one less than the string length."""
-    report, t0 = _timed(
+    report = VerificationReport(
         "svelte", {"e": ctx.e, "charges": list(ctx.charges), "max_degree": max_degree}
     )
     a = ctx.weight_multiplicities[0]
@@ -295,7 +282,6 @@ def verify_svelte_step(ctx: FockContext, max_degree: int) -> VerificationReport:
             report.instances.append(
                 Instance(params, "match" if not problems else "mismatch", problems or None)
             )
-    report.wall_time = time.perf_counter() - t0
     return report
 
 
@@ -305,7 +291,7 @@ KNOWN_CONGRUENCE_CLASSES = {1: {0}, 2: {0, 1}, 3: {0, 2}, 4: {0, 3, 4}}
 def verify_structural(a: int, max_degree: int) -> VerificationReport:
     """Defect congruence classes, the (k,1)/(1,k) weight-space dimensions,
     and the hub/string-length law over a generated symmetric graph."""
-    report, t0 = _timed("structural", {"a": a, "max_degree": max_degree})
+    report = VerificationReport("structural", {"a": a, "max_degree": max_degree})
     ctx = symmetric_context(a)
     basis = get_basis(ctx)
     g = generate_crystal(ctx, max_degree)
@@ -362,7 +348,6 @@ def verify_structural(a: int, max_degree: int) -> VerificationReport:
             report.instances.append(
                 Instance(params, "match" if ok else "mismatch", None if ok else {"steps": steps})
             )
-    report.wall_time = time.perf_counter() - t0
     return report
 
 
@@ -375,7 +360,7 @@ def conjecture_scan(
     smallest working m (all of 1..path-length are tried) and whether it
     lies in the conjectured window [t, t'].  Informational only; instances
     never fail."""
-    report, t0 = _timed("conjecture-scan", {"a": a, "max_degree": max_degree})
+    report = VerificationReport("conjecture-scan", {"a": a, "max_degree": max_degree})
     ctx = symmetric_context(a)
     basis = get_basis(ctx)
     g = generate_crystal(ctx, max_degree)
@@ -410,7 +395,7 @@ def conjecture_scan(
             }
             try:
                 oracle = basis.element(mp)
-            except Exception as exc:  # bar a broken vertex, keep scanning
+            except (ReductionError, NotDivisibleError) as exc:  # keep scanning
                 report.instances.append(Instance(params, "info", {"oracle_error": str(exc)}))
                 continue
             found_m = None
@@ -434,7 +419,6 @@ def conjecture_scan(
                 "within_window": found_m is not None and t <= found_m <= tprime,
             }
             report.instances.append(Instance(params, "info", detail))
-    report.wall_time = time.perf_counter() - t0
     return report
 
 

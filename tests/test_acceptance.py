@@ -15,7 +15,6 @@ from kcb.closedform import (
     FamilySpec,
     choice_sequences,
     closed_canonical_family,
-    closed_canonical_top,
     closed_canonical_weyl,
     family_label,
     inv,
@@ -70,7 +69,7 @@ def test_criterion_02_top_row_forms():
         basis = get_basis(symmetric_context(a))
         for i in (0, 1):
             for k in range(a + 1):
-                closed = closed_canonical_top(a, i, k)
+                closed = closed_canonical_weyl(a, i, k, 0)
                 oracle = basis.element(closed.label)
                 assert closed.vector == oracle.vector, (a, i, k)
                 assert closed.shape == shape_row(a, k) == oracle.shape, (a, i, k)

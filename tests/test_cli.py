@@ -2,8 +2,11 @@ import json
 
 import pytest
 
+from kcb.canonical import element_to_json, get_basis
 from kcb.cli import main
+from kcb.closedform import FamilySpec, family_label
 from kcb.crystal import block_from_json, crystal_from_json
+from kcb.fock import symmetric_context
 
 
 def run(capsys, *argv):
@@ -98,6 +101,19 @@ class TestClosedForm:
         assert code == 0
         assert json.loads(out)["terms"][0]["multipartition"] == [[2, 1], []]
 
+    @pytest.mark.parametrize("family,a,k,n", [("p010k", 3, 3, 0), ("p10k", 2, 1, 1)])
+    def test_default_reading_is_canonical(self, capsys, family, a, k, n):
+        # the staged (corrected) sum is not canonical here; partner is
+        ctx = symmetric_context(a)
+        oracle = get_basis(ctx).element(family_label(ctx, FamilySpec(family, a, k, n)))
+        code, out = run(capsys, "closed-form", "--family", family, "--a", str(a),
+                        "--k", str(k), "--n", str(n))
+        assert code == 0
+        assert json.loads(out) == element_to_json(oracle)
+        _, corrected = run(capsys, "closed-form", "--family", family, "--a", str(a),
+                           "--k", str(k), "--n", str(n), "--rule", "corrected")
+        assert json.loads(corrected) != element_to_json(oracle)
+
 
 class TestVerify:
     def test_duality_suite_exit0(self, capsys):
@@ -122,6 +138,21 @@ class TestVerify:
                         "--max-degree", "6", "--format", "json")
         assert code == 0
         assert json.loads(out)["passed"] is True
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_byte_identical(self, capsys, fmt):
+        argv = ("verify", "--suite", "structural", "--a", "2", "--max-degree", "6",
+                "--format", fmt)
+        _, a = run(capsys, *argv)
+        _, b = run(capsys, *argv)
+        assert a and a == b
+
+    def test_conjecture_scan_is_verify_alias(self, capsys):
+        code, alias = run(capsys, "conjecture-scan", "--a", "1", "--max-degree", "6")
+        assert code == 0
+        _, suite = run(capsys, "verify", "--suite", "conjecture", "--a", "1",
+                       "--max-degree", "6", "--format", "json")
+        assert alias == suite
 
 
 class TestOutputFile:

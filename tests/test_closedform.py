@@ -7,15 +7,13 @@ from kcb.closedform import (
     FamilySpec,
     choice_sequences,
     closed_canonical_family,
-    closed_canonical_top,
     closed_canonical_weyl,
     defect_congruences,
     defect_top_row,
     family_label,
+    family_term,
     family_vectors,
     inv,
-    pi0,
-    pin,
     shape_fn,
     shape_fn_closed,
     shape_row,
@@ -151,7 +149,7 @@ class TestTau:
 
 class TestClosedTop:
     def test_a3_display(self):
-        elem = closed_canonical_top(3, 0, 1)
+        elem = closed_canonical_weyl(3, 0, 1, 0)
         assert elem.vector == FockVector(
             [
                 ((((1,), (), (), (), (), ())), LaurentPoly.one()),
@@ -161,11 +159,11 @@ class TestClosedTop:
         )
 
     def test_k0_is_highest_weight(self):
-        elem = closed_canonical_top(2, 0, 0)
+        elem = closed_canonical_weyl(2, 0, 0, 0)
         assert elem.vector == FockVector.basis(((),) * 4)
 
     def test_k_equals_a(self):
-        elem = closed_canonical_top(2, 0, 2)
+        elem = closed_canonical_weyl(2, 0, 2, 0)
         assert len(elem.vector) == 1
         assert elem.weight.defect == 0
 
@@ -174,21 +172,12 @@ class TestClosedTop:
             basis = get_basis(symmetric_context(a))
             for i in (0, 1):
                 for k in range(a + 1):
-                    elem = closed_canonical_top(a, i, k)
+                    elem = closed_canonical_weyl(a, i, k, 0)
                     assert elem.vector == basis.element(elem.label).vector
                     assert elem.shape == shape_row(a, k)
 
 
 class TestClosedWeyl:
-    def test_n0_consistency(self):
-        for a in (1, 2):
-            for i in (0, 1):
-                for k in range(a + 1):
-                    assert (
-                        closed_canonical_weyl(a, i, k, 0).vector
-                        == closed_canonical_top(a, i, k).vector
-                    )
-
     def test_degree_jump(self):
         # one Weyl step from tau^0 at a=3, k=1 adds the 2k+a = 5 string
         e0 = closed_canonical_weyl(3, 0, 1, 0)
@@ -221,27 +210,27 @@ class TestPiTerms:
     def test_pi0_p0k1_examples(self):
         spec = FamilySpec("p0k1", 1, 1, 0, False)
         # j_2 = 3 among the three addable 1-nodes
-        mp, e = pi0(spec, [S(1), S(0, 0, 1)])
+        mp, e = family_term(spec, [S(1), S(0, 0, 1)])
         assert mp == ((1,), (1,)) and e == 2
-        mp, e = pi0(spec, [S(1), S(1, 0, 0)])
+        mp, e = family_term(spec, [S(1), S(1, 0, 0)])
         assert mp == ((2,), ()) and e == 0
-        mp, e = pi0(spec, [S(1), S(0, 1, 0)])
+        mp, e = family_term(spec, [S(1), S(0, 1, 0)])
         assert mp == ((1, 1), ()) and e == 1
 
     def test_pi0_p10k_example(self):
         spec = FamilySpec("p10k", 1, 1, 0, False)
-        mp, e = pi0(spec, [S(1), S(0, 1, 0)])
+        mp, e = family_term(spec, [S(1), S(0, 1, 0)])
         assert mp == ((), (2,)) and e == 1
-        mp, e = pi0(spec, [S(1), S(1, 0, 0)])
+        mp, e = family_term(spec, [S(1), S(1, 0, 0)])
         assert mp == ((1,), (1,)) and e == 0
 
     def test_pin_family_a_examples(self):
         spec = FamilySpec("p0k1", 1, 1, 1, False)
-        mp, e = pin(spec, [S(1), S(1, 1, 0)])  # single 0 in position j_2 = 3
+        mp, e = family_term(spec, [S(1), S(1, 1, 0)])  # single 0 in position j_2 = 3
         assert mp == ((2, 1), ()) and e == 0
-        mp, e = pin(spec, [S(1), S(1, 0, 1)])
+        mp, e = family_term(spec, [S(1), S(1, 0, 1)])
         assert mp == ((2,), (1,)) and e == 1
-        mp, e = pin(spec, [S(1), S(0, 1, 1)])
+        mp, e = family_term(spec, [S(1), S(0, 1, 1)])
         assert mp == ((1, 1), (1,)) and e == 2
 
     def test_flagged_subcase_raises_without_rule(self):
@@ -249,18 +238,16 @@ class TestPiTerms:
         # S_2 = (1,0|0,0) then omitting the middle addable reaches the
         # inconsistent printed rows: plain and corrected exponents differ
         with pytest.raises(AmbiguousCaseError):
-            pin(spec, [S(1, 0), S(1, 0, 0, 0), S(1, 0, 1)])
-        mp, e = pin(spec, [S(1, 0), S(1, 0, 0, 0), S(1, 0, 1)], rule="corrected")
+            family_term(spec, [S(1, 0), S(1, 0, 0, 0), S(1, 0, 1)])
+        mp, e = family_term(spec, [S(1, 0), S(1, 0, 0, 0), S(1, 0, 1)], rule="corrected")
         assert e == 0 and mp == ((2,), (), (1,), (1,))
-        _, ep = pin(spec, [S(1, 0), S(1, 0, 0, 0), S(1, 0, 1)], rule="plain")
+        _, ep = family_term(spec, [S(1, 0), S(1, 0, 0, 0), S(1, 0, 1)], rule="plain")
         assert ep == 1
 
     def test_pi_validation(self):
         spec = FamilySpec("p0k1", 2, 1, 0, False)
         with pytest.raises(ValueError):
-            pi0(spec, [S(1, 0), S(1, 0)])  # wrong length at stage 2
-        with pytest.raises(ValueError):
-            pin(spec, [S(1, 0), S(1, 0, 0, 0)])  # pin needs n >= 1
+            family_term(spec, [S(1, 0), S(1, 0)])  # wrong length at stage 2
 
 
 class TestClosedFamilies:

@@ -1,0 +1,55 @@
+"""Source hygiene: every function and class in src/kcb is used somewhere.
+
+A name counts as used when code refers to it (a name, an attribute or an
+import; comments, strings and the definition itself do not count) in
+src/kcb or in tests/.  The package's __init__.py is not searched:
+re-exporting a name is not a use of it.  Dunder methods are called implicitly and are skipped.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted(p for p in (ROOT / "src" / "kcb").glob("*.py") if p.name != "__init__.py")
+SEARCHED = SOURCES + sorted((ROOT / "tests").glob("*.py"))
+
+
+def _definitions(path: Path):
+    """(qualified name, bare name) of every function and class in a module."""
+    out = []
+
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                out.append((prefix + child.name, child.name))
+                walk(child, prefix + child.name + ".")
+            else:
+                walk(child, prefix)
+
+    walk(ast.parse(path.read_text(encoding="utf-8")), "")
+    return out
+
+
+def _references() -> Counter:
+    counts: Counter = Counter()
+    for path in SEARCHED:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                counts[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                counts[node.attr] += 1
+            elif isinstance(node, ast.alias):
+                counts[node.name] += 1
+    return counts
+
+
+def test_no_unreferenced_definitions():
+    counts = _references()
+    unused = [
+        f"{path.name}:{qual}"
+        for path in SOURCES
+        for qual, name in _definitions(path)
+        if not (name.startswith("__") and name.endswith("__")) and not counts[name]
+    ]
+    assert unused == [], f"defined but never referenced: {unused}"

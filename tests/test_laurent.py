@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 from kcb.laurent import (
     LaurentPoly,
     NotDivisibleError,
-    bar_symmetrize_nonpos,
     exact_div,
     qfact,
     qint,
@@ -74,25 +73,6 @@ class TestExactDiv:
     def test_zero_divisor(self):
         with pytest.raises(ZeroDivisionError):
             exact_div(P({0: 1}), LaurentPoly.zero())
-
-
-class TestBarSymmetrizeNonpos:
-    def test_definition(self):
-        assert bar_symmetrize_nonpos(P({-1: 2, 0: 1, 3: 5})) == P({-1: 2, 1: 2, 0: 1})
-
-    def test_positive_only(self):
-        assert bar_symmetrize_nonpos(P({2: 1})).is_zero()
-
-    def test_bar_fixed_reproduced(self):
-        assert bar_symmetrize_nonpos(qint(2)) == qint(2)
-
-    def test_result_is_bar_fixed_and_matches_low_degrees(self):
-        c = P({-3: 4, -1: -2, 0: 7, 1: 9, 5: -1})
-        b = bar_symmetrize_nonpos(c)
-        assert b.bar() == b
-        for e in range(-6, 1):
-            assert b.coeff(e) == c.coeff(e)
-        assert all(e > 0 for e, _ in (c - b).items())
 
 
 small_polys = st.dictionaries(

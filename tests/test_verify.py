@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from kcb.canonical import CanonicalBasis, ReductionError
 from kcb.fock import FockContext, symmetric_context
 from kcb.verify import (
     conjecture_scan,
@@ -115,6 +118,20 @@ class TestConjectureScan:
                 m = inst.detail["m"]
                 assert inst.params["t"] <= m <= inst.params["t_prime"]
 
+    def test_reduction_error_recorded_other_errors_propagate(self, monkeypatch):
+        def fail(exc):
+            def element(self, mp):
+                raise exc
+            return element
+
+        monkeypatch.setattr(CanonicalBasis, "element", fail(ReductionError("broken")))
+        r = conjecture_scan(1, 6)
+        assert r.instances
+        assert all(i.detail == {"oracle_error": "broken"} for i in r.instances)
+        monkeypatch.setattr(CanonicalBasis, "element", fail(KeyError("bug")))
+        with pytest.raises(KeyError):
+            conjecture_scan(1, 6)
+
 
 class TestReportShape:
     def test_json_and_text(self):
@@ -127,7 +144,7 @@ class TestReportShape:
         assert "top-row" in text and "PASS" in text
 
     def test_deterministic(self):
-        a = verify_structural(2, 6).to_json()
-        b = verify_structural(2, 6).to_json()
-        a.pop("wall_time"), b.pop("wall_time")
-        assert a == b
+        a = verify_structural(2, 6)
+        b = verify_structural(2, 6)
+        assert a.to_json() == b.to_json()
+        assert a.to_text() == b.to_text()
