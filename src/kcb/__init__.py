@@ -56,7 +56,6 @@ from .canonical import (
     is_svelte,
 )
 from .closedform import (
-    AmbiguousCaseError,
     ChoiceSequence,
     FamilySpec,
     choice_sequences,

@@ -80,10 +80,7 @@ def _emit_json(doc, args) -> None:
 def cmd_crystal(args) -> int:
     ctx = _context_from(args)
     g = generate_crystal(ctx, args.max_degree)
-    if args.format == "dot":
-        _emit(block_to_dot(block_reduced(g)), args)
-    else:
-        _emit_json(crystal_to_json(g), args)
+    _emit_json(crystal_to_json(g), args)
     return 0
 
 
@@ -138,32 +135,34 @@ def cmd_shape_table(args) -> int:
 
 
 def cmd_closed_form(args) -> int:
-    if args.family in FAMILIES:
-        spec = FamilySpec(args.family, args.a, args.k, args.n, args.dual)
-        elem = closed_canonical_family(spec, rule=args.rule)
+    if args.family == "weyl":
+        elem = closed_canonical_weyl(args.a, args.i, args.k, args.n)
     else:
-        n = 0 if args.family == "top-row" else args.n
-        elem = closed_canonical_weyl(args.a, args.i, args.k, n)
+        elem = closed_canonical_family(FamilySpec(args.family, args.a, args.k, args.n, args.dual))
     _emit_json(element_to_json(elem), args)
     return 0
 
 
 def _run_suite(args):
     suite = args.suite
+
+    def degree(default: int) -> int:
+        return default if args.max_degree is None else args.max_degree
+
     if suite == "top-row":
         return verify_top_row_forms(args.a, args.i, args.k)
     if suite == "weyl":
-        return verify_weyl_stability(args.a, args.i, args.k, args.n, args.max_degree or 13)
+        return verify_weyl_stability(args.a, args.i, args.k, args.n, degree(13))
     if suite == "families":
         return verify_path_families(args.a, args.family, args.k, args.n, args.max_degree)
     if suite == "duality":
-        return verify_duality(_context_from(args), args.max_degree or 8)
+        return verify_duality(_context_from(args), degree(8))
     if suite == "svelte":
-        return verify_svelte_step(_context_from(args), args.max_degree or 13)
+        return verify_svelte_step(_context_from(args), degree(13))
     if suite == "structural":
-        return verify_structural(args.a, args.max_degree or 9)
+        return verify_structural(args.a, degree(9))
     if suite == "conjecture":
-        return conjecture_scan(args.a, 13 if args.max_degree is None else args.max_degree)
+        return conjecture_scan(args.a, degree(13))
     raise UsageError(f"unknown suite {suite!r}")
 
 
@@ -200,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("crystal", help="generate the crystal graph")
     _add_context_opts(p)
     p.add_argument("--max-degree", type=int, required=True)
-    _add_common(p, ("json", "dot"))
+    _add_common(p, ("json",))
     p.set_defaults(fn=cmd_crystal)
 
     p = sub.add_parser("block-graph", help="generate the block-reduced graph")
@@ -223,14 +222,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_shape_table)
 
     p = sub.add_parser("closed-form", help="closed-form canonical element")
-    p.add_argument("--family", required=True,
-                   choices=("top-row", "weyl", *FAMILIES))
+    p.add_argument("--family", required=True, choices=("weyl", *FAMILIES))
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--i", type=int, default=0, choices=(0, 1))
     p.add_argument("--dual", action="store_true")
-    p.add_argument("--rule", choices=("partner", "corrected", "plain"), default="partner")
     _add_common(p)
     p.set_defaults(fn=cmd_closed_form)
 

@@ -5,33 +5,28 @@ assembled closed-form elements, and the small-defect data.
 Families are generated structurally: a family fixes a path (residue,
 multiplicity per segment) and a number m of choice stages; every choice
 stage picks k nodes out of the current addable-node list of its branch,
-later stages must use every addable node.  Exponents come in two
-readings:
+later stages must use every addable node.  Each branch carries two
+exponents:
 
 * "plain"     - the inversion count of each choice sequence, summed;
 * "corrected" - the true divided-power statistic, which additionally
                 subtracts, for every chosen node, the number of removable
                 nodes of the active residue above it.
 
-The readings agree whenever no stage sees a removable node of its
-residue.  Where they differ the recursive oracle arbitrates (module
-verify); "corrected" is the default because it is the one consistent
-with the leading coefficient being 1 in every family.
-
-The corrected sum M(fam) is the divided-power monomial of the family's
-path.  By Kashiwara's rule for divided powers on the global basis it is
-G(label) plus multiples of G(b') for the vertices b' of the weight with
-epsilon_i(b') larger than the last divided power; for the path families
-these are the sibling family labels.  The third reading, "partner",
-subtracts them ([m] the quantum integer, [0] = 0):
+family_vectors returns both staged sums.  The corrected sum M(fam) is the
+divided-power monomial of the family's path.  By Kashiwara's rule for
+divided powers on the global basis it is G(label) plus multiples of G(b')
+for the vertices b' of the weight with epsilon_i(b') larger than the last
+divided power; for the path families these are the sibling family labels.
+closed_canonical_family subtracts them ([m] the quantum integer, [0] = 0):
 
 * G(p0k1)  = M(p0k1)
 * G(p10k)  = M(p10k)  - [a-1] G(p0k1)                       (n >= 1 only)
 * G(p010k) = M(p010k) - [k-2] G(p10k) - [k][a+1] G(p0k1)    (last term n >= 1 only)
 
-The coefficients were found against the recursive oracle, which the
-"partner" reading matches on every instance tested (tests/test_acceptance.py,
-tests/test_closedform.py).
+The coefficients were found against the recursive oracle, which
+closed_canonical_family matches on every instance tested
+(tests/test_acceptance.py, tests/test_closedform.py).
 """
 
 from __future__ import annotations
@@ -45,13 +40,6 @@ from .crystal import f_tilde, weight_info
 from .fock import FockContext, FockVector, add_node, content, i_node_slots, symmetric_context
 from .laurent import LaurentPoly, qint
 from .partitions import Multipartition, triangular, u_family
-
-
-class AmbiguousCaseError(RuntimeError):
-    """A sub-case where the two exponent readings disagree; the caller must
-    pick a reading explicitly (the verify suites record which exponent
-    reading the recursive computation confirms; closed_canonical_family
-    also offers the "partner" reading)."""
 
 
 @dataclass(frozen=True)
@@ -182,8 +170,8 @@ def tau(a: int, i: int, n: int, s1: ChoiceSequence) -> Multipartition:
 FAMILIES = ("p0k1", "p10k", "p010k")
 
 # families whose case tables admit conflicting exponent readings at n >= 1;
-# never resolved silently: closed_canonical_family needs an explicit rule,
-# and only its "partner" reading matches the recursive computation there
+# verify_path_families reports a raw staged sum that misses the recursive
+# element there as "flagged", not as a mismatch
 FLAGGED = {("p10k", True), ("p010k", True)}  # (family, n >= 1)
 
 
@@ -239,16 +227,25 @@ def family_stages(spec: FamilySpec) -> tuple[list[tuple[int, int | None]], int]:
 
 
 def _stage_adds(ctx: FockContext, mp: Multipartition, i: int):
-    """Addable i-nodes with (position-among-addables, removables-above)."""
+    """Addable i-nodes, each with the number of removable i-nodes above it."""
     adds = []
-    na = nr = 0
+    nr = 0
     for node, isadd in i_node_slots(ctx, mp, i):
         if isadd:
-            adds.append((node, na, nr))
-            na += 1
+            adds.append((node, nr))
         else:
             nr += 1
     return adds
+
+
+def _take(mp: Multipartition, adds, picks) -> tuple[Multipartition, int, int]:
+    """Add the picked addable nodes (increasing positions in adds):
+    (multipartition, plain exponent step, corrected exponent step)."""
+    invp = sum(pos - t for t, pos in enumerate(picks))
+    corr = sum(adds[pos][1] for pos in picks)
+    for pos in picks:
+        mp = add_node(mp, adds[pos][0])
+    return mp, invp, invp - corr
 
 
 def expand_family(
@@ -271,12 +268,8 @@ def expand_family(
                     f"{len(adds) - kk} nodes unused"
                 )
             for T in combinations(range(len(adds)), kk):
-                invp = sum(pos - t for t, pos in enumerate(T))
-                corr = sum(adds[pos][2] for pos in T)
-                nmp = mp
-                for pos in T:
-                    nmp = add_node(nmp, adds[pos][0])
-                nxt.append((nmp, ep + invp, ec + invp - corr))
+                nmp, dp, dc = _take(mp, adds, T)
+                nxt.append((nmp, ep + dp, ec + dc))
         branches = nxt
         if branch_cap is not None and len(branches) > branch_cap:
             raise ValueError(f"branch budget exceeded ({len(branches)} > {branch_cap})")
@@ -289,17 +282,12 @@ def expand_family(
 def family_vectors(
     ctx: FockContext, spec: FamilySpec
 ) -> tuple[FockVector, FockVector]:
-    """(plain-reading sum, corrected-reading sum) for the family."""
-    stages, m = family_stages(spec)
-    branches = expand_family(ctx, stages, m)
-    plain: dict[Multipartition, LaurentPoly] = {}
-    corrected: dict[Multipartition, LaurentPoly] = {}
-    for mp, ep, ec in branches:
-        for store, e in ((plain, ep), (corrected, ec)):
-            prev = store.get(mp)
-            p = LaurentPoly.monomial(e)
-            store[mp] = p if prev is None else prev + p
-    return FockVector(plain), FockVector(corrected)
+    """(plain-reading sum, corrected-reading sum) for the family: the raw
+    staged sums, not canonical in general (module docstring)."""
+    branches = expand_family(ctx, *family_stages(spec))
+    plain = FockVector((mp, LaurentPoly.monomial(ep)) for mp, ep, _ in branches)
+    corrected = FockVector((mp, LaurentPoly.monomial(ec)) for mp, _, ec in branches)
+    return plain, corrected
 
 
 def family_label(ctx: FockContext, spec: FamilySpec) -> Multipartition:
@@ -333,13 +321,10 @@ def closed_canonical_weyl(a: int, i: int, k: int, n: int) -> CanonicalElement:
     return _element_from_vector(ctx, label, FockVector(terms))
 
 
-def replay_choices(
-    ctx: FockContext, spec: FamilySpec, choices
-) -> tuple[Multipartition, int, int]:
-    """One branch for explicit choice sequences (one per choice stage).
-
-    Returns (multipartition, plain exponent, corrected exponent).
-    """
+def family_term(spec: FamilySpec, choices) -> tuple[Multipartition, int, int]:
+    """One family term for explicit choice sequences (one per choice stage):
+    (multipartition, plain exponent, corrected exponent)."""
+    ctx = symmetric_context(spec.a)
     stages, m = family_stages(spec)
     choices = tuple(
         c if isinstance(c, ChoiceSequence) else ChoiceSequence(tuple(c)) for c in choices
@@ -365,33 +350,11 @@ def replay_choices(
         else:
             if mult is not None and mult != len(adds):
                 raise ValueError(f"stage {idx + 1} is not a full string")
-            picks = list(range(len(adds)))
-        invp = sum(pos - t for t, pos in enumerate(picks))
-        corr = sum(adds[pos][2] for pos in picks)
-        ep += invp
-        ec += invp - corr
-        for pos in picks:
-            mp = add_node(mp, adds[pos][0])
+            picks = range(len(adds))
+        mp, dp, dc = _take(mp, adds, picks)
+        ep += dp
+        ec += dc
     return mp, ep, ec
-
-
-def family_term(spec: FamilySpec, choices, rule: str | None = None):
-    """One family term for explicit choice sequences: (multipartition,
-    coefficient exponent).  rule None means "corrected", except where a
-    flagged family's readings disagree, which raises AmbiguousCaseError."""
-    ctx = symmetric_context(spec.a)
-    mp, ep, ec = replay_choices(ctx, spec, choices)
-    if rule is None:
-        if spec.flagged and ep != ec:
-            raise AmbiguousCaseError(
-                f"{spec.family} (n={spec.n}) hits a sub-case where the exponent "
-                f"readings disagree: plain {ep} vs corrected {ec}; pass "
-                f"rule='plain' or rule='corrected'"
-            )
-        rule = "corrected"
-    if rule not in ("plain", "corrected"):
-        raise ValueError(f"unknown exponent rule {rule!r}")
-    return mp, (ep if rule == "plain" else ec)
 
 
 def _partners(spec: FamilySpec) -> list[tuple[str, LaurentPoly]]:
@@ -408,41 +371,22 @@ def _partners(spec: FamilySpec) -> list[tuple[str, LaurentPoly]]:
     return []
 
 
-def _partner_vector(ctx: FockContext, spec: FamilySpec) -> FockVector:
+def _canonical_vector(ctx: FockContext, spec: FamilySpec) -> FockVector:
     """The corrected sum minus its partners, each built the same way."""
     _, vec = family_vectors(ctx, spec)
     for family, coeff in _partners(spec):
         if coeff:
-            partner = _partner_vector(ctx, replace(spec, family=family))
+            partner = _canonical_vector(ctx, replace(spec, family=family))
             vec = vec.add_scaled(partner, -coeff)
     return vec
 
 
-def closed_canonical_family(spec: FamilySpec, rule: str | None = None) -> CanonicalElement:
-    """The family's closed form as a canonical element (not oracle-checked here).
-
-    rule "plain" or "corrected" gives that reading of the staged sum;
-    "partner" subtracts the sibling families' closed forms from the
-    corrected sum (module docstring).  rule None means "corrected", except
-    on flagged families, which raise AmbiguousCaseError.
-    """
-    if rule is None:
-        if spec.flagged:
-            raise AmbiguousCaseError(
-                f"{spec.family} with n >= 1 has sub-cases where the exponent "
-                f"readings disagree; pass rule='plain', rule='corrected' or "
-                f"rule='partner'"
-            )
-        rule = "corrected"
-    if rule not in ("plain", "corrected", "partner"):
-        raise ValueError(f"unknown exponent rule {rule!r}")
+def closed_canonical_family(spec: FamilySpec) -> CanonicalElement:
+    """G(label) of the family, built without the recursive basis: the
+    corrected staged sum minus the sibling families' closed forms (module
+    docstring).  Not oracle-checked here."""
     ctx = symmetric_context(spec.a)
-    if rule == "partner":
-        vec = _partner_vector(ctx, spec)
-    else:
-        plain, corrected = family_vectors(ctx, spec)
-        vec = plain if rule == "plain" else corrected
-    return _element_from_vector(ctx, family_label(ctx, spec), vec)
+    return _element_from_vector(ctx, family_label(ctx, spec), _canonical_vector(ctx, spec))
 
 
 # top-row defects and the small-defect catalogue

@@ -40,18 +40,22 @@ class WeightInfo:
 
 
 def weight_info(ctx: FockContext, cont) -> WeightInfo:
-    """Hub h = a - C c and defect a.c - (c.Cc)/2 for the weight Lambda - sum c_i alpha_i."""
+    """Hub h = a - C c and defect a.c - (c.Cc)/2 for the weight Lambda - sum c_i alpha_i.
+
+    C is symmetric with diagonal 2, so (c.Cc)/2 = sum c_i^2 + sum_{i<j} C_ij c_i c_j,
+    an integer.
+    """
     cont = tuple(int(x) for x in cont)
     if len(cont) != ctx.e or any(x < 0 for x in cont):
         raise ValueError(f"content must be a non-negative length-{ctx.e} vector: {cont}")
     C = cartan_matrix(ctx.e)
     a = ctx.weight_multiplicities
-    hub = tuple(a[i] - sum(C[i][j] * cont[j] for j in range(ctx.e)) for i in range(ctx.e))
-    twice = 2 * sum(a[i] * cont[i] for i in range(ctx.e)) - sum(
-        cont[i] * C[i][j] * cont[j] for i in range(ctx.e) for j in range(ctx.e)
+    e = ctx.e
+    hub = tuple(a[i] - sum(C[i][j] * cont[j] for j in range(e)) for i in range(e))
+    defect = sum(a[i] * cont[i] - cont[i] ** 2 for i in range(e)) - sum(
+        C[i][j] * cont[i] * cont[j] for i in range(e) for j in range(i + 1, e)
     )
-    assert twice % 2 == 0
-    return WeightInfo(cont, hub, twice // 2)
+    return WeightInfo(cont, hub, defect)
 
 
 def _reduced_signature(ctx: FockContext, mp: Multipartition, i: int) -> list[tuple[NodeRef, bool]]:

@@ -137,8 +137,8 @@ def verify_path_families(
 
     Each instance records which raw exponent reading (plain / corrected)
     reproduces the oracle.  Instances in flagged sub-cases never count as
-    hard mismatches.  The "partner" reading of closed_canonical_family,
-    which subtracts the sibling families' closed forms, is not reported.
+    hard mismatches.  closed_canonical_family, which subtracts the sibling
+    families' closed forms, is not reported.
     """
     report = VerificationReport(
         "path-families", {"a": a, "family": family, "k": k, "n_max": n_max}
@@ -293,7 +293,6 @@ def verify_structural(a: int, max_degree: int) -> VerificationReport:
     and the hub/string-length law over a generated symmetric graph."""
     report = VerificationReport("structural", {"a": a, "max_degree": max_degree})
     ctx = symmetric_context(a)
-    basis = get_basis(ctx)
     g = generate_crystal(ctx, max_degree)
     bg = block_reduced(g)
 
@@ -351,9 +350,7 @@ def verify_structural(a: int, max_degree: int) -> VerificationReport:
     return report
 
 
-def conjecture_scan(
-    a: int, max_degree: int, branch_cap: int = 200_000
-) -> VerificationReport:
+def conjecture_scan(a: int, max_degree: int) -> VerificationReport:
     """Exploratory scan: for every external weight and every vertex there,
     test whether truncating the choice stages at some m makes the
     inversion-sum form reproduce the recursive element.  Reports the
@@ -402,7 +399,7 @@ def conjecture_scan(
             found_rule = None
             for m in range(1, w + 1):
                 try:
-                    branches = expand_family(ctx, list(path), m, branch_cap=branch_cap)
+                    branches = expand_family(ctx, list(path), m, branch_cap=200_000)
                 except ValueError:
                     continue
                 for rule, pick in (("corrected", 2), ("plain", 1)):

@@ -112,7 +112,7 @@ def test_criterion_04_single_step_families():
         basis = get_basis(ctx)
         label = family_label(ctx, spec)
         oracle = basis.element(label)
-        closed = closed_canonical_family(spec, rule="partner")
+        closed = closed_canonical_family(spec)
         if closed.vector != oracle.vector:
             failures.append((spec, label))
     dt = time.perf_counter() - t0
@@ -133,7 +133,7 @@ def test_criterion_05_prop_general_families():
         basis = get_basis(ctx)
         label = family_label(ctx, spec)
         oracle = basis.element(label)
-        closed = closed_canonical_family(spec, rule="partner")
+        closed = closed_canonical_family(spec)
         expected_defect = (spec.k - 1) * (spec.a - spec.k + 1) + 2 * spec.a
         supp = set(oracle.vector.support())
         rows.append(

@@ -4,7 +4,7 @@ import pytest
 
 from kcb.canonical import element_to_json, get_basis
 from kcb.cli import main
-from kcb.closedform import FamilySpec, family_label
+from kcb.closedform import FamilySpec, family_label, family_vectors
 from kcb.crystal import block_from_json, crystal_from_json
 from kcb.fock import symmetric_context
 
@@ -25,13 +25,6 @@ class TestCrystal:
         assert g.degrees[((), ())] == 0
         assert len(doc["vertices"]) == len(g.degrees)
 
-    def test_dot_figure_shape(self, capsys):
-        code, out = run(capsys, "crystal", "--e", "2", "--charges", "0,0,0,1,1,1",
-                        "--max-degree", "6", "--format", "dot")
-        assert code == 0
-        assert out.startswith("digraph")
-        assert '"[3,3]^0"' in out and '"[1,5]^2"' in out
-
     def test_degree_zero(self, capsys):
         code, out = run(capsys, "crystal", "--a", "1", "--max-degree", "0")
         assert code == 0
@@ -48,6 +41,13 @@ class TestBlockGraph:
         assert code == 0
         bg = block_from_json(json.loads(out))
         assert (0, 0) in bg.weights
+
+    def test_dot_figure_shape(self, capsys):
+        code, out = run(capsys, "block-graph", "--e", "2", "--charges", "0,0,0,1,1,1",
+                        "--max-degree", "6", "--format", "dot")
+        assert code == 0
+        assert out.startswith("digraph")
+        assert '"[3,3]^0"' in out and '"[1,5]^2"' in out
 
 
 class TestCanonical:
@@ -91,7 +91,7 @@ class TestShapeTable:
 
 class TestClosedForm:
     def test_top_row(self, capsys):
-        code, out = run(capsys, "closed-form", "--family", "top-row", "--a", "3", "--k", "1")
+        code, out = run(capsys, "closed-form", "--family", "weyl", "--a", "3", "--k", "1")
         assert code == 0
         assert json.loads(out)["shape"] == [1, 1, 1]
 
@@ -103,16 +103,16 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("family,a,k,n", [("p010k", 3, 3, 0), ("p10k", 2, 1, 1)])
     def test_default_reading_is_canonical(self, capsys, family, a, k, n):
-        # the staged (corrected) sum is not canonical here; partner is
+        # the staged (corrected) sum is not canonical here; the output is
         ctx = symmetric_context(a)
-        oracle = get_basis(ctx).element(family_label(ctx, FamilySpec(family, a, k, n)))
+        spec = FamilySpec(family, a, k, n)
+        oracle = get_basis(ctx).element(family_label(ctx, spec))
         code, out = run(capsys, "closed-form", "--family", family, "--a", str(a),
                         "--k", str(k), "--n", str(n))
         assert code == 0
         assert json.loads(out) == element_to_json(oracle)
-        _, corrected = run(capsys, "closed-form", "--family", family, "--a", str(a),
-                           "--k", str(k), "--n", str(n), "--rule", "corrected")
-        assert json.loads(corrected) != element_to_json(oracle)
+        _, corrected = family_vectors(ctx, spec)
+        assert corrected != oracle.vector
 
 
 class TestVerify:
@@ -146,6 +146,16 @@ class TestVerify:
         _, a = run(capsys, *argv)
         _, b = run(capsys, *argv)
         assert a and a == b
+
+    @pytest.mark.parametrize("suite,key", [
+        ("weyl", "degree_cap"), ("duality", "max_degree"), ("svelte", "max_degree"),
+        ("structural", "max_degree"), ("conjecture", "max_degree"),
+    ])
+    def test_explicit_max_degree_zero(self, capsys, suite, key):
+        code, out = run(capsys, "verify", "--suite", suite, "--a", "2",
+                        "--max-degree", "0", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["params"][key] == 0
 
     def test_conjecture_scan_is_verify_alias(self, capsys):
         code, alias = run(capsys, "conjecture-scan", "--a", "1", "--max-degree", "6")

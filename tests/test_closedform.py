@@ -2,7 +2,6 @@ import pytest
 
 from kcb.canonical import CanonicalBasis, get_basis
 from kcb.closedform import (
-    AmbiguousCaseError,
     ChoiceSequence,
     FamilySpec,
     choice_sequences,
@@ -210,38 +209,35 @@ class TestPiTerms:
     def test_pi0_p0k1_examples(self):
         spec = FamilySpec("p0k1", 1, 1, 0, False)
         # j_2 = 3 among the three addable 1-nodes
-        mp, e = family_term(spec, [S(1), S(0, 0, 1)])
+        mp, _, e = family_term(spec, [S(1), S(0, 0, 1)])
         assert mp == ((1,), (1,)) and e == 2
-        mp, e = family_term(spec, [S(1), S(1, 0, 0)])
+        mp, _, e = family_term(spec, [S(1), S(1, 0, 0)])
         assert mp == ((2,), ()) and e == 0
-        mp, e = family_term(spec, [S(1), S(0, 1, 0)])
+        mp, _, e = family_term(spec, [S(1), S(0, 1, 0)])
         assert mp == ((1, 1), ()) and e == 1
 
     def test_pi0_p10k_example(self):
         spec = FamilySpec("p10k", 1, 1, 0, False)
-        mp, e = family_term(spec, [S(1), S(0, 1, 0)])
+        mp, _, e = family_term(spec, [S(1), S(0, 1, 0)])
         assert mp == ((), (2,)) and e == 1
-        mp, e = family_term(spec, [S(1), S(1, 0, 0)])
+        mp, _, e = family_term(spec, [S(1), S(1, 0, 0)])
         assert mp == ((1,), (1,)) and e == 0
 
     def test_pin_family_a_examples(self):
         spec = FamilySpec("p0k1", 1, 1, 1, False)
-        mp, e = family_term(spec, [S(1), S(1, 1, 0)])  # single 0 in position j_2 = 3
+        mp, _, e = family_term(spec, [S(1), S(1, 1, 0)])  # single 0 in position j_2 = 3
         assert mp == ((2, 1), ()) and e == 0
-        mp, e = family_term(spec, [S(1), S(1, 0, 1)])
+        mp, _, e = family_term(spec, [S(1), S(1, 0, 1)])
         assert mp == ((2,), (1,)) and e == 1
-        mp, e = family_term(spec, [S(1), S(0, 1, 1)])
+        mp, _, e = family_term(spec, [S(1), S(0, 1, 1)])
         assert mp == ((1, 1), (1,)) and e == 2
 
-    def test_flagged_subcase_raises_without_rule(self):
+    def test_flagged_subcase_readings_differ(self):
         spec = FamilySpec("p10k", 2, 1, 1, False)
         # S_2 = (1,0|0,0) then omitting the middle addable reaches the
         # inconsistent printed rows: plain and corrected exponents differ
-        with pytest.raises(AmbiguousCaseError):
-            family_term(spec, [S(1, 0), S(1, 0, 0, 0), S(1, 0, 1)])
-        mp, e = family_term(spec, [S(1, 0), S(1, 0, 0, 0), S(1, 0, 1)], rule="corrected")
-        assert e == 0 and mp == ((2,), (), (1,), (1,))
-        _, ep = family_term(spec, [S(1, 0), S(1, 0, 0, 0), S(1, 0, 1)], rule="plain")
+        mp, ep, ec = family_term(spec, [S(1, 0), S(1, 0, 0, 0), S(1, 0, 1)])
+        assert ec == 0 and mp == ((2,), (), (1,), (1,))
         assert ep == 1
 
     def test_pi_validation(self):
@@ -275,11 +271,6 @@ class TestClosedFamilies:
         basis = get_basis(symmetric_context(3))
         assert elem.vector == basis.element(elem.label).vector
 
-    def test_flagged_family_requires_rule(self):
-        with pytest.raises(AmbiguousCaseError):
-            closed_canonical_family(FamilySpec("p10k", 2, 1, 1, False))
-        closed_canonical_family(FamilySpec("p10k", 2, 1, 1, False), rule="corrected")
-
     def test_p010k_needs_k2(self):
         with pytest.raises(ValueError):
             FamilySpec("p010k", 2, 1, 0, False)
@@ -298,10 +289,6 @@ class TestClosedFamilies:
         other = basis.element(((2, 1), (), (1,), ()))
         assert corrected == oracle.vector + other.vector
 
-    def test_unknown_rule_rejected(self):
-        with pytest.raises(ValueError):
-            closed_canonical_family(FamilySpec("p0k1", 2, 1, 0, False), rule="partners")
-
     @pytest.mark.parametrize("a", [4, 5])
     def test_partner_reading_is_oracle_beyond_acceptance_ranges(self, a):
         basis = get_basis(symmetric_context(a))
@@ -311,19 +298,19 @@ class TestClosedFamilies:
                 for n in (0, 1):
                     for dual in (False, True):
                         spec = FamilySpec(family, a, k, n, dual)
-                        elem = closed_canonical_family(spec, rule="partner")
+                        elem = closed_canonical_family(spec)
                         assert elem.vector == basis.element(elem.label).vector, spec
                         checked += 1
         assert checked == {4: 44, 5: 56}[a]
 
     def test_partner_reading_needs_no_recursive_basis(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("the partner reading called CanonicalBasis")
+            raise AssertionError("closed_canonical_family called CanonicalBasis")
 
         for name, attr in vars(CanonicalBasis).items():
             if callable(attr) and not name.startswith("__"):
                 monkeypatch.setattr(CanonicalBasis, name, refuse)
-        elem = closed_canonical_family(FamilySpec("p010k", 3, 3, 1, False), rule="partner")
+        elem = closed_canonical_family(FamilySpec("p010k", 3, 3, 1, False))
         assert elem.vector.coefficient(elem.label) == LaurentPoly.one()
 
     def test_transpose_closure_on_oracle_families(self):
@@ -332,7 +319,7 @@ class TestClosedFamilies:
         for k in (1, 2):
             for dual in (False, True):
                 spec = FamilySpec("p0k1", 2, k, 1, dual)
-                elem = closed_canonical_family(spec, rule="corrected")
+                elem = closed_canonical_family(spec)
                 supp = set(elem.vector.support())
                 assert {transpose_each(m) for m in supp} == supp
                 assert elem.vector == basis.element(elem.label).vector

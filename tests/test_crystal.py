@@ -17,6 +17,7 @@ from kcb.crystal import (
     weight_info,
 )
 from kcb.fock import FockContext, content, symmetric_context
+from kcb.partitions import iter_multipartitions
 
 C01 = FockContext(2, (0, 1))
 
@@ -233,3 +234,37 @@ class TestSerialization:
         assert dot.startswith("digraph")
         assert '"[3,3]^0"' in dot
         assert '"[1,5]^2"' in dot
+
+
+class TestPathOnBfsVertices:
+    # every multipartition up to degree 7, e = 2, 3, 4, levels 2 to 4
+    CONTEXTS = [
+        FockContext(2, (0, 1)),
+        FockContext(2, (0, 0, 1, 1)),
+        FockContext(2, (0, 0, 0, 1)),
+        FockContext(3, (0, 1, 2)),
+        FockContext(3, (0, 0, 1, 2)),
+        FockContext(4, (0, 2)),
+        FockContext(4, (0, 1, 2, 3)),
+    ]
+
+    @pytest.mark.parametrize(
+        "ctx", CONTEXTS, ids=lambda c: f"e{c.e}-" + "".join(map(str, c.charges))
+    )
+    def test_path_exactly_on_vertices_and_replays(self, ctx):
+        degree = 7
+        vertices = generate_crystal(ctx, degree).degrees
+        found = 0
+        for n in range(degree + 1):
+            for mp in iter_multipartitions(n, ctx.level):
+                if mp not in vertices:
+                    with pytest.raises(NotAVertexError):
+                        residue_collected_path(ctx, mp)
+                    continue
+                cur = ctx.highest_weight_vertex()
+                for i, mult in residue_collected_path(ctx, mp):
+                    for _ in range(mult):
+                        cur = f_tilde(ctx, cur, i)
+                assert cur == mp
+                found += 1
+        assert found == len(vertices)

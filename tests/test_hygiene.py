@@ -1,4 +1,5 @@
-"""Source hygiene: every function and class in src/kcb is used somewhere.
+"""Source hygiene: every function and class in src/kcb is used somewhere,
+and src/kcb checks nothing with assert (python -O strips it).
 
 A name counts as used when code refers to it (a name, an attribute or an
 import; comments, strings and the definition itself do not count) in
@@ -53,3 +54,13 @@ def test_no_unreferenced_definitions():
         if not (name.startswith("__") and name.endswith("__")) and not counts[name]
     ]
     assert unused == [], f"defined but never referenced: {unused}"
+
+
+def test_no_assert_statements():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES + [ROOT / "src" / "kcb" / "__init__.py"]
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == [], f"assert statements (use typed errors): {found}"
