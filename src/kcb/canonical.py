@@ -1,14 +1,18 @@
-"""Recursive canonical-basis computation: bar-invariant monomials along
-crystal paths and their reduction to the canonical basis, plus shape,
-sveltness, the diamond involution, and serialization.
+"""Recursive canonical-basis computation: an LLT-type seed and its
+reduction to the canonical basis, plus shape, sveltness, the diamond
+involution, and serialization.
 
-The reduction expresses the path monomial A(mu) over the canonical
+The seed of G(mu) is A = f_i^(k) G(mu'), where (i, k) is the last segment
+of mu's residue-collected path and mu' = e~_i^k(mu) is the top of mu's
+i-string (Lascoux-Leclerc-Thibon; Fayers for higher level).  It is
+bar-invariant, and by Kashiwara's divided-power rule G(mu) occurs in it
+with coefficient exactly 1.  The reduction expresses A over the canonical
 elements at the same weight and strips off everything but G(mu).  Writing
 A = sum_nu m_nu G(nu) with every m_nu bar-symmetric, the globally most
 negative exponent appearing on any vertex coordinate is uncontaminated by
 cross terms (canonical off-diagonal entries lie in vZ[v], so products
 shift degrees up), which makes the elimination below exact degree by
-degree.  At level >= 2 a monomial can involve canonical elements whose
+degree.  At level >= 2 a seed can involve canonical elements whose
 labels strictly dominate mu, so the elimination deliberately ranges over
 every other vertex of the weight, not only the dominated ones; the final
 element is still checked to be dominance-triangular.
@@ -26,6 +30,7 @@ from .crystal import (
     CrystalGraph,
     NotAVertexError,
     WeightInfo,
+    e_tilde,
     f_tilde,
     generate_crystal,
     residue_collected_path,
@@ -96,23 +101,18 @@ def diamond(ctx: FockContext, mp: Multipartition) -> tuple[FockContext, Multipar
 class CanonicalBasis:
     """Canonical-basis computer for one context, with memoization.
 
-    Elements are cached per multipartition; monomials are cached per path
-    prefix so same-weight labels share work.  Pass cache_dir (or set
-    KCB_CACHE_DIR) to persist elements as content-addressed JSON files.
+    Elements are memoized per multipartition, and each seed is built from
+    the memoized element of the label's string top.  Pass cache_dir (or
+    set KCB_CACHE_DIR) to persist elements as content-addressed JSON
+    files; a file is served only if it passes the element checks.
     """
 
-    def __init__(
-        self, ctx: FockContext, cache_dir: str | None = None, tie_reverse: bool = False
-    ):
+    def __init__(self, ctx: FockContext, cache_dir: str | None = None):
         self.ctx = ctx
         self._elements: dict[Multipartition, CanonicalElement] = {}
-        self._monomials: dict[tuple, FockVector] = {}
         self._graph: CrystalGraph | None = None
         self._in_progress: set[Multipartition] = set()
         self._cache_dir = cache_dir
-        # processing order within an elimination pass is mathematically
-        # irrelevant; flipping it must reproduce identical elements
-        self._tie_reverse = tie_reverse
 
     # crystal bookkeeping
 
@@ -126,23 +126,20 @@ class CanonicalBasis:
         g = self.crystal(sum(cont))
         return g.by_content().get(cont, [])
 
-    # monomials
+    # seeds
 
     def monomial(self, mp: Multipartition) -> FockVector:
-        """Divided powers along the residue-collected path applied to the
-        highest weight vector; bar-invariant by construction."""
-        return self._monomial_for_path(residue_collected_path(self.ctx, mp))
-
-    def _monomial_for_path(self, path: tuple) -> FockVector:
+        """The seed f_i^(k) G(top), where (i, k) is the last segment of the
+        residue-collected path and top = e~_i^k(mp); bar-invariant, with
+        G(mp) at coefficient 1.  The highest weight vertex seeds itself."""
+        path = residue_collected_path(self.ctx, mp)
         if not path:
-            return FockVector.basis(self.ctx.highest_weight_vertex())
-        cached = self._monomials.get(path)
-        if cached is None:
-            prev = self._monomial_for_path(path[:-1])
-            i, k = path[-1]
-            cached = apply_f_divided(self.ctx, prev, i, k)
-            self._monomials[path] = cached
-        return cached
+            return FockVector.basis(mp)
+        i, k = path[-1]
+        top = mp
+        for _ in range(k):
+            top = e_tilde(self.ctx, top, i)
+        return apply_f_divided(self.ctx, self.element(top).vector, i, k)
 
     # canonical elements
 
@@ -180,8 +177,6 @@ class CanonicalBasis:
         if mp not in verts:
             raise NotAVertexError(f"{mp} is not a crystal vertex")
         others = sorted((v for v in verts if v != mp), key=dominance_sort_key, reverse=True)
-        if self._tie_reverse:
-            others.reverse()
         V = self.monomial(mp)
 
         # degree-extremal bar-symmetric elimination over the other vertices
@@ -202,13 +197,6 @@ class CanonicalBasis:
                 else:
                     mult = LaurentPoly({0: coef})
                 V = V.add_scaled(self.element(nu).vector, -mult)
-
-        lead = V.coefficient(mp)
-        if lead != LaurentPoly.one():
-            # the monomial carried a bar-symmetric multiple of G(mp)
-            if lead.is_zero() or lead != lead.bar():
-                raise ReductionError(f"leading coefficient {lead} at {mp} is not bar-fixed")
-            V = V.exact_div(lead)
 
         self._check_element(mp, V)
         return CanonicalElement(mp, V, info, compute_shape(V, info.defect))
@@ -243,11 +231,21 @@ class CanonicalBasis:
         return os.path.join(root, f"{digest}.json")
 
     def _disk_load(self, mp: Multipartition) -> CanonicalElement | None:
+        """The cached G(mp), or None (a miss) when the file is absent,
+        unreadable as an element, or fails a check."""
         path = self._cache_path(mp)
         if not path or not os.path.exists(path):
             return None
-        with open(path, "r", encoding="utf-8") as fh:
-            return element_from_json(json.load(fh))
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                elem = element_from_json(json.load(fh))
+            self._check_element(mp, elem.vector)
+            info = weight_info(self.ctx, content(self.ctx, mp))
+            shape = compute_shape(elem.vector, info.defect)
+        except (ValueError, KeyError, TypeError, ReductionError):
+            # bad JSON or text, a missing key, a value of the wrong type, a failed check
+            return None
+        return elem if (elem.label, elem.weight, elem.shape) == (mp, info, shape) else None
 
     def _disk_store(self, elem: CanonicalElement) -> None:
         path = self._cache_path(elem.label)
@@ -298,12 +296,7 @@ def element_to_json(elem: CanonicalElement) -> dict:
 
 
 def element_from_json(data) -> CanonicalElement:
-    vector = FockVector(
-        [
-            (mp_from_json(t["multipartition"]), LaurentPoly.from_json(t["coefficient"]))
-            for t in data["terms"]
-        ]
-    )
+    vector = FockVector.from_json(data["terms"])
     info = WeightInfo(tuple(data["content"]), tuple(data["hub"]), data["defect"])
     return CanonicalElement(
         mp_from_json(data["label"]), vector, info, tuple(data["shape"])

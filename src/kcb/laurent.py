@@ -188,6 +188,8 @@ class LaurentPoly:
 
     @staticmethod
     def from_json(data: Mapping[str, int]) -> "LaurentPoly":
+        if not isinstance(data, Mapping):
+            raise TypeError(f"a coefficient is a JSON object, got {data!r}")
         return LaurentPoly({int(e): int(c) for e, c in data.items()})
 
 

@@ -18,16 +18,14 @@ class IllFormedPartitionError(ValueError):
 
 
 def as_partition(rows) -> Partition:
-    p = tuple(int(r) for r in rows)
+    if not isinstance(rows, (list, tuple)) or not all(type(r) is int for r in rows):
+        raise IllFormedPartitionError(f"a partition is a list of ints, got {rows!r}")
+    p = tuple(rows)
     if any(r <= 0 for r in p):
         raise IllFormedPartitionError(f"non-positive row in {p}")
     if any(p[i] < p[i + 1] for i in range(len(p) - 1)):
         raise IllFormedPartitionError(f"rows not weakly decreasing: {p}")
     return p
-
-
-def as_multipartition(comps) -> Multipartition:
-    return tuple(as_partition(c) for c in comps)
 
 
 def transpose(p: Partition) -> Partition:
@@ -152,4 +150,6 @@ def mp_to_json(mp: Multipartition) -> list[list[int]]:
 
 
 def mp_from_json(data) -> Multipartition:
-    return as_multipartition(data)
+    if not isinstance(data, (list, tuple)):
+        raise IllFormedPartitionError(f"a multipartition is a list of partitions, got {data!r}")
+    return tuple(as_partition(c) for c in data)

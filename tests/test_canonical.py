@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 
 import pytest
@@ -13,8 +15,8 @@ from kcb.canonical import (
     get_basis,
     is_svelte,
 )
-from kcb.crystal import NotAVertexError
-from kcb.fock import FockContext, FockVector, content, symmetric_context
+from kcb.crystal import NotAVertexError, residue_collected_path
+from kcb.fock import FockContext, FockVector, apply_f_divided, content, symmetric_context
 from kcb.laurent import LaurentPoly
 from kcb.partitions import conjugate, dominates
 
@@ -129,13 +131,56 @@ class TestInvariants:
                     assert elem.vector == vec((mp, 0), (conjugate(md), 1))
 
 
+class PathSeedBasis(CanonicalBasis):
+    """The reference seed: divided powers folded along the whole
+    residue-collected path from the highest weight vector, so no seed
+    depends on another canonical element."""
+
+    def monomial(self, mp):
+        vec = FockVector.basis(self.ctx.highest_weight_vertex())
+        for i, k in residue_collected_path(self.ctx, mp):
+            vec = apply_f_divided(self.ctx, vec, i, k)
+        return vec
+
+
+# (e, charges, degree): every vertex up to degree
+SEED_CASES = ((2, (0, 1), 10), (2, (0, 0, 1, 1), 7), (3, (0, 1, 2), 8))
+
+
+def vertices_up_to(basis, degree):
+    g = basis.crystal(degree)
+    return sorted(m for m, d in g.degrees.items() if d <= degree)
+
+
+class TestSeed:
+    def test_path_seed_oracle(self):
+        for e, charges, degree in SEED_CASES:
+            ctx = FockContext(e, charges)
+            basis, oracle = CanonicalBasis(ctx), PathSeedBasis(ctx)
+            for mp in vertices_up_to(basis, degree):
+                assert basis.element(mp).vector == oracle.element(mp).vector, mp
+
+    def test_output_bytes_pinned(self):
+        # digest of the path-seed implementation's output over 484 vertices
+        h = hashlib.sha256()
+        for e, charges, degree in SEED_CASES[1:]:
+            basis = CanonicalBasis(FockContext(e, charges))
+            for mp in vertices_up_to(basis, degree):
+                h.update(json.dumps(element_to_json(basis.element(mp))).encode() + b"\n")
+        assert h.hexdigest() == (
+            "e1f473c9c55db4c237b23d8401c3fcfbb5db092db8de9573fe9114e8e61cdb78"
+        )
+
+
 class TestOrderIndependence:
-    def test_reversed_tie_order(self):
-        plain = CanonicalBasis(symmetric_context(2))
-        flipped = CanonicalBasis(symmetric_context(2), tie_reverse=True)
-        g = plain.crystal(6)
-        for mp in sorted(g.degrees):
-            assert plain.element(mp).vector == flipped.element(mp).vector
+    def test_reversed_request_order(self):
+        # request order decides which elements are first built inside seeds
+        forward = CanonicalBasis(symmetric_context(2))
+        backward = CanonicalBasis(symmetric_context(2))
+        verts = vertices_up_to(forward, 7)
+        got = {mp: backward.element(mp).vector for mp in reversed(verts)}
+        for mp in verts:
+            assert forward.element(mp).vector == got[mp]
 
 
 class TestDiamond:
@@ -181,6 +226,29 @@ class TestSvelte:
                 assert is_svelte(elem)
 
 
+def _with(doc, **fields):
+    return json.dumps({**doc, **fields})
+
+
+# ways to spoil the cache file of G((3),()): (file text, its JSON) -> new text
+SPOILED = {
+    "truncated": lambda text, doc: text[: len(text) // 2],
+    # shape kept consistent, so only the element check can catch it
+    "coefficient-moved-to-v0": lambda text, doc: _with(
+        doc, terms=[doc["terms"][0], {**doc["terms"][1], "coefficient": {"0": 1}},
+                    *doc["terms"][2:]], shape=[2, 1, 1]
+    ),
+    "coefficient-not-an-object": lambda text, doc: _with(
+        doc, terms=[doc["terms"][0], {**doc["terms"][1], "coefficient": [1]}, *doc["terms"][2:]]
+    ),
+    "other-label": lambda text, doc: _with(doc, label=[[2, 1], []]),
+    "ill-formed-label": lambda text, doc: _with(doc, label=[[3], 5]),
+    "wrong-shape": lambda text, doc: _with(doc, shape=[1, 3, 0]),
+    "wrong-weight": lambda text, doc: _with(doc, defect=3),
+    "missing-key": lambda text, doc: json.dumps({k: v for k, v in doc.items() if k != "hub"}),
+}
+
+
 class TestSerialization:
     def test_roundtrip(self):
         elem = get_basis(C01).element(((3,), ()))
@@ -209,11 +277,31 @@ class TestSerialization:
     def test_disk_cache_private_temporary_files(self, tmp_path):
         # a leftover (or another writer's) <digest>.json.tmp must not block a store
         basis = CanonicalBasis(C01, cache_dir=str(tmp_path))
-        os.mkdir(basis._cache_path(((3,), ())) + ".tmp")
+        blocker = basis._cache_path(((3,), ())) + ".tmp"
+        os.mkdir(blocker)
         elem = basis.element(((3,), ()))
         again = CanonicalBasis(C01, cache_dir=str(tmp_path)).element(((3,), ()))
         assert again.vector == elem.vector
-        assert sorted(p.suffix for p in tmp_path.iterdir()) == [".json", ".tmp"]
+        # one file per computed element (the seeds' string tops too), no other .tmp
+        stored = {basis._cache_path(mp) for mp in basis._elements}
+        assert basis._cache_path(((3,), ())) in stored
+        assert {str(p) for p in tmp_path.iterdir()} == stored | {blocker}
+
+    @pytest.mark.parametrize("spoil", sorted(SPOILED))
+    def test_disk_cache_rejects_bad_file(self, tmp_path, spoil):
+        mp = ((3,), ())
+        path = CanonicalBasis(C01, cache_dir=str(tmp_path))._cache_path(mp)
+        CanonicalBasis(C01, cache_dir=str(tmp_path)).element(mp)
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(SPOILED[spoil](text, json.loads(text)))
+        fresh = CanonicalBasis(C01, cache_dir=str(tmp_path))
+        assert fresh._disk_load(mp) is None
+        assert fresh.element(mp).vector == GOLDEN
+        # the miss was recomputed and the file rewritten
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read() == text
 
 
 def test_canonical_element_shared_registry():

@@ -67,6 +67,13 @@ class TestCanonical:
         assert code == 0
         assert json.loads(out)["shape"] == [1]
 
+    @pytest.mark.parametrize(
+        "literal", ["5", "[1,2]", "null", "[[1],2]", '[["1"]]', "[[1.5]]", "[[true]]"]
+    )
+    def test_malformed_literal_exit_2(self, capsys, literal):
+        # IllFormedPartitionError, not a TypeError traceback (exit 1 is a mismatch)
+        assert main(["canonical", "--a", "1", "--mp", literal]) == 2
+
     def test_non_vertex_exit_3(self, capsys):
         code = main(["canonical", "--e", "2", "--charges", "0,1", "--mp", "[[2,2],[]]"])
         assert code == 3
