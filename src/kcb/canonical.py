@@ -7,15 +7,19 @@ of mu's residue-collected path and mu' = e~_i^k(mu) is the top of mu's
 i-string (Lascoux-Leclerc-Thibon; Fayers for higher level).  It is
 bar-invariant, and by Kashiwara's divided-power rule G(mu) occurs in it
 with coefficient exactly 1.  The reduction expresses A over the canonical
-elements at the same weight and strips off everything but G(mu).  Writing
-A = sum_nu m_nu G(nu) with every m_nu bar-symmetric, the globally most
-negative exponent appearing on any vertex coordinate is uncontaminated by
-cross terms (canonical off-diagonal entries lie in vZ[v], so products
-shift degrees up), which makes the elimination below exact degree by
-degree.  At level >= 2 a seed can involve canonical elements whose
-labels strictly dominate mu, so the elimination deliberately ranges over
-every other vertex of the weight, not only the dominated ones; the final
-element is still checked to be dominance-triangular.
+elements at the same weight and strips off everything but G(mu).  Write
+A = sum_nu m_nu G(nu) with every m_nu bar-symmetric and m_mu = 1.  The
+reduction is one pass over the other vertices nu in decreasing tuple
+order, which refines dominance: G(lam) has a term at nu only if lam
+dominates nu, so only if lam >= nu as tuples.  Hence when the pass
+reaches nu, every G(lam) with lam > nu is already subtracted and
+V[nu] = G(mu)[nu] + m_nu, where G(mu)[nu] lies in vZ[v].  The part of
+V[nu] at exponents <= 0, made bar-symmetric, is therefore exactly m_nu,
+and subtracting m_nu G(nu) once is exact.  At level >= 2 a seed can
+involve canonical elements whose labels strictly dominate mu, so the
+pass ranges over every other vertex of the weight, not only the
+dominated ones; the final element is still checked to be
+dominance-triangular.
 """
 
 from __future__ import annotations
@@ -43,8 +47,6 @@ from .partitions import (
     dominates,
     mp_from_json,
     mp_to_json,
-    prefix_profile,
-    total_size,
 )
 
 
@@ -76,11 +78,6 @@ def compute_shape(vector: FockVector, defect: int) -> tuple[int, ...]:
 def is_svelte(g: CanonicalElement) -> bool:
     """Shape is all ones of length defect + 1."""
     return g.shape == (1,) * (g.weight.defect + 1)
-
-
-def dominance_sort_key(mp: Multipartition):
-    """Total order refining dominance: profile first, then the tuple itself."""
-    return (prefix_profile(mp, max(1, total_size(mp))), mp)
 
 
 def diamond(ctx: FockContext, mp: Multipartition) -> tuple[FockContext, Multipartition]:
@@ -167,8 +164,7 @@ class CanonicalBasis:
         verts = self.vertices_at(cont)
         if not verts and tuple(cont) != (0,) * self.ctx.e:
             raise ValueError(f"content {tuple(cont)} does not occur in the crystal")
-        ordered = sorted(verts, key=dominance_sort_key, reverse=True)
-        return {mp: self.element(mp) for mp in ordered}
+        return {mp: self.element(mp) for mp in sorted(verts, reverse=True)}
 
     def _compute(self, mp: Multipartition) -> CanonicalElement:
         cont = content(self.ctx, mp)
@@ -176,27 +172,14 @@ class CanonicalBasis:
         verts = self.vertices_at(cont)
         if mp not in verts:
             raise NotAVertexError(f"{mp} is not a crystal vertex")
-        others = sorted((v for v in verts if v != mp), key=dominance_sort_key, reverse=True)
         V = self.monomial(mp)
 
-        # degree-extremal bar-symmetric elimination over the other vertices
-        while True:
-            worst = 1
-            for nu in others:
-                c = V.coefficient(nu)
-                if c and c.min_exponent() < worst:
-                    worst = c.min_exponent()
-            if worst > 0:
-                break
-            for nu in others:
-                coef = V.coefficient(nu).coeff(worst)
-                if not coef:
-                    continue
-                if worst < 0:
-                    mult = LaurentPoly({worst: coef, -worst: coef})
-                else:
-                    mult = LaurentPoly({0: coef})
-                V = V.add_scaled(self.element(nu).vector, -mult)
+        # one pass in decreasing tuple order (see the module docstring)
+        for nu in sorted((v for v in verts if v != mp), reverse=True):
+            low = {e: c for e, c in V.coefficient(nu).items() if e <= 0}
+            if low:
+                m_nu = LaurentPoly({**low, **{-e: c for e, c in low.items()}})
+                V = V.add_scaled(self.element(nu).vector, -m_nu)
 
         self._check_element(mp, V)
         return CanonicalElement(mp, V, info, compute_shape(V, info.defect))
@@ -276,11 +259,6 @@ def get_basis(ctx: FockContext, cache_dir: str | None = None) -> CanonicalBasis:
 # serialization
 
 
-def sorted_terms(vector: FockVector) -> list[tuple[Multipartition, LaurentPoly]]:
-    """Terms by decreasing dominance (profile order), then reverse-lex."""
-    return sorted(vector.terms(), key=lambda t: dominance_sort_key(t[0]), reverse=True)
-
-
 def element_to_json(elem: CanonicalElement) -> dict:
     return {
         "label": mp_to_json(elem.label),
@@ -288,10 +266,7 @@ def element_to_json(elem: CanonicalElement) -> dict:
         "hub": list(elem.weight.hub),
         "defect": elem.weight.defect,
         "shape": list(elem.shape),
-        "terms": [
-            {"multipartition": mp_to_json(mp), "coefficient": c.to_json()}
-            for mp, c in sorted_terms(elem.vector)
-        ],
+        "terms": elem.vector.to_json()[::-1],  # decreasing tuple order
     }
 
 

@@ -145,6 +145,8 @@ def cmd_closed_form(args) -> int:
 
 def _run_suite(args):
     suite = args.suite
+    if suite not in ("duality", "svelte") and (args.a is None or getattr(args, "charges", None)):
+        raise UsageError(f"suite {suite} needs --a (charges 0^a 1^a) and no --charges")
 
     def degree(default: int) -> int:
         return default if args.max_degree is None else args.max_degree

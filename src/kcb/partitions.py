@@ -7,6 +7,7 @@ multipartition is a tuple of partitions (its length is the level).
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import zip_longest
 from typing import Iterator
 
 Partition = tuple[int, ...]
@@ -74,32 +75,20 @@ def total_size(mp: Multipartition) -> int:
     return sum(sum(c) for c in mp)
 
 
-def prefix_profile(mp: Multipartition, depth: int) -> tuple[int, ...]:
-    """Cumulative box counts component by component, row by row.
-
-    Each component is padded with zero rows to `depth`, so profiles of
-    equal-level multipartitions align position by position.
-    """
-    out = []
-    run = 0
-    for comp in mp:
-        for j in range(depth):
-            run += comp[j] if j < len(comp) else 0
-            out.append(run)
-    return tuple(out)
-
-
 def dominates(mu: Multipartition, lam: Multipartition) -> bool:
-    """mu >= lam in the dominance order (prefix sums pointwise >=)."""
+    """mu >= lam in the dominance order: every prefix sum of mu, taken
+    component by component and row by row, is at least lam's."""
     if len(mu) != len(lam):
         raise ValueError("dominance needs equal levels")
-    n = total_size(mu)
-    if n != total_size(lam):
+    if total_size(mu) != total_size(lam):
         raise ValueError("dominance needs equal total size")
-    depth = max(1, n)
-    pm = prefix_profile(mu, depth)
-    pl = prefix_profile(lam, depth)
-    return all(a >= b for a, b in zip(pm, pl))
+    run = 0
+    for p, q in zip(mu, lam):
+        for a, b in zip_longest(p, q, fillvalue=0):
+            run += a - b
+            if run < 0:
+                return False
+    return True
 
 
 def is_e_regular(mp: Multipartition, e: int) -> bool:

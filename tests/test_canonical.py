@@ -9,7 +9,6 @@ from kcb.canonical import (
     ReductionError,
     compute_shape,
     diamond,
-    dominance_sort_key,
     element_from_json,
     element_to_json,
     get_basis,
@@ -65,6 +64,15 @@ class TestMonomial:
             (((2,), (1,)), 1),
             (((1, 1), (1,)), 2),
         )
+
+    def test_seed_reaches_above_the_label(self):
+        # the seed of G((2),(2,1)) carries G((3),(2)), whose label dominates it,
+        # so the elimination must range over vertices above the label too
+        mp, above = ((2,), (2, 1)), ((3,), (2,))
+        assert dominates(above, mp) and above != mp
+        basis = CanonicalBasis(C01)
+        assert basis.monomial(mp).coefficient(above) == LaurentPoly.one()
+        assert basis.element(mp).vector.coefficient(above) == LaurentPoly.zero()
 
 
 class TestAtWeight:
@@ -262,8 +270,9 @@ class TestSerialization:
         elem = get_basis(C01).element(((3,), ()))
         doc = element_to_json(elem)
         mps = [tuple(tuple(c) for c in t["multipartition"]) for t in doc["terms"]]
-        keys = [dominance_sort_key(mp) for mp in mps]
-        assert keys == sorted(keys, reverse=True)
+        # decreasing tuple order refines dominance: no later term dominates an earlier one
+        assert mps == sorted(mps, reverse=True)
+        assert not any(dominates(y, x) for i, x in enumerate(mps) for y in mps[i + 1:])
         assert mps[0] == ((3,), ())
 
     def test_disk_cache(self, tmp_path):

@@ -164,6 +164,17 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["params"][key] == 0
 
+    @pytest.mark.parametrize("context", [
+        (), ("--charges", "0,1"), ("--a", "1", "--charges", "0,1"),
+    ])
+    @pytest.mark.parametrize("suite", ["top-row", "weyl", "families", "structural", "conjecture"])
+    def test_symmetric_suite_needs_a_alone_exit2(self, capsys, suite, context):
+        code = main(["verify", "--suite", suite, *context])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--a" in captured.err
+
     def test_conjecture_scan_is_verify_alias(self, capsys):
         code, alias = run(capsys, "conjecture-scan", "--a", "1", "--max-degree", "6")
         assert code == 0

@@ -1,5 +1,6 @@
 """Source hygiene: every function and class in src/kcb is used somewhere,
-and src/kcb checks nothing with assert (python -O strips it).
+every module of src/kcb uses what it imports, and src/kcb checks nothing
+with assert (python -O strips it).
 
 A name counts as used when code refers to it (a name, an attribute or an
 import; comments, strings and the definition itself do not count) in
@@ -54,6 +55,23 @@ def test_no_unreferenced_definitions():
         if not (name.startswith("__") and name.endswith("__")) and not counts[name]
     ]
     assert unused == [], f"defined but never referenced: {unused}"
+
+
+def test_no_unused_imports():
+    # an import is used when the importing module loads the bound name
+    unused = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in loaded:
+                        unused.append(f"{path.name}:{node.lineno}:{bound}")
+    assert unused == [], f"imported but never used: {unused}"
 
 
 def test_no_assert_statements():

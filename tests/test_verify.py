@@ -4,6 +4,7 @@ import pytest
 
 from kcb.canonical import CanonicalBasis, ReductionError
 from kcb.fock import FockContext, symmetric_context
+from kcb.laurent import NotDivisibleError
 from kcb.verify import (
     conjecture_scan,
     verify_duality,
@@ -128,9 +129,10 @@ class TestConjectureScan:
         r = conjecture_scan(1, 6)
         assert r.instances
         assert all(i.detail == {"oracle_error": "broken"} for i in r.instances)
-        monkeypatch.setattr(CanonicalBasis, "element", fail(KeyError("bug")))
-        with pytest.raises(KeyError):
-            conjecture_scan(1, 6)
+        for exc in (KeyError("bug"), NotDivisibleError("no longer caught")):
+            monkeypatch.setattr(CanonicalBasis, "element", fail(exc))
+            with pytest.raises(type(exc)):
+                conjecture_scan(1, 6)
 
 
 class TestReportShape:
