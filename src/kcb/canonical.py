@@ -9,17 +9,19 @@ bar-invariant, and by Kashiwara's divided-power rule G(mu) occurs in it
 with coefficient exactly 1.  The reduction expresses A over the canonical
 elements at the same weight and strips off everything but G(mu).  Write
 A = sum_nu m_nu G(nu) with every m_nu bar-symmetric and m_mu = 1.  The
-reduction is one pass over the other vertices nu in decreasing tuple
-order, which refines dominance: G(lam) has a term at nu only if lam
-dominates nu, so only if lam >= nu as tuples.  Hence when the pass
-reaches nu, every G(lam) with lam > nu is already subtracted and
-V[nu] = G(mu)[nu] + m_nu, where G(mu)[nu] lies in vZ[v].  The part of
-V[nu] at exponents <= 0, made bar-symmetric, is therefore exactly m_nu,
-and subtracting m_nu G(nu) once is exact.  At level >= 2 a seed can
-involve canonical elements whose labels strictly dominate mu, so the
-pass ranges over every other vertex of the weight, not only the
-dominated ones; the final element is still checked to be
-dominance-triangular.
+reduction is one pass, in decreasing tuple order, over the terms of V = A
+whose coefficient lies outside vZ[v].  Tuple order refines dominance:
+G(lam) has a term at nu only if lam dominates nu, so only if lam >= nu as
+tuples.  Hence when the pass reaches a term nu, every G(lam) with lam > nu
+is already subtracted and V[nu] = G(mu)[nu] + m_nu, where G(mu)[nu] lies
+in vZ[v].  So the part of V[nu] at exponents <= 0, made bar-symmetric, is
+exactly m_nu, nonzero just when V[nu] lies outside vZ[v] (never when nu is
+not a crystal vertex, so such a term means a wrong seed), and subtracting
+m_nu G(nu) once is exact.  Terms the subtraction pushes out of vZ[v] lie
+below nu and join the pass, which thus needs no crystal graph.  At level
+>= 2 a seed can involve canonical elements whose labels strictly dominate
+mu, so the pass starts at the seed's largest term, not at mu; the final
+element is still checked to be dominance-triangular.
 """
 
 from __future__ import annotations
@@ -28,10 +30,10 @@ import hashlib
 import json
 import os
 import tempfile
+from bisect import insort
 from dataclasses import dataclass
 
 from .crystal import (
-    CrystalGraph,
     NotAVertexError,
     WeightInfo,
     e_tilde,
@@ -107,21 +109,8 @@ class CanonicalBasis:
     def __init__(self, ctx: FockContext, cache_dir: str | None = None):
         self.ctx = ctx
         self._elements: dict[Multipartition, CanonicalElement] = {}
-        self._graph: CrystalGraph | None = None
         self._in_progress: set[Multipartition] = set()
         self._cache_dir = cache_dir
-
-    # crystal bookkeeping
-
-    def crystal(self, degree: int) -> CrystalGraph:
-        if self._graph is None or self._graph.max_degree < degree:
-            self._graph = generate_crystal(self.ctx, degree)
-        return self._graph
-
-    def vertices_at(self, cont) -> list[Multipartition]:
-        cont = tuple(cont)
-        g = self.crystal(sum(cont))
-        return g.by_content().get(cont, [])
 
     # seeds
 
@@ -160,26 +149,33 @@ class CanonicalBasis:
         return elem
 
     def at_weight(self, cont) -> dict[Multipartition, CanonicalElement]:
-        """G(mu) for every e-regular vertex mu at this weight."""
-        verts = self.vertices_at(cont)
-        if not verts and tuple(cont) != (0,) * self.ctx.e:
-            raise ValueError(f"content {tuple(cont)} does not occur in the crystal")
+        """G(mu) for every vertex mu at this weight."""
+        cont = tuple(cont)
+        verts = generate_crystal(self.ctx, sum(cont)).by_content().get(cont)
+        if not verts:
+            raise ValueError(f"content {cont} does not occur in the crystal")
         return {mp: self.element(mp) for mp in sorted(verts, reverse=True)}
 
     def _compute(self, mp: Multipartition) -> CanonicalElement:
-        cont = content(self.ctx, mp)
-        info = weight_info(self.ctx, cont)
-        verts = self.vertices_at(cont)
-        if mp not in verts:
-            raise NotAVertexError(f"{mp} is not a crystal vertex")
-        V = self.monomial(mp)
+        V = self.monomial(mp)  # raises NotAVertexError off the crystal
+        info = weight_info(self.ctx, content(self.ctx, mp))
 
-        # one pass in decreasing tuple order (see the module docstring)
-        for nu in sorted((v for v in verts if v != mp), reverse=True):
+        # terms outside vZ[v], ascending: pop the largest (see the module docstring)
+        todo = sorted(lam for lam, c in V.terms() if not c.in_v_zv())
+        while todo:
+            nu = todo.pop()
             low = {e: c for e, c in V.coefficient(nu).items() if e <= 0}
-            if low:
-                m_nu = LaurentPoly({**low, **{-e: c for e, c in low.items()}})
-                V = V.add_scaled(self.element(nu).vector, -m_nu)
+            if nu == mp or not low:
+                continue  # the label, or a term back in vZ[v]
+            m_nu = LaurentPoly({**low, **{-e: c for e, c in low.items()}})
+            try:
+                g = self.element(nu).vector
+            except NotAVertexError as exc:
+                raise ReductionError(f"wrong seed for G({mp}): {nu} is not a vertex") from exc
+            before, V = V, V.add_scaled(g, -m_nu)
+            for lam, _ in g.terms():
+                if not V.coefficient(lam).in_v_zv() and before.coefficient(lam).in_v_zv():
+                    insort(todo, lam)
 
         self._check_element(mp, V)
         return CanonicalElement(mp, V, info, compute_shape(V, info.defect))
@@ -192,8 +188,7 @@ class CanonicalBasis:
                 continue
             if not c.in_v_zv():
                 raise ReductionError(
-                    f"reduction failure: coefficient {c} at {lam} not in vZ[v] "
-                    f"(offender outside the vertex set)"
+                    f"reduction failure: coefficient {c} at {lam} not in vZ[v]"
                 )
             if not dominates(mp, lam):
                 raise ReductionError(

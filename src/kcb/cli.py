@@ -51,6 +51,8 @@ def _context_from(args) -> FockContext:
     if getattr(args, "a", None) is not None:
         if args.charges:
             raise UsageError("give either --a or --charges, not both")
+        if args.e != 2:
+            raise UsageError(f"--a fixes rank 2, got --e {args.e}")
         return FockContext(2, (0,) * args.a + (1,) * args.a)
     if not args.charges:
         raise UsageError("need --charges or --a")
@@ -145,8 +147,8 @@ def cmd_closed_form(args) -> int:
 
 def _run_suite(args):
     suite = args.suite
-    if suite not in ("duality", "svelte") and (args.a is None or getattr(args, "charges", None)):
-        raise UsageError(f"suite {suite} needs --a (charges 0^a 1^a) and no --charges")
+    if suite not in ("duality", "svelte") and (args.a is None or args.charges or args.e != 2):
+        raise UsageError(f"suite {suite} needs --a (charges 0^a 1^a), no --charges, and --e 2")
 
     def degree(default: int) -> int:
         return default if args.max_degree is None else args.max_degree
@@ -248,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--max-degree", type=int, default=13)
     _add_common(p)
-    p.set_defaults(fn=cmd_verify, suite="conjecture")
+    p.set_defaults(fn=cmd_verify, suite="conjecture", e=2, charges=None)
 
     return ap
 

@@ -77,18 +77,19 @@ def total_size(mp: Multipartition) -> int:
 
 def dominates(mu: Multipartition, lam: Multipartition) -> bool:
     """mu >= lam in the dominance order: every prefix sum of mu, taken
-    component by component and row by row, is at least lam's."""
+    component by component and row by row, is at least lam's.  The walk
+    reads every row, so the final difference also checks equal size."""
     if len(mu) != len(lam):
         raise ValueError("dominance needs equal levels")
-    if total_size(mu) != total_size(lam):
-        raise ValueError("dominance needs equal total size")
-    run = 0
+    run, below = 0, False
     for p, q in zip(mu, lam):
         for a, b in zip_longest(p, q, fillvalue=0):
             run += a - b
             if run < 0:
-                return False
-    return True
+                below = True
+    if run:
+        raise ValueError("dominance needs equal total size")
+    return not below
 
 
 def is_e_regular(mp: Multipartition, e: int) -> bool:

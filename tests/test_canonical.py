@@ -14,10 +14,11 @@ from kcb.canonical import (
     get_basis,
     is_svelte,
 )
-from kcb.crystal import NotAVertexError, residue_collected_path
+from kcb.closedform import FamilySpec, closed_canonical_family
+from kcb.crystal import NotAVertexError, generate_crystal, residue_collected_path
 from kcb.fock import FockContext, FockVector, apply_f_divided, content, symmetric_context
 from kcb.laurent import LaurentPoly
-from kcb.partitions import conjugate, dominates
+from kcb.partitions import conjugate, dominates, is_e_regular, iter_multipartitions
 
 C01 = FockContext(2, (0, 1))
 
@@ -103,8 +104,29 @@ class TestAtWeight:
         assert w[((), ())].vector == FockVector.basis(((), ()))
 
     def test_not_a_vertex(self):
-        with pytest.raises(NotAVertexError):
-            get_basis(C01).element(((2, 2), ()))
+        # every multipartition off the crystal up to degree 5, e-regular ones included
+        for ctx in (C01, symmetric_context(2)):
+            vertices = generate_crystal(ctx, 5).degrees
+            off = [mp for n in range(6) for mp in iter_multipartitions(n, ctx.level)
+                   if mp not in vertices]
+            assert any(is_e_regular(mp, ctx.e) for mp in off)
+            basis = get_basis(ctx)
+            for mp in off:
+                with pytest.raises(NotAVertexError):
+                    basis.element(mp)
+
+    def test_non_vertex_left_by_a_wrong_seed(self):
+        # ((1,1),()) is not a vertex at (0,1); a seed that leaves it outside
+        # vZ[v] is a failed reduction, not a bad label
+        class WrongSeedBasis(CanonicalBasis):
+            def monomial(self, mp):
+                seed = super().monomial(mp)
+                if mp == ((2,), ()):
+                    seed = seed + FockVector.basis(((1, 1), ()))
+                return seed
+
+        with pytest.raises(ReductionError):
+            WrongSeedBasis(C01).element(((2,), ()))
 
 
 class TestInvariants:
@@ -112,7 +134,7 @@ class TestInvariants:
         # leading 1, positivity, dominance, unique v^defect term = (diamond)'
         for ctx in (C01, symmetric_context(2)):
             basis = get_basis(ctx)
-            g = basis.crystal(7)
+            g = generate_crystal(ctx, 7)
             for mp in sorted(m for m, d in g.degrees.items() if d <= 7):
                 elem = basis.element(mp)
                 assert elem.vector.coefficient(mp) == LaurentPoly.one()
@@ -128,7 +150,7 @@ class TestInvariants:
     def test_defect_characterizations(self):
         for ctx in (C01, symmetric_context(2)):
             basis = get_basis(ctx)
-            g = basis.crystal(7)
+            g = generate_crystal(ctx, 7)
             for mp in sorted(m for m, d in g.degrees.items() if d <= 7):
                 elem = basis.element(mp)
                 _, md = diamond(ctx, mp)
@@ -156,7 +178,7 @@ SEED_CASES = ((2, (0, 1), 10), (2, (0, 0, 1, 1), 7), (3, (0, 1, 2), 8))
 
 
 def vertices_up_to(basis, degree):
-    g = basis.crystal(degree)
+    g = generate_crystal(basis.ctx, degree)
     return sorted(m for m, d in g.degrees.items() if d <= degree)
 
 
@@ -178,6 +200,19 @@ class TestSeed:
         assert h.hexdigest() == (
             "e1f473c9c55db4c237b23d8401c3fcfbb5db092db8de9573fe9114e8e61cdb78"
         )
+
+
+    def test_no_crystal_graph(self, monkeypatch):
+        # the reduction walks the seed's own terms: a degree-43 label needs no BFS
+        def refuse(*args, **kwargs):
+            raise AssertionError("computing an element generated the crystal")
+
+        monkeypatch.setattr("kcb.canonical.generate_crystal", refuse)
+        monkeypatch.setattr("kcb.crystal.generate_crystal", refuse)
+        closed = closed_canonical_family(FamilySpec("p010k", 3, 3, 3))
+        assert sum(map(sum, closed.label)) == 43
+        got = CanonicalBasis(symmetric_context(3)).element(closed.label)
+        assert got.vector == closed.vector
 
 
 class TestOrderIndependence:
@@ -203,7 +238,7 @@ class TestDiamond:
 
     def test_defect0_conjugate_fixed(self):
         basis = get_basis(symmetric_context(2))
-        g = basis.crystal(6)
+        g = generate_crystal(symmetric_context(2), 6)
         for mp in sorted(m for m, d in g.degrees.items() if d <= 6):
             if basis.element(mp).weight.defect == 0:
                 _, md = diamond(symmetric_context(2), mp)
@@ -226,7 +261,7 @@ class TestSvelte:
 
     def test_defect0_always_svelte(self):
         basis = get_basis(symmetric_context(2))
-        g = basis.crystal(6)
+        g = generate_crystal(symmetric_context(2), 6)
         for mp in sorted(m for m, d in g.degrees.items() if d <= 6):
             elem = basis.element(mp)
             if elem.weight.defect == 0:

@@ -35,6 +35,21 @@ class TestCrystal:
         assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("crystal", "--max-degree", "1"),
+    ("canonical", "--mp", "[[1],[]]"),
+    ("verify", "--suite", "duality"),
+    ("verify", "--suite", "svelte"),
+])
+def test_a_with_other_rank_exit_2(capsys, argv):
+    # --a means charges 0^a 1^a at rank 2; another --e used to be ignored
+    code = main([*argv, "--a", "1", "--e", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--e" in captured.err
+
+
 class TestBlockGraph:
     def test_roundtrip(self, capsys):
         code, out = run(capsys, "block-graph", "--a", "2", "--max-degree", "5")
@@ -165,7 +180,7 @@ class TestVerify:
         assert json.loads(out)["params"][key] == 0
 
     @pytest.mark.parametrize("context", [
-        (), ("--charges", "0,1"), ("--a", "1", "--charges", "0,1"),
+        (), ("--charges", "0,1"), ("--a", "1", "--charges", "0,1"), ("--a", "1", "--e", "3"),
     ])
     @pytest.mark.parametrize("suite", ["top-row", "weyl", "families", "structural", "conjecture"])
     def test_symmetric_suite_needs_a_alone_exit2(self, capsys, suite, context):

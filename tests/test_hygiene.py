@@ -1,6 +1,7 @@
 """Source hygiene: every function and class in src/kcb is used somewhere,
-every module of src/kcb uses what it imports, and src/kcb checks nothing
-with assert (python -O strips it).
+every module of src/kcb uses what it imports, src/kcb checks nothing
+with assert (python -O strips it), and every kcb name the benchmark in
+perfbench/ reads still exists.
 
 A name counts as used when code refers to it (a name, an attribute or an
 import; comments, strings and the definition itself do not count) in
@@ -9,12 +10,16 @@ re-exporting a name is not a use of it.  Dunder methods are called implicitly an
 """
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(p for p in (ROOT / "src" / "kcb").glob("*.py") if p.name != "__init__.py")
 SEARCHED = SOURCES + sorted((ROOT / "tests").glob("*.py"))
+BENCH = sorted((ROOT / "perfbench").glob("*.py")) + sorted(
+    (ROOT / "perfbench" / "tests").glob("*.py")
+)
 
 
 def _definitions(path: Path):
@@ -82,3 +87,74 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == [], f"assert statements (use typed errors): {found}"
+
+
+def _kcb_reads(tree) -> list[tuple[int, str]]:
+    """(line, dotted name) of what a module reads from kcb: imported names,
+    attribute chains on them, and calls naming an attribute as
+    (owner, "name", ...), the way getattr and monkeypatch.setattr do."""
+    bound: dict[str, str] = {}
+    reads = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "kcb":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+                reads.append((node.lineno, f"{node.module}.{alias.name}"))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "kcb":
+                    # "import kcb.x" binds kcb, "import kcb.x as y" binds y to kcb.x
+                    bound[alias.asname or "kcb"] = alias.name if alias.asname else "kcb"
+                    reads.append((node.lineno, alias.name))
+
+    def chain(node):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if isinstance(node, ast.Name) and node.id in bound:
+            return ".".join([bound[node.id], *reversed(parts)])
+        return None
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and chain(node):
+            reads.append((node.lineno, chain(node)))
+        elif isinstance(node, ast.Call) and len(node.args) >= 2 and chain(node.args[0]):
+            name = node.args[1]
+            if isinstance(name, ast.Constant) and isinstance(name.value, str):
+                reads.append((node.lineno, f"{chain(node.args[0])}.{name.value}"))
+    return reads
+
+
+def _resolve(dotted: str):
+    """Import the longest module prefix of a dotted name, then getattr the rest."""
+    parts = dotted.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ImportError:
+            continue
+        for name in parts[i:]:
+            obj = getattr(obj, name)
+        return obj
+    raise ImportError(dotted)
+
+
+def test_benchmark_reads_resolve():
+    # perfbench/tests run outside tier-1: deleting a name they use fails here first
+    found, missing = set(), []
+    for path in BENCH:
+        for line, dotted in _kcb_reads(ast.parse(path.read_text(encoding="utf-8"))):
+            found.add(dotted)
+            try:
+                _resolve(dotted)
+            except (ImportError, AttributeError):
+                missing.append(f"{path.relative_to(ROOT)}:{line}:{dotted}")
+    assert {
+        "kcb.canonical.generate_crystal",
+        "kcb.cli.verify_duality",
+        "kcb.fock.exact_div",
+        "kcb.canonical.CanonicalBasis.monomial",
+        "kcb.canonical.CanonicalBasis._disk_store",
+    } <= found
+    assert missing == [], f"perfbench reads kcb names that do not exist: {missing}"

@@ -112,6 +112,8 @@ class TestDominates:
             dominates(((1,), ()), ((1,),))
         with pytest.raises(ValueError):
             dominates(((2,), ()), ((1,), ()))
+        with pytest.raises(ValueError):  # the running difference goes negative first
+            dominates(((1,), ()), ((2,), ()))
 
     def test_partial_order_exhaustive(self):
         # reflexive, antisymmetric, transitive on everything of size <= 6, level <= 3;
