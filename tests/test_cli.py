@@ -42,7 +42,7 @@ class TestCrystal:
     ("verify", "--suite", "svelte"),
 ])
 def test_a_with_other_rank_exit_2(capsys, argv):
-    # --a means charges 0^a 1^a at rank 2; another --e used to be ignored
+    # --a means charges 0^a 1^a at rank 2
     code = main([*argv, "--a", "1", "--e", "3"])
     captured = capsys.readouterr()
     assert code == 2

@@ -100,12 +100,8 @@ def _kcb_reads(tree) -> list[tuple[int, str]]:
             for alias in node.names:
                 bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
                 reads.append((node.lineno, f"{node.module}.{alias.name}"))
-        elif isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name.split(".")[0] == "kcb":
-                    # "import kcb.x" binds kcb, "import kcb.x as y" binds y to kcb.x
-                    bound[alias.asname or "kcb"] = alias.name if alias.asname else "kcb"
-                    reads.append((node.lineno, alias.name))
+        elif isinstance(node, ast.Import) and any(a.name == "kcb" for a in node.names):
+            bound["kcb"] = "kcb"
 
     def chain(node):
         parts = []
