@@ -25,8 +25,6 @@ from .fock import (
     FockVector,
     NodeRef,
     addable_nodes,
-    apply_e,
-    apply_f,
     apply_f_divided,
     content,
     removable_nodes,

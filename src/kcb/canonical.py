@@ -36,10 +36,10 @@ from dataclasses import dataclass
 from .crystal import (
     NotAVertexError,
     WeightInfo,
-    e_tilde,
     f_tilde,
     generate_crystal,
     residue_collected_path,
+    string_top,
     weight_info,
 )
 from .fock import FockContext, FockVector, apply_f_divided, content
@@ -115,16 +115,14 @@ class CanonicalBasis:
     # seeds
 
     def monomial(self, mp: Multipartition) -> FockVector:
-        """The seed f_i^(k) G(top), where (i, k) is the last segment of the
-        residue-collected path and top = e~_i^k(mp); bar-invariant, with
-        G(mp) at coefficient 1.  The highest weight vertex seeds itself."""
-        path = residue_collected_path(self.ctx, mp)
-        if not path:
+        """The seed f_i^(k) G(top), where (i, k, top) is mp's first string
+        (string_top, the last segment of the residue-collected path);
+        bar-invariant, with G(mp) at coefficient 1.  The highest weight
+        vertex seeds itself."""
+        step = string_top(self.ctx, mp)
+        if step is None:
             return FockVector.basis(mp)
-        i, k = path[-1]
-        top = mp
-        for _ in range(k):
-            top = e_tilde(self.ctx, top, i)
+        i, k, top = step
         return apply_f_divided(self.ctx, self.element(top).vector, i, k)
 
     # canonical elements

@@ -9,9 +9,9 @@ later stages must use every addable node.  Each branch carries two
 exponents:
 
 * "plain"     - the inversion count of each choice sequence, summed;
-* "corrected" - the true divided-power statistic, which additionally
-                subtracts, for every chosen node, the number of removable
-                nodes of the active residue above it.
+* "corrected" - the divided-power exponent of fock.divided_power_term,
+                which also subtracts, for every chosen node, the number of
+                removable nodes of the active residue above it.
 
 family_vectors returns both staged sums.  The corrected sum M(fam) is the
 divided-power monomial of the family's path.  By Kashiwara's rule for
@@ -37,7 +37,7 @@ from itertools import combinations
 
 from .canonical import CanonicalElement, compute_shape
 from .crystal import f_tilde, weight_info
-from .fock import FockContext, FockVector, add_node, content, i_node_slots, symmetric_context
+from .fock import FockContext, FockVector, addable_exponents, content, divided_power_term, symmetric_context
 from .laurent import LaurentPoly, qint
 from .partitions import Multipartition, triangular, u_family
 
@@ -226,26 +226,13 @@ def family_stages(spec: FamilySpec) -> tuple[list[tuple[int, int | None]], int]:
     return stages, m
 
 
-def _stage_adds(ctx: FockContext, mp: Multipartition, i: int):
-    """Addable i-nodes, each with the number of removable i-nodes above it."""
-    adds = []
-    nr = 0
-    for node, isadd in i_node_slots(ctx, mp, i):
-        if isadd:
-            adds.append((node, nr))
-        else:
-            nr += 1
-    return adds
-
-
 def _take(mp: Multipartition, adds, picks) -> tuple[Multipartition, int, int]:
-    """Add the picked addable nodes (increasing positions in adds):
-    (multipartition, plain exponent step, corrected exponent step)."""
-    invp = sum(pos - t for t, pos in enumerate(picks))
-    corr = sum(adds[pos][1] for pos in picks)
-    for pos in picks:
-        mp = add_node(mp, adds[pos][0])
-    return mp, invp, invp - corr
+    """Add the picked addable nodes (increasing positions in adds, the
+    list addable_exponents gives): (multipartition, plain exponent step
+    sum(picks) - C(k,2), corrected exponent step sum(N) - C(k,2))."""
+    nmp, corr = divided_power_term(mp, [adds[pos] for pos in picks])
+    k = len(picks)
+    return nmp, sum(picks) - k * (k - 1) // 2, corr
 
 
 def expand_family(
@@ -256,7 +243,7 @@ def expand_family(
     for idx, (i, mult) in enumerate(stages):
         nxt = []
         for mp, ep, ec in branches:
-            adds = _stage_adds(ctx, mp, i)
+            adds = addable_exponents(ctx, mp, i)
             kk = len(adds) if mult is None else mult
             if kk > len(adds):
                 raise ValueError(
@@ -295,7 +282,7 @@ def family_label(ctx: FockContext, spec: FamilySpec) -> Multipartition:
     stages, _ = family_stages(spec)
     cur = ctx.highest_weight_vertex()
     for i, mult in stages:
-        steps = mult if mult is not None else len(_stage_adds(ctx, cur, i))
+        steps = mult if mult is not None else len(addable_exponents(ctx, cur, i))
         for _ in range(steps):
             nxt = f_tilde(ctx, cur, i)
             if nxt is None:
@@ -334,7 +321,7 @@ def family_term(spec: FamilySpec, choices) -> tuple[Multipartition, int, int]:
     mp = ctx.highest_weight_vertex()
     ep = ec = 0
     for idx, (i, mult) in enumerate(stages):
-        adds = _stage_adds(ctx, mp, i)
+        adds = addable_exponents(ctx, mp, i)
         if idx < m:
             s = choices[idx]
             if s.length != len(adds):
@@ -371,8 +358,9 @@ def _partners(spec: FamilySpec) -> list[tuple[str, LaurentPoly]]:
     return []
 
 
+@lru_cache(maxsize=None)
 def _canonical_vector(ctx: FockContext, spec: FamilySpec) -> FockVector:
-    """The corrected sum minus its partners, each built the same way."""
+    """The corrected sum minus its partners, each built once (memoised)."""
     _, vec = family_vectors(ctx, spec)
     for family, coeff in _partners(spec):
         if coeff:

@@ -171,34 +171,31 @@ def is_external(bg: BlockReducedGraph, cont) -> bool:
     return False
 
 
-def residue_collected_path(
-    ctx: FockContext, mp: Multipartition
-) -> tuple[tuple[int, int], ...]:
-    """Segments (residue, multiplicity) of maximal strings leading from the
-    highest weight vertex to mp.
+def string_top(ctx: FockContext, mp: Multipartition) -> tuple[int, int, Multipartition] | None:
+    """(i, k, e~_i^k(mp)) for mp's first maximal string, i the smallest
+    residue with a good node; None at the highest weight vertex.  Raises
+    NotAVertexError when mp is not e-regular or has no good node."""
+    if mp == ctx.highest_weight_vertex():
+        return None
+    if not is_e_regular(mp, ctx.e):
+        raise NotAVertexError(f"{mp} is not {ctx.e}-regular")
+    for i in range(ctx.e):
+        k, top, nxt = 0, mp, e_tilde(ctx, mp, i)
+        while nxt is not None:
+            k, top, nxt = k + 1, nxt, e_tilde(ctx, nxt, i)
+        if k:
+            return i, k, top
+    raise NotAVertexError(f"{mp} does not reach the highest weight vertex")
 
-    Derived by peeling maximal e~_i-strings, taking the smallest residue
-    with a good node first, then reversing.  Raises NotAVertexError when
-    peeling strands before reaching the highest weight vertex.
-    """
-    cur = mp
+
+def residue_collected_path(ctx: FockContext, mp: Multipartition) -> tuple[tuple[int, int], ...]:
+    """Segments (residue, multiplicity) of maximal strings leading from the
+    highest weight vertex to mp: string_top peeled down to it, reversed."""
     segs: list[tuple[int, int]] = []
-    top = ctx.highest_weight_vertex()
-    while cur != top:
-        if not is_e_regular(cur, ctx.e):
-            raise NotAVertexError(f"{cur} is not {ctx.e}-regular")
-        for i in range(ctx.e):
-            nxt = e_tilde(ctx, cur, i)
-            if nxt is not None:
-                count = 0
-                while nxt is not None:
-                    cur = nxt
-                    count += 1
-                    nxt = e_tilde(ctx, cur, i)
-                segs.append((i, count))
-                break
-        else:
-            raise NotAVertexError(f"{mp} does not reach the highest weight vertex")
+    step = string_top(ctx, mp)
+    while step is not None:
+        segs.append(step[:2])
+        step = string_top(ctx, step[2])
     return tuple(reversed(segs))
 
 

@@ -1,5 +1,11 @@
 """Fock space over Z[v, v^-1]: residues, node combinatorics, and the
-v-weighted raising/lowering operators with their divided powers.
+divided powers f_i^(k) of the v-weighted lowering operator.
+
+f_i^(k) adds each k-subset T of the addable i-nodes at v^(sum_T N_t -
+C(k,2)), N_t = #addable - #removable i-nodes above t (Kashiwara, Duke
+Math. J. 69, 1993): adding an i-node only turns its slot removable, so
+the k! orders of adding T under f_i^k sum to [k]! times that monomial.
+apply_f_divided and closedform both read this exponent from here.
 
 Ordering convention used everywhere ("above"/"below"): component 1 is
 topmost, and within a component a smaller row index is higher.  A single
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, NamedTuple
 
-from .laurent import LaurentPoly, exact_div, qfact
+from .laurent import LaurentPoly, exact_div
 from .partitions import Multipartition
 
 
@@ -109,6 +115,18 @@ def addable_nodes(ctx: FockContext, mp: Multipartition, i: int) -> list[NodeRef]
     return [n for n, add in i_node_slots(ctx, mp, i) if add]
 
 
+def addable_exponents(ctx: FockContext, mp: Multipartition, i: int) -> list[tuple[NodeRef, int]]:
+    """Addable i-nodes, top to bottom, each with its f_i exponent
+    N = #{addable i-nodes above it} - #{removable i-nodes above it}."""
+    out, nr = [], 0
+    for node, isadd in i_node_slots(ctx, mp, i):
+        if isadd:
+            out.append((node, len(out) - nr))
+        else:
+            nr += 1
+    return out
+
+
 def removable_nodes(ctx: FockContext, mp: Multipartition, i: int) -> list[NodeRef]:
     return [n for n, add in i_node_slots(ctx, mp, i) if not add]
 
@@ -132,6 +150,17 @@ def remove_node(mp: Multipartition, node: NodeRef) -> Multipartition:
     return mp[: node.comp - 1] + (new,) + mp[node.comp :]
 
 
+def divided_power_term(mp: Multipartition, subset) -> tuple[Multipartition, int]:
+    """The term of f_i^(k) at a k-subset of addable_exponents(ctx, mp, i):
+    mp with those nodes added, and its exponent sum(N) - C(k,2)."""
+    k = len(subset)
+    expo = -(k * (k - 1) // 2)
+    for node, n in subset:
+        mp = add_node(mp, node)
+        expo += n
+    return mp, expo
+
+
 def content(ctx: FockContext, mp: Multipartition) -> tuple[int, ...]:
     """Number of nodes of each residue, as a length-e vector."""
     out = [0] * ctx.e
@@ -150,28 +179,29 @@ class FockVector:
 
     def __init__(self, terms=None):
         t: dict[Multipartition, LaurentPoly] = {}
-        if terms:
-            for mp, c in (terms.items() if isinstance(terms, dict) else terms):
-                if c:
-                    prev = t.get(mp)
-                    c = c if prev is None else prev + c
-                    if c:
-                        t[mp] = c
-                    elif mp in t:
-                        del t[mp]
+        for mp, c in (terms.items() if isinstance(terms, dict) else terms or ()):
+            prev = t.get(mp)
+            n = c if prev is None else prev + c
+            if n:
+                t[mp] = n
+            elif prev is not None:
+                del t[mp]
         self._terms = t
 
     @staticmethod
-    def basis(mp: Multipartition) -> "FockVector":
+    def _wrap(terms: dict[Multipartition, LaurentPoly]) -> "FockVector":
+        """A vector over a finished dict: no zero coefficient, nothing to merge."""
         v = FockVector.__new__(FockVector)
-        v._terms = {mp: LaurentPoly.one()}
+        v._terms = terms
         return v
 
     @staticmethod
+    def basis(mp: Multipartition) -> "FockVector":
+        return FockVector._wrap({mp: LaurentPoly.one()})
+
+    @staticmethod
     def zero() -> "FockVector":
-        v = FockVector.__new__(FockVector)
-        v._terms = {}
-        return v
+        return FockVector._wrap({})
 
     def coefficient(self, mp: Multipartition) -> LaurentPoly:
         return self._terms.get(mp, LaurentPoly.zero())
@@ -216,14 +246,10 @@ class FockVector:
                     t[mp] = n
                 elif mp in t:
                     del t[mp]
-        out = FockVector.__new__(FockVector)
-        out._terms = t
-        return out
+        return FockVector._wrap(t)
 
     def exact_div(self, q: LaurentPoly) -> "FockVector":
-        out = FockVector.__new__(FockVector)
-        out._terms = {mp: exact_div(c, q) for mp, c in self._terms.items()}
-        return out
+        return FockVector._wrap({mp: exact_div(c, q) for mp, c in self._terms.items()})
 
     def __str__(self) -> str:
         if not self._terms:
@@ -251,92 +277,18 @@ class FockVector:
         )
 
 
-def apply_f(ctx: FockContext, vec: FockVector, i: int) -> FockVector:
-    """f_i: sum over addable i-nodes n of v^N(n,i) * (add n), extended linearly.
-
-    N(n,i) = #{addable i-nodes above n} - #{removable i-nodes above n}.
-    """
-    out: dict[Multipartition, LaurentPoly] = {}
-    for mp, c in vec.terms():
-        na = nr = 0
-        for node, isadd in i_node_slots(ctx, mp, i):
-            if isadd:
-                nmp = add_node(mp, node)
-                p = c.shift(na - nr)
-                prev = out.get(nmp)
-                n = p if prev is None else prev + p
-                if n:
-                    out[nmp] = n
-                elif nmp in out:
-                    del out[nmp]
-                na += 1
-            else:
-                nr += 1
-    return FockVector(out)
-
-
-def apply_e(ctx: FockContext, vec: FockVector, i: int) -> FockVector:
-    """e_i: sum over removable i-nodes m of v^M(m,i) * (remove m).
-
-    M(m,i) = #{addable i-nodes below m} - #{removable i-nodes below m}.
-    """
-    out: dict[Multipartition, LaurentPoly] = {}
-    for mp, c in vec.terms():
-        slots = i_node_slots(ctx, mp, i)
-        ta = sum(1 for _, isadd in slots if isadd)
-        tr = len(slots) - ta
-        na = nr = 0
-        for node, isadd in slots:
-            if isadd:
-                na += 1
-            else:
-                nmp = remove_node(mp, node)
-                p = c.shift((ta - na) - (tr - nr - 1))
-                prev = out.get(nmp)
-                n = p if prev is None else prev + p
-                if n:
-                    out[nmp] = n
-                elif nmp in out:
-                    del out[nmp]
-                nr += 1
-    return FockVector(out)
-
-
 def apply_f_divided(ctx: FockContext, vec: FockVector, i: int, k: int) -> FockVector:
-    """The divided power f_i^(k) = f_i^k / [k]!.
-
-    Computed directly: adding an i-node only turns that addable slot into
-    a removable i-node and leaves every other i-slot alone, so summing
-    f_i^k over the k! insertion orders of a fixed node set T gives
-    [k]! * v^(sum_{t in T}(alpha_t - rho_t) - C(k,2)), where alpha_t/rho_t
-    count addable/removable i-nodes above t in the starting shape.  The
-    iterative route (apply_f k times, then exact division by [k]!) is kept
-    alongside as an independent cross-check.
-    """
+    """The divided power f_i^(k) = f_i^k / [k]! by the subset rule of the
+    module docstring; k = 1 is f_i.  The iterative route (f_i k times,
+    then exact division by [k]!) lives in the tests as a cross-check."""
     if k < 0:
         raise ValueError(f"divided power needs k >= 0, got {k}")
     if k == 0:
         return vec
-    if k == 1:
-        return apply_f(ctx, vec, i)
-    base = k * (k - 1) // 2
     out: dict[Multipartition, LaurentPoly] = {}
     for mp, c in vec.terms():
-        adds: list[tuple[NodeRef, int]] = []
-        na = nr = 0
-        for node, isadd in i_node_slots(ctx, mp, i):
-            if isadd:
-                adds.append((node, na - nr))
-                na += 1
-            else:
-                nr += 1
-        if len(adds) < k:
-            continue
-        for T in combinations(adds, k):
-            expo = sum(w for _, w in T) - base
-            nmp = mp
-            for node, _ in T:
-                nmp = add_node(nmp, node)
+        for subset in combinations(addable_exponents(ctx, mp, i), k):
+            nmp, expo = divided_power_term(mp, subset)
             p = c.shift(expo)
             prev = out.get(nmp)
             n = p if prev is None else prev + p
@@ -344,12 +296,4 @@ def apply_f_divided(ctx: FockContext, vec: FockVector, i: int, k: int) -> FockVe
                 out[nmp] = n
             elif nmp in out:
                 del out[nmp]
-    return FockVector(out)
-
-
-def apply_f_divided_iterative(ctx: FockContext, vec: FockVector, i: int, k: int) -> FockVector:
-    """f_i iterated k times followed by exact division by [k]!."""
-    out = vec
-    for _ in range(k):
-        out = apply_f(ctx, out, i)
-    return out.exact_div(qfact(k))
+    return FockVector._wrap(out)

@@ -1,0 +1,71 @@
+"""Reference f_i, e_i and the iterative divided power, kept beside the
+tests as an independent cross-check of kcb.fock.apply_f_divided, the way
+tests/test_canonical.py::PathSeedBasis keeps the path seed.
+
+apply_f and apply_e sum over the addable (removable) i-nodes one at a
+time; apply_f_divided_iterative applies apply_f k times and divides
+exactly by [k]!.  None of them shares the subset rule of kcb.fock.
+"""
+
+from kcb.fock import FockContext, FockVector, add_node, i_node_slots, remove_node
+from kcb.laurent import LaurentPoly, qfact
+from kcb.partitions import Multipartition
+
+
+def apply_f(ctx: FockContext, vec: FockVector, i: int) -> FockVector:
+    """f_i: sum over addable i-nodes n of v^N(n,i) * (add n), extended linearly.
+
+    N(n,i) = #{addable i-nodes above n} - #{removable i-nodes above n}.
+    """
+    out: dict[Multipartition, LaurentPoly] = {}
+    for mp, c in vec.terms():
+        na = nr = 0
+        for node, isadd in i_node_slots(ctx, mp, i):
+            if isadd:
+                nmp = add_node(mp, node)
+                p = c.shift(na - nr)
+                prev = out.get(nmp)
+                n = p if prev is None else prev + p
+                if n:
+                    out[nmp] = n
+                elif nmp in out:
+                    del out[nmp]
+                na += 1
+            else:
+                nr += 1
+    return FockVector(out)
+
+
+def apply_e(ctx: FockContext, vec: FockVector, i: int) -> FockVector:
+    """e_i: sum over removable i-nodes m of v^M(m,i) * (remove m).
+
+    M(m,i) = #{addable i-nodes below m} - #{removable i-nodes below m}.
+    """
+    out: dict[Multipartition, LaurentPoly] = {}
+    for mp, c in vec.terms():
+        slots = i_node_slots(ctx, mp, i)
+        ta = sum(1 for _, isadd in slots if isadd)
+        tr = len(slots) - ta
+        na = nr = 0
+        for node, isadd in slots:
+            if isadd:
+                na += 1
+            else:
+                nmp = remove_node(mp, node)
+                p = c.shift((ta - na) - (tr - nr - 1))
+                prev = out.get(nmp)
+                n = p if prev is None else prev + p
+                if n:
+                    out[nmp] = n
+                elif nmp in out:
+                    del out[nmp]
+                nr += 1
+    return FockVector(out)
+
+
+def apply_f_divided_iterative(ctx: FockContext, vec: FockVector, i: int, k: int) -> FockVector:
+    """f_i iterated k times followed by exact division by [k]!."""
+    out = vec
+    for _ in range(k):
+        out = apply_f(ctx, out, i)
+    return out.exact_div(qfact(k))

@@ -8,12 +8,9 @@ import time
 from itertools import combinations, permutations
 from math import comb
 
-import pytest
-
-from kcb.canonical import diamond, get_basis, is_svelte
+from kcb.canonical import get_basis
 from kcb.closedform import (
     FamilySpec,
-    choice_sequences,
     closed_canonical_family,
     closed_canonical_weyl,
     family_label,
@@ -22,13 +19,11 @@ from kcb.closedform import (
     shape_fn_closed,
     shape_row,
 )
-from kcb.crystal import generate_crystal, weight_info
 from kcb.fock import (
     FockContext,
     FockVector,
     add_node,
     addable_nodes,
-    apply_f_divided_iterative,
     removable_nodes,
     symmetric_context,
 )
@@ -40,6 +35,8 @@ from kcb.verify import (
     verify_structural,
     verify_svelte_step,
 )
+
+from fock_reference import apply_f_divided_iterative
 
 
 def _report(criterion, t0, budget, note=""):

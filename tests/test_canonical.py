@@ -16,7 +16,7 @@ from kcb.canonical import (
 )
 from kcb.closedform import FamilySpec, closed_canonical_family
 from kcb.crystal import NotAVertexError, generate_crystal, residue_collected_path
-from kcb.fock import FockContext, FockVector, apply_f_divided, content, symmetric_context
+from kcb.fock import FockContext, FockVector, apply_f_divided, symmetric_context
 from kcb.laurent import LaurentPoly
 from kcb.partitions import conjugate, dominates, is_e_regular, iter_multipartitions
 

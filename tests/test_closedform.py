@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+from kcb import closedform
 from kcb.canonical import CanonicalBasis, get_basis
 from kcb.closedform import (
     ChoiceSequence,
@@ -10,6 +13,7 @@ from kcb.closedform import (
     defect_congruences,
     defect_top_row,
     family_label,
+    family_stages,
     family_term,
     family_vectors,
     inv,
@@ -19,7 +23,7 @@ from kcb.closedform import (
     small_defect_families,
     tau,
 )
-from kcb.fock import FockVector, content, symmetric_context
+from kcb.fock import FockVector, addable_nodes, apply_f_divided, content, symmetric_context
 from kcb.laurent import LaurentPoly
 from kcb.partitions import total_size, transpose_each, triangular
 
@@ -194,8 +198,6 @@ class TestClosedWeyl:
 
     def test_string_node_counts(self):
         # tau^n has k(n+2) + (a-k)n + a(n+1) addable nodes of the next residue
-        from kcb.fock import addable_nodes
-
         for a, k in ((2, 1), (3, 1), (3, 2)):
             ctx = symmetric_context(a)
             for n in (0, 1, 2):
@@ -323,6 +325,48 @@ class TestClosedFamilies:
                 supp = set(elem.vector.support())
                 assert {transpose_each(m) for m in supp} == supp
                 assert elem.vector == basis.element(elem.label).vector
+
+
+def family_specs(a, n_max):
+    return [
+        FamilySpec(family, a, k, n, dual)
+        for family, kmin in (("p0k1", 1), ("p10k", 1), ("p010k", 2))
+        for k in range(kmin, a + 1)
+        for n in range(n_max + 1)
+        for dual in (False, True)
+    ]
+
+
+class TestStagePath:
+    def test_corrected_sum_is_stage_path_monomial(self):
+        # the corrected staged sum is the divided-power monomial of the
+        # family's own stage path; a None stage fills every addable node
+        checked = 0
+        for a in range(1, 5):
+            ctx = symmetric_context(a)
+            for spec in family_specs(a, 2):
+                vec = FockVector.basis(ctx.highest_weight_vertex())
+                for i, mult in family_stages(spec)[0]:
+                    if mult is None:
+                        (mult,) = {len(addable_nodes(ctx, mp, i)) for mp, _ in vec.terms()}
+                    vec = apply_f_divided(ctx, vec, i, mult)
+                assert family_vectors(ctx, spec)[1] == vec, spec
+                checked += 1
+        assert checked == 156
+
+    def test_each_sibling_built_once(self, monkeypatch):
+        seen = Counter()
+        real = closedform.family_vectors
+
+        def counting(ctx, spec):
+            seen[spec.family, spec.a, spec.k, spec.n, spec.dual] += 1
+            return real(ctx, spec)
+
+        monkeypatch.setattr(closedform, "family_vectors", counting)
+        closedform._canonical_vector.cache_clear()
+        for spec in family_specs(3, 2):
+            closed_canonical_family(spec)
+        assert len(seen) == 48 and max(seen.values()) == 1
 
 
 class TestDefectHelpers:

@@ -16,7 +16,7 @@ from kcb.crystal import (
     residue_collected_path,
     weight_info,
 )
-from kcb.fock import FockContext, content, symmetric_context
+from kcb.fock import FockContext, symmetric_context
 from kcb.partitions import iter_multipartitions
 
 C01 = FockContext(2, (0, 1))
