@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from .crystal import (
     NotAVertexError,
     WeightInfo,
-    f_tilde,
+    f_tilde_string,
     generate_crystal,
     residue_collected_path,
     string_top,
@@ -84,16 +84,10 @@ def is_svelte(g: CanonicalElement) -> bool:
 
 def diamond(ctx: FockContext, mp: Multipartition) -> tuple[FockContext, Multipartition]:
     """Replay the residue-negated path through the dual crystal."""
-    path = residue_collected_path(ctx, mp)
     dctx = ctx.dual()
     cur = dctx.highest_weight_vertex()
-    for i, k in path:
-        j = (-i) % ctx.e
-        for _ in range(k):
-            nxt = f_tilde(dctx, cur, j)
-            if nxt is None:
-                raise NotAVertexError(f"dual path broke at residue {j} from {cur}")
-            cur = nxt
+    for i, k in residue_collected_path(ctx, mp):
+        cur = f_tilde_string(dctx, cur, (-i) % ctx.e, k)
     return dctx, cur
 
 

@@ -138,8 +138,12 @@ def cmd_shape_table(args) -> int:
 
 def cmd_closed_form(args) -> int:
     if args.family == "weyl":
-        elem = closed_canonical_weyl(args.a, args.i, args.k, args.n)
+        if args.dual:
+            raise UsageError("--dual applies to the path families, not weyl")
+        elem = closed_canonical_weyl(args.a, args.i or 0, args.k, args.n)
     else:
+        if args.i is not None:
+            raise UsageError(f"--i applies to weyl only, not {args.family}")
         elem = closed_canonical_family(FamilySpec(args.family, args.a, args.k, args.n, args.dual))
     _emit_json(element_to_json(elem), args)
     return 0
@@ -230,8 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, default=0)
-    p.add_argument("--i", type=int, default=0, choices=(0, 1))
-    p.add_argument("--dual", action="store_true")
+    p.add_argument("--i", type=int, default=None, choices=(0, 1), help="weyl only (default 0)")
+    p.add_argument("--dual", action="store_true", help="path families only")
     _add_common(p)
     p.set_defaults(fn=cmd_closed_form)
 

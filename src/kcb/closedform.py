@@ -4,14 +4,13 @@ assembled closed-form elements, and the small-defect data.
 
 Families are generated structurally: a family fixes a path (residue,
 multiplicity per segment) and a number m of choice stages; every choice
-stage picks k nodes out of the current addable-node list of its branch,
-later stages must use every addable node.  Each branch carries two
-exponents:
+stage picks k of the addable nodes of each term, later stages must use
+every addable node.  Each stage is linear, so expand_family folds the
+path stage by stage, keeping two coefficients per distinct multipartition:
 
-* "plain"     - the inversion count of each choice sequence, summed;
-* "corrected" - the divided-power exponent of fock.divided_power_term,
-                which also subtracts, for every chosen node, the number of
-                removable nodes of the active residue above it.
+* "plain"     - v^inv per choice sequence: pick positions in place of N;
+* "corrected" - the divided power f_i^(k) of fock.divided_power_term,
+                whose N also counts the removable i-nodes above each pick.
 
 family_vectors returns both staged sums.  The corrected sum M(fam) is the
 divided-power monomial of the family's path.  By Kashiwara's rule for
@@ -36,7 +35,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .canonical import CanonicalElement, compute_shape
-from .crystal import f_tilde, weight_info
+from .crystal import f_tilde_string, weight_info
 from .fock import FockContext, FockVector, addable_exponents, content, divided_power_term, symmetric_context
 from .laurent import LaurentPoly, qint
 from .partitions import Multipartition, triangular, u_family
@@ -226,23 +225,16 @@ def family_stages(spec: FamilySpec) -> tuple[list[tuple[int, int | None]], int]:
     return stages, m
 
 
-def _take(mp: Multipartition, adds, picks) -> tuple[Multipartition, int, int]:
-    """Add the picked addable nodes (increasing positions in adds, the
-    list addable_exponents gives): (multipartition, plain exponent step
-    sum(picks) - C(k,2), corrected exponent step sum(N) - C(k,2))."""
-    nmp, corr = divided_power_term(mp, [adds[pos] for pos in picks])
-    k = len(picks)
-    return nmp, sum(picks) - k * (k - 1) // 2, corr
-
-
 def expand_family(
     ctx: FockContext, stages, m: int, branch_cap: int | None = None
-) -> list[tuple[Multipartition, int, int]]:
-    """All branches (multipartition, plain exponent, corrected exponent)."""
-    branches = [(ctx.highest_weight_vertex(), 0, 0)]
+) -> list[tuple[Multipartition, LaurentPoly, LaurentPoly]]:
+    """The staged sums, one (multipartition, plain, corrected) triple per
+    distinct multipartition.  branch_cap bounds the choice branches: the
+    sum of the integer coefficients of the plain coefficients."""
+    terms = {ctx.highest_weight_vertex(): (LaurentPoly.one(), LaurentPoly.one())}
     for idx, (i, mult) in enumerate(stages):
-        nxt = []
-        for mp, ep, ec in branches:
+        nxt: dict[Multipartition, tuple[LaurentPoly, LaurentPoly]] = {}
+        for mp, (cp, cc) in terms.items():
             adds = addable_exponents(ctx, mp, i)
             kk = len(adds) if mult is None else mult
             if kk > len(adds):
@@ -254,16 +246,20 @@ def expand_family(
                     f"stage {idx + 1} is past the choice stages but leaves "
                     f"{len(adds) - kk} nodes unused"
                 )
-            for T in combinations(range(len(adds)), kk):
-                nmp, dp, dc = _take(mp, adds, T)
-                nxt.append((nmp, ep + dp, ec + dc))
-        branches = nxt
-        if branch_cap is not None and len(branches) > branch_cap:
-            raise ValueError(f"branch budget exceeded ({len(branches)} > {branch_cap})")
-    conts = {content(ctx, mp) for mp, _, _ in branches}
+            for picks in combinations(range(len(adds)), kk):
+                nmp, dc = divided_power_term(mp, [adds[pos] for pos in picks])
+                p, c = cp.shift(sum(picks) - kk * (kk - 1) // 2), cc.shift(dc)
+                prev = nxt.get(nmp)
+                nxt[nmp] = (p, c) if prev is None else (prev[0] + p, prev[1] + c)
+        terms = nxt
+        if branch_cap is not None:
+            count = sum(n for cp, _ in terms.values() for _, n in cp.items())
+            if count > branch_cap:
+                raise ValueError(f"branch budget exceeded ({count} > {branch_cap})")
+    conts = {content(ctx, mp) for mp in terms}
     if len(conts) > 1:
         raise ValueError(f"branches ended at different weights: {sorted(conts)}")
-    return branches
+    return [(mp, cp, cc) for mp, (cp, cc) in terms.items()]
 
 
 def family_vectors(
@@ -271,23 +267,17 @@ def family_vectors(
 ) -> tuple[FockVector, FockVector]:
     """(plain-reading sum, corrected-reading sum) for the family: the raw
     staged sums, not canonical in general (module docstring)."""
-    branches = expand_family(ctx, *family_stages(spec))
-    plain = FockVector((mp, LaurentPoly.monomial(ep)) for mp, ep, _ in branches)
-    corrected = FockVector((mp, LaurentPoly.monomial(ec)) for mp, _, ec in branches)
-    return plain, corrected
+    terms = expand_family(ctx, *family_stages(spec))
+    plain = FockVector({mp: cp for mp, cp, _ in terms})
+    return plain, FockVector({mp: cc for mp, _, cc in terms})
 
 
 def family_label(ctx: FockContext, spec: FamilySpec) -> Multipartition:
     """The e-regular member: replay the path through the crystal operators."""
-    stages, _ = family_stages(spec)
     cur = ctx.highest_weight_vertex()
-    for i, mult in stages:
-        steps = mult if mult is not None else len(addable_exponents(ctx, cur, i))
-        for _ in range(steps):
-            nxt = f_tilde(ctx, cur, i)
-            if nxt is None:
-                raise ValueError(f"path broke at residue {i} from {cur}")
-            cur = nxt
+    for i, mult in family_stages(spec)[0]:
+        k = len(addable_exponents(ctx, cur, i)) if mult is None else mult
+        cur = f_tilde_string(ctx, cur, i, k)
     return cur
 
 
@@ -333,13 +323,13 @@ def family_term(spec: FamilySpec, choices) -> tuple[Multipartition, int, int]:
                 raise ValueError(
                     f"stage {idx + 1}: sequence weight {s.weight} != {mult}"
                 )
-            picks = [p for p, b in enumerate(s.bits) if b]
+            picks = [adds[p] for p, b in enumerate(s.bits) if b]
+            ep += inv(s)
         else:
             if mult is not None and mult != len(adds):
                 raise ValueError(f"stage {idx + 1} is not a full string")
-            picks = range(len(adds))
-        mp, dp, dc = _take(mp, adds, picks)
-        ep += dp
+            picks = adds
+        mp, dc = divided_power_term(mp, picks)
         ec += dc
     return mp, ep, ec
 

@@ -78,6 +78,16 @@ def f_tilde(ctx: FockContext, mp: Multipartition, i: int) -> Multipartition | No
     return None
 
 
+def f_tilde_string(ctx: FockContext, mp: Multipartition, i: int, k: int) -> Multipartition:
+    """f~_i applied k times; NotAVertexError if the i-string ends first."""
+    for _ in range(k):
+        nxt = f_tilde(ctx, mp, i)
+        if nxt is None:
+            raise NotAVertexError(f"path broke at residue {i} from {mp}")
+        mp = nxt
+    return mp
+
+
 def e_tilde(ctx: FockContext, mp: Multipartition, i: int) -> Multipartition | None:
     """Remove the i-good node (leftmost surviving -); None if there is none."""
     for node, isadd in _reduced_signature(ctx, mp, i):

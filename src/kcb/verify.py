@@ -399,11 +399,11 @@ def conjecture_scan(a: int, max_degree: int) -> VerificationReport:
             found_rule = None
             for m in range(1, w + 1):
                 try:
-                    branches = expand_family(ctx, list(path), m, branch_cap=200_000)
+                    terms = expand_family(ctx, list(path), m, branch_cap=200_000)
                 except ValueError:
                     continue
                 for rule, pick in (("corrected", 2), ("plain", 1)):
-                    vec = FockVector((b[0], LaurentPoly.monomial(b[pick])) for b in branches)
+                    vec = FockVector({t[0]: t[pick] for t in terms})
                     if vec == oracle.vector:
                         found_m, found_rule = m, rule
                         break

@@ -1,13 +1,27 @@
-"""Reference f_i, e_i and the iterative divided power, kept beside the
-tests as an independent cross-check of kcb.fock.apply_f_divided, the way
+"""Reference f_i, e_i, the iterative divided power and the per-branch
+family enumerator, kept beside the tests as independent cross-checks of
+kcb.fock.apply_f_divided and kcb.closedform.expand_family, the way
 tests/test_canonical.py::PathSeedBasis keeps the path seed.
 
 apply_f and apply_e sum over the addable (removable) i-nodes one at a
 time; apply_f_divided_iterative applies apply_f k times and divides
 exactly by [k]!.  None of them shares the subset rule of kcb.fock.
+expand_family_branches carries every choice branch separately to the
+last stage, with its own plain and corrected exponents, and merges none.
 """
 
-from kcb.fock import FockContext, FockVector, add_node, i_node_slots, remove_node
+from itertools import combinations
+
+from kcb.fock import (
+    FockContext,
+    FockVector,
+    add_node,
+    addable_exponents,
+    content,
+    divided_power_term,
+    i_node_slots,
+    remove_node,
+)
 from kcb.laurent import LaurentPoly, qfact
 from kcb.partitions import Multipartition
 
@@ -69,3 +83,34 @@ def apply_f_divided_iterative(ctx: FockContext, vec: FockVector, i: int, k: int)
     for _ in range(k):
         out = apply_f(ctx, out, i)
     return out.exact_div(qfact(k))
+
+
+def expand_family_branches(
+    ctx: FockContext, stages, m: int, branch_cap: int | None = None
+) -> list[tuple[Multipartition, int, int]]:
+    """All branches (multipartition, plain exponent, corrected exponent)."""
+    branches = [(ctx.highest_weight_vertex(), 0, 0)]
+    for idx, (i, mult) in enumerate(stages):
+        nxt = []
+        for mp, ep, ec in branches:
+            adds = addable_exponents(ctx, mp, i)
+            kk = len(adds) if mult is None else mult
+            if kk > len(adds):
+                raise ValueError(
+                    f"stage {idx + 1} asks for {kk} nodes, only {len(adds)} addable"
+                )
+            if idx >= m and kk < len(adds):
+                raise ValueError(
+                    f"stage {idx + 1} is past the choice stages but leaves "
+                    f"{len(adds) - kk} nodes unused"
+                )
+            for T in combinations(range(len(adds)), kk):
+                nmp, dc = divided_power_term(mp, [adds[pos] for pos in T])
+                nxt.append((nmp, ep + sum(T) - kk * (kk - 1) // 2, ec + dc))
+        branches = nxt
+        if branch_cap is not None and len(branches) > branch_cap:
+            raise ValueError(f"branch budget exceeded ({len(branches)} > {branch_cap})")
+    conts = {content(ctx, mp) for mp, _, _ in branches}
+    if len(conts) > 1:
+        raise ValueError(f"branches ended at different weights: {sorted(conts)}")
+    return branches

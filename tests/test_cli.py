@@ -123,6 +123,17 @@ class TestClosedForm:
         assert code == 0
         assert json.loads(out)["terms"][0]["multipartition"] == [[2, 1], []]
 
+    @pytest.mark.parametrize("flag,argv", [
+        ("--dual", ("--family", "weyl", "--dual")),
+        ("--i", ("--family", "p0k1", "--i", "0")),
+    ])
+    def test_flag_the_family_ignores_exit2(self, capsys, flag, argv):
+        code = main(["closed-form", *argv, "--a", "2", "--k", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert flag in captured.err
+
     @pytest.mark.parametrize("family,a,k,n", [("p010k", 3, 3, 0), ("p10k", 2, 1, 1)])
     def test_default_reading_is_canonical(self, capsys, family, a, k, n):
         # the staged (corrected) sum is not canonical here; the output is

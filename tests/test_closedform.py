@@ -12,6 +12,7 @@ from kcb.closedform import (
     closed_canonical_weyl,
     defect_congruences,
     defect_top_row,
+    expand_family,
     family_label,
     family_stages,
     family_term,
@@ -23,9 +24,12 @@ from kcb.closedform import (
     small_defect_families,
     tau,
 )
+from kcb.crystal import block_reduced, generate_crystal, is_external, residue_collected_path
 from kcb.fock import FockVector, addable_nodes, apply_f_divided, content, symmetric_context
 from kcb.laurent import LaurentPoly
 from kcb.partitions import total_size, transpose_each, triangular
+
+from fock_reference import expand_family_branches
 
 
 def S(*bits):
@@ -367,6 +371,62 @@ class TestStagePath:
         for spec in family_specs(3, 2):
             closed_canonical_family(spec)
         assert len(seen) == 48 and max(seen.values()) == 1
+
+
+def folds_like_branches(ctx, stages, m, branch_cap=None):
+    """expand_family against the per-branch reference on one (path, m):
+    the same summed plain and corrected vectors, or ValueError from both.
+    Returns whether the path expanded."""
+    try:
+        branches = expand_family_branches(ctx, stages, m, branch_cap)
+    except ValueError:
+        with pytest.raises(ValueError):
+            expand_family(ctx, stages, m, branch_cap)
+        return False
+    terms = expand_family(ctx, stages, m, branch_cap)
+    assert len({mp for mp, _, _ in terms}) == len(terms)
+    for pick in (1, 2):
+        want = FockVector((b[0], LaurentPoly.monomial(b[pick])) for b in branches)
+        assert FockVector({t[0]: t[pick] for t in terms}) == want, (stages, m, pick)
+    return True
+
+
+class TestFoldReference:
+    def test_family_specs(self):
+        checked = 0
+        for a in range(1, 5):
+            ctx = symmetric_context(a)
+            for spec in family_specs(a, 2):
+                checked += folds_like_branches(ctx, *family_stages(spec))
+        assert checked == 156
+
+    @pytest.mark.parametrize("a,degree,tried,expanded", [(2, 14, 110, 48), (3, 13, 64, 34)])
+    def test_conjecture_scan_paths(self, a, degree, tried, expanded):
+        # every (path, m) the conjecture scan can try: each vertex of an
+        # external weight, m = 1..len(path), under the scan's branch cap
+        ctx = symmetric_context(a)
+        g = generate_crystal(ctx, degree)
+        bg = block_reduced(g)
+        paths = [
+            residue_collected_path(ctx, mp)
+            for cont in bg.weights
+            if any(cont) and is_external(bg, cont)
+            for mp in g.by_content()[cont]
+        ]
+        pairs = [(list(path), m) for path in paths for m in range(1, len(path) + 1)]
+        assert len(pairs) == tried
+        assert sum(folds_like_branches(ctx, path, m, 200_000) for path, m in pairs) == expanded
+
+    def test_branch_cap_counts_branches(self):
+        # four choice stages and a full string: branches merge, so a cap
+        # on distinct terms would let count - 1 pass
+        ctx = symmetric_context(3)
+        stages, m = family_stages(FamilySpec("p010k", 3, 3, 2))
+        count = len(expand_family_branches(ctx, stages, m))
+        assert len(expand_family(ctx, stages, m)) < count - 1
+        assert folds_like_branches(ctx, stages, m, branch_cap=count)
+        with pytest.raises(ValueError, match="branch budget"):
+            expand_family(ctx, stages, m, branch_cap=count - 1)
 
 
 class TestDefectHelpers:

@@ -11,6 +11,7 @@ from kcb.crystal import (
     crystal_to_json,
     e_tilde,
     f_tilde,
+    f_tilde_string,
     generate_crystal,
     is_external,
     residue_collected_path,
@@ -60,6 +61,12 @@ class TestCrystalOperators:
 
     def test_f_row(self):
         assert f_tilde(C01, ((2,), ()), 0) == ((3,), ())
+
+    def test_f_string(self):
+        assert f_tilde_string(C01, ((), ()), 0, 0) == ((), ())
+        assert f_tilde_string(C01, ((2,), ()), 0, 1) == ((3,), ())
+        with pytest.raises(NotAVertexError, match="residue 0"):
+            f_tilde_string(C01, ((), ()), 0, 2)  # phi_0 = 1 at the highest weight
 
     def test_e_inverse_example(self):
         assert e_tilde(C01, ((3,), ()), 0) == ((2,), ())
