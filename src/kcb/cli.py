@@ -149,20 +149,40 @@ def cmd_closed_form(args) -> int:
     return 0
 
 
+# the options each suite reads beyond the context; the rest read only --max-degree
+_SUITE_READS = {
+    "top-row": ("i", "k"),
+    "weyl": ("i", "k", "n", "max_degree"),
+    "families": ("family", "k", "n", "max_degree"),
+}
+
+
 def _run_suite(args):
     suite = args.suite
     if suite not in ("duality", "svelte") and (args.a is None or args.charges or args.e != 2):
         raise UsageError(f"suite {suite} needs --a (charges 0^a 1^a), no --charges, and --e 2")
+    reads = _SUITE_READS.get(suite, ("max_degree",))
+    unread = [
+        "--" + opt.replace("_", "-")
+        for opt in ("i", "k", "n", "family", "max_degree")
+        if getattr(args, opt, None) is not None and opt not in reads
+    ]
+    if unread:
+        raise UsageError(f"suite {suite} does not read {', '.join(unread)}")
+    i, k, n, family = (
+        default if getattr(args, opt, None) is None else getattr(args, opt)
+        for opt, default in (("i", 0), ("k", 1), ("n", 1), ("family", "p0k1"))
+    )
 
     def degree(default: int) -> int:
         return default if args.max_degree is None else args.max_degree
 
     if suite == "top-row":
-        return verify_top_row_forms(args.a, args.i, args.k)
+        return verify_top_row_forms(args.a, i, k)
     if suite == "weyl":
-        return verify_weyl_stability(args.a, args.i, args.k, args.n, degree(13))
+        return verify_weyl_stability(args.a, i, k, n, degree(13))
     if suite == "families":
-        return verify_path_families(args.a, args.family, args.k, args.n, args.max_degree)
+        return verify_path_families(args.a, family, k, n, args.max_degree)
     if suite == "duality":
         return verify_duality(_context_from(args), degree(8))
     if suite == "svelte":
@@ -242,11 +262,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True, choices=sorted(SUITES))
     _add_context_opts(p)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--i", type=int, default=0, choices=(0, 1))
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--family", choices=FAMILIES, default="p0k1")
-    p.add_argument("--max-degree", type=int, default=None)
+    p.add_argument("--k", type=int, default=None, help="top-row, weyl, families (default 1)")
+    p.add_argument("--i", type=int, default=None, choices=(0, 1),
+                   help="top-row, weyl (default 0)")
+    p.add_argument("--n", type=int, default=None, help="weyl, families (default 1)")
+    p.add_argument("--family", choices=FAMILIES, default=None,
+                   help="families (default p0k1)")
+    p.add_argument("--max-degree", type=int, default=None, help="every suite but top-row")
     _add_common(p, ("text", "json"))
     p.set_defaults(fn=cmd_verify)
 

@@ -17,10 +17,11 @@ nodes by (component, row) is unambiguous.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, NamedTuple
 
-from .laurent import LaurentPoly, exact_div
+from .laurent import LaurentPoly, _add, _mul, _shift, exact_div
 from .partitions import Multipartition
 
 
@@ -173,15 +174,20 @@ def content(ctx: FockContext, mp: Multipartition) -> tuple[int, ...]:
 
 
 class FockVector:
-    """Finite formal sum multipartition -> Laurent polynomial."""
+    """Finite formal sum multipartition -> Laurent polynomial.
+
+    Each coefficient is stored as a plain exponent -> nonzero coefficient
+    dict (the collector never tracks one) and handed out as a LaurentPoly
+    view over it; a stored dict is never mutated.
+    """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
-        t: dict[Multipartition, LaurentPoly] = {}
+        t: dict[Multipartition, dict[int, int]] = {}
         for mp, c in (terms.items() if isinstance(terms, dict) else terms or ()):
             prev = t.get(mp)
-            n = c if prev is None else prev + c
+            n = c._terms if prev is None else _add(prev, c._terms)
             if n:
                 t[mp] = n
             elif prev is not None:
@@ -189,7 +195,7 @@ class FockVector:
         self._terms = t
 
     @staticmethod
-    def _wrap(terms: dict[Multipartition, LaurentPoly]) -> "FockVector":
+    def _wrap(terms: dict[Multipartition, dict[int, int]]) -> "FockVector":
         """A vector over a finished dict: no zero coefficient, nothing to merge."""
         v = FockVector.__new__(FockVector)
         v._terms = terms
@@ -197,17 +203,18 @@ class FockVector:
 
     @staticmethod
     def basis(mp: Multipartition) -> "FockVector":
-        return FockVector._wrap({mp: LaurentPoly.one()})
+        return FockVector._wrap({mp: LaurentPoly.one()._terms})
 
     @staticmethod
     def zero() -> "FockVector":
         return FockVector._wrap({})
 
     def coefficient(self, mp: Multipartition) -> LaurentPoly:
-        return self._terms.get(mp, LaurentPoly.zero())
+        c = self._terms.get(mp)
+        return LaurentPoly.zero() if c is None else LaurentPoly._own(c)
 
     def terms(self) -> Iterator[tuple[Multipartition, LaurentPoly]]:
-        return iter(self._terms.items())
+        return zip(self._terms.keys(), map(LaurentPoly._own, self._terms.values()))
 
     def support(self) -> list[Multipartition]:
         return sorted(self._terms)
@@ -237,24 +244,25 @@ class FockVector:
     def add_scaled(self, other: "FockVector", mult: LaurentPoly) -> "FockVector":
         """self + mult * other."""
         t = dict(self._terms)
-        if mult:
+        m = mult._terms
+        if m:
             for mp, c in other._terms.items():
-                p = c * mult
+                p = _mul(c, m)
                 prev = t.get(mp)
-                n = p if prev is None else prev + p
+                n = p if prev is None else _add(prev, p)
                 if n:
                     t[mp] = n
-                elif mp in t:
+                elif prev is not None:
                     del t[mp]
         return FockVector._wrap(t)
 
     def exact_div(self, q: LaurentPoly) -> "FockVector":
-        return FockVector._wrap({mp: exact_div(c, q) for mp, c in self._terms.items()})
+        return FockVector._wrap({mp: exact_div(c, q)._terms for mp, c in self.terms()})
 
     def __str__(self) -> str:
         if not self._terms:
             return "0"
-        bits = [f"({c})*{list(map(list, mp))}" for mp, c in sorted(self._terms.items())]
+        bits = [f"({c})*{list(map(list, mp))}" for mp, c in sorted(self.terms())]
         return " + ".join(bits)
 
     __repr__ = __str__
@@ -264,7 +272,7 @@ class FockVector:
 
         return [
             {"multipartition": mp_to_json(mp), "coefficient": c.to_json()}
-            for mp, c in sorted(self._terms.items())
+            for mp, c in sorted(self.terms())
         ]
 
     @staticmethod
@@ -277,6 +285,20 @@ class FockVector:
         )
 
 
+@lru_cache(maxsize=None)
+def _expansion(e: int, charges: tuple[int, ...], mp: Multipartition, i: int, k: int):
+    """f_i^(k) of the basis vector mp under FockContext(e, charges), as
+    (multipartition, exponent) pairs, one per k-subset of its addable
+    i-nodes; distinct subsets add distinct nodes, so no two pairs share a
+    multipartition.  The key holds the context's fields, not the context:
+    the collector untracks a tuple of ints and tuples, never a context."""
+    ctx = FockContext(e, charges)
+    return tuple(
+        divided_power_term(mp, subset)
+        for subset in combinations(addable_exponents(ctx, mp, i), k)
+    )
+
+
 def apply_f_divided(ctx: FockContext, vec: FockVector, i: int, k: int) -> FockVector:
     """The divided power f_i^(k) = f_i^k / [k]! by the subset rule of the
     module docstring; k = 1 is f_i.  The iterative route (f_i k times,
@@ -285,15 +307,14 @@ def apply_f_divided(ctx: FockContext, vec: FockVector, i: int, k: int) -> FockVe
         raise ValueError(f"divided power needs k >= 0, got {k}")
     if k == 0:
         return vec
-    out: dict[Multipartition, LaurentPoly] = {}
-    for mp, c in vec.terms():
-        for subset in combinations(addable_exponents(ctx, mp, i), k):
-            nmp, expo = divided_power_term(mp, subset)
-            p = c.shift(expo)
+    out: dict[Multipartition, dict[int, int]] = {}
+    for mp, c in vec._terms.items():
+        for nmp, expo in _expansion(ctx.e, ctx.charges, mp, i, k):
+            p = _shift(c, expo)
             prev = out.get(nmp)
-            n = p if prev is None else prev + p
+            n = p if prev is None else _add(prev, p)
             if n:
                 out[nmp] = n
-            elif nmp in out:
+            elif prev is not None:
                 del out[nmp]
     return FockVector._wrap(out)

@@ -35,6 +35,14 @@ class LaurentPoly:
     # construction helpers
 
     @staticmethod
+    def _own(terms: dict[int, int]) -> "LaurentPoly":
+        """A polynomial over a finished exponent dict (no zero coefficient),
+        without copying it; the dict must never be mutated afterwards."""
+        out = LaurentPoly.__new__(LaurentPoly)
+        out._terms = terms
+        return out
+
+    @staticmethod
     def zero() -> "LaurentPoly":
         return _ZERO
 
@@ -74,30 +82,15 @@ class LaurentPoly:
 
     def in_v_zv(self) -> bool:
         """True iff every exponent is strictly positive (the poly lies in vZ[v])."""
-        return all(e > 0 for e in self._terms)
+        return not self._terms or min(self._terms) > 0
 
     # arithmetic
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if not other._terms:
-            return self
-        if not self._terms:
-            return other
-        t = dict(self._terms)
-        for e, c in other._terms.items():
-            n = t.get(e, 0) + c
-            if n:
-                t[e] = n
-            elif e in t:
-                del t[e]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = t
-        return out
+        return LaurentPoly._own(_add(self._terms, other._terms))
 
     def __neg__(self) -> "LaurentPoly":
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = {e: -c for e, c in self._terms.items()}
-        return out
+        return LaurentPoly._own({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
@@ -106,46 +99,20 @@ class LaurentPoly:
         if isinstance(other, int):
             if other == 0:
                 return _ZERO
-            out = LaurentPoly.__new__(LaurentPoly)
-            out._terms = {e: c * other for e, c in self._terms.items()}
-            return out
+            return LaurentPoly._own({e: c * other for e, c in self._terms.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        if not self._terms or not other._terms:
-            return _ZERO
-        if len(other._terms) == 1:
-            ((oe, oc),) = other._terms.items()
-            out = LaurentPoly.__new__(LaurentPoly)
-            out._terms = {e + oe: c * oc for e, c in self._terms.items()}
-            return out
-        t: dict[int, int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = e1 + e2
-                n = t.get(e, 0) + c1 * c2
-                if n:
-                    t[e] = n
-                elif e in t:
-                    del t[e]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = t
-        return out
+        return LaurentPoly._own(_mul(self._terms, other._terms))
 
     __rmul__ = __mul__
 
     def shift(self, exp: int) -> "LaurentPoly":
         """Multiply by the monomial v^exp."""
-        if exp == 0:
-            return self
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = {e + exp: c for e, c in self._terms.items()}
-        return out
+        return LaurentPoly._own(_shift(self._terms, exp))
 
     def bar(self) -> "LaurentPoly":
         """The bar involution v -> v^-1 (exponent negation term-wise)."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = {-e: c for e, c in self._terms.items()}
-        return out
+        return LaurentPoly._own({-e: c for e, c in self._terms.items()})
 
     # comparisons
 
@@ -195,6 +162,52 @@ class LaurentPoly:
 
 _ZERO = LaurentPoly()
 _ONE = LaurentPoly({0: 1})
+
+
+# Arithmetic on exponent -> nonzero coefficient dicts.  LaurentPoly and
+# fock.FockVector (which stores such dicts, not LaurentPoly objects, so
+# that the collector never tracks its coefficients) both use these.  Each
+# returns a fresh dict or one of its arguments; none mutates an argument.
+
+
+def _add(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    if not b:
+        return a
+    if not a:
+        return b
+    t = dict(a)
+    for e, c in b.items():
+        n = t.get(e, 0) + c
+        if n:
+            t[e] = n
+        else:
+            del t[e]  # c != 0, so a zero sum means e was in t
+    return t
+
+
+def _mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    if not a or not b:
+        return {}
+    if len(b) == 1:
+        ((be, bc),) = b.items()
+        return {e + be: c * bc for e, c in a.items()}
+    t: dict[int, int] = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = e1 + e2
+            n = t.get(e, 0) + c1 * c2
+            if n:
+                t[e] = n
+            else:
+                del t[e]
+    return t
+
+
+def _shift(a: dict[int, int], exp: int) -> dict[int, int]:
+    """a times v^exp; a itself when exp is 0."""
+    if exp == 0:
+        return a
+    return {e + exp: c for e, c in a.items()}
 
 
 @lru_cache(maxsize=None)

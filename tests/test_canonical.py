@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -346,6 +347,26 @@ class TestSerialization:
         # the miss was recomputed and the file rewritten
         with open(path, encoding="utf-8") as fh:
             assert fh.read() == text
+
+
+def test_element_memo_holds_no_per_term_tracked_object():
+    # coefficients are stored as plain exponent dicts, which the collector
+    # never tracks; a LaurentPoly per term would be one tracked object each.
+    # An element itself is four (the element, its WeightInfo, its FockVector
+    # and that vector's dict), allowed for apart from the per-term bound.
+    def tracked():
+        # a tuple is untracked only once what it holds is, a pass at a time
+        for _ in range(8):
+            gc.collect()
+        return len(gc.get_objects())
+
+    basis = CanonicalBasis(C01)
+    verts = vertices_up_to(basis, 8)
+    before = tracked()
+    elems = [basis.element(mp) for mp in verts]
+    added = tracked() - before
+    terms = sum(len(g.vector) for g in elems)
+    assert added < 4 * len(elems) + terms // 10, (added, len(elems), terms)
 
 
 def test_canonical_element_shared_registry():

@@ -201,6 +201,22 @@ class TestVerify:
         assert captured.out == ""
         assert "--a" in captured.err
 
+    @pytest.mark.parametrize("suite,context,flag", [
+        ("top-row", ("--a", "1"), ("--max-degree", "3")),
+        ("weyl", ("--a", "1"), ("--family", "p10k")),
+        ("families", ("--a", "1"), ("--i", "1")),
+        ("duality", ("--charges", "0,1"), ("--k", "2")),
+        ("svelte", ("--charges", "0,1"), ("--n", "2")),
+        ("structural", ("--a", "1"), ("--i", "1")),
+        ("conjecture", ("--a", "1"), ("--family", "p0k1")),
+    ])
+    def test_option_the_suite_does_not_read_exit2(self, capsys, suite, context, flag):
+        code = main(["verify", "--suite", suite, *context, *flag])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert flag[0] in captured.err
+
     def test_conjecture_scan_is_verify_alias(self, capsys):
         code, alias = run(capsys, "conjecture-scan", "--a", "1", "--max-degree", "6")
         assert code == 0

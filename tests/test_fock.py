@@ -133,7 +133,11 @@ class TestDividedPowers:
         assert got == want
 
     def test_direct_equals_iterative(self):
-        # dual-route check, including shapes with removable nodes present
+        # dual-route check, including shapes with removable nodes present.
+        # The same (mp, i, k) recurs under other charges (each pair in both
+        # orders, twice) and under other coefficients, several terms to a
+        # vector: a reused expansion must be keyed by the context and
+        # shifted per term and per subset.
         cases = [
             (C01, ((), ())),
             (C01, ((1,), (1,))),
@@ -141,13 +145,24 @@ class TestDividedPowers:
             (FockContext(2, (0, 0, 1, 1)), ((1,), (), (1,), ())),
             (FockContext(3, (0, 1)), ((2, 1), (1,))),
         ]
+        for pair in ((C01, FockContext(2, (1, 0))), (FockContext(3, (0, 1)), FockContext(3, (1, 2)))):
+            for ctx in (*pair, *pair, *pair[::-1], *pair[::-1]):
+                cases += [(ctx, ((2, 1), (1,))), (ctx, ((1,), (2,)))]
+        a, b = LaurentPoly({-2: 1, 1: 3}), LaurentPoly({5: -1})
         for ctx, mp in cases:
-            v = FockVector.basis(mp)
-            for i in range(ctx.e):
-                for k in range(4):
-                    assert apply_f_divided(ctx, v, i, k) == apply_f_divided_iterative(
-                        ctx, v, i, k
-                    ), (mp, i, k)
+            other = ((1,),) + ((),) * (ctx.level - 1)
+            if other == mp:
+                other = ((),) * ctx.level
+            for v in (
+                FockVector.basis(mp),
+                FockVector([(mp, a), (other, b)]),
+                FockVector([(mp, b), (other, a)]),
+            ):
+                for i in range(ctx.e):
+                    for k in range(4):
+                        assert apply_f_divided(ctx, v, i, k) == apply_f_divided_iterative(
+                            ctx, v, i, k
+                        ), (ctx, v, i, k)
 
     def test_exactness_sweep(self):
         # k-fold f_i is divisible by [k]! on a spread of small vectors

@@ -1,6 +1,7 @@
 """Source hygiene: every function and class in src/kcb is used somewhere,
 every module of src/kcb and tests/ uses what it imports, src/kcb checks nothing
-with assert (python -O strips it), and every kcb name the benchmark in
+with assert (python -O strips it), only laurent.py and fock.py read the
+coefficient storage `_terms`, and every kcb name the benchmark in
 perfbench/ reads still exists.
 
 A name counts as used when code refers to it (a name, an attribute or an
@@ -89,6 +90,19 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == [], f"assert statements (use typed errors): {found}"
+
+
+def test_terms_storage_stays_private():
+    # FockVector and LaurentPoly store plain dicts behind `_terms`; every
+    # other module goes through their methods
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES + [ROOT / "src" / "kcb" / "__init__.py"]
+        if path.name not in ("laurent.py", "fock.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "_terms"
+    ]
+    assert found == [], f"`_terms` read outside laurent.py and fock.py: {found}"
 
 
 def _kcb_reads(tree) -> list[tuple[int, str]]:
