@@ -42,14 +42,14 @@ from .crystal import (
     string_top,
     weight_info,
 )
-from .fock import FockContext, FockVector, apply_f_divided, content
-from .laurent import LaurentPoly
-from .partitions import (
-    Multipartition,
-    dominates,
-    mp_from_json,
-    mp_to_json,
-)
+from .fock import CoefficientError, FockContext, FockVector, apply_f_divided, content
+from .partitions import Multipartition, dominates, mp_from_json
+
+# Part of every disk-cache key: raise it when the file format or the
+# algorithm changes, so that files written before miss instead of relying
+# on the element checks to reject them.  The unversioned keys used before
+# it count as version 1.
+CACHE_VERSION = 2
 
 
 class ReductionError(RuntimeError):
@@ -64,17 +64,16 @@ class CanonicalElement:
     shape: tuple[int, ...]
 
 
-def compute_shape(vector: FockVector, defect: int) -> tuple[int, ...]:
-    """Entry l counts basis terms carrying v^l, with coefficient multiplicity."""
-    shape = [0] * (defect + 1)
-    for mp, c in vector.terms():
-        for e, coef in c.items():
-            if e < 0 or e > defect:
-                raise ReductionError(
-                    f"coefficient exponent {e} outside 0..{defect} at {mp}"
-                )
-            shape[e] += coef
-    return tuple(shape)
+def compute_shape(
+    vector: FockVector, defect: int, label: Multipartition | None = None
+) -> tuple[int, ...]:
+    """Entry l counts basis terms carrying v^l, with coefficient multiplicity.
+    Given a label, also checks the coefficients G(label) must have (leading
+    1, the others in vZ[v], none negative: FockVector.shape)."""
+    try:
+        return vector.shape(defect, label)
+    except CoefficientError as exc:
+        raise ReductionError(str(exc) if label is None else f"G({label}): {exc}") from exc
 
 
 def is_svelte(g: CanonicalElement) -> bool:
@@ -152,40 +151,40 @@ class CanonicalBasis:
         V = self.monomial(mp)  # raises NotAVertexError off the crystal
         info = weight_info(self.ctx, content(self.ctx, mp))
 
-        # terms outside vZ[v], ascending: pop the largest (see the module docstring)
-        todo = sorted(lam for lam, c in V.terms() if not c.in_v_zv())
+        # terms outside vZ[v], ascending: pop the largest (see the module
+        # docstring).  A subtraction only adds terms below nu, so a queued
+        # term stays in todo until it is popped.
+        todo = sorted(V.outside_vzv())
+        queued = set(todo)
         while todo:
             nu = todo.pop()
-            low = {e: c for e, c in V.coefficient(nu).items() if e <= 0}
-            if nu == mp or not low:
-                continue  # the label, or a term back in vZ[v]
-            m_nu = LaurentPoly({**low, **{-e: c for e, c in low.items()}})
+            if nu == mp:
+                continue
+            m_nu = V.symmetric_low(nu)
+            if not m_nu:
+                continue  # a term back in vZ[v]
             try:
                 g = self.element(nu).vector
             except NotAVertexError as exc:
                 raise ReductionError(f"wrong seed for G({mp}): {nu} is not a vertex") from exc
-            before, V = V, V.add_scaled(g, -m_nu)
-            for lam, _ in g.terms():
-                if not V.coefficient(lam).in_v_zv() and before.coefficient(lam).in_v_zv():
+            V = V.add_scaled(g, -m_nu)
+            for lam in V.outside_vzv(among=g):
+                if lam not in queued:
+                    queued.add(lam)
                     insort(todo, lam)
 
-        self._check_element(mp, V)
-        return CanonicalElement(mp, V, info, compute_shape(V, info.defect))
+        return CanonicalElement(mp, V, info, self._check_element(mp, V, info.defect))
 
-    def _check_element(self, mp: Multipartition, V: FockVector) -> None:
-        if V.coefficient(mp) != LaurentPoly.one():
-            raise ReductionError(f"leading coefficient of G({mp}) is not 1")
-        for lam, c in V.terms():
-            if lam == mp:
-                continue
-            if not c.in_v_zv():
-                raise ReductionError(
-                    f"reduction failure: coefficient {c} at {lam} not in vZ[v]"
-                )
-            if not dominates(mp, lam):
+    def _check_element(self, mp: Multipartition, V: FockVector, defect: int) -> tuple[int, ...]:
+        """The shape of V, once V passes the checks of G(mp): the
+        coefficient checks of compute_shape and dominance-triangularity."""
+        shape = compute_shape(V, defect, mp)
+        for lam in V:
+            if lam != mp and not dominates(mp, lam):
                 raise ReductionError(
                     f"reduction failure: {lam} in G({mp}) is not dominated by the label"
                 )
+        return shape
 
     # optional persistent cache
 
@@ -194,7 +193,7 @@ class CanonicalBasis:
         if not root:
             return None
         key = json.dumps(
-            {"e": self.ctx.e, "charges": list(self.ctx.charges), "mp": mp_to_json(mp)},
+            {"e": self.ctx.e, "charges": self.ctx.charges, "mp": mp, "version": CACHE_VERSION},
             sort_keys=True,
         )
         digest = hashlib.sha256(key.encode()).hexdigest()[:32]
@@ -209,9 +208,8 @@ class CanonicalBasis:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 elem = element_from_json(json.load(fh))
-            self._check_element(mp, elem.vector)
             info = weight_info(self.ctx, content(self.ctx, mp))
-            shape = compute_shape(elem.vector, info.defect)
+            shape = self._check_element(mp, elem.vector, info.defect)
         except (ValueError, KeyError, TypeError, ReductionError):
             # bad JSON or text, a missing key, a value of the wrong type, a failed check
             return None
@@ -247,12 +245,14 @@ def get_basis(ctx: FockContext, cache_dir: str | None = None) -> CanonicalBasis:
 
 
 def element_to_json(elem: CanonicalElement) -> dict:
+    """A JSON-ready document; its tuples (label, multipartitions, content,
+    hub, shape) are handed to json as they are, which writes them as lists."""
     return {
-        "label": mp_to_json(elem.label),
-        "content": list(elem.weight.content),
-        "hub": list(elem.weight.hub),
+        "label": elem.label,
+        "content": elem.weight.content,
+        "hub": elem.weight.hub,
         "defect": elem.weight.defect,
-        "shape": list(elem.shape),
+        "shape": elem.shape,
         "terms": elem.vector.to_json()[::-1],  # decreasing tuple order
     }
 

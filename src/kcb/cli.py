@@ -30,7 +30,7 @@ from .crystal import (
     generate_crystal,
 )
 from .fock import FockContext
-from .partitions import mp_from_json
+from .partitions import mp_from_json, mp_to_json
 from .verify import (
     SUITES,
     conjecture_scan,
@@ -116,7 +116,7 @@ def cmd_canonical(args) -> int:
                 (str(c) if e == "0" else (f"v^{e}" if c == 1 else f"{c}*v^{e}"))
                 for e, c in t["coefficient"].items()
             )
-            lines.append(f"  ({coeff}) * {t['multipartition']}")
+            lines.append(f"  ({coeff}) * {mp_to_json(t['multipartition'])}")
         _emit("\n".join(lines) + "\n", args)
     else:
         _emit_json(doc, args)

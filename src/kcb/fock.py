@@ -19,10 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterator, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 from .laurent import LaurentPoly, _add, _mul, _shift, exact_div
-from .partitions import Multipartition
+from .partitions import Multipartition, mp_from_json
+
+
+class CoefficientError(ValueError):
+    """A vector's coefficients break a bound its check was asked for."""
 
 
 class NodeRef(NamedTuple):
@@ -184,15 +188,8 @@ class FockVector:
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
-        t: dict[Multipartition, dict[int, int]] = {}
-        for mp, c in (terms.items() if isinstance(terms, dict) else terms or ()):
-            prev = t.get(mp)
-            n = c._terms if prev is None else _add(prev, c._terms)
-            if n:
-                t[mp] = n
-            elif prev is not None:
-                del t[mp]
-        self._terms = t
+        pairs = terms.items() if isinstance(terms, dict) else terms or ()
+        self._terms = _merged((mp, c._terms) for mp, c in pairs)
 
     @staticmethod
     def _wrap(terms: dict[Multipartition, dict[int, int]]) -> "FockVector":
@@ -216,8 +213,54 @@ class FockVector:
     def terms(self) -> Iterator[tuple[Multipartition, LaurentPoly]]:
         return zip(self._terms.keys(), map(LaurentPoly._own, self._terms.values()))
 
+    def __iter__(self) -> Iterator[Multipartition]:
+        return iter(self._terms)
+
     def support(self) -> list[Multipartition]:
         return sorted(self._terms)
+
+    # dict-level reads for the reduction and the element checks: no
+    # LaurentPoly view per term
+
+    def outside_vzv(self, among: "FockVector | None" = None) -> list[Multipartition]:
+        """The multipartitions whose coefficient lies outside vZ[v], only
+        those in the support of `among` when it is given."""
+        t = self._terms
+        if among is None:
+            return [mp for mp, c in t.items() if min(c) <= 0]
+        return [mp for mp in among._terms if (c := t.get(mp)) and min(c) <= 0]
+
+    def symmetric_low(self, mp: Multipartition) -> LaurentPoly:
+        """The coefficient at mp cut to exponents <= 0 and made
+        bar-symmetric; zero when the coefficient lies in vZ[v]."""
+        low = {e: c for e, c in self._terms.get(mp, {}).items() if e <= 0}
+        return LaurentPoly._own({**low, **{-e: c for e, c in low.items()}})
+
+    def shape(self, defect: int, label: Multipartition | None = None) -> tuple[int, ...]:
+        """Entry l sums the coefficients of v^l over all terms, in one pass;
+        every exponent must lie in 0..defect.  Given a label, the pass also
+        checks what the canonical element G(label) satisfies: coefficient
+        1 at the label, and every other coefficient in vZ[v] with no
+        negative coefficient.  A failed check raises CoefficientError."""
+        t = self._terms
+        if label is not None and t.get(label) != {0: 1}:
+            raise CoefficientError(f"the coefficient at the label {label} is not 1")
+        shape = [0] * (defect + 1)
+        for mp, c in t.items():
+            for e, n in c.items():
+                if not 0 <= e <= defect:
+                    raise CoefficientError(f"coefficient exponent {e} outside 0..{defect} at {mp}")
+                if n < 0 and label is not None:
+                    raise CoefficientError(f"negative coefficient {n}*v^{e} at {mp}")
+                shape[e] += n
+        # every coefficient is positive, so v^0 occurs only at the label
+        # exactly when entry 0 is the label's 1
+        if label is not None and shape[0] != 1:
+            bad = next(mp for mp, c in t.items() if 0 in c and mp != label)
+            raise CoefficientError(
+                f"coefficient {LaurentPoly._own(t[bad])} at {bad} not in vZ[v]"
+            )
+        return tuple(shape)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -268,21 +311,39 @@ class FockVector:
     __repr__ = __str__
 
     def to_json(self) -> list[dict]:
-        from .partitions import mp_to_json
-
+        """Terms in increasing tuple order.  A multipartition stays a tuple
+        of tuples, which json writes as nested lists; a coefficient is an
+        exponent-string -> coefficient map, exponents ascending."""
+        t = self._terms
         return [
-            {"multipartition": mp_to_json(mp), "coefficient": c.to_json()}
-            for mp, c in sorted(self.terms())
+            {"multipartition": mp, "coefficient": {str(e): n for e, n in sorted(t[mp].items())}}
+            for mp in sorted(t)
         ]
 
     @staticmethod
     def from_json(data) -> "FockVector":
-        from .partitions import mp_from_json
+        def exponents(c) -> dict[int, int]:
+            if not isinstance(c, Mapping):
+                raise TypeError(f"a coefficient is a JSON object, got {c!r}")
+            return {e: n for e, n in ((int(e), int(n)) for e, n in c.items()) if n}
 
-        return FockVector(
-            [(mp_from_json(d["multipartition"]), LaurentPoly.from_json(d["coefficient"]))
-             for d in data]
+        return FockVector._wrap(
+            _merged((mp_from_json(d["multipartition"]), exponents(d["coefficient"])) for d in data)
         )
+
+
+def _merged(pairs) -> dict[Multipartition, dict[int, int]]:
+    """Sum (multipartition, exponent dict) pairs into a vector's storage,
+    dropping every coefficient that adds up to zero."""
+    t: dict[Multipartition, dict[int, int]] = {}
+    for mp, c in pairs:
+        prev = t.get(mp)
+        n = c if prev is None else _add(prev, c)
+        if n:
+            t[mp] = n
+        elif prev is not None:
+            del t[mp]
+    return t
 
 
 @lru_cache(maxsize=None)

@@ -80,10 +80,6 @@ class LaurentPoly:
             raise ValueError("zero polynomial has no exponents")
         return max(self._terms)
 
-    def in_v_zv(self) -> bool:
-        """True iff every exponent is strictly positive (the poly lies in vZ[v])."""
-        return not self._terms or min(self._terms) > 0
-
     # arithmetic
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -129,7 +125,7 @@ class LaurentPoly:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    # rendering / serialization
+    # rendering
 
     def __str__(self) -> str:
         if not self._terms:
@@ -148,16 +144,6 @@ class LaurentPoly:
         return " ".join(bits)
 
     __repr__ = __str__
-
-    def to_json(self) -> dict[str, int]:
-        """Exponent-string -> coefficient map, exponents ascending."""
-        return {str(e): c for e, c in sorted(self._terms.items())}
-
-    @staticmethod
-    def from_json(data: Mapping[str, int]) -> "LaurentPoly":
-        if not isinstance(data, Mapping):
-            raise TypeError(f"a coefficient is a JSON object, got {data!r}")
-        return LaurentPoly({int(e): int(c) for e, c in data.items()})
 
 
 _ZERO = LaurentPoly()

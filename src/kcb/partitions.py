@@ -83,6 +83,8 @@ def dominates(mu: Multipartition, lam: Multipartition) -> bool:
         raise ValueError("dominance needs equal levels")
     run, below = 0, False
     for p, q in zip(mu, lam):
+        if p == q:
+            continue  # leaves the running difference, and so `below`, as it is
         for a, b in zip_longest(p, q, fillvalue=0):
             run += a - b
             if run < 0:

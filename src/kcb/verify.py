@@ -30,7 +30,7 @@ from .crystal import (
 )
 from .fock import FockContext, FockVector, symmetric_context
 from .laurent import LaurentPoly
-from .partitions import conjugate, total_size, transpose_each
+from .partitions import conjugate, mp_to_json, total_size, transpose_each
 
 
 @dataclass
@@ -83,7 +83,9 @@ def _difference(expected: FockVector, got: FockVector) -> dict | None:
     delta = got - expected
     if delta.is_zero():
         return None
-    return {"symbolic_difference": delta.to_json()}
+    # lists, not the tuples to_json keeps, so that to_text prints them as lists
+    terms = [{**t, "multipartition": mp_to_json(t["multipartition"])} for t in delta.to_json()]
+    return {"symbolic_difference": terms}
 
 
 def verify_top_row_forms(a: int, i: int, k: int) -> VerificationReport:

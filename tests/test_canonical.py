@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import os
+from collections import Counter
 
 import pytest
 
@@ -130,6 +131,38 @@ class TestAtWeight:
             WrongSeedBasis(C01).element(((2,), ()))
 
 
+class TestElementChecks:
+    def test_negative_coefficient_rejected(self):
+        # leading 1, the rest in vZ[v] within the defect: only the sign is wrong
+        bad = vec((((3,), ()), 0), (((1,), (2,)), 1)).add_scaled(
+            FockVector.basis(((1, 1, 1), ())), LaurentPoly.monomial(1, -1)
+        )
+        with pytest.raises(ReductionError, match="negative"):
+            compute_shape(bad, 2, ((3,), ()))
+        # without a label the shape is all that is asked for
+        assert compute_shape(bad, 2) == (1, 0, 0)
+
+    def test_negative_coefficient_computed(self):
+        class NegativeSeedBasis(CanonicalBasis):
+            def monomial(self, mp):
+                seed = super().monomial(mp)
+                if mp == ((3,), ()):
+                    seed = seed.add_scaled(
+                        FockVector.basis(((1, 1, 1), ())), LaurentPoly.monomial(1, -2)
+                    )
+                return seed
+
+        with pytest.raises(ReductionError, match="negative"):
+            NegativeSeedBasis(C01).element(((3,), ()))
+
+    def test_not_in_vzv_rejected(self):
+        bad = vec((((3,), ()), 0), (((1,), (2,)), 0))
+        with pytest.raises(ReductionError, match="not in vZ"):
+            compute_shape(bad, 2, ((3,), ()))
+        with pytest.raises(ReductionError, match="is not 1"):
+            compute_shape(bad, 2, ((2, 1), ()))  # a label not in the support
+
+
 class TestInvariants:
     def test_sweep_small(self):
         # leading 1, positivity, dominance, unique v^defect term = (diamond)'
@@ -141,7 +174,8 @@ class TestInvariants:
                 assert elem.vector.coefficient(mp) == LaurentPoly.one()
                 for lam, c in elem.vector.terms():
                     if lam != mp:
-                        assert c.in_v_zv()
+                        assert c.min_exponent() > 0
+                        assert all(n > 0 for _, n in c.items())
                         assert dominates(mp, lam)
                 top = mono(elem.weight.defect)
                 tops = [lam for lam, c in elem.vector.terms() if c == top]
@@ -282,6 +316,11 @@ SPOILED = {
         doc, terms=[doc["terms"][0], {**doc["terms"][1], "coefficient": {"0": 1}},
                     *doc["terms"][2:]], shape=[2, 1, 1]
     ),
+    # shape kept consistent, so only the positivity check can catch it
+    "negative-coefficient": lambda text, doc: _with(
+        doc, terms=[doc["terms"][0], {**doc["terms"][1], "coefficient": {"1": -1}},
+                    *doc["terms"][2:]], shape=[1, 0, 1]
+    ),
     "coefficient-not-an-object": lambda text, doc: _with(
         doc, terms=[doc["terms"][0], {**doc["terms"][1], "coefficient": [1]}, *doc["terms"][2:]]
     ),
@@ -332,6 +371,16 @@ class TestSerialization:
         assert basis._cache_path(((3,), ())) in stored
         assert {str(p) for p in tmp_path.iterdir()} == stored | {blocker}
 
+    def test_disk_cache_unversioned_file_not_served(self, tmp_path):
+        # a file under the key of the unversioned format, valid as it is, is not read
+        mp = ((3,), ())
+        key = json.dumps({"e": 2, "charges": [0, 1], "mp": [[3], []]}, sort_keys=True)
+        old = tmp_path / f"{hashlib.sha256(key.encode()).hexdigest()[:32]}.json"
+        old.write_text(json.dumps(element_to_json(get_basis(C01).element(mp))), encoding="utf-8")
+        fresh = CanonicalBasis(C01, cache_dir=str(tmp_path))
+        assert fresh._cache_path(mp) != str(old)
+        assert fresh._disk_load(mp) is None
+
     @pytest.mark.parametrize("spoil", sorted(SPOILED))
     def test_disk_cache_rejects_bad_file(self, tmp_path, spoil):
         mp = ((3,), ())
@@ -367,6 +416,31 @@ def test_element_memo_holds_no_per_term_tracked_object():
     added = tracked() - before
     terms = sum(len(g.vector) for g in elems)
     assert added < 4 * len(elems) + terms // 10, (added, len(elems), terms)
+
+
+def test_reduction_and_serialisation_build_no_view_per_term(monkeypatch):
+    # the reduction, the element checks and element_to_json read the stored
+    # exponent dicts; LaurentPoly views come only with an elimination step
+    # (its multiplier), never per output term
+    own, add_scaled = LaurentPoly._own, FockVector.add_scaled
+    counts = Counter()
+
+    def counting_own(terms):
+        counts["views"] += 1
+        return own(terms)
+
+    def counting_add_scaled(self, other, mult):
+        counts["steps"] += 1
+        return add_scaled(self, other, mult)
+
+    monkeypatch.setattr(LaurentPoly, "_own", staticmethod(counting_own))
+    monkeypatch.setattr(FockVector, "add_scaled", counting_add_scaled)
+    basis = CanonicalBasis(C01)
+    for mp in vertices_up_to(basis, 8):
+        json.dumps(element_to_json(basis.element(mp)))
+    elements = len(basis._elements)
+    terms = sum(len(g.vector) for g in basis._elements.values())
+    assert counts["views"] <= elements + 2 * counts["steps"] < terms, (counts, elements, terms)
 
 
 def test_canonical_element_shared_registry():

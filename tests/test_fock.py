@@ -1,4 +1,7 @@
+import json
+
 import pytest
+from hypothesis import given, strategies as st
 
 from kcb.closedform import inv
 from kcb.fock import (
@@ -236,3 +239,21 @@ def test_weight_bookkeeping():
 def test_fock_vector_json_roundtrip():
     v = vec((((2,), (1,)), 3), (((1, 1), ()), -2))
     assert FockVector.from_json(v.to_json()) == v
+
+
+MPS = (((2,), (1,)), ((1, 1), ()), ((), (3,)))
+coefficients = st.dictionaries(st.integers(-4, 4), st.integers(-3, 3), max_size=4).map(LaurentPoly)
+
+
+@given(st.lists(coefficients, min_size=len(MPS), max_size=len(MPS)))
+def test_dict_level_reads(cs):
+    # the reads that skip the LaurentPoly views agree with the views
+    v = FockVector(zip(MPS, cs))
+    assert FockVector.from_json(json.loads(json.dumps(v.to_json()))) == v
+    outside = {mp for mp, c in v.terms() if c.min_exponent() <= 0}
+    assert set(v.outside_vzv()) == outside
+    first = [MPS[0]] if MPS[0] in outside else []
+    assert v.outside_vzv(among=FockVector.basis(MPS[0])) == first
+    for mp, c in zip(MPS, cs):
+        low = LaurentPoly({e: n for e, n in c.items() if e <= 0})
+        assert v.symmetric_low(mp) == low + LaurentPoly({-e: n for e, n in c.items() if e < 0})

@@ -101,16 +101,6 @@ def test_ring_axioms(p, q, r):
     assert p * (q + r) == p * q + p * r
 
 
-@given(small_polys)
-def test_json_roundtrip(p):
-    assert LaurentPoly.from_json(p.to_json()) == p
-
-
 @given(small_polys, st.integers(min_value=-6, max_value=6))
 def test_shift_is_monomial_product(p, k):
     assert p.shift(k) == p * LaurentPoly.monomial(k)
-
-
-@given(small_polys)
-def test_in_v_zv(p):
-    assert p.in_v_zv() == all(e > 0 for e, _ in p.items())

@@ -107,6 +107,12 @@ class TestDominates:
     def test_padding_example(self):
         assert dominates(((1,), (1,)), ((), (1, 1)))
 
+    def test_equal_component_after_a_negative_difference(self):
+        # the equal middle component is skipped; the deficit before it still counts
+        low, high = ((1,), (2,), (1,)), ((2,), (2,), ())
+        assert not dominates(low, high)
+        assert dominates(high, low)
+
     def test_mismatch_rejected(self):
         with pytest.raises(ValueError):
             dominates(((1,), ()), ((1,),))
