@@ -1,6 +1,9 @@
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
+from kcb.fock import FockVector
 from kcb.laurent import (
     LaurentPoly,
     NotDivisibleError,
@@ -101,6 +104,20 @@ def test_ring_axioms(p, q, r):
     assert p * (q + r) == p * q + p * r
 
 
+@given(small_polys)
+def test_json_roundtrip(p):
+    # a coefficient is serialised as part of a vector
+    v = FockVector([(((1,), ()), p)])
+    assert FockVector.from_json(json.loads(json.dumps(v.to_json()))).coefficient(((1,), ())) == p
+
+
 @given(small_polys, st.integers(min_value=-6, max_value=6))
 def test_shift_is_monomial_product(p, k):
     assert p.shift(k) == p * LaurentPoly.monomial(k)
+
+
+@given(small_polys)
+def test_in_v_zv(p):
+    # vZ[v] membership of a coefficient is read at the vector level
+    v = FockVector([(((1,), ()), p)])
+    assert (not v.outside_vzv()) == all(e > 0 for e, _ in p.items())
