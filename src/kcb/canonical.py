@@ -173,7 +173,9 @@ class CanonicalBasis:
                     queued.add(lam)
                     insort(todo, lam)
 
-        return CanonicalElement(mp, V, info, self._check_element(mp, V, info.defect))
+        shape = self._check_element(mp, V, info.defect)
+        # checked: every exponent is >= 0, so the base 0 drops nothing
+        return CanonicalElement(mp, V.rebased(0), info, shape)
 
     def _check_element(self, mp: Multipartition, V: FockVector, defect: int) -> tuple[int, ...]:
         """The shape of V, once V passes the checks of G(mp): the
@@ -246,7 +248,9 @@ def get_basis(ctx: FockContext, cache_dir: str | None = None) -> CanonicalBasis:
 
 def element_to_json(elem: CanonicalElement) -> dict:
     """A JSON-ready document; its tuples (label, multipartitions, content,
-    hub, shape) are handed to json as they are, which writes them as lists."""
+    hub, shape) are handed to json as they are, which writes them as lists.
+    Terms with equal coefficients may share one coefficient dict, so the
+    document is read-only."""
     return {
         "label": elem.label,
         "content": elem.weight.content,

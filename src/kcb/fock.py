@@ -17,11 +17,12 @@ nodes by (component, row) is unambiguous.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
+from operator import or_
 from typing import Iterator, Mapping, NamedTuple
 
-from .laurent import LaurentPoly, _add, _mul, _shift, exact_div
+from .laurent import LaurentPoly, exact_div
 from .partitions import Multipartition, mp_from_json
 
 
@@ -177,41 +178,112 @@ def content(ctx: FockContext, mp: Multipartition) -> tuple[int, ...]:
     return tuple(out)
 
 
+# Coefficient storage: Kronecker substitution (D. Harvey, J. Symbolic
+# Comput. 44, 2009).  A coefficient sum_e c_e v^e of a vector with
+# exponent base lo is stored as the one int X = sum_e c_e 2^(W (e - lo)),
+# its value at v = 2^W: a shift by v^s is X << W*s, a sum is +, a product
+# is *, exactly.  Reading the digits c_e back off X is right only while
+# every |c_e| < 2^(W-1), so each vector carries a bound on its |c_e|, and
+# building one whose bound reaches LIMIT, or from exponents spread over
+# SPAN or more, raises CoefficientError.
+W = 64
+LIMIT = 1 << (W - 2)
+SPAN = 1 << 12  # exponents one vector may spread over: a packed int stays below W * SPAN bits
+_MASK = (1 << W) - 1
+_HALF = 1 << (W - 1)
+
+
+def _encode(c: Mapping[int, int], lo: int) -> int:
+    """The int of an exponent -> coefficient map over the base lo <= every exponent."""
+    return sum(n << W * (e - lo) for e, n in c.items())
+
+
+def _decode(x: int, lo: int) -> dict[int, int]:
+    """The exponent -> nonzero coefficient dict of x over the base lo,
+    exponents ascending; every digit must lie strictly within 2^(W-1)."""
+    out = {}
+    e = lo
+    while x:
+        d = x & _MASK
+        if d:
+            if d >= _HALF:
+                d -= 1 << W
+            out[e] = d
+            x -= d
+        x >>= W
+        e += 1
+    return out
+
+
+def _top_bits(digits: int) -> int:
+    """The top bit of each of the lowest `digits` digits."""
+    return _HALF * (((1 << W * digits) - 1) // _MASK)
+
+
 class FockVector:
     """Finite formal sum multipartition -> Laurent polynomial.
 
-    Each coefficient is stored as a plain exponent -> nonzero coefficient
-    dict (the collector never tracks one) and handed out as a LaurentPoly
-    view over it; a stored dict is never mutated.
+    Each coefficient is stored as one int over the vector's exponent base
+    (see W above), so the collector never tracks a vector's dict; it is
+    handed out as a LaurentPoly decoded from that int.  A stored dict is
+    never mutated.  `_bound` is at least every |coefficient of a v^e|.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_lo", "_bound")
 
     def __init__(self, terms=None):
         pairs = terms.items() if isinstance(terms, dict) else terms or ()
-        self._terms = _merged((mp, c._terms) for mp, c in pairs)
+        v = FockVector._encoded([(mp, c._terms) for mp, c in pairs])
+        self._terms, self._lo, self._bound = v._terms, v._lo, v._bound
 
     @staticmethod
-    def _wrap(terms: dict[Multipartition, dict[int, int]]) -> "FockVector":
+    def _wrap(terms: dict[Multipartition, int], lo: int, bound: int) -> "FockVector":
         """A vector over a finished dict: no zero coefficient, nothing to merge."""
+        if bound >= LIMIT:
+            raise CoefficientError(f"coefficient bound {bound} reaches 2^{W - 2}")
         v = FockVector.__new__(FockVector)
-        v._terms = terms
+        v._terms, v._lo, v._bound = terms, lo, bound
         return v
 
     @staticmethod
+    def _encoded(pairs: list[tuple[Multipartition, Mapping[int, int]]]) -> "FockVector":
+        """Sum (multipartition, exponent -> coefficient map) pairs into a
+        vector, dropping every coefficient that adds up to zero."""
+        exponents = [e for _, c in pairs for e in c]
+        lo = min(exponents, default=0)
+        if exponents and max(exponents) - lo >= SPAN:
+            raise CoefficientError(f"exponents {lo}..{max(exponents)} span {SPAN} or more")
+        t: dict[Multipartition, int] = {}
+        extra = 0  # pairs summed onto a term already there
+        for mp, c in pairs:
+            x = _encode(c, lo)
+            prev = t.get(mp)
+            if prev is not None:
+                x += prev
+                extra += 1
+            if x:
+                t[mp] = x
+            elif prev is not None:
+                del t[mp]
+        # a stored term sums at most 1 + extra pairs, each within top
+        top = max((abs(n) for _, c in pairs for n in c.values()), default=0)
+        return FockVector._wrap(t, lo, top * (1 + extra))
+
+    @staticmethod
     def basis(mp: Multipartition) -> "FockVector":
-        return FockVector._wrap({mp: LaurentPoly.one()._terms})
+        return FockVector._wrap({mp: 1}, 0, 1)
 
     @staticmethod
     def zero() -> "FockVector":
-        return FockVector._wrap({})
+        return FockVector._wrap({}, 0, 0)
 
     def coefficient(self, mp: Multipartition) -> LaurentPoly:
-        c = self._terms.get(mp)
-        return LaurentPoly.zero() if c is None else LaurentPoly._own(c)
+        x = self._terms.get(mp)
+        return LaurentPoly.zero() if x is None else LaurentPoly._own(_decode(x, self._lo))
 
     def terms(self) -> Iterator[tuple[Multipartition, LaurentPoly]]:
-        return zip(self._terms.keys(), map(LaurentPoly._own, self._terms.values()))
+        lo = self._lo
+        return ((mp, LaurentPoly._own(_decode(x, lo))) for mp, x in self._terms.items())
 
     def __iter__(self) -> Iterator[Multipartition]:
         return iter(self._terms)
@@ -219,48 +291,91 @@ class FockVector:
     def support(self) -> list[Multipartition]:
         return sorted(self._terms)
 
-    # dict-level reads for the reduction and the element checks: no
-    # LaurentPoly view per term
+    def rebased(self, lo: int) -> "FockVector":
+        """The same vector over the exponent base lo; raises CoefficientError
+        when a coefficient has a term below v^lo."""
+        s = W * (lo - self._lo)
+        if s == 0:
+            return self
+        if s < 0:
+            t = {mp: x << -s for mp, x in self._terms.items()}
+        elif reduce(or_, map(abs, self._terms.values()), 0) & ((1 << s) - 1):
+            raise CoefficientError(f"a coefficient has a term below v^{lo}")
+        else:
+            t = {mp: x >> s for mp, x in self._terms.items()}
+        return FockVector._wrap(t, lo, self._bound)
+
+    # int-level reads for the reduction and the element checks: no
+    # LaurentPoly per term
 
     def outside_vzv(self, among: "FockVector | None" = None) -> list[Multipartition]:
         """The multipartitions whose coefficient lies outside vZ[v], only
         those in the support of `among` when it is given."""
+        if self._lo > 0:
+            return []
+        # the digits at exponents <= 0 are zero exactly when X has no bit below them
+        low = (1 << W * (1 - self._lo)) - 1
         t = self._terms
         if among is None:
-            return [mp for mp, c in t.items() if min(c) <= 0]
-        return [mp for mp in among._terms if (c := t.get(mp)) and min(c) <= 0]
+            return [mp for mp, x in t.items() if x & low]
+        return [mp for mp in among._terms if t.get(mp, 0) & low]
 
     def symmetric_low(self, mp: Multipartition) -> LaurentPoly:
         """The coefficient at mp cut to exponents <= 0 and made
         bar-symmetric; zero when the coefficient lies in vZ[v]."""
-        low = {e: c for e, c in self._terms.get(mp, {}).items() if e <= 0}
+        x, lo = self._terms.get(mp, 0), self._lo
+        if lo > 0 or not x:
+            return LaurentPoly.zero()
+        bits = W * (1 - lo)
+        x &= (1 << bits) - 1
+        if x >> (bits - 1):  # the low digits sum to a negative number
+            x -= 1 << bits
+        low = _decode(x, lo)
         return LaurentPoly._own({**low, **{-e: c for e, c in low.items()}})
 
     def shape(self, defect: int, label: Multipartition | None = None) -> tuple[int, ...]:
-        """Entry l sums the coefficients of v^l over all terms, in one pass;
-        every exponent must lie in 0..defect.  Given a label, the pass also
-        checks what the canonical element G(label) satisfies: coefficient
+        """Entry l sums the coefficients of v^l over all terms; every
+        exponent must lie in 0..defect.  Given a label, the check also
+        covers what the canonical element G(label) satisfies: coefficient
         1 at the label, and every other coefficient in vZ[v] with no
-        negative coefficient.  A failed check raises CoefficientError."""
-        t = self._terms
-        if label is not None and t.get(label) != {0: 1}:
+        negative coefficient; the bound then drops to max(shape), which
+        bounds every coefficient once none is negative.  A failed check
+        raises CoefficientError."""
+        t, lo = self._terms, self._lo
+        if label is not None and (lo > 0 or t.get(label) != 1 << W * -lo):
             raise CoefficientError(f"the coefficient at the label {label} is not 1")
-        shape = [0] * (defect + 1)
-        for mp, c in t.items():
-            for e, n in c.items():
-                if not 0 <= e <= defect:
-                    raise CoefficientError(f"coefficient exponent {e} outside 0..{defect} at {mp}")
-                if n < 0 and label is not None:
-                    raise CoefficientError(f"negative coefficient {n}*v^{e} at {mp}")
-                shape[e] += n
-        # every coefficient is positive, so v^0 occurs only at the label
-        # exactly when entry 0 is the label's 1
-        if label is not None and shape[0] != 1:
-            bad = next(mp for mp, c in t.items() if 0 in c and mp != label)
-            raise CoefficientError(
-                f"coefficient {LaurentPoly._own(t[bad])} at {bad} not in vZ[v]"
+        if not t:
+            return (0,) * (defect + 1)
+        xs = t.values()
+        if label is not None:
+            # no negative digit exactly when X >= 0 and no digit has its top bit
+            ored = reduce(or_, xs)
+            if min(xs) < 0 or ored & _top_bits(ored.bit_length() // W + 1):
+                bad = next(mp for mp, x in t.items() if min(_decode(x, lo).values()) < 0)
+                raise CoefficientError(f"negative coefficient at {bad}: {self.coefficient(bad)}")
+        else:
+            ored = reduce(or_, map(abs, xs))
+        # the lowest and the highest digit of the ints with |digit| < 2^(W-1)
+        first = lo + ((ored & -ored).bit_length() - 1) // W
+        last = lo + ored.bit_length() // W
+        if first < 0 or last > defect:
+            bad, c = next(
+                (mp, c) for mp, c in self.terms()
+                if not 0 <= c.min_exponent() <= c.max_exponent() <= defect
             )
-        return tuple(shape)
+            raise CoefficientError(f"coefficient {c} at {bad}: an exponent outside 0..{defect}")
+        if self._bound * len(t) >= LIMIT:
+            raise CoefficientError(f"the shape's bound {self._bound} * {len(t)} reaches 2^{W - 2}")
+        total = _decode(sum(xs), lo)
+        shape = tuple(total.get(e, 0) for e in range(defect + 1))
+        if label is not None:
+            # every coefficient is positive, so v^0 occurs only at the label
+            # exactly when entry 0 is the label's 1
+            if shape[0] != 1:
+                bad = next(mp for mp, x in t.items() if x & _MASK << W * -lo and mp != label)
+                raise CoefficientError(f"coefficient {self.coefficient(bad)} at {bad} not in vZ[v]")
+            self._bound = max(shape)
+        return shape
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -274,7 +389,8 @@ class FockVector:
     def __eq__(self, other) -> bool:
         if not isinstance(other, FockVector):
             return NotImplemented
-        return self._terms == other._terms
+        lo = min(self._lo, other._lo)
+        return self.rebased(lo)._terms == other.rebased(lo)._terms
 
     __hash__ = None
 
@@ -286,21 +402,24 @@ class FockVector:
 
     def add_scaled(self, other: "FockVector", mult: LaurentPoly) -> "FockVector":
         """self + mult * other."""
-        t = dict(self._terms)
         m = mult._terms
-        if m:
-            for mp, c in other._terms.items():
-                p = _mul(c, m)
-                prev = t.get(mp)
-                n = p if prev is None else _add(prev, p)
-                if n:
-                    t[mp] = n
-                elif prev is not None:
-                    del t[mp]
-        return FockVector._wrap(t)
+        if not m or not other._terms:
+            return self
+        mlo = min(m)
+        base = other._lo + mlo  # the products' exponent base
+        lo = min(self._lo, base)
+        t = dict(self.rebased(lo)._terms)
+        mult_x = _encode(m, mlo) << W * (base - lo)
+        for mp, x in other._terms.items():
+            n = t.get(mp, 0) + x * mult_x
+            if n:
+                t[mp] = n
+            else:
+                del t[mp]  # x * mult_x != 0, so a zero sum means mp was in t
+        return FockVector._wrap(t, lo, self._bound + other._bound * sum(map(abs, m.values())))
 
     def exact_div(self, q: LaurentPoly) -> "FockVector":
-        return FockVector._wrap({mp: exact_div(c, q)._terms for mp, c in self.terms()})
+        return FockVector([(mp, exact_div(c, q)) for mp, c in self.terms()])
 
     def __str__(self) -> str:
         if not self._terms:
@@ -313,51 +432,40 @@ class FockVector:
     def to_json(self) -> list[dict]:
         """Terms in increasing tuple order.  A multipartition stays a tuple
         of tuples, which json writes as nested lists; a coefficient is an
-        exponent-string -> coefficient map, exponents ascending."""
-        t = self._terms
-        return [
-            {"multipartition": mp, "coefficient": {str(e): n for e, n in sorted(t[mp].items())}}
-            for mp in sorted(t)
-        ]
+        exponent-string -> coefficient map, exponents ascending, decoded
+        once per distinct coefficient and shared by the terms that have it."""
+        t, lo = self._terms, self._lo
+        maps = {x: {str(e): n for e, n in _decode(x, lo).items()} for x in set(t.values())}
+        return [{"multipartition": mp, "coefficient": maps[t[mp]]} for mp in sorted(t)]
 
     @staticmethod
     def from_json(data) -> "FockVector":
         def exponents(c) -> dict[int, int]:
             if not isinstance(c, Mapping):
                 raise TypeError(f"a coefficient is a JSON object, got {c!r}")
-            return {e: n for e, n in ((int(e), int(n)) for e, n in c.items()) if n}
+            return {int(e): int(n) for e, n in c.items()}
 
-        return FockVector._wrap(
-            _merged((mp_from_json(d["multipartition"]), exponents(d["coefficient"])) for d in data)
+        return FockVector._encoded(
+            [(mp_from_json(d["multipartition"]), exponents(d["coefficient"])) for d in data]
         )
-
-
-def _merged(pairs) -> dict[Multipartition, dict[int, int]]:
-    """Sum (multipartition, exponent dict) pairs into a vector's storage,
-    dropping every coefficient that adds up to zero."""
-    t: dict[Multipartition, dict[int, int]] = {}
-    for mp, c in pairs:
-        prev = t.get(mp)
-        n = c if prev is None else _add(prev, c)
-        if n:
-            t[mp] = n
-        elif prev is not None:
-            del t[mp]
-    return t
 
 
 @lru_cache(maxsize=None)
 def _expansion(e: int, charges: tuple[int, ...], mp: Multipartition, i: int, k: int):
-    """f_i^(k) of the basis vector mp under FockContext(e, charges), as
-    (multipartition, exponent) pairs, one per k-subset of its addable
-    i-nodes; distinct subsets add distinct nodes, so no two pairs share a
-    multipartition.  The key holds the context's fields, not the context:
-    the collector untracks a tuple of ints and tuples, never a context."""
+    """f_i^(k) of the basis vector mp under FockContext(e, charges): the
+    least exponent `low` (0 when there is no term) and one (multipartition,
+    W * (exponent - low)) pair per k-subset of mp's addable i-nodes, the
+    shift that puts the term's v^exponent onto v^low.  Distinct subsets
+    add distinct nodes, so no two pairs share a multipartition.  The key
+    holds the context's fields, not the context: the collector untracks a
+    tuple of ints and tuples, never a context."""
     ctx = FockContext(e, charges)
-    return tuple(
+    pairs = [
         divided_power_term(mp, subset)
         for subset in combinations(addable_exponents(ctx, mp, i), k)
-    )
+    ]
+    low = min((expo for _, expo in pairs), default=0)
+    return low, tuple((nmp, W * (expo - low)) for nmp, expo in pairs)
 
 
 def apply_f_divided(ctx: FockContext, vec: FockVector, i: int, k: int) -> FockVector:
@@ -368,14 +476,17 @@ def apply_f_divided(ctx: FockContext, vec: FockVector, i: int, k: int) -> FockVe
         raise ValueError(f"divided power needs k >= 0, got {k}")
     if k == 0:
         return vec
-    out: dict[Multipartition, dict[int, int]] = {}
-    for mp, c in vec._terms.items():
-        for nmp, expo in _expansion(ctx.e, ctx.charges, mp, i, k):
-            p = _shift(c, expo)
-            prev = out.get(nmp)
-            n = p if prev is None else _add(prev, p)
+    t = vec._terms
+    expansions = [_expansion(ctx.e, ctx.charges, mp, i, k) for mp in t]
+    low = min((lo for lo, pairs in expansions if pairs), default=0)
+    out: dict[Multipartition, int] = {}
+    for x, (lo, pairs) in zip(t.values(), expansions):
+        x <<= W * (lo - low)
+        for nmp, s in pairs:
+            n = out.get(nmp, 0) + (x << s)
             if n:
                 out[nmp] = n
-            elif prev is not None:
-                del out[nmp]
-    return FockVector._wrap(out)
+            else:
+                del out[nmp]  # x << s != 0, so a zero sum means nmp was in out
+    # a term of the output sums at most one term per input term
+    return FockVector._wrap(out, vec._lo + low, vec._bound * len(t))

@@ -1,7 +1,10 @@
 """Exact integer Laurent-polynomial arithmetic in one variable v.
 
 All Fock-space coefficients live in Z[v, v^-1].  Coefficients are plain
-Python ints, so nothing ever overflows silently.
+Python ints, so LaurentPoly never overflows.  fock.FockVector packs each
+of its coefficients into one int with a W-bit digit per exponent; there
+nothing overflows silently because every vector carries a bound on its
+digits and an operation that would let it reach 2^(W-2) raises.
 """
 
 from __future__ import annotations
@@ -150,9 +153,8 @@ _ZERO = LaurentPoly()
 _ONE = LaurentPoly({0: 1})
 
 
-# Arithmetic on exponent -> nonzero coefficient dicts.  LaurentPoly and
-# fock.FockVector (which stores such dicts, not LaurentPoly objects, so
-# that the collector never tracks its coefficients) both use these.  Each
+# Arithmetic on exponent -> nonzero coefficient dicts, for LaurentPoly
+# (fock.FockVector stores packed ints and does not use these).  Each
 # returns a fresh dict or one of its arguments; none mutates an argument.
 
 

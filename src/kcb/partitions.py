@@ -29,6 +29,7 @@ def as_partition(rows) -> Partition:
     return p
 
 
+@lru_cache(maxsize=None)
 def transpose(p: Partition) -> Partition:
     if not p:
         return ()

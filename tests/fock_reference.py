@@ -8,6 +8,9 @@ time; apply_f_divided_iterative applies apply_f k times and divides
 exactly by [k]!.  None of them shares the subset rule of kcb.fock.
 expand_family_branches carries every choice branch separately to the
 last stage, with its own plain and corrected exponents, and merges none.
+dict_add_scaled and dict_apply_f_divided work on plain
+multipartition -> {exponent: coefficient} dicts, so they check the packed
+int storage of kcb.fock.FockVector against arithmetic that has none.
 """
 
 from itertools import combinations
@@ -114,3 +117,38 @@ def expand_family_branches(
     if len(conts) > 1:
         raise ValueError(f"branches ended at different weights: {sorted(conts)}")
     return branches
+
+
+def as_dicts(vec: FockVector) -> dict[Multipartition, dict[int, int]]:
+    """A vector as multipartition -> {exponent: coefficient}."""
+    return {mp: dict(c.items()) for mp, c in vec.terms()}
+
+
+def _accumulate(out: dict, mp: Multipartition, e: int, n: int) -> None:
+    c = out.setdefault(mp, {})
+    c[e] = c.get(e, 0) + n
+    if not c[e]:
+        del c[e]
+        if not c:
+            del out[mp]
+
+
+def dict_add_scaled(a: dict, b: dict, mult: dict[int, int]) -> dict:
+    """a + mult * b, one (exponent, coefficient) product at a time."""
+    out = {mp: dict(c) for mp, c in a.items()}
+    for mp, c in b.items():
+        for e1, n1 in c.items():
+            for e2, n2 in mult.items():
+                _accumulate(out, mp, e1 + e2, n1 * n2)
+    return out
+
+
+def dict_apply_f_divided(ctx: FockContext, a: dict, i: int, k: int) -> dict:
+    """f_i^(k) by the subset rule, one subset and one exponent at a time."""
+    out: dict = {}
+    for mp, c in a.items():
+        for subset in combinations(addable_exponents(ctx, mp, i), k):
+            nmp, expo = divided_power_term(mp, subset)
+            for e, n in c.items():
+                _accumulate(out, nmp, e + expo, n)
+    return out

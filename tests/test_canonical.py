@@ -321,6 +321,11 @@ SPOILED = {
         doc, terms=[doc["terms"][0], {**doc["terms"][1], "coefficient": {"1": -1}},
                     *doc["terms"][2:]], shape=[1, 0, 1]
     ),
+    # one digit per exponent in between would not fit in memory
+    "exponent-far-out": lambda text, doc: _with(
+        doc, terms=[doc["terms"][0], {**doc["terms"][1], "coefficient": {"1": 1, str(10**15): 1}},
+                    *doc["terms"][2:]]
+    ),
     "coefficient-not-an-object": lambda text, doc: _with(
         doc, terms=[doc["terms"][0], {**doc["terms"][1], "coefficient": [1]}, *doc["terms"][2:]]
     ),
@@ -399,10 +404,11 @@ class TestSerialization:
 
 
 def test_element_memo_holds_no_per_term_tracked_object():
-    # coefficients are stored as plain exponent dicts, which the collector
-    # never tracks; a LaurentPoly per term would be one tracked object each.
-    # An element itself is four (the element, its WeightInfo, its FockVector
-    # and that vector's dict), allowed for apart from the per-term bound.
+    # coefficients are stored as ints, so the collector tracks neither them
+    # nor the vector's dict of tuples and ints; a LaurentPoly per term would
+    # be one tracked object each.  An element itself is three (the element,
+    # its WeightInfo and its FockVector), allowed for apart from the
+    # per-term bound.
     def tracked():
         # a tuple is untracked only once what it holds is, a pass at a time
         for _ in range(8):
@@ -415,12 +421,12 @@ def test_element_memo_holds_no_per_term_tracked_object():
     elems = [basis.element(mp) for mp in verts]
     added = tracked() - before
     terms = sum(len(g.vector) for g in elems)
-    assert added < 4 * len(elems) + terms // 10, (added, len(elems), terms)
+    assert added < 3 * len(elems) + terms // 10, (added, len(elems), terms)
 
 
 def test_reduction_and_serialisation_build_no_view_per_term(monkeypatch):
     # the reduction, the element checks and element_to_json read the stored
-    # exponent dicts; LaurentPoly views come only with an elimination step
+    # ints; LaurentPoly views come only with an elimination step
     # (its multiplier), never per output term
     own, add_scaled = LaurentPoly._own, FockVector.add_scaled
     counts = Counter()

@@ -3,8 +3,13 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+from kcb.canonical import CanonicalBasis
 from kcb.closedform import inv
+from kcb.crystal import generate_crystal
 from kcb.fock import (
+    LIMIT,
+    SPAN,
+    CoefficientError,
     FockContext,
     FockVector,
     NodeRef,
@@ -18,7 +23,14 @@ from kcb.fock import (
 from kcb.laurent import LaurentPoly
 from kcb.partitions import iter_multipartitions
 
-from fock_reference import apply_e, apply_f, apply_f_divided_iterative
+from fock_reference import (
+    apply_e,
+    apply_f,
+    apply_f_divided_iterative,
+    as_dicts,
+    dict_add_scaled,
+    dict_apply_f_divided,
+)
 
 C01 = FockContext(2, (0, 1))
 A3 = symmetric_context(3)
@@ -257,3 +269,105 @@ def test_dict_level_reads(cs):
     for mp, c in zip(MPS, cs):
         low = LaurentPoly({e: n for e, n in c.items() if e <= 0})
         assert v.symmetric_low(mp) == low + LaurentPoly({-e: n for e, n in c.items() if e < 0})
+
+
+# the packed int storage of FockVector against plain dicts
+
+near_limit = st.one_of(
+    st.integers(1 - LIMIT, LIMIT - 1),
+    st.sampled_from([LIMIT - 1, 1 - LIMIT, LIMIT // 2 + 1, -(LIMIT // 2) - 1, 1, -1]),
+)
+wide = st.dictionaries(st.integers(-40, 40), near_limit.filter(bool), max_size=6)
+small = st.dictionaries(st.integers(-5, 5), st.integers(-3, 3).filter(bool), max_size=4)
+
+
+def packed(cs, mps=MPS) -> FockVector:
+    return FockVector([(mp, LaurentPoly(c)) for mp, c in zip(mps, cs)])
+
+
+@given(st.lists(wide, min_size=len(MPS), max_size=len(MPS)))
+def test_packed_roundtrip(cs):
+    v = packed(cs)
+    want = {mp: c for mp, c in zip(MPS, cs) if c}
+    assert as_dicts(v) == want
+    for other in (v.rebased(-60), FockVector.from_json(json.loads(json.dumps(v.to_json())))):
+        assert other == v and as_dicts(other) == want
+    for mp, c in want.items():
+        assert v.coefficient(mp) == LaurentPoly(c)
+        low = {e: n for e, n in c.items() if e <= 0}
+        assert v.symmetric_low(mp) == LaurentPoly({**low, **{-e: n for e, n in low.items()}})
+
+
+@given(
+    st.lists(small, min_size=len(MPS), max_size=len(MPS)),
+    st.lists(small, min_size=len(MPS), max_size=len(MPS)),
+    small,
+)
+def test_packed_arithmetic_matches_dicts(ca, cb, m):
+    a, b = packed(ca), packed(cb, MPS[::-1])
+    da, db = as_dicts(a), as_dicts(b)
+    # each vector over its own least exponent and over two lower bases
+    ras = (a, a.rebased(-5), a.rebased(-9))
+    rbs = (b, b.rebased(-6), b.rebased(-5))
+    want = dict_add_scaled(da, db, m)
+    for x in ras:
+        for y in rbs:
+            assert as_dicts(x.add_scaled(y, LaurentPoly(m))) == want
+            assert (x == y) == (da == db)
+        assert x == a and x != a + FockVector.basis(MPS[0])
+    for i in range(C01.e):
+        for k in range(3):
+            want = dict_apply_f_divided(C01, da, i, k)
+            for x in ras:
+                assert as_dicts(apply_f_divided(C01, x, i, k)) == want
+
+
+def test_bound_reaching_limit_raises():
+    half = LaurentPoly({0: LIMIT // 2})
+    v = FockVector([(MPS[0], half)])
+    with pytest.raises(CoefficientError):
+        v + v  # the bound adds up to 2^(W-2) even though no digit does yet
+    with pytest.raises(CoefficientError):
+        v - v  # a bound, not the value: the difference is zero
+    with pytest.raises(CoefficientError):
+        FockVector([(MPS[0], LaurentPoly({-3: LIMIT}))])
+    with pytest.raises(CoefficientError):
+        FockVector([(MPS[0], half), (MPS[1], half), (MPS[0], half)])  # one term sums two
+    with pytest.raises(CoefficientError):
+        FockVector.from_json([{"multipartition": [[1], []], "coefficient": {"2": -LIMIT}}])
+    assert packed([{0: 1}, {SPAN - 1: -1}]).coefficient(MPS[1]) == LaurentPoly({SPAN - 1: -1})
+    with pytest.raises(CoefficientError):
+        # a packed int has a digit per exponent in between: refused, not allocated
+        FockVector.from_json([
+            {"multipartition": [[1], []], "coefficient": {"0": 1}},
+            {"multipartition": [[], [1]], "coefficient": {str(10**12): 1}},
+        ])
+    with pytest.raises(CoefficientError):
+        # the shape sums the terms: the bound times the number of terms
+        FockVector([(MPS[0], half), (MPS[1], half)]).shape(0)
+    with pytest.raises(CoefficientError):
+        # f_i^(k): the input bound times the number of input terms
+        apply_f_divided(C01, FockVector([(MPS[0], half), (MPS[1], half)]), 0, 1)
+
+
+def test_element_bound_is_at_most_max_shape(tmp_path):
+    # without the reset to max(shape) the bounds compound through the recursion
+    ctx = FockContext(2, (0, 0, 1, 1))
+    labels = sorted(generate_crystal(ctx, 7).degrees)
+    for basis in (CanonicalBasis(ctx, str(tmp_path)), CanonicalBasis(ctx, str(tmp_path))):
+        for mp in labels:
+            g = basis.element(mp)
+            assert g.vector._bound <= max(g.shape), (mp, g.vector._bound, g.shape)
+
+
+def test_shape_reads_signs_off_the_digits():
+    # v^2 - v packs to 2^(2W) - 2^W > 0: only its digits show the -1
+    label, other = MPS[0], MPS[1]
+    v = FockVector([(label, LaurentPoly.one()), (other, LaurentPoly({1: -1, 2: 1}))])
+    assert v.shape(2) == (1, -1, 1)
+    with pytest.raises(CoefficientError, match="negative"):
+        v.shape(2, label)
+    w = FockVector([(label, LaurentPoly.one()), (other, LaurentPoly({1: 2, 2: 1}))])
+    assert w.shape(2, label) == (1, 2, 1) and w._bound == 2
+    with pytest.raises(CoefficientError, match="outside"):
+        w.shape(1, label)

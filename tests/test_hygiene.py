@@ -93,8 +93,8 @@ def test_no_assert_statements():
 
 
 def test_terms_storage_stays_private():
-    # FockVector and LaurentPoly store plain dicts behind `_terms`; every
-    # other module goes through their methods
+    # LaurentPoly stores an exponent dict and FockVector a dict of packed
+    # ints behind `_terms`; every other module goes through their methods
     found = [
         f"{path.name}:{node.lineno}"
         for path in SOURCES + [ROOT / "src" / "kcb" / "__init__.py"]
