@@ -221,12 +221,15 @@ class CanonicalBasis:
         path = self._cache_path(elem.label)
         if not path:
             return
+        # encoded before the temporary file exists, so a failure leaves none;
+        # json.dumps takes the C encoder, json.dump the pure-Python one
+        text = json.dumps(element_to_json(elem))
         root = os.path.dirname(path)
         os.makedirs(root, exist_ok=True)
         # a private temporary file per write, so concurrent writers never share one
         fd, tmp = tempfile.mkstemp(dir=root, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(element_to_json(elem), fh)
+            fh.write(text)
         os.replace(tmp, path)
 
 
@@ -262,8 +265,18 @@ def element_to_json(elem: CanonicalElement) -> dict:
 
 
 def element_from_json(data) -> CanonicalElement:
+    """The element of element_to_json's document.  Every number must be an
+    int: a float or bool equals the int a check compares it with, but would
+    be served and written back as it is."""
     vector = FockVector.from_json(data["terms"])
-    info = WeightInfo(tuple(data["content"]), tuple(data["hub"]), data["defect"])
-    return CanonicalElement(
-        mp_from_json(data["label"]), vector, info, tuple(data["shape"])
-    )
+    content, hub, shape = (_ints(data[key]) for key in ("content", "hub", "shape"))
+    (defect,) = _ints([data["defect"]])
+    info = WeightInfo(content, hub, defect)
+    return CanonicalElement(mp_from_json(data["label"]), vector, info, shape)
+
+
+def _ints(values) -> tuple[int, ...]:
+    """A list of ints as a tuple; a bool, a float or any other value raises TypeError."""
+    if type(values) not in (list, tuple) or not set(map(type, values)) <= {int}:
+        raise TypeError(f"expected a list of ints, got {values!r}")
+    return tuple(values)

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import combinations
+from itertools import chain, combinations
 from operator import or_
 from typing import Iterator, Mapping, NamedTuple
 
 from .laurent import LaurentPoly, exact_div
-from .partitions import Multipartition, mp_from_json
+from .partitions import Multipartition, mps_from_json
 
 
 class CoefficientError(ValueError):
@@ -248,15 +248,18 @@ class FockVector:
     @staticmethod
     def _encoded(pairs: list[tuple[Multipartition, Mapping[int, int]]]) -> "FockVector":
         """Sum (multipartition, exponent -> coefficient map) pairs into a
-        vector, dropping every coefficient that adds up to zero."""
-        exponents = [e for _, c in pairs for e in c]
+        vector, dropping every coefficient that adds up to zero.  Pairs
+        may share one map object, which is then encoded once."""
+        maps = list({id(c): c for _, c in pairs}.values())
+        exponents = [e for c in maps for e in c]
         lo = min(exponents, default=0)
         if exponents and max(exponents) - lo >= SPAN:
             raise CoefficientError(f"exponents {lo}..{max(exponents)} span {SPAN} or more")
+        codes = {id(c): _encode(c, lo) for c in maps}
         t: dict[Multipartition, int] = {}
         extra = 0  # pairs summed onto a term already there
         for mp, c in pairs:
-            x = _encode(c, lo)
+            x = codes[id(c)]
             prev = t.get(mp)
             if prev is not None:
                 x += prev
@@ -266,7 +269,7 @@ class FockVector:
             elif prev is not None:
                 del t[mp]
         # a stored term sums at most 1 + extra pairs, each within top
-        top = max((abs(n) for _, c in pairs for n in c.values()), default=0)
+        top = max((abs(n) for c in maps for n in c.values()), default=0)
         return FockVector._wrap(t, lo, top * (1 + extra))
 
     @staticmethod
@@ -440,14 +443,42 @@ class FockVector:
 
     @staticmethod
     def from_json(data) -> "FockVector":
-        def exponents(c) -> dict[int, int]:
-            if not isinstance(c, Mapping):
-                raise TypeError(f"a coefficient is a JSON object, got {c!r}")
-            return {int(e): int(n) for e, n in c.items()}
+        """The vector of to_json's terms, or of their JSON.  Every
+        coefficient value must be an int (a bool or float is refused, not
+        truncated) and every exponent key the decimal string of its int;
+        each distinct partition and coefficient is checked once."""
+        coefs = [d["coefficient"] for d in data]
+        if not set(map(type, coefs)) <= {dict}:
+            bad = next(c for c in coefs if type(c) is not dict)
+            raise TypeError(f"a coefficient is a JSON object, got {bad!r}")
+        # the value types are checked before the memo: True == 1 and
+        # 1.0 == 1 hash alike, so a bool or float could share an int's map
+        if not set(map(type, chain.from_iterable(map(dict.values, coefs)))) <= {int}:
+            bad = next(c for c in coefs if not set(map(type, c.values())) <= {int})
+            raise TypeError(f"a coefficient maps exponents to ints, got {bad!r}")
+        keys = list(map(tuple, map(dict.items, coefs)))
+        maps = {k: _exponent_map(k) for k in set(keys)}
+        mps = mps_from_json([d["multipartition"] for d in data])
+        return FockVector._encoded(list(zip(mps, map(maps.__getitem__, keys))))
 
-        return FockVector._encoded(
-            [(mp_from_json(d["multipartition"]), exponents(d["coefficient"])) for d in data]
-        )
+
+def _exponent_map(items) -> dict[int, int]:
+    """The exponent -> coefficient map of a JSON coefficient's items; each
+    key must be the decimal string of its int ("+1", "01" and "1_0" are
+    refused)."""
+    out = {}
+    for key, n in items:
+        if type(key) is not str or str(int(key)) != key:
+            raise ValueError(f"an exponent key is the decimal string of an int, got {key!r}")
+        out[int(key)] = n
+    return out
+
+
+@lru_cache(maxsize=None)
+def _context(e: int, charges: tuple[int, ...]) -> FockContext:
+    """FockContext(e, charges), built and validated once for all of
+    _expansion's misses under it."""
+    return FockContext(e, charges)
 
 
 @lru_cache(maxsize=None)
@@ -459,7 +490,7 @@ def _expansion(e: int, charges: tuple[int, ...], mp: Multipartition, i: int, k: 
     add distinct nodes, so no two pairs share a multipartition.  The key
     holds the context's fields, not the context: the collector untracks a
     tuple of ints and tuples, never a context."""
-    ctx = FockContext(e, charges)
+    ctx = _context(e, charges)
     pairs = [
         divided_power_term(mp, subset)
         for subset in combinations(addable_exponents(ctx, mp, i), k)

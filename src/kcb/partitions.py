@@ -7,7 +7,7 @@ multipartition is a tuple of partitions (its length is the level).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import zip_longest
+from itertools import chain, zip_longest
 from typing import Iterator
 
 Partition = tuple[int, ...]
@@ -18,10 +18,9 @@ class IllFormedPartitionError(ValueError):
     """Rows fail to be weakly decreasing positive integers."""
 
 
-def as_partition(rows) -> Partition:
-    if not isinstance(rows, (list, tuple)) or not all(type(r) is int for r in rows):
-        raise IllFormedPartitionError(f"a partition is a list of ints, got {rows!r}")
-    p = tuple(rows)
+def as_partition(p: tuple[int, ...]) -> Partition:
+    """A tuple of ints (mps_from_json checks the types), once its rows are
+    checked to be positive and weakly decreasing."""
     if any(r <= 0 for r in p):
         raise IllFormedPartitionError(f"non-positive row in {p}")
     if any(p[i] < p[i + 1] for i in range(len(p) - 1)):
@@ -143,6 +142,26 @@ def mp_to_json(mp: Multipartition) -> list[list[int]]:
 
 
 def mp_from_json(data) -> Multipartition:
-    if not isinstance(data, (list, tuple)):
-        raise IllFormedPartitionError(f"a multipartition is a list of partitions, got {data!r}")
-    return tuple(as_partition(c) for c in data)
+    return mps_from_json([data])[0]
+
+
+_SEQUENCES = {list, tuple}
+
+
+def mps_from_json(data: list) -> list[Multipartition]:
+    """The multipartitions of a list of JSON multipartitions.  Each distinct
+    partition is validated once, and equal partitions come back as one
+    tuple.  One pass over the types of all rows refuses a bool or float
+    row up front: True == 1 and 1.0 == 1 hash alike, so such a row would
+    otherwise find the memo entry of an int partition."""
+    if not set(map(type, data)) <= _SEQUENCES:
+        bad = next(mp for mp in data if type(mp) not in _SEQUENCES)
+        raise IllFormedPartitionError(f"a multipartition is a list of partitions, got {bad!r}")
+    comps = list(chain.from_iterable(data))
+    if not set(map(type, comps)) <= _SEQUENCES or not set(
+        map(type, chain.from_iterable(comps))
+    ) <= {int}:
+        bad = next(c for c in comps if type(c) not in _SEQUENCES or not set(map(type, c)) <= {int})
+        raise IllFormedPartitionError(f"a partition is a list of ints, got {bad!r}")
+    memo = {p: as_partition(p) for p in set(map(tuple, comps))}
+    return [tuple(map(memo.__getitem__, map(tuple, mp))) for mp in data]

@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from kcb import canonical
 from kcb.canonical import (
     CanonicalBasis,
     ReductionError,
@@ -329,6 +330,34 @@ SPOILED = {
     "coefficient-not-an-object": lambda text, doc: _with(
         doc, terms=[doc["terms"][0], {**doc["terms"][1], "coefficient": [1]}, *doc["terms"][2:]]
     ),
+    # a float truncated by int() would read as the stored 1
+    "coefficient-float": lambda text, doc: _with(
+        doc, terms=[*doc["terms"][:1], {**doc["terms"][1], "coefficient": {"1": 1.9}},
+                    *doc["terms"][2:]]
+    ),
+    "coefficient-bool": lambda text, doc: _with(
+        doc, terms=[*doc["terms"][:1], {**doc["terms"][1], "coefficient": {"1": True}},
+                    *doc["terms"][2:]]
+    ),
+    "exponent-not-canonical": lambda text, doc: _with(
+        doc, terms=[*doc["terms"][:1], {**doc["terms"][1], "coefficient": {"+1": 1}},
+                    *doc["terms"][2:]]
+    ),
+    # the last term ((1,), (1, 1)) with a row equal to, and hashing like, the
+    # int row of the term ((1,), (2,)) before it: a memo keyed on the rows
+    # alone would serve it
+    "row-is-bool": lambda text, doc: _with(
+        doc, terms=[*doc["terms"][:3], {**doc["terms"][3], "multipartition": [[True], [1, 1]]}]
+    ),
+    "row-is-float": lambda text, doc: _with(
+        doc, terms=[*doc["terms"][:3], {**doc["terms"][3], "multipartition": [[1.0], [1, 1]]}]
+    ),
+    # equal to the computed weight and shape, but served as floats or bools
+    "defect-float": lambda text, doc: _with(doc, defect=float(doc["defect"])),
+    "shape-float": lambda text, doc: _with(doc, shape=[float(n) for n in doc["shape"]]),
+    "content-bool": lambda text, doc: _with(
+        doc, content=[True if n == 1 else n for n in doc["content"]]
+    ),
     "other-label": lambda text, doc: _with(doc, label=[[2, 1], []]),
     "ill-formed-label": lambda text, doc: _with(doc, label=[[3], 5]),
     "wrong-shape": lambda text, doc: _with(doc, shape=[1, 3, 0]),
@@ -375,6 +404,25 @@ class TestSerialization:
         stored = {basis._cache_path(mp) for mp in basis._elements}
         assert basis._cache_path(((3,), ())) in stored
         assert {str(p) for p in tmp_path.iterdir()} == stored | {blocker}
+
+    def test_disk_cache_file_is_the_json_text(self, tmp_path):
+        # one json.dumps per element: the bytes json.dump would have written
+        basis = CanonicalBasis(C01, cache_dir=str(tmp_path))
+        for mp in vertices_up_to(basis, 4):
+            elem = basis.element(mp)
+            with open(basis._cache_path(mp), "rb") as fh:
+                assert fh.read() == json.dumps(element_to_json(elem)).encode()
+
+    def test_disk_cache_failed_encoding_leaves_no_file(self, tmp_path, monkeypatch):
+        elem = CanonicalBasis(C01).element(((3,), ()))
+
+        def failing(elem):
+            raise RuntimeError("cannot encode")
+
+        monkeypatch.setattr(canonical, "element_to_json", failing)
+        with pytest.raises(RuntimeError):
+            CanonicalBasis(C01, cache_dir=str(tmp_path))._disk_store(elem)
+        assert list(tmp_path.iterdir()) == []
 
     def test_disk_cache_unversioned_file_not_served(self, tmp_path):
         # a file under the key of the unversioned format, valid as it is, is not read

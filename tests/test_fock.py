@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+from kcb import fock
 from kcb.canonical import CanonicalBasis
 from kcb.closedform import inv
 from kcb.crystal import generate_crystal
@@ -251,6 +252,57 @@ def test_weight_bookkeeping():
 def test_fock_vector_json_roundtrip():
     v = vec((((2,), (1,)), 3), (((1, 1), ()), -2))
     assert FockVector.from_json(v.to_json()) == v
+
+
+def test_from_json_shares_equal_partitions():
+    v = vec((((2,), (1,)), 1), (((1,), (2,)), 2), (((2, 1), (1,)), 1))
+    doc = json.loads(json.dumps(v.to_json()))
+    mps = list(FockVector.from_json(doc))
+    ones = [c for mp in mps for c in mp if c == (1,)]
+    twos = [c for mp in mps for c in mp if c == (2,)]
+    assert len(ones) == 3 and len(twos) == 2
+    assert all(c is ones[0] for c in ones) and twos[0] is twos[1]
+
+
+@pytest.mark.parametrize("term", [
+    {"multipartition": [[1], []], "coefficient": {"0": 1.0}},
+    {"multipartition": [[1], []], "coefficient": {"0": True}},
+    {"multipartition": [[1], []], "coefficient": {"0": "1"}},
+    {"multipartition": [[1], []], "coefficient": {"+1": 1}},
+    {"multipartition": [[1], []], "coefficient": {"01": 1}},
+    {"multipartition": [[1], []], "coefficient": {"1_0": 1}},
+    {"multipartition": [[1], []], "coefficient": {"-0": 1}},
+    {"multipartition": [[1], []], "coefficient": [1]},
+    {"multipartition": [[True], []], "coefficient": {"0": 1}},
+    {"multipartition": [[1.0], []], "coefficient": {"0": 1}},
+    {"multipartition": [[1, 2], []], "coefficient": {"0": 1}},
+    {"multipartition": [1, []], "coefficient": {"0": 1}},
+])
+def test_from_json_refuses(term):
+    # after an int twin of each partition and coefficient, so that a memo
+    # keyed on equal-hashing values alone would let the term through
+    first = {"multipartition": [[1], [1]], "coefficient": {"0": 1}}
+    with pytest.raises((TypeError, ValueError)):
+        FockVector.from_json([first, term])
+
+
+def test_expansion_misses_share_one_context(monkeypatch):
+    built = []
+    post_init = FockContext.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    fock._expansion.cache_clear()
+    fock._context.cache_clear()
+    monkeypatch.setattr(FockContext, "__post_init__", counting)
+    ctx = symmetric_context(2)
+    v = FockVector.basis(ctx.highest_weight_vertex())
+    for i in (0, 1, 0, 1, 0):
+        v = apply_f_divided(ctx, v, i, 1)
+    assert fock._expansion.cache_info().misses > 2
+    assert len(built) == 2  # ctx, and the one context of every miss
 
 
 MPS = (((2,), (1,)), ((1, 1), ()), ((), (3,)))

@@ -1,8 +1,8 @@
 """Source hygiene: every function and class in src/kcb is used somewhere,
 every module of src/kcb and tests/ uses what it imports, src/kcb checks nothing
 with assert (python -O strips it), only laurent.py and fock.py read the
-coefficient storage `_terms`, and every kcb name the benchmark in
-perfbench/ reads still exists.
+coefficient storage `_terms`, src/kcb never encodes with json.dump, and every
+kcb name the benchmark in perfbench/ reads still exists.
 
 A name counts as used when code refers to it (a name, an attribute or an
 import; comments, strings and the definition itself do not count) in
@@ -90,6 +90,19 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == [], f"assert statements (use typed errors): {found}"
+
+
+def test_no_pure_python_json_encoder():
+    # json.dump encodes through the pure-Python iterencode; json.dumps takes
+    # the C encoder and gives the same text, written with one write
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES + [ROOT / "src" / "kcb" / "__init__.py"]
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "dump"
+        and isinstance(node.value, ast.Name) and node.value.id == "json"
+    ]
+    assert found == [], f"json.dump in src/kcb (use json.dumps): {found}"
 
 
 def test_terms_storage_stays_private():
