@@ -23,7 +23,7 @@ from operator import or_
 from typing import Iterator, Mapping, NamedTuple
 
 from .laurent import LaurentPoly, exact_div
-from .partitions import Multipartition, mps_from_json
+from .partitions import Multipartition, Partition, mps_from_json
 
 
 class CoefficientError(ValueError):
@@ -101,19 +101,23 @@ def i_node_slots(ctx: FockContext, mp: Multipartition, i: int) -> list[tuple[Nod
     """Addable (True) and removable (False) i-nodes, top to bottom."""
     out = []
     e = ctx.e
-    for u, comp in enumerate(mp, start=1):
-        ch = ctx.charges[u - 1]
+    for u, (comp, ch) in enumerate(zip(mp, ctx.charges), start=1):
+        # row j of length cur ends in a removable i-node when (cur - j) % e
+        # is rem, and its addable slot is an i-node when it is add
+        add, rem = (i - ch - 1) % e, (i - ch) % e
         t = len(comp)
-        for j in range(1, t + 2):
-            cur = comp[j - 1] if j <= t else 0
-            # addable slot at (j, cur+1) when the row above is strictly longer
-            if j == 1 or comp[j - 2] > cur:
-                if (ch + cur + 1 - j) % e == i:
+        for j, cur in enumerate(comp, start=1):
+            d = (cur - j) % e
+            if d == add:
+                # addable when the row above is strictly longer
+                if j == 1 or comp[j - 2] > cur:
                     out.append((NodeRef(u, j, cur + 1), True))
-            # removable box at (j, cur) when the row below is strictly shorter
-            if j <= t and (j == t or comp[j] < cur):
-                if (ch + cur - j) % e == i:
+            elif d == rem:
+                # removable when the row below is strictly shorter
+                if j == t or comp[j] < cur:
                     out.append((NodeRef(u, j, cur), False))
+        if (-t - 1) % e == add:  # the slot past the last row is always addable
+            out.append((NodeRef(u, t + 1, 1), True))
     return out
 
 
@@ -156,26 +160,47 @@ def remove_node(mp: Multipartition, node: NodeRef) -> Multipartition:
     return mp[: node.comp - 1] + (new,) + mp[node.comp :]
 
 
+# One object per distinct component that divided_power_term builds, and
+# per distinct multipartition of an _expansion (hash-consing): equal terms
+# share their tuples, so they are stored once and dict lookups on them hit
+# on identity.  A splice builds a fresh tuple every time, even a new row
+# (1,), which add_node's comp + (1,) takes from the code's constants:
+# without the sharing the splice costs memory.
+_PARTS: dict[Partition, Partition] = {}
+_TERMS: dict[Multipartition, Multipartition] = {}
+
+
 def divided_power_term(mp: Multipartition, subset) -> tuple[Multipartition, int]:
     """The term of f_i^(k) at a k-subset of addable_exponents(ctx, mp, i):
-    mp with those nodes added, and its exponent sum(N) - C(k,2)."""
+    mp with those nodes added, and its exponent sum(N) - C(k,2).  A node's
+    new row length is its column, whether it starts a row or extends one."""
     k = len(subset)
     expo = -(k * (k - 1) // 2)
-    for node, n in subset:
-        mp = add_node(mp, node)
+    comps = list(mp)
+    share = _PARTS.setdefault
+    for (u, row, col), n in subset:
+        comp = comps[u - 1]
+        comp = comp[: row - 1] + (col,) + comp[row:]
+        comps[u - 1] = share(comp, comp)
         expo += n
-    return mp, expo
+    return tuple(comps), expo
 
 
 def content(ctx: FockContext, mp: Multipartition) -> tuple[int, ...]:
-    """Number of nodes of each residue, as a length-e vector."""
-    out = [0] * ctx.e
-    for u, comp in enumerate(mp, start=1):
-        ch = ctx.charges[u - 1]
+    """Number of nodes of each residue, as a length-e vector.  A row of
+    length r adds r // e to every residue, and 1 more to the r % e
+    consecutive residues from its first cell's."""
+    e = ctx.e
+    out = [0] * e
+    full = 0
+    for comp, ch in zip(mp, ctx.charges):
         for j, row in enumerate(comp, start=1):
-            for c in range(1, row + 1):
-                out[(ch + c - j) % ctx.e] += 1
-    return tuple(out)
+            q, r = divmod(row, e)
+            full += q
+            first = ch + 1 - j
+            for c in range(first, first + r):
+                out[c % e] += 1
+    return tuple(n + full for n in out)
 
 
 # Coefficient storage: Kronecker substitution (D. Harvey, J. Symbolic
@@ -487,7 +512,8 @@ def _expansion(e: int, charges: tuple[int, ...], mp: Multipartition, i: int, k: 
     least exponent `low` (0 when there is no term) and one (multipartition,
     W * (exponent - low)) pair per k-subset of mp's addable i-nodes, the
     shift that puts the term's v^exponent onto v^low.  Distinct subsets
-    add distinct nodes, so no two pairs share a multipartition.  The key
+    add distinct nodes, so no two pairs share a multipartition, and each
+    multipartition is the one object _TERMS holds for its value.  The key
     holds the context's fields, not the context: the collector untracks a
     tuple of ints and tuples, never a context."""
     ctx = _context(e, charges)
@@ -496,7 +522,8 @@ def _expansion(e: int, charges: tuple[int, ...], mp: Multipartition, i: int, k: 
         for subset in combinations(addable_exponents(ctx, mp, i), k)
     ]
     low = min((expo for _, expo in pairs), default=0)
-    return low, tuple((nmp, W * (expo - low)) for nmp, expo in pairs)
+    share = _TERMS.setdefault
+    return low, tuple((share(nmp, nmp), W * (expo - low)) for nmp, expo in pairs)
 
 
 def apply_f_divided(ctx: FockContext, vec: FockVector, i: int, k: int) -> FockVector:

@@ -75,20 +75,42 @@ def total_size(mp: Multipartition) -> int:
     return sum(sum(c) for c in mp)
 
 
+# (p, q) -> (low, diff) for a pair of unequal components, process-wide:
+# low is the least running difference of their row prefix sums (0 or
+# below), diff the difference of their sizes
+_STEPS: dict[tuple[Partition, Partition], tuple[int, int]] = {}
+
+
+def _step(p: Partition, q: Partition) -> tuple[int, int]:
+    run = low = 0
+    for a, b in zip_longest(p, q, fillvalue=0):
+        run += a - b
+        if run < low:
+            low = run
+    return low, run
+
+
 def dominates(mu: Multipartition, lam: Multipartition) -> bool:
     """mu >= lam in the dominance order: every prefix sum of mu, taken
-    component by component and row by row, is at least lam's.  The walk
-    reads every row, so the final difference also checks equal size."""
+    component by component and row by row, is at least lam's.  With `run`
+    the size difference of the components before, that holds exactly when
+    run + low >= 0 at every pair of unequal components (low as in _STEPS);
+    the final run checks equal size.  Components are tuples, as in
+    Multipartition: unequal ones are memo keys, so a list there raises
+    TypeError."""
     if len(mu) != len(lam):
         raise ValueError("dominance needs equal levels")
     run, below = 0, False
     for p, q in zip(mu, lam):
         if p == q:
             continue  # leaves the running difference, and so `below`, as it is
-        for a, b in zip_longest(p, q, fillvalue=0):
-            run += a - b
-            if run < 0:
-                below = True
+        step = _STEPS.get((p, q))
+        if step is None:
+            step = _STEPS[p, q] = _step(p, q)
+        low, diff = step
+        if run + low < 0:
+            below = True
+        run += diff
     if run:
         raise ValueError("dominance needs equal total size")
     return not below

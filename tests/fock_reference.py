@@ -11,13 +11,21 @@ last stage, with its own plain and corrected exponents, and merges none.
 dict_add_scaled and dict_apply_f_divided work on plain
 multipartition -> {exponent: coefficient} dicts, so they check the packed
 int storage of kcb.fock.FockVector against arithmetic that has none.
+
+The *_reference functions are the plain kernels that kcb.partitions
+dominates and kcb.fock i_node_slots, divided_power_term and content
+replaced by faster ones: a dominance
+walk over every row with no memo, a slot walk over every row with a
+charge lookup per component, one add_node per added node, and a count
+of every cell.
 """
 
-from itertools import combinations
+from itertools import combinations, zip_longest
 
 from kcb.fock import (
     FockContext,
     FockVector,
+    NodeRef,
     add_node,
     addable_exponents,
     content,
@@ -152,3 +160,59 @@ def dict_apply_f_divided(ctx: FockContext, a: dict, i: int, k: int) -> dict:
             for e, n in c.items():
                 _accumulate(out, nmp, e + expo, n)
     return out
+
+
+def dominates_reference(mu: Multipartition, lam: Multipartition) -> bool:
+    """mu >= lam: every prefix sum, component by component and row by row."""
+    if len(mu) != len(lam):
+        raise ValueError("dominance needs equal levels")
+    run, below = 0, False
+    for p, q in zip(mu, lam):
+        if p == q:
+            continue
+        for a, b in zip_longest(p, q, fillvalue=0):
+            run += a - b
+            if run < 0:
+                below = True
+    if run:
+        raise ValueError("dominance needs equal total size")
+    return not below
+
+
+def i_node_slots_reference(ctx: FockContext, mp: Multipartition, i: int) -> list:
+    """Addable (True) and removable (False) i-nodes, top to bottom."""
+    out = []
+    e = ctx.e
+    for u, comp in enumerate(mp, start=1):
+        ch = ctx.charges[u - 1]
+        t = len(comp)
+        for j in range(1, t + 2):
+            cur = comp[j - 1] if j <= t else 0
+            if j == 1 or comp[j - 2] > cur:
+                if (ch + cur + 1 - j) % e == i:
+                    out.append((NodeRef(u, j, cur + 1), True))
+            if j <= t and (j == t or comp[j] < cur):
+                if (ch + cur - j) % e == i:
+                    out.append((NodeRef(u, j, cur), False))
+    return out
+
+
+def divided_power_term_reference(mp: Multipartition, subset) -> tuple[Multipartition, int]:
+    """mp with the subset's nodes added one add_node at a time, and sum(N) - C(k,2)."""
+    k = len(subset)
+    expo = -(k * (k - 1) // 2)
+    for node, n in subset:
+        mp = add_node(mp, node)
+        expo += n
+    return mp, expo
+
+
+def content_reference(ctx: FockContext, mp: Multipartition) -> tuple[int, ...]:
+    """Number of nodes of each residue, one cell at a time."""
+    out = [0] * ctx.e
+    for u, comp in enumerate(mp, start=1):
+        ch = ctx.charges[u - 1]
+        for j, row in enumerate(comp, start=1):
+            for c in range(1, row + 1):
+                out[(ch + c - j) % ctx.e] += 1
+    return tuple(out)

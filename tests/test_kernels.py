@@ -1,0 +1,189 @@
+"""The per-term kernels against the plain ones in fock_reference: the
+memoised dominance steps, the slot walk, the one-splice divided-power
+term and the per-row content; and the sharing of equal f_i terms."""
+
+from functools import lru_cache
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from kcb import fock, partitions
+from kcb.canonical import CanonicalBasis
+from kcb.crystal import generate_crystal
+from kcb.fock import (
+    FockContext,
+    NodeRef,
+    addable_exponents,
+    content,
+    divided_power_term,
+    i_node_slots,
+)
+from kcb.partitions import dominates, iter_multipartitions
+
+from fock_reference import (
+    content_reference,
+    divided_power_term_reference,
+    dominates_reference,
+    i_node_slots_reference,
+)
+
+partitions_st = st.lists(st.integers(1, 6), max_size=5).map(
+    lambda rows: tuple(sorted(rows, reverse=True))
+)
+
+
+@st.composite
+def contexts(draw):
+    """e in 2..4, level 1..4, equal charges contiguous in first-seen order."""
+    e = draw(st.integers(2, 4))
+    raw = draw(st.lists(st.integers(0, e - 1), min_size=1, max_size=4))
+    return FockContext(e, tuple(sorted(raw, key=raw.index)))
+
+
+@st.composite
+def context_terms(draw):
+    ctx = draw(contexts())
+    mp = tuple(draw(partitions_st) for _ in range(ctx.level))
+    return ctx, mp, draw(st.integers(0, ctx.e - 1))
+
+
+@settings(max_examples=60)
+@given(context_terms())
+def test_i_node_slots_matches_reference(case):
+    ctx, mp, i = case
+    assert i_node_slots(ctx, mp, i) == i_node_slots_reference(ctx, mp, i)
+
+
+@settings(max_examples=40)
+@given(context_terms())
+def test_divided_power_term_matches_reference(case):
+    ctx, mp, i = case
+    adds = addable_exponents(ctx, mp, i)
+    for k in range(len(adds) + 1):
+        for subset in combinations(adds, k):
+            assert divided_power_term(mp, subset) == divided_power_term_reference(mp, subset)
+
+
+@settings(max_examples=60)
+@given(context_terms())
+def test_content_matches_per_cell_count(case):
+    ctx, mp, _ = case
+    assert content(ctx, mp) == content_reference(ctx, mp)
+
+
+@lru_cache(maxsize=None)
+def _of_size(n, level):
+    return list(iter_multipartitions(n, level))
+
+
+@st.composite
+def equal_size_pairs(draw):
+    """Two multipartitions of one size and level, then the same component
+    put at the same place in both a few times, so that some pairs share
+    components (which dominates skips) around unequal ones."""
+    n, level = draw(st.integers(0, 7)), draw(st.integers(1, 3))
+    mu = draw(st.sampled_from(_of_size(n, level)))
+    lam = draw(st.sampled_from(_of_size(n, level)))
+    for _ in range(draw(st.integers(0, 2))):
+        pos, comp = draw(st.integers(0, len(mu))), draw(partitions_st)
+        mu, lam = mu[:pos] + (comp,) + mu[pos:], lam[:pos] + (comp,) + lam[pos:]
+    return mu, lam
+
+
+@settings(max_examples=150)
+@given(equal_size_pairs())
+def test_dominates_matches_reference(pair):
+    mu, lam = pair
+    for x, y in (pair, pair[::-1]):
+        want = dominates_reference(x, y)
+        assert dominates(x, y) == want
+        # every step of this pair is memoised now
+        assert all((p, q) in partitions._STEPS for p, q in zip(x, y) if p != q)
+        assert dominates(x, y) == want
+    # a copy with fresh component tuples finds the same memo entries
+    assert dominates(tuple(map(tuple, map(list, mu))), lam) == dominates_reference(mu, lam)
+
+
+def _raises_value_error(mu, lam):
+    with pytest.raises(ValueError):
+        dominates(mu, lam)
+
+
+@settings(max_examples=60)
+@given(st.lists(partitions_st, min_size=1, max_size=3), st.lists(partitions_st, min_size=1, max_size=3))
+def test_dominates_errors_with_every_step_memoised(mu, lam):
+    mu, lam = tuple(mu), tuple(lam)
+    level = min(len(mu), len(lam))
+    same_level = (mu[:level], lam[:level])
+    if partitions.total_size(same_level[0]) != partitions.total_size(same_level[1]):
+        for _ in range(2):  # the first call memoises every step
+            _raises_value_error(*same_level)
+        assert all((p, q) in partitions._STEPS for p, q in zip(*same_level) if p != q)
+    else:
+        dominates(*same_level)
+    if len(mu) != len(lam):
+        _raises_value_error(mu, lam)
+
+
+def test_dominates_refuses_an_unequal_list_component():
+    # components are hashed: a list raises TypeError unless its partner
+    # equals it, which is skipped before the memo; no list gets a wrong answer
+    with pytest.raises(TypeError):
+        dominates(([2], ()), ((1,), (1,)))
+    with pytest.raises(TypeError):
+        dominates(((2,), ()), ((1,), [1]))
+    with pytest.raises(TypeError):
+        dominates(([1],), ((1,),))  # a list never equals its tuple
+    assert dominates(([2], (1,)), ([2], (1,)))
+    assert dominates(([1], (2,)), ([1], (1, 1)))
+    assert not dominates(([1], (1, 1)), ([1], (2,)))
+
+
+@settings(max_examples=100)
+@given(equal_size_pairs(), st.lists(st.booleans(), min_size=5, max_size=5))
+def test_dominates_list_components_never_answer_wrong(pair, as_list):
+    mu, lam = pair
+    listed = tuple(list(c) if flag else c for c, flag in zip(mu, as_list))
+    unequal = [p != q for p, q in zip(listed, lam)]
+    if any(u and type(p) is list for u, p in zip(unequal, listed)):
+        with pytest.raises(TypeError):
+            dominates(listed, lam)
+    else:
+        assert dominates(listed, lam) == dominates_reference(mu, lam)
+
+
+# sharing: one object per distinct f_i term and per new component
+
+C01 = FockContext(2, (0, 1))
+
+
+def test_expansion_misses_share_equal_terms():
+    # ((1,), (1,)) is f_1 of ((1,), ()) and f_0 of ((), (1,))
+    fock._expansion.cache_clear()
+    _, first = fock._expansion(2, (0, 1), ((1,), ()), 1, 1)
+    _, second = fock._expansion(2, (0, 1), ((), (1,)), 0, 1)
+    assert fock._expansion.cache_info().misses == 2
+    (a,) = [mp for mp, _ in first if mp == ((1,), (1,))]
+    (b,) = [mp for mp, _ in second if mp == ((1,), (1,))]
+    assert a is b
+
+
+def test_equal_new_components_are_one_object():
+    node = (NodeRef(1, 2, 1), 0)  # a second row under (1,)
+    left, _ = divided_power_term(((1,), ()), [node])
+    right, _ = divided_power_term(((1,), (2,)), [node])
+    assert left[0] == (1, 1) and left[0] is right[0]
+    # an untouched component is the input's own object
+    mp = ((3,), (2, 1))
+    out, _ = divided_power_term(mp, [(NodeRef(1, 1, 4), 0)])
+    assert out == ((4,), (2, 1)) and out[1] is mp[1]
+
+
+def test_every_computed_term_is_shared():
+    ctx = FockContext(2, (0, 0, 1, 1))
+    basis = CanonicalBasis(ctx)
+    for mp in sorted(generate_crystal(ctx, 6).degrees):
+        g = basis.element(mp)
+        for lam in g.vector:
+            assert lam == g.label or fock._TERMS.get(lam) is lam, (mp, lam)
