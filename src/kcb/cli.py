@@ -29,10 +29,9 @@ from .crystal import (
     crystal_to_json,
     generate_crystal,
 )
-from .fock import FockContext
+from .fock import FockContext, symmetric_context
 from .partitions import mp_from_json, mp_to_json
 from .verify import (
-    SUITES,
     conjecture_scan,
     verify_duality,
     verify_path_families,
@@ -53,7 +52,7 @@ def _context_from(args) -> FockContext:
             raise UsageError("give either --a or --charges, not both")
         if args.e != 2:
             raise UsageError(f"--a fixes rank 2, got --e {args.e}")
-        return FockContext(2, (0,) * args.a + (1,) * args.a)
+        return symmetric_context(args.a)
     if not args.charges:
         raise UsageError("need --charges or --a")
     try:
@@ -149,19 +148,27 @@ def cmd_closed_form(args) -> int:
     return 0
 
 
-# the options each suite reads beyond the context; the rest read only --max-degree
-_SUITE_READS = {
-    "top-row": ("i", "k"),
-    "weyl": ("i", "k", "n", "max_degree"),
-    "families": ("family", "k", "n", "max_degree"),
+# per suite: the options it reads beyond the context, its default
+# --max-degree and its call.  A call looks its verify_* function up when
+# it runs, so a wrapper bound to that name in this module is the one run.
+_SUITES = {
+    "top-row": (("i", "k"), None, lambda o: verify_top_row_forms(o.a, o.i, o.k)),
+    "weyl": (("i", "k", "n", "max_degree"), 13,
+             lambda o: verify_weyl_stability(o.a, o.i, o.k, o.n, o.max_degree)),
+    "families": (("family", "k", "n", "max_degree"), None,
+                 lambda o: verify_path_families(o.a, o.family, o.k, o.n, o.max_degree)),
+    "duality": (("max_degree",), 8, lambda o: verify_duality(_context_from(o), o.max_degree)),
+    "svelte": (("max_degree",), 13, lambda o: verify_svelte_step(_context_from(o), o.max_degree)),
+    "structural": (("max_degree",), 9, lambda o: verify_structural(o.a, o.max_degree)),
+    "conjecture": (("max_degree",), 13, lambda o: conjecture_scan(o.a, o.max_degree)),
 }
 
 
-def _run_suite(args):
+def cmd_verify(args) -> int:
     suite = args.suite
     if suite not in ("duality", "svelte") and (args.a is None or args.charges or args.e != 2):
         raise UsageError(f"suite {suite} needs --a (charges 0^a 1^a), no --charges, and --e 2")
-    reads = _SUITE_READS.get(suite, ("max_degree",))
+    reads, degree, call = _SUITES[suite]
     unread = [
         "--" + opt.replace("_", "-")
         for opt in ("i", "k", "n", "family", "max_degree")
@@ -169,39 +176,14 @@ def _run_suite(args):
     ]
     if unread:
         raise UsageError(f"suite {suite} does not read {', '.join(unread)}")
-    i, k, n, family = (
-        default if getattr(args, opt, None) is None else getattr(args, opt)
-        for opt, default in (("i", 0), ("k", 1), ("n", 1), ("family", "p0k1"))
-    )
-
-    def degree(default: int) -> int:
-        return default if args.max_degree is None else args.max_degree
-
-    if suite == "top-row":
-        return verify_top_row_forms(args.a, i, k)
-    if suite == "weyl":
-        return verify_weyl_stability(args.a, i, k, n, degree(13))
-    if suite == "families":
-        return verify_path_families(args.a, family, k, n, args.max_degree)
-    if suite == "duality":
-        return verify_duality(_context_from(args), degree(8))
-    if suite == "svelte":
-        return verify_svelte_step(_context_from(args), degree(13))
-    if suite == "structural":
-        return verify_structural(args.a, degree(9))
-    if suite == "conjecture":
-        return conjecture_scan(args.a, degree(13))
-    raise UsageError(f"unknown suite {suite!r}")
-
-
-def cmd_verify(args) -> int:
-    report = _run_suite(args)
+    for opt, default in (("i", 0), ("k", 1), ("n", 1), ("family", "p0k1"), ("max_degree", degree)):
+        if getattr(args, opt, None) is None:
+            setattr(args, opt, default)
+    report = call(args)
     if args.format == "json":
         _emit_json(report.to_json(), args)
     else:
         _emit(report.to_text(), args)
-    if args.suite == "conjecture":
-        return 0  # informational scan never fails
     return 0 if report.passed else 1
 
 
@@ -260,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_closed_form)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", required=True, choices=sorted(SUITES))
+    p.add_argument("--suite", required=True, choices=sorted(_SUITES))
     _add_context_opts(p)
     p.add_argument("--k", type=int, default=None, help="top-row, weyl, families (default 1)")
     p.add_argument("--i", type=int, default=None, choices=(0, 1),

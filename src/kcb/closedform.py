@@ -3,20 +3,19 @@ statistic, the shape function, the tau / pi multipartition families,
 assembled closed-form elements, and the small-defect data.
 
 Families are generated structurally: a family fixes a path (residue,
-multiplicity per segment) and a number m of choice stages; every choice
-stage picks k of the addable nodes of each term, later stages must use
-every addable node.  Each stage is linear, so expand_family folds the
-path stage by stage, keeping two coefficients per distinct multipartition:
+multiplicity per segment); its choice stages pick k of the addable nodes
+of each term, later stages use every addable node.  Two sums come of it:
 
-* "plain"     - v^inv per choice sequence: pick positions in place of N;
-* "corrected" - the divided power f_i^(k) of fock.divided_power_term,
-                whose N also counts the removable i-nodes above each pick.
+* "plain"     - v^inv per choice sequence: pick positions in place of N,
+                folded stage by stage by expand_family;
+* "corrected" - the divided-power monomial M(fam) of the path, built by
+                path_monomial with fock.apply_f_divided, whose N also
+                counts the removable i-nodes above each pick.
 
-family_vectors returns both staged sums.  The corrected sum M(fam) is the
-divided-power monomial of the family's path.  By Kashiwara's rule for
-divided powers on the global basis it is G(label) plus multiples of G(b')
-for the vertices b' of the weight with epsilon_i(b') larger than the last
-divided power; for the path families these are the sibling family labels.
+family_vectors returns both sums.  By Kashiwara's rule for divided powers
+on the global basis, M(fam) is G(label) plus multiples of G(b') for the
+vertices b' of the weight with epsilon_i(b') larger than the last divided
+power; for the path families these are the sibling family labels.
 closed_canonical_family subtracts them ([m] the quantum integer, [0] = 0):
 
 * G(p0k1)  = M(p0k1)
@@ -36,7 +35,7 @@ from itertools import combinations
 
 from .canonical import CanonicalElement, compute_shape
 from .crystal import f_tilde_string, weight_info
-from .fock import FockContext, FockVector, addable_exponents, content, divided_power_term, symmetric_context
+from .fock import FockContext, FockVector, addable_exponents, apply_f_divided, content, divided_power_term, symmetric_context
 from .laurent import LaurentPoly, qint
 from .partitions import Multipartition, triangular, u_family
 
@@ -138,6 +137,8 @@ def shape_row(a: int, k: int) -> tuple[int, ...]:
 
 
 def shape_table(a: int) -> dict[int, tuple[int, ...]]:
+    if a < 1:
+        raise ValueError(f"need a >= 1, got {a}")
     return {k: shape_row(a, k) for k in range(a + 1)}
 
 
@@ -201,9 +202,9 @@ class FamilySpec:
         return (self.family, self.n >= 1) in FLAGGED
 
 
-def family_stages(spec: FamilySpec) -> tuple[list[tuple[int, int | None]], int]:
-    """Path segments (residue, multiplicity; None = fill every addable node)
-    and the number m of free-choice stages."""
+def family_stages(spec: FamilySpec) -> list[tuple[int, int | None]]:
+    """Path segments (residue, multiplicity; None = fill every addable
+    node): the choice stages, then the filled strings."""
     a, k, n = spec.a, spec.k, spec.n
     i0 = 1 if spec.dual else 0
     i1 = 1 - i0
@@ -216,66 +217,76 @@ def family_stages(spec: FamilySpec) -> tuple[list[tuple[int, int | None]], int]:
         stages = [(i0, 1), (i1, 1), (i0, k - 1)]
     if n >= 1 and spec.family != "p0k1":
         stages.append((i1, 2 * k + a - 2))
-    m = len(stages)  # every stage so far is a choice stage
     # remaining strings are filled completely, alternating residues
     res = stages[-1][0]
     for _ in range(n - 1):
         res = 1 - res
         stages.append((res, None))
-    return stages, m
+    return stages
+
+
+def path_monomial(ctx: FockContext, stages) -> tuple[FockVector, list[tuple[int, int]], int]:
+    """The divided-power monomial of the stages applied to the
+    highest-weight vector, by fock.apply_f_divided.  A None stage takes
+    the addable count every term shares.  Also returns the stages with
+    those counts filled in, and m: the last stage (1-based, at least 1)
+    at which some term leaves an addable node unused."""
+    vec = FockVector.basis(ctx.highest_weight_vertex())
+    path, m = [], 1
+    for idx, (i, mult) in enumerate(stages, start=1):
+        counts = {len(addable_exponents(ctx, mp, i)) for mp in vec}
+        if mult is None:
+            if len(counts) > 1:
+                raise ValueError(f"stage {idx} fills {sorted(counts)} nodes: the terms disagree")
+            (mult,) = counts
+        if mult > min(counts):
+            raise ValueError(f"stage {idx} asks for {mult} nodes, only {min(counts)} addable")
+        if mult < max(counts):
+            m = idx
+        vec = apply_f_divided(ctx, vec, i, mult)
+        path.append((i, mult))
+    return vec, path, m
 
 
 def expand_family(
-    ctx: FockContext, stages, m: int, branch_cap: int | None = None
-) -> list[tuple[Multipartition, LaurentPoly, LaurentPoly]]:
-    """The staged sums, one (multipartition, plain, corrected) triple per
-    distinct multipartition.  branch_cap bounds the choice branches: the
-    sum of the integer coefficients of the plain coefficients."""
-    terms = {ctx.highest_weight_vertex(): (LaurentPoly.one(), LaurentPoly.one())}
-    for idx, (i, mult) in enumerate(stages):
-        nxt: dict[Multipartition, tuple[LaurentPoly, LaurentPoly]] = {}
-        for mp, (cp, cc) in terms.items():
+    ctx: FockContext, stages, branch_cap: int | None = None
+) -> list[tuple[Multipartition, LaurentPoly]]:
+    """The staged sum of v^inv over the choice sequences, one
+    (multipartition, coefficient) pair per distinct multipartition; every
+    stage has an explicit count, so every term ends at one weight.
+    branch_cap bounds the choice branches: the sum of the integer
+    coefficients of the coefficients."""
+    terms = {ctx.highest_weight_vertex(): LaurentPoly.one()}
+    for idx, (i, kk) in enumerate(stages, start=1):
+        nxt: dict[Multipartition, LaurentPoly] = {}
+        for mp, cp in terms.items():
             adds = addable_exponents(ctx, mp, i)
-            kk = len(adds) if mult is None else mult
             if kk > len(adds):
-                raise ValueError(
-                    f"stage {idx + 1} asks for {kk} nodes, only {len(adds)} addable"
-                )
-            if idx >= m and kk < len(adds):
-                raise ValueError(
-                    f"stage {idx + 1} is past the choice stages but leaves "
-                    f"{len(adds) - kk} nodes unused"
-                )
+                raise ValueError(f"stage {idx} asks for {kk} nodes, only {len(adds)} addable")
             for picks in combinations(range(len(adds)), kk):
-                nmp, dc = divided_power_term(mp, [adds[pos] for pos in picks])
-                p, c = cp.shift(sum(picks) - kk * (kk - 1) // 2), cc.shift(dc)
+                nmp, _ = divided_power_term(mp, [adds[pos] for pos in picks])
+                p = cp.shift(sum(picks) - kk * (kk - 1) // 2)
                 prev = nxt.get(nmp)
-                nxt[nmp] = (p, c) if prev is None else (prev[0] + p, prev[1] + c)
+                nxt[nmp] = p if prev is None else prev + p
         terms = nxt
         if branch_cap is not None:
-            count = sum(n for cp, _ in terms.values() for _, n in cp.items())
+            count = sum(n for cp in terms.values() for _, n in cp.items())
             if count > branch_cap:
                 raise ValueError(f"branch budget exceeded ({count} > {branch_cap})")
-    conts = {content(ctx, mp) for mp in terms}
-    if len(conts) > 1:
-        raise ValueError(f"branches ended at different weights: {sorted(conts)}")
-    return [(mp, cp, cc) for mp, (cp, cc) in terms.items()]
+    return list(terms.items())
 
 
-def family_vectors(
-    ctx: FockContext, spec: FamilySpec
-) -> tuple[FockVector, FockVector]:
-    """(plain-reading sum, corrected-reading sum) for the family: the raw
+def family_vectors(ctx: FockContext, spec: FamilySpec) -> tuple[FockVector, FockVector]:
+    """(plain-reading sum, divided-power monomial) of the family: the raw
     staged sums, not canonical in general (module docstring)."""
-    terms = expand_family(ctx, *family_stages(spec))
-    plain = FockVector({mp: cp for mp, cp, _ in terms})
-    return plain, FockVector({mp: cc for mp, _, cc in terms})
+    monomial, path, _ = path_monomial(ctx, family_stages(spec))
+    return FockVector(dict(expand_family(ctx, path))), monomial
 
 
 def family_label(ctx: FockContext, spec: FamilySpec) -> Multipartition:
     """The e-regular member: replay the path through the crystal operators."""
     cur = ctx.highest_weight_vertex()
-    for i, mult in family_stages(spec)[0]:
+    for i, mult in family_stages(spec):
         k = len(addable_exponents(ctx, cur, i)) if mult is None else mult
         cur = f_tilde_string(ctx, cur, i, k)
     return cur
@@ -290,6 +301,8 @@ def closed_canonical_weyl(a: int, i: int, k: int, n: int) -> CanonicalElement:
     """sum over S(a,k) of v^Inv(S) tau^n_i(S); label is tau^n_i at the
     all-ones-first choice.  n = 0 is the top row, n >= 1 its
     string-reflected images, with the same coefficients."""
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
     ctx = symmetric_context(a)
     terms = [
         (tau(a, i, n, s), LaurentPoly.monomial(inv(s))) for s in choice_sequences(a, k)
@@ -302,7 +315,8 @@ def family_term(spec: FamilySpec, choices) -> tuple[Multipartition, int, int]:
     """One family term for explicit choice sequences (one per choice stage):
     (multipartition, plain exponent, corrected exponent)."""
     ctx = symmetric_context(spec.a)
-    stages, m = family_stages(spec)
+    stages = family_stages(spec)
+    m = sum(mult is not None for _, mult in stages)
     choices = tuple(
         c if isinstance(c, ChoiceSequence) else ChoiceSequence(tuple(c)) for c in choices
     )
@@ -326,8 +340,6 @@ def family_term(spec: FamilySpec, choices) -> tuple[Multipartition, int, int]:
             picks = [adds[p] for p, b in enumerate(s.bits) if b]
             ep += inv(s)
         else:
-            if mult is not None and mult != len(adds):
-                raise ValueError(f"stage {idx + 1} is not a full string")
             picks = adds
         mp, dc = divided_power_term(mp, picks)
         ec += dc
@@ -350,8 +362,8 @@ def _partners(spec: FamilySpec) -> list[tuple[str, LaurentPoly]]:
 
 @lru_cache(maxsize=None)
 def _canonical_vector(ctx: FockContext, spec: FamilySpec) -> FockVector:
-    """The corrected sum minus its partners, each built once (memoised)."""
-    _, vec = family_vectors(ctx, spec)
+    """The divided-power monomial minus its partners, each built once (memoised)."""
+    vec = path_monomial(ctx, family_stages(spec))[0]
     for family, coeff in _partners(spec):
         if coeff:
             partner = _canonical_vector(ctx, replace(spec, family=family))

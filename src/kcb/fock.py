@@ -5,7 +5,7 @@ f_i^(k) adds each k-subset T of the addable i-nodes at v^(sum_T N_t -
 C(k,2)), N_t = #addable - #removable i-nodes above t (Kashiwara, Duke
 Math. J. 69, 1993): adding an i-node only turns its slot removable, so
 the k! orders of adding T under f_i^k sum to [k]! times that monomial.
-apply_f_divided and closedform both read this exponent from here.
+Only apply_f_divided and closedform.family_term read this exponent.
 
 Ordering convention used everywhere ("above"/"below"): component 1 is
 topmost, and within a component a smaller row index is higher.  A single

@@ -18,6 +18,7 @@ from .closedform import (
     expand_family,
     family_label,
     family_vectors,
+    path_monomial,
     shape_row,
 )
 from .crystal import (
@@ -117,6 +118,8 @@ def verify_weyl_stability(
     report = VerificationReport(
         "weyl-stability", {"a": a, "i": i, "k": k, "n_max": n_max, "degree_cap": degree_cap}
     )
+    if n_max < 0:
+        raise ValueError(f"need n_max >= 0, got {n_max}")
     basis = get_basis(symmetric_context(a))
     for n in range(n_max + 1):
         closed = closed_canonical_weyl(a, i, k, n)
@@ -145,6 +148,8 @@ def verify_path_families(
     report = VerificationReport(
         "path-families", {"a": a, "family": family, "k": k, "n_max": n_max}
     )
+    if n_max < 0:
+        raise ValueError(f"need n_max >= 0, got {n_max}")
     ctx = symmetric_context(a)
     basis = get_basis(ctx)
     for dual in (False, True):
@@ -353,11 +358,11 @@ def verify_structural(a: int, max_degree: int) -> VerificationReport:
 
 def conjecture_scan(a: int, max_degree: int) -> VerificationReport:
     """Exploratory scan: for every external weight and every vertex there,
-    test whether truncating the choice stages at some m makes the
-    inversion-sum form reproduce the recursive element.  Reports the
-    smallest working m (all of 1..path-length are tried) and whether it
-    lies in the conjectured window [t, t'].  Informational only; instances
-    never fail."""
+    test whether the staged sums of its residue-collected path (the
+    corrected divided-power monomial, then the plain inversion sum)
+    reproduce the recursive element.  Reports the smallest number m of
+    choice stages the path allows and whether it lies in the conjectured
+    window [t, t'].  Informational only; instances never fail."""
     report = VerificationReport("conjecture-scan", {"a": a, "max_degree": max_degree})
     ctx = symmetric_context(a)
     basis = get_basis(ctx)
@@ -396,20 +401,20 @@ def conjecture_scan(a: int, max_degree: int) -> VerificationReport:
             except ReductionError as exc:  # keep scanning
                 report.instances.append(Instance(params, "info", {"oracle_error": str(exc)}))
                 continue
-            found_m = None
-            found_rule = None
-            for m in range(1, w + 1):
-                try:
-                    terms = expand_family(ctx, list(path), m, branch_cap=200_000)
-                except ValueError:
-                    continue
-                for rule, pick in (("corrected", 2), ("plain", 1)):
-                    vec = FockVector({t[0]: t[pick] for t in terms})
+            # with every count explicit, a truncation m only asks that the
+            # stages after m be full, and every m that passes gives the
+            # same sums: the smallest is path_monomial's m
+            found_m = found_rule = None
+            try:
+                plain = FockVector(dict(expand_family(ctx, path, branch_cap=200_000)))
+                corrected, _, m = path_monomial(ctx, path)
+            except ValueError:
+                pass
+            else:
+                for rule, vec in (("corrected", corrected), ("plain", plain)):
                     if vec == oracle.vector:
                         found_m, found_rule = m, rule
                         break
-                if found_m is not None:
-                    break
             detail = {
                 "status": "supported" if found_m is not None else "unsupported",
                 "m": found_m,

@@ -2,11 +2,13 @@ import json
 
 import pytest
 
+from kcb import cli
 from kcb.canonical import element_to_json, get_basis
 from kcb.cli import main
 from kcb.closedform import FamilySpec, family_label, family_vectors
 from kcb.crystal import block_from_json, crystal_from_json
 from kcb.fock import symmetric_context
+from kcb.verify import SUITES
 
 
 def run(capsys, *argv):
@@ -110,6 +112,14 @@ class TestShapeTable:
         code, out = run(capsys, "shape-table", "--a", "3", "--format", "json")
         assert json.loads(out)["rows"]["1"] == [1, 1, 1]
 
+    @pytest.mark.parametrize("a", ["0", "-1"])
+    def test_a_below_one_exit_2(self, capsys, a):
+        code = main(["shape-table", "--a", a])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "need a >= 1" in captured.err
+
 
 class TestClosedForm:
     def test_top_row(self, capsys):
@@ -122,6 +132,14 @@ class TestClosedForm:
                         "--k", "1", "--n", "1")
         assert code == 0
         assert json.loads(out)["terms"][0]["multipartition"] == [[2, 1], []]
+
+    @pytest.mark.parametrize("a,k", [("2", "1"), ("1", "0")])
+    def test_weyl_negative_n_exit_2(self, capsys, a, k):
+        code = main(["closed-form", "--family", "weyl", "--a", a, "--k", k, "--n", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "need n >= 0" in captured.err
 
     @pytest.mark.parametrize("flag,argv", [
         ("--dual", ("--family", "weyl", "--dual")),
@@ -155,6 +173,9 @@ class TestVerify:
                         "--charges", "0,1", "--max-degree", "5")
         assert code == 0
         assert "PASS" in out
+
+    def test_every_suite_has_one_table_row(self):
+        assert sorted(cli._SUITES) == sorted(SUITES)
 
     def test_unknown_suite_exit2(self):
         with pytest.raises(SystemExit) as exc:
@@ -217,6 +238,15 @@ class TestVerify:
         assert code == 2
         assert captured.out == ""
         assert flag[0] in captured.err
+
+    @pytest.mark.parametrize("suite,n", [("weyl", "-2"), ("families", "-1")])
+    def test_negative_n_exit_2(self, capsys, suite, n):
+        # no instance to check is not a pass
+        code = main(["verify", "--suite", suite, "--a", "2", "--n", n])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "need n_max >= 0" in captured.err
 
     def test_conjecture_scan_is_verify_alias(self, capsys):
         code, alias = run(capsys, "conjecture-scan", "--a", "1", "--max-degree", "6")

@@ -1,5 +1,3 @@
-from collections import Counter
-
 import pytest
 
 from kcb import closedform
@@ -18,9 +16,11 @@ from kcb.closedform import (
     family_term,
     family_vectors,
     inv,
+    path_monomial,
     shape_fn,
     shape_fn_closed,
     shape_row,
+    shape_table,
     small_defect_families,
     tau,
 )
@@ -112,6 +112,13 @@ class TestShapeFn:
             )
 
 
+    @pytest.mark.parametrize("a", [0, -1])
+    def test_table_needs_a_at_least_one(self, a):
+        # a = 0 once printed a table for a weight that does not exist
+        with pytest.raises(ValueError, match="need a >= 1"):
+            shape_table(a)
+
+
 class TestShapeClosedForms:
     def test_k2_example(self):
         assert shape_fn_closed(4, 2, 2) == 2
@@ -155,6 +162,11 @@ class TestTau:
 
 
 class TestClosedTop:
+    @pytest.mark.parametrize("a,k", [(2, 1), (1, 0)])
+    def test_negative_n_raises(self, a, k):
+        with pytest.raises(ValueError, match="need n >= 0"):
+            closed_canonical_weyl(a, 0, k, -1)
+
     def test_a3_display(self):
         elem = closed_canonical_weyl(3, 0, 1, 0)
         assert elem.vector == FockVector(
@@ -350,7 +362,7 @@ class TestStagePath:
             ctx = symmetric_context(a)
             for spec in family_specs(a, 2):
                 vec = FockVector.basis(ctx.highest_weight_vertex())
-                for i, mult in family_stages(spec)[0]:
+                for i, mult in family_stages(spec):
                     if mult is None:
                         (mult,) = {len(addable_nodes(ctx, mp, i)) for mp, _ in vec.terms()}
                     vec = apply_f_divided(ctx, vec, i, mult)
@@ -359,36 +371,64 @@ class TestStagePath:
         assert checked == 156
 
     def test_each_sibling_built_once(self, monkeypatch):
-        seen = Counter()
-        real = closedform.family_vectors
+        # _canonical_vector builds one monomial per spec it misses, so one
+        # build per spec in all means every sibling is built once
+        builds = []
+        real = closedform.path_monomial
 
-        def counting(ctx, spec):
-            seen[spec.family, spec.a, spec.k, spec.n, spec.dual] += 1
-            return real(ctx, spec)
+        def counting(ctx, stages):
+            builds.append(tuple(stages))
+            return real(ctx, stages)
 
-        monkeypatch.setattr(closedform, "family_vectors", counting)
+        monkeypatch.setattr(closedform, "path_monomial", counting)
         closedform._canonical_vector.cache_clear()
-        for spec in family_specs(3, 2):
+        specs = family_specs(3, 2)
+        for spec in specs:
             closed_canonical_family(spec)
-        assert len(seen) == 48 and max(seen.values()) == 1
+        assert len(builds) == len(specs) == 48
+
+    def test_fill_stage_terms_disagree(self):
+        # after f_0 f_1 at a = 1 the three terms have one or two addable
+        # 0-nodes, so a fill stage has no single count
+        ctx = symmetric_context(1)
+        stages = [(0, 1), (1, 1), (0, None)]
+        with pytest.raises(ValueError, match="disagree"):
+            path_monomial(ctx, stages)
+        with pytest.raises(ValueError, match="different weights"):
+            expand_family_branches(ctx, stages, 2)
 
 
-def folds_like_branches(ctx, stages, m, branch_cap=None):
-    """expand_family against the per-branch reference on one (path, m):
-    the same summed plain and corrected vectors, or ValueError from both.
-    Returns whether the path expanded."""
+def reference_sums(branches):
+    """The plain and the corrected sum of expand_family_branches' branches."""
+    return tuple(
+        FockVector((b[0], LaurentPoly.monomial(b[pick])) for b in branches) for pick in (1, 2)
+    )
+
+
+def folds_like_branches(ctx, stages, branch_cap=None):
+    """The plain fold and the monomial against the per-branch reference
+    truncated at each m = 1..len(stages): the reference expands at some m
+    exactly when both build, path_monomial's m is the smallest such m,
+    every larger m expands too, and at each of them the reference's plain
+    and corrected sums are the fold's and the monomial.  Returns the
+    number of m at which the reference expanded."""
+    refs = {}
+    for m in range(1, len(stages) + 1):
+        try:
+            refs[m] = expand_family_branches(ctx, stages, m, branch_cap)
+        except ValueError:
+            pass
     try:
-        branches = expand_family_branches(ctx, stages, m, branch_cap)
+        monomial, path, m = path_monomial(ctx, stages)
+        terms = expand_family(ctx, path, branch_cap)
     except ValueError:
-        with pytest.raises(ValueError):
-            expand_family(ctx, stages, m, branch_cap)
-        return False
-    terms = expand_family(ctx, stages, m, branch_cap)
-    assert len({mp for mp, _, _ in terms}) == len(terms)
-    for pick in (1, 2):
-        want = FockVector((b[0], LaurentPoly.monomial(b[pick])) for b in branches)
-        assert FockVector({t[0]: t[pick] for t in terms}) == want, (stages, m, pick)
-    return True
+        assert not refs, stages
+        return 0
+    assert list(refs) == list(range(m, len(stages) + 1)), (stages, m)
+    assert len({mp for mp, _ in terms}) == len(terms)
+    for branches in refs.values():
+        assert reference_sums(branches) == (FockVector(dict(terms)), monomial), stages
+    return len(refs)
 
 
 class TestFoldReference:
@@ -397,13 +437,13 @@ class TestFoldReference:
         for a in range(1, 5):
             ctx = symmetric_context(a)
             for spec in family_specs(a, 2):
-                checked += folds_like_branches(ctx, *family_stages(spec))
+                checked += folds_like_branches(ctx, family_stages(spec)) > 0
         assert checked == 156
 
     @pytest.mark.parametrize("a,degree,tried,expanded", [(2, 14, 110, 48), (3, 13, 64, 34)])
     def test_conjecture_scan_paths(self, a, degree, tried, expanded):
-        # every (path, m) the conjecture scan can try: each vertex of an
-        # external weight, m = 1..len(path), under the scan's branch cap
+        # every (path, m) the old scan tried: each vertex of an external
+        # weight, m = 1..len(path), under the scan's branch cap
         ctx = symmetric_context(a)
         g = generate_crystal(ctx, degree)
         bg = block_reduced(g)
@@ -413,20 +453,20 @@ class TestFoldReference:
             if any(cont) and is_external(bg, cont)
             for mp in g.by_content()[cont]
         ]
-        pairs = [(list(path), m) for path in paths for m in range(1, len(path) + 1)]
-        assert len(pairs) == tried
-        assert sum(folds_like_branches(ctx, path, m, 200_000) for path, m in pairs) == expanded
+        assert sum(map(len, paths)) == tried
+        assert sum(folds_like_branches(ctx, list(path), 200_000) for path in paths) == expanded
 
     def test_branch_cap_counts_branches(self):
         # four choice stages and a full string: branches merge, so a cap
         # on distinct terms would let count - 1 pass
         ctx = symmetric_context(3)
-        stages, m = family_stages(FamilySpec("p010k", 3, 3, 2))
-        count = len(expand_family_branches(ctx, stages, m))
-        assert len(expand_family(ctx, stages, m)) < count - 1
-        assert folds_like_branches(ctx, stages, m, branch_cap=count)
+        stages = family_stages(FamilySpec("p010k", 3, 3, 2))
+        _, path, _ = path_monomial(ctx, stages)
+        count = len(expand_family_branches(ctx, stages, len(stages)))
+        assert len(expand_family(ctx, path)) < count - 1
+        assert folds_like_branches(ctx, stages, branch_cap=count)
         with pytest.raises(ValueError, match="branch budget"):
-            expand_family(ctx, stages, m, branch_cap=count - 1)
+            expand_family(ctx, path, branch_cap=count - 1)
 
 
 class TestDefectHelpers:

@@ -43,6 +43,11 @@ class TestWeyl:
         r = verify_weyl_stability(2, 1, 2, 0)
         assert r.passed and len(r.instances) == 1
 
+    def test_negative_n_max_raises(self):
+        # an empty range of n is no pass
+        with pytest.raises(ValueError, match="need n_max >= 0"):
+            verify_weyl_stability(2, 0, 1, -2)
+
     def test_degree_cap_skips(self):
         r = verify_weyl_stability(2, 0, 2, 2, degree_cap=13)
         verds = [i.verdict for i in r.instances]
@@ -55,6 +60,10 @@ class TestPathFamilies:
         r = verify_path_families(2, "p0k1", 1, 2)
         assert r.passed
         assert all(i.verdict == "match" for i in r.instances)
+
+    def test_negative_n_max_raises(self):
+        with pytest.raises(ValueError, match="need n_max >= 0"):
+            verify_path_families(2, "p0k1", 1, -1)
 
     def test_p10k_n0_clean(self):
         r = verify_path_families(2, "p10k", 2, 0)
