@@ -103,6 +103,9 @@ class CanonicalBasis:
         self.ctx = ctx
         self._elements: dict[Multipartition, CanonicalElement] = {}
         self._in_progress: set[Multipartition] = set()
+        # one int per distinct coefficient value of the computed elements
+        # (all over the exponent base 0), dropped with the basis
+        self._coefficients: dict[int, int] = {}
         self._cache_dir = cache_dir
 
     # seeds
@@ -175,7 +178,7 @@ class CanonicalBasis:
 
         shape = self._check_element(mp, V, info.defect)
         # checked: every exponent is >= 0, so the base 0 drops nothing
-        return CanonicalElement(mp, V.rebased(0), info, shape)
+        return CanonicalElement(mp, V.interned(self._coefficients), info, shape)
 
     def _check_element(self, mp: Multipartition, V: FockVector, defect: int) -> tuple[int, ...]:
         """The shape of V, once V passes the checks of G(mp): the

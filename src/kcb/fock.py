@@ -320,18 +320,26 @@ class FockVector:
         return sorted(self._terms)
 
     def rebased(self, lo: int) -> "FockVector":
-        """The same vector over the exponent base lo; raises CoefficientError
-        when a coefficient has a term below v^lo."""
-        s = W * (lo - self._lo)
-        if s == 0:
+        """The same vector over the exponent base lo, which must not lie
+        above the vector's own: lowering it drops nothing."""
+        if lo > self._lo:
+            raise ValueError(f"rebased only lowers the exponent base {self._lo}, got {lo}")
+        if lo == self._lo:
             return self
-        if s < 0:
-            t = {mp: x << -s for mp, x in self._terms.items()}
-        elif reduce(or_, map(abs, self._terms.values()), 0) & ((1 << s) - 1):
-            raise CoefficientError(f"a coefficient has a term below v^{lo}")
-        else:
-            t = {mp: x >> s for mp, x in self._terms.items()}
-        return FockVector._wrap(t, lo, self._bound)
+        s = W * (self._lo - lo)
+        return FockVector._wrap({mp: x << s for mp, x in self._terms.items()}, lo, self._bound)
+
+    def interned(self, table: dict[int, int]) -> "FockVector":
+        """The same vector over the exponent base 0, each coefficient the
+        int `table` holds for its value (added when new), so that equal
+        coefficients are one object.  Only for a vector over a base <= 0
+        with no exponent below 0, such as a checked canonical element: the
+        shift to base 0 then drops nothing, and ints over one base are
+        equal exactly when their coefficients are."""
+        s = W * -self._lo
+        xs = [x >> s for x in self._terms.values()]
+        t = dict(zip(self._terms, map(table.setdefault, xs, xs)))
+        return FockVector._wrap(t, 0, self._bound)
 
     # int-level reads for the reduction and the element checks: no
     # LaurentPoly per term

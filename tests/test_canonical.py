@@ -472,6 +472,43 @@ def test_element_memo_holds_no_per_term_tracked_object():
     assert added < 3 * len(elems) + terms // 10, (added, len(elems), terms)
 
 
+class TestCoefficientTable:
+    # every computed element's coefficient ints go through its basis's table
+    @pytest.fixture(scope="class")
+    def basis(self):
+        basis = CanonicalBasis(C01)
+        for mp in vertices_up_to(basis, 8):
+            basis.element(mp)
+        return basis
+
+    @staticmethod
+    def stored(basis):
+        return [x for g in basis._elements.values() for x in g.vector._terms.values()]
+
+    def test_equal_coefficients_are_one_int(self, basis):
+        xs = self.stored(basis)
+        assert len(set(xs)) < len(xs)  # values repeat across elements
+        assert len({id(x) for x in xs}) == len(set(xs))
+
+    def test_table_holds_the_stored_coefficients(self, basis):
+        xs = self.stored(basis)
+        assert basis._coefficients == {x: x for x in xs}
+        assert all(basis._coefficients[x] is x for x in xs)
+
+    def test_base_zero_and_bound_max_shape(self, basis):
+        for g in basis._elements.values():
+            assert (g.vector._lo, g.vector._bound) == (0, max(g.shape)), g.label
+
+    def test_bases_do_not_share_a_table(self, basis):
+        other = CanonicalBasis(C01)
+        assert other._coefficients == {}
+        for mp, g in basis._elements.items():
+            mine, theirs = g.vector._terms, other.element(mp).vector._terms
+            assert mine == theirs
+            # ints beyond CPython's small-int cache are only shared by a table
+            assert not any(x is theirs[nu] for nu, x in mine.items() if x > 256), mp
+
+
 def test_reduction_and_serialisation_build_no_view_per_term(monkeypatch):
     # the reduction, the element checks and element_to_json read the stored
     # ints; LaurentPoly views come only with an elimination step

@@ -374,6 +374,25 @@ def test_packed_arithmetic_matches_dicts(ca, cb, m):
                 assert as_dicts(apply_f_divided(C01, x, i, k)) == want
 
 
+def test_rebased_only_lowers():
+    v = packed([{-2: 1, 3: -2}, {0: 3}, {}])
+    assert v.rebased(-2) is v and v.rebased(-7) == v
+    with pytest.raises(ValueError, match="lowers"):
+        v.rebased(-1)
+
+
+@given(st.lists(st.dictionaries(st.integers(0, 5), st.integers(1, 3), max_size=4),
+                min_size=len(MPS), max_size=len(MPS)), st.integers(0, 4))
+def test_interned_moves_to_base_zero_through_the_table(cs, drop):
+    v = packed(cs).rebased(-drop)
+    table = {}
+    w = v.interned(table)
+    assert w._lo == 0 and w._bound == v._bound and as_dicts(w) == as_dicts(v)
+    assert all(table[x] is x for x in w._terms.values())
+    again = v.interned(table)._terms
+    assert all(again[mp] is x for mp, x in w._terms.items())
+
+
 def test_bound_reaching_limit_raises():
     half = LaurentPoly({0: LIMIT // 2})
     v = FockVector([(MPS[0], half)])
