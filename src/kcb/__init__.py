@@ -23,12 +23,8 @@ from .partitions import (
 from .fock import (
     FockContext,
     FockVector,
-    NodeRef,
-    addable_nodes,
     apply_f_divided,
     content,
-    removable_nodes,
-    residue,
     symmetric_context,
 )
 from .crystal import (

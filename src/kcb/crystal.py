@@ -9,9 +9,9 @@ surviving "-", the cogood node the rightmost surviving "+".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 
-from .fock import FockContext, NodeRef, add_node, content, i_node_slots, remove_node
+from .fock import FockContext, add_node, content, i_node_slots, remove_node
 from .partitions import Multipartition, is_e_regular, mp_from_json, mp_to_json
 
 
@@ -58,42 +58,46 @@ def weight_info(ctx: FockContext, cont) -> WeightInfo:
     return WeightInfo(cont, hub, defect)
 
 
-def _reduced_signature(ctx: FockContext, mp: Multipartition, i: int) -> list[tuple[NodeRef, bool]]:
-    """Surviving (node, is_addable) entries, bottom-to-top, after '-+' cancellation."""
-    stack: list[tuple[NodeRef, bool]] = []
+def _reduced_signature(ctx: FockContext, mp: Multipartition, i: int) -> tuple[list, list]:
+    """The surviving addable and removable i-nodes after '-+' cancellation,
+    each bottom to top: the reduced word is + for each addable, then - for
+    each removable.  Adding a cogood node or removing a good one flips
+    its sign and cancels nothing new, so one signature fixes the i-string."""
+    adds, rems = [], []
     for node, isadd in reversed(i_node_slots(ctx, mp, i)):
-        if isadd and stack and not stack[-1][1]:
-            stack.pop()
+        if not isadd:
+            rems.append(node)
+        elif rems:
+            rems.pop()
         else:
-            stack.append((node, isadd))
-    return stack
+            adds.append(node)
+    return adds, rems
+
+
+def _f_power(ctx: FockContext, mp: Multipartition, i: int, k: int) -> Multipartition | None:
+    """f~_i^k: the k rightmost surviving + of one signature added; None
+    if fewer than k survive."""
+    adds, _ = _reduced_signature(ctx, mp, i)
+    return reduce(add_node, adds[len(adds) - k :], mp) if k <= len(adds) else None
 
 
 def f_tilde(ctx: FockContext, mp: Multipartition, i: int) -> Multipartition | None:
     """Add the i-cogood node (rightmost surviving +); None if there is none."""
-    sig = _reduced_signature(ctx, mp, i)
-    for node, isadd in reversed(sig):
-        if isadd:
-            return add_node(mp, node)
-    return None
+    return _f_power(ctx, mp, i, 1)
 
 
 def f_tilde_string(ctx: FockContext, mp: Multipartition, i: int, k: int) -> Multipartition:
     """f~_i applied k times; NotAVertexError if the i-string ends first."""
-    for _ in range(k):
-        nxt = f_tilde(ctx, mp, i)
-        if nxt is None:
-            raise NotAVertexError(f"path broke at residue {i} from {mp}")
-        mp = nxt
-    return mp
+    out = _f_power(ctx, mp, i, k)
+    if out is None:
+        raise NotAVertexError(f"path broke at residue {i} from {mp}")
+    return out
 
 
 def e_tilde(ctx: FockContext, mp: Multipartition, i: int) -> Multipartition | None:
     """Remove the i-good node (leftmost surviving -); None if there is none."""
-    for node, isadd in _reduced_signature(ctx, mp, i):
-        if not isadd:
-            return remove_node(mp, node)
-    return None
+    _, rems = _reduced_signature(ctx, mp, i)
+    return remove_node(mp, rems[0]) if rems else None
 
 
 @dataclass
@@ -183,18 +187,17 @@ def is_external(bg: BlockReducedGraph, cont) -> bool:
 
 def string_top(ctx: FockContext, mp: Multipartition) -> tuple[int, int, Multipartition] | None:
     """(i, k, e~_i^k(mp)) for mp's first maximal string, i the smallest
-    residue with a good node; None at the highest weight vertex.  Raises
-    NotAVertexError when mp is not e-regular or has no good node."""
+    residue with a good node, k = eps_i the number of surviving - of its
+    signature; None at the highest weight vertex.  Raises NotAVertexError
+    when mp is not e-regular or has no good node."""
     if mp == ctx.highest_weight_vertex():
         return None
     if not is_e_regular(mp, ctx.e):
         raise NotAVertexError(f"{mp} is not {ctx.e}-regular")
     for i in range(ctx.e):
-        k, top, nxt = 0, mp, e_tilde(ctx, mp, i)
-        while nxt is not None:
-            k, top, nxt = k + 1, nxt, e_tilde(ctx, nxt, i)
-        if k:
-            return i, k, top
+        _, rems = _reduced_signature(ctx, mp, i)
+        if rems:
+            return i, len(rems), reduce(remove_node, rems, mp)
     raise NotAVertexError(f"{mp} does not reach the highest weight vertex")
 
 

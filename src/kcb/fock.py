@@ -1,5 +1,5 @@
-"""Fock space over Z[v, v^-1]: residues, node combinatorics, and the
-divided powers f_i^(k) of the v-weighted lowering operator.
+"""Fock space over Z[v, v^-1]: node combinatorics and the divided
+powers f_i^(k) of the v-weighted lowering operator.
 
 f_i^(k) adds each k-subset T of the addable i-nodes at v^(sum_T N_t -
 C(k,2)), N_t = #addable - #removable i-nodes above t (Kashiwara, Duke
@@ -11,7 +11,8 @@ Ordering convention used everywhere ("above"/"below"): component 1 is
 topmost, and within a component a smaller row index is higher.  A single
 row carries at most one node of a given residue (the removable box at its
 end and the addable slot just past it differ by one residue), so listing
-nodes by (component, row) is unambiguous.
+nodes by (component, row) is unambiguous.  A node is the plain int
+tuple (component, row, column), all 1-based.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import chain, combinations
 from operator import or_
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterator, Mapping
 
 from .laurent import LaurentPoly, exact_div
 from .partitions import Multipartition, Partition, mps_from_json
@@ -30,28 +31,26 @@ class CoefficientError(ValueError):
     """A vector's coefficients break a bound its check was asked for."""
 
 
-class NodeRef(NamedTuple):
-    comp: int  # 1-based component index
-    row: int   # 1-based row
-    col: int   # 1-based column
-
-
 @dataclass(frozen=True)
 class FockContext:
     """Rank e >= 2 together with the charge sequence (k_1, ..., k_r).
 
     Charges fix every node residue and the highest weight
     Lambda = Lambda_{k_1} + ... + Lambda_{k_r}.  Components sharing a
-    charge must occupy a contiguous block.
+    charge must occupy a contiguous block.  A bool, a float or any other
+    non-int rank or charge raises TypeError (it is not truncated).
     """
 
     e: int
     charges: tuple[int, ...]
 
     def __post_init__(self):
+        charges = tuple(self.charges)
+        if type(self.e) is not int or not set(map(type, charges)) <= {int}:
+            raise TypeError(f"rank and charges must be ints, got {self.e!r} and {charges!r}")
         if self.e < 2:
             raise ValueError(f"rank must be >= 2, got {self.e}")
-        object.__setattr__(self, "charges", tuple(int(c) for c in self.charges))
+        object.__setattr__(self, "charges", charges)
         if len(self.charges) < 1:
             raise ValueError("need at least one charge")
         if any(not 0 <= c < self.e for c in self.charges):
@@ -92,12 +91,10 @@ def symmetric_context(a: int) -> FockContext:
     return FockContext(2, (0,) * a + (1,) * a)
 
 
-def residue(ctx: FockContext, node: NodeRef) -> int:
-    """(charge of the component + column - row) mod e."""
-    return (ctx.charges[node.comp - 1] + node.col - node.row) % ctx.e
+Node = tuple[int, int, int]
 
 
-def i_node_slots(ctx: FockContext, mp: Multipartition, i: int) -> list[tuple[NodeRef, bool]]:
+def i_node_slots(ctx: FockContext, mp: Multipartition, i: int) -> list[tuple[Node, bool]]:
     """Addable (True) and removable (False) i-nodes, top to bottom."""
     out = []
     e = ctx.e
@@ -111,21 +108,17 @@ def i_node_slots(ctx: FockContext, mp: Multipartition, i: int) -> list[tuple[Nod
             if d == add:
                 # addable when the row above is strictly longer
                 if j == 1 or comp[j - 2] > cur:
-                    out.append((NodeRef(u, j, cur + 1), True))
+                    out.append(((u, j, cur + 1), True))
             elif d == rem:
                 # removable when the row below is strictly shorter
                 if j == t or comp[j] < cur:
-                    out.append((NodeRef(u, j, cur), False))
+                    out.append(((u, j, cur), False))
         if (-t - 1) % e == add:  # the slot past the last row is always addable
-            out.append((NodeRef(u, t + 1, 1), True))
+            out.append(((u, t + 1, 1), True))
     return out
 
 
-def addable_nodes(ctx: FockContext, mp: Multipartition, i: int) -> list[NodeRef]:
-    return [n for n, add in i_node_slots(ctx, mp, i) if add]
-
-
-def addable_exponents(ctx: FockContext, mp: Multipartition, i: int) -> list[tuple[NodeRef, int]]:
+def addable_exponents(ctx: FockContext, mp: Multipartition, i: int) -> list[tuple[Node, int]]:
     """Addable i-nodes, top to bottom, each with its f_i exponent
     N = #{addable i-nodes above it} - #{removable i-nodes above it}."""
     out, nr = [], 0
@@ -137,27 +130,25 @@ def addable_exponents(ctx: FockContext, mp: Multipartition, i: int) -> list[tupl
     return out
 
 
-def removable_nodes(ctx: FockContext, mp: Multipartition, i: int) -> list[NodeRef]:
-    return [n for n, add in i_node_slots(ctx, mp, i) if not add]
-
-
-def add_node(mp: Multipartition, node: NodeRef) -> Multipartition:
-    comp = mp[node.comp - 1]
-    if node.row == len(comp) + 1:
+def add_node(mp: Multipartition, node: Node) -> Multipartition:
+    u, row, _ = node
+    comp = mp[u - 1]
+    if row == len(comp) + 1:
         new = comp + (1,)
     else:
-        new = comp[: node.row - 1] + (comp[node.row - 1] + 1,) + comp[node.row :]
-    return mp[: node.comp - 1] + (new,) + mp[node.comp :]
+        new = comp[: row - 1] + (comp[row - 1] + 1,) + comp[row:]
+    return mp[: u - 1] + (new,) + mp[u:]
 
 
-def remove_node(mp: Multipartition, node: NodeRef) -> Multipartition:
-    comp = mp[node.comp - 1]
-    r = comp[node.row - 1] - 1
+def remove_node(mp: Multipartition, node: Node) -> Multipartition:
+    u, row, _ = node
+    comp = mp[u - 1]
+    r = comp[row - 1] - 1
     if r == 0:
-        new = comp[: node.row - 1] + comp[node.row :]
+        new = comp[: row - 1] + comp[row:]
     else:
-        new = comp[: node.row - 1] + (r,) + comp[node.row :]
-    return mp[: node.comp - 1] + (new,) + mp[node.comp :]
+        new = comp[: row - 1] + (r,) + comp[row:]
+    return mp[: u - 1] + (new,) + mp[u:]
 
 
 # One object per distinct component that divided_power_term builds, and

@@ -18,6 +18,11 @@ replaced by faster ones: a dominance
 walk over every row with no memo, a slot walk over every row with a
 charge lookup per component, one add_node per added node, and a count
 of every cell.
+
+f_tilde_iterated and e_tilde_until_none step through an i-string one
+crystal operator at a time, each step reading a fresh signature off
+i_node_slots_reference, against kcb.crystal, which reads one signature
+per string (f_tilde_string, string_top).
 """
 
 from itertools import combinations, zip_longest
@@ -25,7 +30,6 @@ from itertools import combinations, zip_longest
 from kcb.fock import (
     FockContext,
     FockVector,
-    NodeRef,
     add_node,
     addable_exponents,
     content,
@@ -190,11 +194,44 @@ def i_node_slots_reference(ctx: FockContext, mp: Multipartition, i: int) -> list
             cur = comp[j - 1] if j <= t else 0
             if j == 1 or comp[j - 2] > cur:
                 if (ch + cur + 1 - j) % e == i:
-                    out.append((NodeRef(u, j, cur + 1), True))
+                    out.append(((u, j, cur + 1), True))
             if j <= t and (j == t or comp[j] < cur):
                 if (ch + cur - j) % e == i:
-                    out.append((NodeRef(u, j, cur), False))
+                    out.append(((u, j, cur), False))
     return out
+
+
+def _signature_reference(ctx: FockContext, mp: Multipartition, i: int) -> list:
+    """Surviving (node, is_addable) entries, bottom to top, after '-+' cancellation."""
+    stack = []
+    for node, isadd in reversed(i_node_slots_reference(ctx, mp, i)):
+        if isadd and stack and not stack[-1][1]:
+            stack.pop()
+        else:
+            stack.append((node, isadd))
+    return stack
+
+
+def f_tilde_iterated(ctx: FockContext, mp: Multipartition, i: int, k: int):
+    """f~_i applied k times, each time adding the rightmost surviving + of
+    a fresh signature; None if the i-string ends first."""
+    for _ in range(k):
+        adds = [node for node, isadd in _signature_reference(ctx, mp, i) if isadd]
+        if not adds:
+            return None
+        mp = add_node(mp, adds[-1])
+    return mp
+
+
+def e_tilde_until_none(ctx: FockContext, mp: Multipartition, i: int) -> tuple[int, Multipartition]:
+    """(k, e~_i^k(mp)) with e~_i, the leftmost surviving - of a fresh
+    signature removed, applied until there is none."""
+    k = 0
+    while True:
+        rems = [node for node, isadd in _signature_reference(ctx, mp, i) if not isadd]
+        if not rems:
+            return k, mp
+        mp, k = remove_node(mp, rems[0]), k + 1
 
 
 def divided_power_term_reference(mp: Multipartition, subset) -> tuple[Multipartition, int]:

@@ -174,6 +174,14 @@ class TestVerify:
         assert code == 0
         assert "PASS" in out
 
+    @pytest.mark.parametrize("e, charges", [("2", "1"), ("3", "1,2")])
+    def test_svelte_without_charge_0(self, capsys, e, charges):
+        # a_0 = 0 here: the symmetric length law once divided by it
+        code, out = run(capsys, "verify", "--suite", "svelte", "--e", e,
+                        "--charges", charges, "--max-degree", "6")
+        assert code in (0, 1)
+        assert out.startswith("suite svelte")
+
     def test_every_suite_has_one_table_row(self):
         assert sorted(cli._SUITES) == sorted(SUITES)
 

@@ -25,7 +25,7 @@ from kcb.closedform import (
     tau,
 )
 from kcb.crystal import block_reduced, generate_crystal, is_external, residue_collected_path
-from kcb.fock import FockVector, addable_nodes, apply_f_divided, content, symmetric_context
+from kcb.fock import FockVector, addable_exponents, apply_f_divided, content, symmetric_context
 from kcb.laurent import LaurentPoly
 from kcb.partitions import total_size, transpose_each, triangular
 
@@ -219,7 +219,7 @@ class TestClosedWeyl:
             for n in (0, 1, 2):
                 elem = closed_canonical_weyl(a, 0, k, n)
                 nxt = 1 if n % 2 == 0 else 0
-                count = len(addable_nodes(ctx, elem.label, nxt))
+                count = len(addable_exponents(ctx, elem.label, nxt))
                 assert count == k * (n + 2) + (a - k) * n + a * (n + 1), (a, k, n)
 
 
@@ -364,7 +364,7 @@ class TestStagePath:
                 vec = FockVector.basis(ctx.highest_weight_vertex())
                 for i, mult in family_stages(spec):
                     if mult is None:
-                        (mult,) = {len(addable_nodes(ctx, mp, i)) for mp, _ in vec.terms()}
+                        (mult,) = {len(addable_exponents(ctx, mp, i)) for mp, _ in vec.terms()}
                     vec = apply_f_divided(ctx, vec, i, mult)
                 assert family_vectors(ctx, spec)[1] == vec, spec
                 checked += 1

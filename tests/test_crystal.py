@@ -1,5 +1,8 @@
+import json
+
 import pytest
 
+from kcb import crystal
 from kcb.crystal import (
     NotAVertexError,
     block_from_json,
@@ -15,6 +18,7 @@ from kcb.crystal import (
     generate_crystal,
     is_external,
     residue_collected_path,
+    string_top,
     weight_info,
 )
 from kcb.fock import FockContext, symmetric_context
@@ -86,6 +90,37 @@ class TestCrystalOperators:
                     down = e_tilde(ctx, mp, i)
                     if down is not None:
                         assert f_tilde(ctx, down, i) == mp
+
+    def test_one_signature_per_string(self, monkeypatch):
+        # f_tilde_string reads one i-signature whatever k is, and
+        # string_top at most one per residue
+        ctx = symmetric_context(2)
+        verts = sorted(generate_crystal(ctx, 6).degrees)
+        calls = []
+        real = crystal._reduced_signature
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(crystal, "_reduced_signature", counting)
+        longest = {"f": 0, "e": 0}
+        for mp in verts:
+            for i in range(ctx.e):
+                for k in range(4):
+                    calls.clear()
+                    try:
+                        f_tilde_string(ctx, mp, i, k)
+                        longest["f"] = max(longest["f"], k)
+                    except NotAVertexError:
+                        pass
+                    assert len(calls) == 1, (mp, i, k)
+            calls.clear()
+            step = string_top(ctx, mp)
+            assert len(calls) <= ctx.e, mp
+            if step is not None:
+                longest["e"] = max(longest["e"], step[1])
+        assert min(longest.values()) >= 3  # strings of several steps were counted
 
 
 class TestGenerate:
@@ -234,6 +269,15 @@ class TestSerialization:
         assert bg2.weights == bg.weights
         assert bg2.dims == bg.dims
         assert bg2.edges == bg.edges
+
+    @pytest.mark.parametrize("field, bad", [("e", 2.0), ("charges", [0, 1.0]), ("charges", [0, True])])
+    def test_non_int_context_refused(self, field, bad):
+        # JSON numbers go straight into FockContext, which truncates none
+        g = json.loads(json.dumps(crystal_to_json(generate_crystal(C01, 2))))
+        bg = json.loads(json.dumps(block_to_json(block_reduced(generate_crystal(C01, 2)))))
+        for data, read in ((g, crystal_from_json), (bg, block_from_json)):
+            with pytest.raises(TypeError):
+                read({**data, field: bad})
 
     def test_dot_labels(self):
         bg = block_reduced(generate_crystal(symmetric_context(3), 3))

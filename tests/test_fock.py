@@ -13,12 +13,11 @@ from kcb.fock import (
     CoefficientError,
     FockContext,
     FockVector,
-    NodeRef,
-    addable_nodes,
+    add_node,
+    addable_exponents,
     apply_f_divided,
     content,
-    removable_nodes,
-    residue,
+    i_node_slots,
     symmetric_context,
 )
 from kcb.laurent import LaurentPoly
@@ -62,30 +61,46 @@ class TestContext:
         with pytest.raises(ValueError):
             FockContext(1, (0,))
 
+    @pytest.mark.parametrize(
+        "e, charges",
+        [(2, (1.7, 0.2)), (2, (0, 1.0)), (2, (True, 0)), (2, ("0", "1")),
+         (2.5, (0, 1)), (2.0, (0, 1)), (True, (0,)), ("2", (0,))],
+    )
+    def test_non_int_refused(self, e, charges):
+        # neither truncated nor coerced: FockContext(2, (1.7, 0.2)) once became (1, 0)
+        with pytest.raises(TypeError):
+            FockContext(e, charges)
+
+    def test_charges_become_a_tuple(self):
+        assert FockContext(2, [0, 1]) == C01
+
 
 class TestResidue:
     def test_examples(self):
-        assert residue(C01, NodeRef(2, 1, 2)) == 0
-        assert residue(C01, NodeRef(1, 1, 1)) == 0
-        assert residue(FockContext(3, (0,)), NodeRef(1, 2, 1)) == 2
+        # a node (component, row, column) has residue charge + column - row mod e
+        assert ((2, 1, 2), True) in i_node_slots(C01, ((), (1,)), 0)
+        assert ((1, 1, 1), True) in i_node_slots(C01, ((), ()), 0)
+        assert i_node_slots(FockContext(3, (0,)), ((1,),), 2) == [((1, 2, 1), True)]
 
 
 class TestNodes:
     def test_addable_highest_weight(self):
-        assert addable_nodes(C01, ((), ()), 0) == [NodeRef(1, 1, 1)]
+        assert addable_exponents(C01, ((), ()), 0) == [((1, 1, 1), 0)]
 
     def test_addable_ordering(self):
-        nodes = addable_nodes(C01, ((), (1,)), 0)
-        assert nodes == [NodeRef(1, 1, 1), NodeRef(2, 1, 2), NodeRef(2, 2, 1)]
+        nodes = addable_exponents(C01, ((), (1,)), 0)
+        assert nodes == [((1, 1, 1), 0), ((2, 1, 2), 1), ((2, 2, 1), 2)]
 
     def test_highest_weight_corners(self):
         ctx = FockContext(2, (0, 0, 0, 1, 1, 1))
-        assert len(addable_nodes(ctx, ((),) * 6, 0)) == 3
+        assert len(addable_exponents(ctx, ((),) * 6, 0)) == 3
 
     def test_removable(self):
-        assert removable_nodes(C01, ((1,), ()), 0) == [NodeRef(1, 1, 1)]
-        assert removable_nodes(C01, ((2,), ()), 1) == [NodeRef(1, 1, 2)]
-        assert removable_nodes(C01, ((), ()), 0) == []
+        assert i_node_slots(C01, ((1,), ()), 0) == [((1, 1, 1), False)]
+        assert i_node_slots(C01, ((2,), ()), 1) == [
+            ((1, 1, 2), False), ((1, 2, 1), True), ((2, 1, 1), True)
+        ]
+        assert all(isadd for _, isadd in i_node_slots(C01, ((), ()), 0))
 
 
 class TestApplyF:
@@ -206,14 +221,13 @@ class TestInvLaw:
             for n in range(4):
                 for mp in iter_multipartitions(n, ctx.level):
                     for i in range(ctx.e):
-                        if removable_nodes(ctx, mp, i):
+                        slots = i_node_slots(ctx, mp, i)
+                        if not all(isadd for _, isadd in slots):
                             continue
-                        adds = addable_nodes(ctx, mp, i)
+                        adds = [node for node, _ in slots]
                         for k in range(1, min(3, len(adds)) + 1):
                             got = apply_f_divided(ctx, FockVector.basis(mp), i, k)
                             for pos in combinations(range(len(adds)), k):
-                                from kcb.fock import add_node
-
                                 lam = mp
                                 for p in pos:
                                     lam = add_node(lam, adds[p])

@@ -1,5 +1,6 @@
 """Source hygiene: every function and class in src/kcb is used somewhere,
-every module of src/kcb and tests/ uses what it imports, src/kcb checks nothing
+those used only by tests are exactly the listed TEST_ONLY_API, every
+module of src/kcb and tests/ uses what it imports, src/kcb checks nothing
 with assert (python -O strips it), only laurent.py and fock.py read the
 coefficient storage `_terms`, src/kcb never encodes with json.dump, and every
 kcb name the benchmark in perfbench/ reads still exists.
@@ -17,7 +18,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(p for p in (ROOT / "src" / "kcb").glob("*.py") if p.name != "__init__.py")
-SEARCHED = SOURCES + sorted((ROOT / "tests").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
+SEARCHED = SOURCES + TESTS
 BENCH = sorted((ROOT / "perfbench").glob("*.py")) + sorted(
     (ROOT / "perfbench" / "tests").glob("*.py")
 )
@@ -39,9 +41,9 @@ def _definitions(path: Path):
     return out
 
 
-def _references() -> Counter:
+def _references(paths=SEARCHED) -> Counter:
     counts: Counter = Counter()
-    for path in SEARCHED:
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Name):
                 counts[node.id] += 1
@@ -61,6 +63,34 @@ def test_no_unreferenced_definitions():
         if not (name.startswith("__") and name.endswith("__")) and not counts[name]
     ]
     assert unused == [], f"defined but never referenced: {unused}"
+
+
+# src/kcb definitions that only tests reference, each with why the public
+# API keeps it; a new test-only definition fails until it is listed here
+TEST_ONLY_API = {
+    "at_weight": "every G at one weight, the unit of the paper's tables",
+    "shape_fn_closed": "the paper's closed shape functions for k = 1, 2, 3",
+    "family_term": "one path-family term for explicit choice sequences, as the paper states it",
+    "defect_top_row": "the paper's top-row defect k(a-k)",
+    "small_defect_families": "the paper's defect-2 families at a = 1 and 3",
+    "crystal_from_json": "reads back the JSON that `kcb crystal` writes",
+    "block_from_json": "reads back the JSON that `kcb block-graph` writes",
+}
+
+
+def test_test_only_definitions_are_listed():
+    in_src, in_tests = _references(SOURCES), _references(TESTS)
+    test_only = {
+        name
+        for path in SOURCES
+        for _, name in _definitions(path)
+        if not (name.startswith("__") and name.endswith("__"))
+        and not in_src[name] and in_tests[name]
+    }
+    assert test_only == set(TEST_ONLY_API), (
+        f"used only by tests but not listed: {sorted(test_only - set(TEST_ONLY_API))}; "
+        f"listed but not test-only: {sorted(set(TEST_ONLY_API) - test_only)}"
+    )
 
 
 def test_no_unused_imports():

@@ -1,19 +1,26 @@
 """The per-term kernels against the plain ones in fock_reference: the
 memoised dominance steps, the slot walk, the one-splice divided-power
-term and the per-row content; and the sharing of equal f_i terms."""
+term, the per-row content and the one-signature crystal strings; and the
+sharing of equal f_i terms."""
 
 from functools import lru_cache
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kcb import fock, partitions
 from kcb.canonical import CanonicalBasis
-from kcb.crystal import generate_crystal
+from kcb.crystal import (
+    NotAVertexError,
+    e_tilde,
+    f_tilde,
+    f_tilde_string,
+    generate_crystal,
+    string_top,
+)
 from kcb.fock import (
     FockContext,
-    NodeRef,
     addable_exponents,
     content,
     divided_power_term,
@@ -25,6 +32,8 @@ from fock_reference import (
     content_reference,
     divided_power_term_reference,
     dominates_reference,
+    e_tilde_until_none,
+    f_tilde_iterated,
     i_node_slots_reference,
 )
 
@@ -72,6 +81,54 @@ def test_divided_power_term_matches_reference(case):
 def test_content_matches_per_cell_count(case):
     ctx, mp, _ = case
     assert content(ctx, mp) == content_reference(ctx, mp)
+
+
+# the crystal strings: one signature per string against one per step
+
+
+@st.composite
+def crystal_vertices(draw):
+    """A context and a vertex of its crystal: the highest weight vertex
+    taken along a drawn residue word by the reference f~ (a residue with
+    no cogood node is skipped)."""
+    ctx = draw(contexts())
+    mp = ctx.highest_weight_vertex()
+    for i in draw(st.lists(st.integers(0, ctx.e - 1), max_size=12)):
+        mp = f_tilde_iterated(ctx, mp, i, 1) or mp
+    return ctx, mp
+
+
+@settings(max_examples=80)
+@given(context_terms())
+@example((FockContext(2, (0,)), ((2,),), 1))  # the cogood node starts a new row
+@example((FockContext(3, (0, 0, 1)), ((), (), ()), 0))  # a string of two new rows
+def test_f_tilde_string_matches_iterated_steps(case):
+    ctx, mp, i = case
+    assert f_tilde(ctx, mp, i) == f_tilde_iterated(ctx, mp, i, 1)
+    k = 0
+    while (want := f_tilde_iterated(ctx, mp, i, k)) is not None:
+        assert f_tilde_string(ctx, mp, i, k) == want
+        k += 1
+    with pytest.raises(NotAVertexError):
+        f_tilde_string(ctx, mp, i, k)
+
+
+@settings(max_examples=80)
+@given(crystal_vertices())
+@example((FockContext(2, (0,)), ((1,),)))  # the good node empties the row
+@example((FockContext(2, (0, 0)), ((1,), (1,))))  # two removals empty two rows
+def test_string_top_matches_e_tilde_until_none(case):
+    ctx, mp = case
+    strings = [e_tilde_until_none(ctx, mp, i) for i in range(ctx.e)]
+    for i, (k, top) in enumerate(strings):
+        # e_tilde is the one-step case: stepping it down the string ends at the same top
+        cur, steps = mp, 0
+        while (nxt := e_tilde(ctx, cur, i)) is not None:
+            cur, steps = nxt, steps + 1
+        assert (steps, cur) == (k, top)
+    first = next(((i, k, top) for i, (k, top) in enumerate(strings) if k), None)
+    assert string_top(ctx, mp) == first
+    assert (first is None) == (mp == ctx.highest_weight_vertex())
 
 
 @lru_cache(maxsize=None)
@@ -172,13 +229,13 @@ def test_expansion_misses_share_equal_terms():
 
 
 def test_equal_new_components_are_one_object():
-    node = (NodeRef(1, 2, 1), 0)  # a second row under (1,)
+    node = ((1, 2, 1), 0)  # a second row under (1,)
     left, _ = divided_power_term(((1,), ()), [node])
     right, _ = divided_power_term(((1,), (2,)), [node])
     assert left[0] == (1, 1) and left[0] is right[0]
     # an untouched component is the input's own object
     mp = ((3,), (2, 1))
-    out, _ = divided_power_term(mp, [(NodeRef(1, 1, 4), 0)])
+    out, _ = divided_power_term(mp, [((1, 1, 4), 0)])
     assert out == ((4,), (2, 1)) and out[1] is mp[1]
 
 

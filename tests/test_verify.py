@@ -100,6 +100,14 @@ class TestSvelte:
     def test_a2(self):
         assert verify_svelte_step(symmetric_context(2), 9).passed
 
+    @pytest.mark.parametrize("e, charges", [(3, (0, 1, 2)), (3, (0, 0, 1)), (2, (0, 0, 1))])
+    def test_length_law_only_in_symmetric_context(self, e, charges):
+        # string lengths that are no odd multiple of a_0 occur here (31 of
+        # them to degree 9); the svelte and defect checks still pass
+        r = verify_svelte_step(FockContext(e, charges), 9)
+        assert r.passed
+        assert any(i.verdict == "match" for i in r.instances)
+
 
 class TestStructural:
     def test_a2(self):
