@@ -43,7 +43,7 @@ from .crystal import (
     weight_info,
 )
 from .fock import CoefficientError, FockContext, FockVector, apply_f_divided, content
-from .partitions import Multipartition, dominates, mp_from_json
+from .partitions import Multipartition, dominates, ints_from_json, mp_from_json
 
 # Part of every disk-cache key: raise it when the file format or the
 # algorithm changes, so that files written before miss instead of relying
@@ -206,7 +206,8 @@ class CanonicalBasis:
 
     def _disk_load(self, mp: Multipartition) -> CanonicalElement | None:
         """The cached G(mp), or None (a miss) when the file is absent,
-        unreadable as an element, or fails a check."""
+        unreadable (an OSError, say a directory at its path), not an
+        element, or fails a check."""
         path = self._cache_path(mp)
         if not path or not os.path.exists(path):
             return None
@@ -215,8 +216,8 @@ class CanonicalBasis:
                 elem = element_from_json(json.load(fh))
             info = weight_info(self.ctx, content(self.ctx, mp))
             shape = self._check_element(mp, elem.vector, info.defect)
-        except (ValueError, KeyError, TypeError, ReductionError):
-            # bad JSON or text, a missing key, a value of the wrong type, a failed check
+        except (OSError, ValueError, KeyError, TypeError, ReductionError):
+            # unreadable, bad JSON or text, a missing key, a value of the wrong type, a failed check
             return None
         return elem if (elem.label, elem.weight, elem.shape) == (mp, info, shape) else None
 
@@ -231,9 +232,13 @@ class CanonicalBasis:
         os.makedirs(root, exist_ok=True)
         # a private temporary file per write, so concurrent writers never share one
         fd, tmp = tempfile.mkstemp(dir=root, suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except OSError:
+            os.unlink(tmp)  # a failed write or rename leaves no temporary file
+            raise
 
 
 _BASES: dict[tuple, CanonicalBasis] = {}
@@ -272,14 +277,7 @@ def element_from_json(data) -> CanonicalElement:
     int: a float or bool equals the int a check compares it with, but would
     be served and written back as it is."""
     vector = FockVector.from_json(data["terms"])
-    content, hub, shape = (_ints(data[key]) for key in ("content", "hub", "shape"))
-    (defect,) = _ints([data["defect"]])
+    content, hub, shape = (ints_from_json(data[key]) for key in ("content", "hub", "shape"))
+    (defect,) = ints_from_json([data["defect"]])
     info = WeightInfo(content, hub, defect)
     return CanonicalElement(mp_from_json(data["label"]), vector, info, shape)
-
-
-def _ints(values) -> tuple[int, ...]:
-    """A list of ints as a tuple; a bool, a float or any other value raises TypeError."""
-    if type(values) not in (list, tuple) or not set(map(type, values)) <= {int}:
-        raise TypeError(f"expected a list of ints, got {values!r}")
-    return tuple(values)

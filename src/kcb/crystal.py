@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 
 from .fock import FockContext, add_node, content, i_node_slots, remove_node
-from .partitions import Multipartition, is_e_regular, mp_from_json, mp_to_json
+from .partitions import Multipartition, ints_from_json, is_e_regular, mp_from_json, mp_to_json
 
 
 class NotAVertexError(ValueError):
@@ -237,13 +237,19 @@ def crystal_to_json(g: CrystalGraph) -> dict:
 
 
 def crystal_from_json(data) -> CrystalGraph:
+    """The graph of crystal_to_json's document.  The degrees and residues
+    must be ints: a bool, a float or any other value raises TypeError."""
     ctx = FockContext(data["e"], tuple(data["charges"]))
-    degrees = {mp_from_json(v["multipartition"]): v["degree"] for v in data["vertices"]}
-    edges = [
-        (mp_from_json(e["source"]), e["residue"], mp_from_json(e["target"]))
-        for e in data["edges"]
-    ]
-    return CrystalGraph(ctx, data["max_degree"], degrees, edges)
+    (max_degree,) = ints_from_json([data["max_degree"]])
+    degrees = {}
+    for v in data["vertices"]:
+        (d,) = ints_from_json([v["degree"]])
+        degrees[mp_from_json(v["multipartition"])] = d
+    edges = []
+    for e in data["edges"]:
+        (i,) = ints_from_json([e["residue"]])
+        edges.append((mp_from_json(e["source"]), i, mp_from_json(e["target"])))
+    return CrystalGraph(ctx, max_degree, degrees, edges)
 
 
 def block_to_json(bg: BlockReducedGraph) -> dict:
@@ -268,15 +274,23 @@ def block_to_json(bg: BlockReducedGraph) -> dict:
 
 
 def block_from_json(data) -> BlockReducedGraph:
+    """The graph of block_to_json's document.  Every number but the
+    context's must be an int: a bool, a float or any other value raises
+    TypeError."""
     ctx = FockContext(data["e"], tuple(data["charges"]))
+    (max_degree,) = ints_from_json([data["max_degree"]])
     weights = {}
     dims = {}
     for v in data["vertices"]:
-        c = tuple(v["content"])
-        weights[c] = WeightInfo(c, tuple(v["hub"]), v["defect"])
-        dims[c] = v["dimension"]
-    edges = [(tuple(e["source"]), e["residue"], tuple(e["target"])) for e in data["edges"]]
-    return BlockReducedGraph(ctx, data["max_degree"], weights, dims, edges)
+        c = ints_from_json(v["content"])
+        defect, dim = ints_from_json([v["defect"], v["dimension"]])
+        weights[c] = WeightInfo(c, ints_from_json(v["hub"]), defect)
+        dims[c] = dim
+    edges = []
+    for e in data["edges"]:
+        (i,) = ints_from_json([e["residue"]])
+        edges.append((ints_from_json(e["source"]), i, ints_from_json(e["target"])))
+    return BlockReducedGraph(ctx, max_degree, weights, dims, edges)
 
 
 def _hub_label(info: WeightInfo) -> str:

@@ -18,7 +18,7 @@ tuple (component, row, column), all 1-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import chain, combinations
 from operator import or_
 from typing import Iterator, Mapping
@@ -498,31 +498,31 @@ def _exponent_map(items) -> dict[int, int]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _context(e: int, charges: tuple[int, ...]) -> FockContext:
-    """FockContext(e, charges), built and validated once for all of
-    _expansion's misses under it."""
-    return FockContext(e, charges)
+# f_i^(k) of every basis term seen so far, per (e, charges, i, k): the
+# multipartition -> (low, mps, shifts) memo that apply_f_divided reads.
+# Each entry holds two flat tuples in subset order and no tuple per term:
+# one (term, shift) pair per term took 10.7 MB on the a = 2 benchmark.
+_EXPANSIONS: dict[tuple, dict[Multipartition, tuple[int, tuple, tuple]]] = {}
+# one int per distinct shift: CPython shares only ints up to 256, and a
+# shift W * d of d >= 5 would otherwise be a fresh int in every entry
+_SHIFTS: dict[int, int] = {}
 
 
-@lru_cache(maxsize=None)
-def _expansion(e: int, charges: tuple[int, ...], mp: Multipartition, i: int, k: int):
-    """f_i^(k) of the basis vector mp under FockContext(e, charges): the
-    least exponent `low` (0 when there is no term) and one (multipartition,
-    W * (exponent - low)) pair per k-subset of mp's addable i-nodes, the
-    shift that puts the term's v^exponent onto v^low.  Distinct subsets
-    add distinct nodes, so no two pairs share a multipartition, and each
-    multipartition is the one object _TERMS holds for its value.  The key
-    holds the context's fields, not the context: the collector untracks a
-    tuple of ints and tuples, never a context."""
-    ctx = _context(e, charges)
-    pairs = [
+def _expansion(ctx: FockContext, mp: Multipartition, i: int, k: int):
+    """f_i^(k) of the basis vector mp: the least exponent `low` (0 when
+    there is no term), then, one per k-subset of mp's addable i-nodes, the
+    multipartitions and the shifts W * (exponent - low) that put each
+    term's v^exponent onto v^low.  Distinct subsets add distinct nodes, so
+    no multipartition occurs twice, and each is the one object _TERMS
+    holds for its value."""
+    terms = [
         divided_power_term(mp, subset)
         for subset in combinations(addable_exponents(ctx, mp, i), k)
     ]
-    low = min((expo for _, expo in pairs), default=0)
-    share = _TERMS.setdefault
-    return low, tuple((share(nmp, nmp), W * (expo - low)) for nmp, expo in pairs)
+    low = min((expo for _, expo in terms), default=0)
+    mps = [nmp for nmp, _ in terms]
+    shifts = [W * (expo - low) for _, expo in terms]
+    return low, tuple(map(_TERMS.setdefault, mps, mps)), tuple(map(_SHIFTS.setdefault, shifts, shifts))
 
 
 def apply_f_divided(ctx: FockContext, vec: FockVector, i: int, k: int) -> FockVector:
@@ -534,12 +534,14 @@ def apply_f_divided(ctx: FockContext, vec: FockVector, i: int, k: int) -> FockVe
     if k == 0:
         return vec
     t = vec._terms
-    expansions = [_expansion(ctx.e, ctx.charges, mp, i, k) for mp in t]
-    low = min((lo for lo, pairs in expansions if pairs), default=0)
+    memo = _EXPANSIONS.setdefault((ctx.e, ctx.charges, i, k), {})
+    # a miss runs under the caller's context and stores its entry
+    expansions = [memo.get(mp) or memo.setdefault(mp, _expansion(ctx, mp, i, k)) for mp in t]
+    low = min((lo for lo, mps, _ in expansions if mps), default=0)
     out: dict[Multipartition, int] = {}
-    for x, (lo, pairs) in zip(t.values(), expansions):
+    for x, (lo, mps, shifts) in zip(t.values(), expansions):
         x <<= W * (lo - low)
-        for nmp, s in pairs:
+        for nmp, s in zip(mps, shifts):
             n = out.get(nmp, 0) + (x << s)
             if n:
                 out[nmp] = n

@@ -187,3 +187,11 @@ def mps_from_json(data: list) -> list[Multipartition]:
         raise IllFormedPartitionError(f"a partition is a list of ints, got {bad!r}")
     memo = {p: as_partition(p) for p in set(map(tuple, comps))}
     return [tuple(map(memo.__getitem__, map(tuple, mp))) for mp in data]
+
+
+def ints_from_json(values) -> tuple[int, ...]:
+    """A JSON list of ints as a tuple; a bool, a float or any other value
+    raises TypeError (True == 1 and 1.0 == 1, but would be kept as given)."""
+    if type(values) not in _SEQUENCES or not set(map(type, values)) <= {int}:
+        raise TypeError(f"expected a list of ints, got {values!r}")
+    return tuple(values)

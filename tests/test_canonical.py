@@ -424,6 +424,29 @@ class TestSerialization:
             CanonicalBasis(C01, cache_dir=str(tmp_path))._disk_store(elem)
         assert list(tmp_path.iterdir()) == []
 
+    def test_disk_cache_directory_at_the_path(self, tmp_path):
+        # reading it is a miss; renaming onto it fails, and the temporary
+        # file goes before the error is raised
+        mp = ((3,), ())
+        basis = CanonicalBasis(C01, cache_dir=str(tmp_path))
+        path = basis._cache_path(mp)
+        os.mkdir(path)
+        assert basis._disk_load(mp) is None
+        with pytest.raises(IsADirectoryError):
+            basis.element(mp)
+        assert not list(tmp_path.glob("*.tmp"))
+        assert os.path.isdir(path)
+        assert basis.element(mp).vector == GOLDEN  # computed, so served from memory
+
+    def test_disk_cache_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        elem = CanonicalBasis(C01).element(((3,), ()))
+        real_fdopen = os.fdopen
+        # a file opened for reading: its write raises io.UnsupportedOperation, an OSError
+        monkeypatch.setattr(os, "fdopen", lambda fd, *args, **kwargs: real_fdopen(fd, "r"))
+        with pytest.raises(OSError):
+            CanonicalBasis(C01, cache_dir=str(tmp_path))._disk_store(elem)
+        assert list(tmp_path.iterdir()) == []
+
     def test_disk_cache_unversioned_file_not_served(self, tmp_path):
         # a file under the key of the unversioned format, valid as it is, is not read
         mp = ((3,), ())

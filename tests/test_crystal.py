@@ -279,6 +279,38 @@ class TestSerialization:
             with pytest.raises(TypeError):
                 read({**data, field: bad})
 
+    @pytest.mark.parametrize(
+        "kind, place, field, bad",
+        [
+            # the four edits of a document that were once read back as given
+            ("crystal", "edges", "residue", 0.0),
+            ("crystal", "vertices", "degree", True),
+            ("block", "vertices", "content", [0.5, 0]),
+            ("block", "vertices", "defect", 1.5),
+            ("crystal", None, "max_degree", 2.0),
+            ("block", None, "max_degree", True),
+            ("block", "edges", "residue", False),
+            ("block", "edges", "source", [0, 0.0]),
+            ("block", "edges", "target", "0"),
+            ("block", "vertices", "hub", [1, True]),
+            ("block", "vertices", "dimension", 1.0),
+        ],
+    )
+    def test_non_int_field_refused(self, kind, place, field, bad):
+        g = generate_crystal(C01, 2)
+        to_json, read = {
+            "crystal": (crystal_to_json, crystal_from_json),
+            "block": (lambda g: block_to_json(block_reduced(g)), block_from_json),
+        }[kind]
+        data = json.loads(json.dumps(to_json(g)))
+        read(data)  # the document as written reads back
+        if place is None:
+            data[field] = bad
+        else:
+            data[place][-1][field] = bad
+        with pytest.raises(TypeError):
+            read(data)
+
     def test_dot_labels(self):
         bg = block_reduced(generate_crystal(symmetric_context(3), 3))
         dot = block_to_dot(bg)

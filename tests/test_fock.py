@@ -308,15 +308,14 @@ def test_expansion_misses_share_one_context(monkeypatch):
         built.append(self)
         post_init(self)
 
-    fock._expansion.cache_clear()
-    fock._context.cache_clear()
+    monkeypatch.setattr(fock, "_EXPANSIONS", {})
     monkeypatch.setattr(FockContext, "__post_init__", counting)
     ctx = symmetric_context(2)
     v = FockVector.basis(ctx.highest_weight_vertex())
     for i in (0, 1, 0, 1, 0):
         v = apply_f_divided(ctx, v, i, 1)
-    assert fock._expansion.cache_info().misses > 2
-    assert len(built) == 2  # ctx, and the one context of every miss
+    assert sum(map(len, fock._EXPANSIONS.values())) > 2  # the misses
+    assert built == [ctx]  # a miss runs under the caller's context
 
 
 MPS = (((2,), (1,)), ((1, 1), ()), ((), (3,)))

@@ -1,6 +1,7 @@
 """Source hygiene: every function and class in src/kcb is used somewhere,
 those used only by tests are exactly the listed TEST_ONLY_API, every
-module of src/kcb and tests/ uses what it imports, src/kcb checks nothing
+module of src/kcb and tests/ uses what it imports, every process-wide
+memo of src/kcb is listed in MEMOS with its reason, src/kcb checks nothing
 with assert (python -O strips it), only laurent.py and fock.py read the
 coefficient storage `_terms`, src/kcb never encodes with json.dump, and every
 kcb name the benchmark in perfbench/ reads still exists.
@@ -90,6 +91,65 @@ def test_test_only_definitions_are_listed():
     assert test_only == set(TEST_ONLY_API), (
         f"used only by tests but not listed: {sorted(test_only - set(TEST_ONLY_API))}; "
         f"listed but not test-only: {sorted(set(TEST_ONLY_API) - test_only)}"
+    )
+
+
+# every process-wide memo of src/kcb: a module-level container that starts
+# empty and fills as the program runs, or an lru_cache'd function.  None is
+# ever cleared, so each grows with all the work of the process; a new one
+# fails until it is listed here with why it is worth its memory
+MEMOS = {
+    "_EXPANSIONS": "fock: f_i^(k) of each basis term per (e, charges, i, k), as two flat tuples",
+    "_SHIFTS": "fock: one int per distinct expansion shift W * d (CPython shares only ints <= 256)",
+    "_TERMS": "fock: one tuple per distinct expansion term, so equal terms are stored once",
+    "_PARTS": "fock: one tuple per distinct component the divided-power splice builds",
+    "_STEPS": "partitions: one dominance step per pair of unequal components",
+    "_BASES": "canonical: one CanonicalBasis per (e, charges, cache_dir), shared by every caller",
+    "shape_fn": "closedform: the paper's shape function s(a, k, l), recursive in a",
+    "_canonical_vector": "closedform: a family's closed-form vector, built from its memoised partners",
+    "cartan_matrix": "crystal: the affine Cartan matrix of each rank",
+    "qint": "laurent: the quantum integer [n]",
+    "qfact": "laurent: the quantum factorial [n]!, recursive in n",
+    "transpose": "partitions: the conjugate of each partition",
+    "_partitions_of": "partitions: the partitions of n with parts at most cap, recursive in n",
+}
+
+
+def _empty_container(value) -> bool:
+    """{}, [], dict(), set() or list()."""
+    if isinstance(value, ast.Dict):
+        return not value.keys
+    if isinstance(value, ast.List):
+        return not value.elts
+    return (
+        isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+        and value.func.id in ("dict", "set", "list") and not value.args and not value.keywords
+    )
+
+
+def _memos(path: Path) -> list[str]:
+    """A module's memos: its module-level names bound to an empty
+    container, and its functions decorated with lru_cache or cache."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in node.decorator_list:
+                dec = dec.func if isinstance(dec, ast.Call) else dec
+                if getattr(dec, "id", getattr(dec, "attr", None)) in ("lru_cache", "cache"):
+                    out.append(node.name)
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and _empty_container(node.value):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out += [t.id for t in targets if isinstance(t, ast.Name)]
+    return out
+
+
+def test_memos_are_listed():
+    found = [name for path in SOURCES + [ROOT / "src" / "kcb" / "__init__.py"] for name in _memos(path)]
+    assert sorted(found) == sorted(MEMOS), (
+        f"memos not listed: {sorted(set(found) - set(MEMOS))}; "
+        f"listed but not memos: {sorted(set(MEMOS) - set(found))}"
     )
 
 

@@ -1,7 +1,7 @@
 """The per-term kernels against the plain ones in fock_reference: the
 memoised dominance steps, the slot walk, the one-splice divided-power
-term, the per-row content and the one-signature crystal strings; and the
-sharing of equal f_i terms."""
+term, the per-row content and the one-signature crystal strings; the
+sharing of equal f_i terms; and the layout of the f_i^(k) memo."""
 
 from functools import lru_cache
 from itertools import combinations
@@ -21,7 +21,9 @@ from kcb.crystal import (
 )
 from kcb.fock import (
     FockContext,
+    FockVector,
     addable_exponents,
+    apply_f_divided,
     content,
     divided_power_term,
     i_node_slots,
@@ -217,14 +219,16 @@ def test_dominates_list_components_never_answer_wrong(pair, as_list):
 C01 = FockContext(2, (0, 1))
 
 
-def test_expansion_misses_share_equal_terms():
+def test_expansion_misses_share_equal_terms(monkeypatch):
     # ((1,), (1,)) is f_1 of ((1,), ()) and f_0 of ((), (1,))
-    fock._expansion.cache_clear()
-    _, first = fock._expansion(2, (0, 1), ((1,), ()), 1, 1)
-    _, second = fock._expansion(2, (0, 1), ((), (1,)), 0, 1)
-    assert fock._expansion.cache_info().misses == 2
-    (a,) = [mp for mp, _ in first if mp == ((1,), (1,))]
-    (b,) = [mp for mp, _ in second if mp == ((1,), (1,))]
+    monkeypatch.setattr(fock, "_EXPANSIONS", {})
+    apply_f_divided(C01, FockVector.basis(((1,), ())), 1, 1)
+    apply_f_divided(C01, FockVector.basis(((), (1,))), 0, 1)
+    # one miss under each key
+    (first,) = fock._EXPANSIONS[2, (0, 1), 1, 1].values()
+    (second,) = fock._EXPANSIONS[2, (0, 1), 0, 1].values()
+    (a,) = [mp for mp in first[1] if mp == ((1,), (1,))]
+    (b,) = [mp for mp in second[1] if mp == ((1,), (1,))]
     assert a is b
 
 
@@ -246,3 +250,67 @@ def test_every_computed_term_is_shared():
         g = basis.element(mp)
         for lam in g.vector:
             assert lam == g.label or fock._TERMS.get(lam) is lam, (mp, lam)
+
+
+# the expansion memo: per (e, charges, i, k), one (low, mps, shifts) entry
+# of two flat tuples per multipartition
+
+
+def _checked_entry(ctx, mp, i, k, shared):
+    """The memo entry of f_i^(k) of mp under ctx once apply_f_divided has
+    read it, checked against the reference terms of every k-subset: the
+    same multipartitions in subset order, the least exponent as `low`, and
+    each shift W * (exponent - low) as the int `shared` holds for its value
+    (added when new), so equal shifts of all entries checked are one object."""
+    apply_f_divided(ctx, FockVector.basis(mp), i, k)
+    entry = fock._EXPANSIONS[ctx.e, ctx.charges, i, k][mp]
+    terms = [
+        divided_power_term_reference(mp, subset)
+        for subset in combinations(addable_exponents(ctx, mp, i), k)
+    ]
+    low = min((expo for _, expo in terms), default=0)
+    assert entry == (low, tuple(nmp for nmp, _ in terms), tuple(fock.W * (x - low) for _, x in terms))
+    _, mps, shifts = entry
+    # flat: the terms are the shared multipartitions and the shifts are ints
+    assert all(fock._TERMS.get(nmp) is nmp for nmp in mps)
+    assert all(type(s) is int and shared.setdefault(s, s) is s for s in shifts)
+    return entry
+
+
+@settings(max_examples=40, deadline=None)
+@given(context_terms())
+@example((FockContext(2, (0,)), ((6, 5, 4, 3, 2, 1),), 0))  # shifts up to W * 12
+def test_expansion_entries_match_reference(case):
+    ctx, mp, i = case
+    shared = {}
+    n = len(addable_exponents(ctx, mp, i))
+    # k = n + 1 has no subset: the entry is (0, (), ())
+    entries = [_checked_entry(ctx, mp, i, k, shared) for k in range(1, n + 2)]
+    assert entries[-1] == (0, (), ())
+    assert len(set(map(id, entries))) == len(entries)  # one entry per k
+
+
+@st.composite
+def context_pairs(draw):
+    """Two contexts of one rank and level with different charges, a
+    multipartition of that level and a residue."""
+    e, level = draw(st.integers(2, 4)), draw(st.integers(1, 4))
+    charges = st.lists(st.integers(0, e - 1), min_size=level, max_size=level).map(
+        lambda raw: tuple(sorted(raw, key=raw.index))
+    )
+    pair = draw(st.lists(charges, min_size=2, max_size=2, unique=True))
+    mp = tuple(draw(partitions_st) for _ in range(level))
+    return [FockContext(e, c) for c in pair], mp, draw(st.integers(0, e - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(context_pairs())
+@example(([FockContext(2, (0, 1)), FockContext(2, (1, 0))], ((1,), ()), 1))
+def test_expansion_entries_keyed_by_charges_and_k(case):
+    ctx_pair, mp, i = case
+    shared = {}
+    for ctx in ctx_pair:
+        one, two = (_checked_entry(ctx, mp, i, k, shared) for k in (1, 2))
+        assert one is not two
+    first, second = (_checked_entry(ctx, mp, i, 1, shared) for ctx in ctx_pair)
+    assert first is not second
