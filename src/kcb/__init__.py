@@ -5,7 +5,6 @@ from .laurent import (
     LaurentPoly,
     NotDivisibleError,
     exact_div,
-    qfact,
     qint,
 )
 from .partitions import (

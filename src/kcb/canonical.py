@@ -30,6 +30,7 @@ import hashlib
 import json
 import os
 import tempfile
+import warnings
 from bisect import insort
 from dataclasses import dataclass
 
@@ -96,7 +97,8 @@ class CanonicalBasis:
     Elements are memoized per multipartition, and each seed is built from
     the memoized element of the label's string top.  Pass cache_dir (or
     set KCB_CACHE_DIR) to persist elements as content-addressed JSON
-    files; a file is served only if it passes the element checks.
+    files; a file is served only if it passes the element checks, and a
+    file that cannot be written costs a RuntimeWarning, not the element.
     """
 
     def __init__(self, ctx: FockContext, cache_dir: str | None = None):
@@ -139,7 +141,14 @@ class CanonicalBasis:
         finally:
             self._in_progress.discard(mp)
         self._elements[mp] = elem
-        self._disk_store(elem)
+        try:
+            self._disk_store(elem)
+        except OSError as exc:
+            # the cache is optional: the element is computed and memoised
+            warnings.warn(
+                f"G({mp}) not stored in the disk cache at {self._cache_path(mp)}: {exc}",
+                RuntimeWarning,
+            )
         return elem
 
     def at_weight(self, cont) -> dict[Multipartition, CanonicalElement]:

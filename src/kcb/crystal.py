@@ -9,7 +9,7 @@ surviving "-", the cogood node the rightmost surviving "+".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import reduce
 
 from .fock import FockContext, add_node, content, i_node_slots, remove_node
 from .partitions import Multipartition, ints_from_json, is_e_regular, mp_from_json, mp_to_json
@@ -17,19 +17,6 @@ from .partitions import Multipartition, ints_from_json, is_e_regular, mp_from_js
 
 class NotAVertexError(ValueError):
     """The multipartition is not reachable in the crystal."""
-
-
-@lru_cache(maxsize=None)
-def cartan_matrix(e: int) -> tuple[tuple[int, ...], ...]:
-    """Affine Cartan matrix of the rank-e cyclic diagram (e=2 gives [[2,-2],[-2,2]])."""
-    rows = []
-    for i in range(e):
-        row = [0] * e
-        row[i] = 2
-        row[(i + 1) % e] -= 1
-        row[(i - 1) % e] -= 1
-        rows.append(tuple(row))
-    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -42,19 +29,18 @@ class WeightInfo:
 def weight_info(ctx: FockContext, cont) -> WeightInfo:
     """Hub h = a - C c and defect a.c - (c.Cc)/2 for the weight Lambda - sum c_i alpha_i.
 
-    C is symmetric with diagonal 2, so (c.Cc)/2 = sum c_i^2 + sum_{i<j} C_ij c_i c_j,
-    an integer.
+    C is the affine Cartan matrix of the rank-e cycle: 2 on the diagonal,
+    -1 at each of the two neighbours i - 1 and i + 1 mod e (-2 at e = 2,
+    where both are the other residue).  So h_i = a_i - 2c_i + c_(i-1) +
+    c_(i+1), and (c.Cc)/2 = sum_i (c_i^2 - c_i c_(i+1)), an integer.
     """
     cont = tuple(int(x) for x in cont)
     if len(cont) != ctx.e or any(x < 0 for x in cont):
         raise ValueError(f"content must be a non-negative length-{ctx.e} vector: {cont}")
-    C = cartan_matrix(ctx.e)
     a = ctx.weight_multiplicities
     e = ctx.e
-    hub = tuple(a[i] - sum(C[i][j] * cont[j] for j in range(e)) for i in range(e))
-    defect = sum(a[i] * cont[i] - cont[i] ** 2 for i in range(e)) - sum(
-        C[i][j] * cont[i] * cont[j] for i in range(e) for j in range(i + 1, e)
-    )
+    hub = tuple(a[i] - 2 * cont[i] + cont[i - 1] + cont[(i + 1) % e] for i in range(e))
+    defect = sum(a[i] * cont[i] - cont[i] ** 2 + cont[i] * cont[(i + 1) % e] for i in range(e))
     return WeightInfo(cont, hub, defect)
 
 

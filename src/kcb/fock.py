@@ -24,7 +24,7 @@ from operator import or_
 from typing import Iterator, Mapping
 
 from .laurent import LaurentPoly, exact_div
-from .partitions import Multipartition, Partition, mps_from_json
+from .partitions import Multipartition, mps_from_json
 
 
 class CoefficientError(ValueError):
@@ -151,14 +151,16 @@ def remove_node(mp: Multipartition, node: Node) -> Multipartition:
     return mp[: u - 1] + (new,) + mp[u:]
 
 
-# One object per distinct component that divided_power_term builds, and
-# per distinct multipartition of an _expansion (hash-consing): equal terms
-# share their tuples, so they are stored once and dict lookups on them hit
-# on identity.  A splice builds a fresh tuple every time, even a new row
-# (1,), which add_node's comp + (1,) takes from the code's constants:
-# without the sharing the splice costs memory.
-_PARTS: dict[Partition, Partition] = {}
-_TERMS: dict[Multipartition, Multipartition] = {}
+# One object per distinct value the f_i^(k) expansions build
+# (hash-consing, Filliatre and Conchon, ML Workshop 2006): each component
+# divided_power_term splices, each multipartition of an _expansion and
+# each shift int.  Equal terms share their tuples, so they are stored once
+# and dict lookups on them hit on identity.  A splice builds a fresh tuple
+# every time, even a new row (1,), which add_node's comp + (1,) takes from
+# the code's constants, and CPython shares only the ints up to 256.  The
+# three kinds never compare equal (a non-empty tuple of ints, a non-empty
+# tuple of tuples, an int), so one table keeps one object per value.
+_SHARED: dict = {}
 
 
 def divided_power_term(mp: Multipartition, subset) -> tuple[Multipartition, int]:
@@ -168,7 +170,7 @@ def divided_power_term(mp: Multipartition, subset) -> tuple[Multipartition, int]
     k = len(subset)
     expo = -(k * (k - 1) // 2)
     comps = list(mp)
-    share = _PARTS.setdefault
+    share = _SHARED.setdefault
     for (u, row, col), n in subset:
         comp = comps[u - 1]
         comp = comp[: row - 1] + (col,) + comp[row:]
@@ -503,9 +505,6 @@ def _exponent_map(items) -> dict[int, int]:
 # Each entry holds two flat tuples in subset order and no tuple per term:
 # one (term, shift) pair per term took 10.7 MB on the a = 2 benchmark.
 _EXPANSIONS: dict[tuple, dict[Multipartition, tuple[int, tuple, tuple]]] = {}
-# one int per distinct shift: CPython shares only ints up to 256, and a
-# shift W * d of d >= 5 would otherwise be a fresh int in every entry
-_SHIFTS: dict[int, int] = {}
 
 
 def _expansion(ctx: FockContext, mp: Multipartition, i: int, k: int):
@@ -513,8 +512,9 @@ def _expansion(ctx: FockContext, mp: Multipartition, i: int, k: int):
     there is no term), then, one per k-subset of mp's addable i-nodes, the
     multipartitions and the shifts W * (exponent - low) that put each
     term's v^exponent onto v^low.  Distinct subsets add distinct nodes, so
-    no multipartition occurs twice, and each is the one object _TERMS
-    holds for its value."""
+    no multipartition occurs twice.  Each multipartition and shift is the
+    one object _SHARED holds for its value: a shift W * d of d >= 5 would
+    otherwise be a fresh int in every entry."""
     terms = [
         divided_power_term(mp, subset)
         for subset in combinations(addable_exponents(ctx, mp, i), k)
@@ -522,7 +522,8 @@ def _expansion(ctx: FockContext, mp: Multipartition, i: int, k: int):
     low = min((expo for _, expo in terms), default=0)
     mps = [nmp for nmp, _ in terms]
     shifts = [W * (expo - low) for _, expo in terms]
-    return low, tuple(map(_TERMS.setdefault, mps, mps)), tuple(map(_SHIFTS.setdefault, shifts, shifts))
+    share = _SHARED.setdefault
+    return low, tuple(map(share, mps, mps)), tuple(map(share, shifts, shifts))
 
 
 def apply_f_divided(ctx: FockContext, vec: FockVector, i: int, k: int) -> FockVector:

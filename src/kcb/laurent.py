@@ -9,7 +9,6 @@ digits and an operation that would let it reach 2^(W-2) raises.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterator, Mapping
 
 
@@ -198,7 +197,6 @@ def _shift(a: dict[int, int], exp: int) -> dict[int, int]:
     return {e + exp: c for e, c in a.items()}
 
 
-@lru_cache(maxsize=None)
 def qint(n: int) -> LaurentPoly:
     """Balanced quantum integer [n] = v^(n-1) + v^(n-3) + ... + v^-(n-1); [0] = 0."""
     if n < 0:
@@ -206,16 +204,6 @@ def qint(n: int) -> LaurentPoly:
     if n == 0:
         return _ZERO
     return LaurentPoly({e: 1 for e in range(-(n - 1), n, 2)})
-
-
-@lru_cache(maxsize=None)
-def qfact(n: int) -> LaurentPoly:
-    """Quantum factorial [n]! = [n][n-1]...[1]; [0]! = 1."""
-    if n < 0:
-        raise ValueError(f"qfact needs n >= 0, got {n}")
-    if n == 0:
-        return _ONE
-    return qfact(n - 1) * qint(n)
 
 
 def exact_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain, zip_longest
-from typing import Iterator
 
 Partition = tuple[int, ...]
 Multipartition = tuple[Partition, ...]
@@ -125,38 +124,6 @@ def is_e_regular(mp: Multipartition, e: int) -> bool:
             if comp[i] == comp[i + e - 1]:
                 return False
     return True
-
-
-@lru_cache(maxsize=None)
-def _partitions_of(n: int, cap: int) -> tuple[Partition, ...]:
-    if n == 0:
-        return ((),)
-    out = []
-    for first in range(min(n, cap), 0, -1):
-        for rest in _partitions_of(n - first, first):
-            out.append((first,) + rest)
-    return tuple(out)
-
-
-def iter_partitions(n: int) -> Iterator[Partition]:
-    """All partitions of exactly n, descending-lex order."""
-    return iter(_partitions_of(n, n))
-
-
-def iter_multipartitions(n: int, level: int) -> Iterator[Multipartition]:
-    """All multipartitions of exactly n with the given level."""
-    if level == 0:
-        if n == 0:
-            yield ()
-        return
-    if level == 1:
-        for p in iter_partitions(n):
-            yield (p,)
-        return
-    for head in range(n, -1, -1):
-        for p in iter_partitions(head):
-            for rest in iter_multipartitions(n - head, level - 1):
-                yield (p,) + rest
 
 
 def mp_to_json(mp: Multipartition) -> list[list[int]]:

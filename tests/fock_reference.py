@@ -23,9 +23,17 @@ f_tilde_iterated and e_tilde_until_none step through an i-string one
 crystal operator at a time, each step reading a fresh signature off
 i_node_slots_reference, against kcb.crystal, which reads one signature
 per string (f_tilde_string, string_top).
+
+weight_info_reference computes the hub and defect through the affine
+Cartan matrix, against kcb.crystal.weight_info, which reads the two
+neighbours of each residue.  qfact, iter_partitions and
+iter_multipartitions are the quantum factorial and the enumerators that
+only the tests use.
 """
 
+from functools import lru_cache
 from itertools import combinations, zip_longest
+from typing import Iterator
 
 from kcb.fock import (
     FockContext,
@@ -37,8 +45,50 @@ from kcb.fock import (
     i_node_slots,
     remove_node,
 )
-from kcb.laurent import LaurentPoly, qfact
-from kcb.partitions import Multipartition
+from kcb.laurent import LaurentPoly, qint
+from kcb.partitions import Multipartition, Partition
+
+
+@lru_cache(maxsize=None)
+def qfact(n: int) -> LaurentPoly:
+    """Quantum factorial [n]! = [n][n-1]...[1]; [0]! = 1."""
+    if n < 0:
+        raise ValueError(f"qfact needs n >= 0, got {n}")
+    if n == 0:
+        return LaurentPoly.one()
+    return qfact(n - 1) * qint(n)
+
+
+@lru_cache(maxsize=None)
+def _partitions_of(n: int, cap: int) -> tuple[Partition, ...]:
+    if n == 0:
+        return ((),)
+    out = []
+    for first in range(min(n, cap), 0, -1):
+        for rest in _partitions_of(n - first, first):
+            out.append((first,) + rest)
+    return tuple(out)
+
+
+def iter_partitions(n: int) -> Iterator[Partition]:
+    """All partitions of exactly n, descending-lex order."""
+    return iter(_partitions_of(n, n))
+
+
+def iter_multipartitions(n: int, level: int) -> Iterator[Multipartition]:
+    """All multipartitions of exactly n with the given level."""
+    if level == 0:
+        if n == 0:
+            yield ()
+        return
+    if level == 1:
+        for p in iter_partitions(n):
+            yield (p,)
+        return
+    for head in range(n, -1, -1):
+        for p in iter_partitions(head):
+            for rest in iter_multipartitions(n - head, level - 1):
+                yield (p,) + rest
 
 
 def apply_f(ctx: FockContext, vec: FockVector, i: int) -> FockVector:
@@ -253,3 +303,20 @@ def content_reference(ctx: FockContext, mp: Multipartition) -> tuple[int, ...]:
             for c in range(1, row + 1):
                 out[(ch + c - j) % ctx.e] += 1
     return tuple(out)
+
+
+def weight_info_reference(ctx: FockContext, cont) -> tuple[tuple[int, ...], int]:
+    """(hub, defect) = (a - C c, a.c - (c.Cc)/2) through the affine Cartan
+    matrix C of the rank-e cycle (e = 2 gives [[2, -2], [-2, 2]])."""
+    e = ctx.e
+    C = [[0] * e for _ in range(e)]
+    for i in range(e):
+        C[i][i] = 2
+        C[i][(i + 1) % e] -= 1
+        C[i][(i - 1) % e] -= 1
+    a = ctx.weight_multiplicities
+    hub = tuple(a[i] - sum(C[i][j] * cont[j] for j in range(e)) for i in range(e))
+    defect = sum(a[i] * cont[i] - cont[i] ** 2 for i in range(e)) - sum(
+        C[i][j] * cont[i] * cont[j] for i in range(e) for j in range(i + 1, e)
+    )
+    return hub, defect

@@ -26,8 +26,8 @@ from kcb.fock import (
     i_node_slots,
     symmetric_context,
 )
-from kcb.laurent import LaurentPoly, qfact
-from kcb.partitions import iter_multipartitions, total_size, transpose_each
+from kcb.laurent import LaurentPoly
+from kcb.partitions import total_size, transpose_each
 from kcb.verify import (
     conjecture_scan,
     verify_duality,
@@ -35,7 +35,7 @@ from kcb.verify import (
     verify_svelte_step,
 )
 
-from fock_reference import apply_f_divided_iterative
+from fock_reference import apply_f_divided_iterative, iter_multipartitions, qfact
 
 
 def _report(criterion, t0, budget, note=""):

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from kcb import crystal
 from kcb.crystal import (
@@ -9,7 +10,6 @@ from kcb.crystal import (
     block_reduced,
     block_to_dot,
     block_to_json,
-    cartan_matrix,
     crystal_from_json,
     crystal_to_json,
     e_tilde,
@@ -22,14 +22,29 @@ from kcb.crystal import (
     weight_info,
 )
 from kcb.fock import FockContext, symmetric_context
-from kcb.partitions import iter_multipartitions
+
+from fock_reference import iter_multipartitions, weight_info_reference
 
 C01 = FockContext(2, (0, 1))
 
 
-def test_cartan_matrix():
-    assert cartan_matrix(2) == ((2, -2), (-2, 2))
-    assert cartan_matrix(3) == ((2, -1, -1), (-1, 2, -1), (-1, -1, 2))
+@st.composite
+def any_charges(draw):
+    """e in 2..5 and any valid charge tuple of level 1..4: charges in
+    0..e-1, equal ones contiguous, the blocks in any order."""
+    e = draw(st.integers(2, 5))
+    blocks = draw(st.lists(st.integers(0, e - 1), min_size=1, max_size=4, unique=True))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=len(blocks), max_size=len(blocks)))
+    return FockContext(e, tuple(c for c, n in zip(blocks, sizes) for _ in range(n))[:4])
+
+
+@given(any_charges(), st.data())
+def test_weight_info_matches_cartan_matrix(ctx, data):
+    # the neighbour formula against a - C c and a.c - (c.Cc)/2; at e = 2
+    # both neighbours are the other residue, C's -2 entries
+    cont = tuple(data.draw(st.lists(st.integers(0, 8), min_size=ctx.e, max_size=ctx.e)))
+    w = weight_info(ctx, cont)
+    assert (w.content, w.hub, w.defect) == (cont, *weight_info_reference(ctx, cont))
 
 
 class TestWeightInfo:

@@ -21,7 +21,6 @@ from kcb.fock import (
     symmetric_context,
 )
 from kcb.laurent import LaurentPoly
-from kcb.partitions import iter_multipartitions
 
 from fock_reference import (
     apply_e,
@@ -30,6 +29,7 @@ from fock_reference import (
     as_dicts,
     dict_add_scaled,
     dict_apply_f_divided,
+    iter_multipartitions,
 )
 
 C01 = FockContext(2, (0, 1))

@@ -7,8 +7,9 @@ coefficient storage `_terms`, src/kcb never encodes with json.dump, and every
 kcb name the benchmark in perfbench/ reads still exists.
 
 A name counts as used when code refers to it (a name, an attribute or an
-import; comments, strings and the definition itself do not count) in
-src/kcb or in tests/.  The package's __init__.py is not searched:
+import; comments, strings, the definition itself and references inside
+its own body, such as self-recursion, do not count) in src/kcb or in
+tests/.  The package's __init__.py is not searched:
 re-exporting a name is not a use of it.  Dunder methods are called implicitly and are skipped.
 """
 
@@ -26,7 +27,11 @@ BENCH = sorted((ROOT / "perfbench").glob("*.py")) + sorted(
 )
 
 
-def _definitions(path: Path):
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _definitions(tree: ast.Module):
     """(qualified name, bare name) of every function and class in a module."""
     out = []
 
@@ -38,32 +43,66 @@ def _definitions(path: Path):
             else:
                 walk(child, prefix)
 
-    walk(ast.parse(path.read_text(encoding="utf-8")), "")
+    walk(tree, "")
     return out
 
 
-def _references(paths=SEARCHED) -> Counter:
+def _references(trees) -> Counter:
+    """How often each name is referred to, leaving out a definition's
+    references to its own name inside its body: self-recursion is no use."""
     counts: Counter = Counter()
-    for path in paths:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
-                counts[node.id] += 1
-            elif isinstance(node, ast.Attribute):
-                counts[node.attr] += 1
-            elif isinstance(node, ast.alias):
-                counts[node.name] += 1
+
+    def walk(node, inside):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name):
+                name = child.id
+            elif isinstance(child, ast.Attribute):
+                name = child.attr
+            elif isinstance(child, ast.alias):
+                name = child.name
+            else:
+                name = None
+            if name is not None and name not in inside:
+                counts[name] += 1
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                walk(child, inside | {child.name})
+            else:
+                walk(child, inside)
+
+    for tree in trees:
+        walk(tree, frozenset())
     return counts
 
 
-def test_no_unreferenced_definitions():
-    counts = _references()
-    unused = [
-        f"{path.name}:{qual}"
-        for path in SOURCES
-        for qual, name in _definitions(path)
-        if not (name.startswith("__") and name.endswith("__")) and not counts[name]
+def _unreferenced(sources, searched) -> list[str]:
+    """The definitions of the `sources` trees, by name -> tree, that no
+    `searched` tree refers to; dunder methods are called implicitly."""
+    counts = _references(searched)
+    return [
+        f"{name}:{qual}"
+        for name, tree in sources.items()
+        for qual, bare in _definitions(tree)
+        if not (bare.startswith("__") and bare.endswith("__")) and not counts[bare]
     ]
+
+
+def test_no_unreferenced_definitions():
+    unused = _unreferenced({p.name: _tree(p) for p in SOURCES}, map(_tree, SEARCHED))
     assert unused == [], f"defined but never referenced: {unused}"
+
+
+def test_self_recursion_is_no_reference():
+    source = ast.parse(
+        "def fact(n):\n"
+        "    return 1 if n == 0 else n * fact(n - 1)\n"
+        "def used(n):\n"
+        "    return n\n"
+        "class Node:\n"
+        "    def child(self):\n"
+        "        return Node()\n"
+    )
+    caller = ast.parse("from m import used\nused(2)\n")
+    assert _unreferenced({"m": source}, [source, caller]) == ["m:fact", "m:Node", "m:Node.child"]
 
 
 # src/kcb definitions that only tests reference, each with why the public
@@ -80,11 +119,11 @@ TEST_ONLY_API = {
 
 
 def test_test_only_definitions_are_listed():
-    in_src, in_tests = _references(SOURCES), _references(TESTS)
+    in_src, in_tests = _references(map(_tree, SOURCES)), _references(map(_tree, TESTS))
     test_only = {
         name
         for path in SOURCES
-        for _, name in _definitions(path)
+        for _, name in _definitions(_tree(path))
         if not (name.startswith("__") and name.endswith("__"))
         and not in_src[name] and in_tests[name]
     }
@@ -100,18 +139,12 @@ def test_test_only_definitions_are_listed():
 # fails until it is listed here with why it is worth its memory
 MEMOS = {
     "_EXPANSIONS": "fock: f_i^(k) of each basis term per (e, charges, i, k), as two flat tuples",
-    "_SHIFTS": "fock: one int per distinct expansion shift W * d (CPython shares only ints <= 256)",
-    "_TERMS": "fock: one tuple per distinct expansion term, so equal terms are stored once",
-    "_PARTS": "fock: one tuple per distinct component the divided-power splice builds",
+    "_SHARED": "fock: one object per distinct spliced component, expansion term and shift int",
     "_STEPS": "partitions: one dominance step per pair of unequal components",
     "_BASES": "canonical: one CanonicalBasis per (e, charges, cache_dir), shared by every caller",
     "shape_fn": "closedform: the paper's shape function s(a, k, l), recursive in a",
     "_canonical_vector": "closedform: a family's closed-form vector, built from its memoised partners",
-    "cartan_matrix": "crystal: the affine Cartan matrix of each rank",
-    "qint": "laurent: the quantum integer [n]",
-    "qfact": "laurent: the quantum factorial [n]!, recursive in n",
     "transpose": "partitions: the conjugate of each partition",
-    "_partitions_of": "partitions: the partitions of n with parts at most cap, recursive in n",
 }
 
 

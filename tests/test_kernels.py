@@ -28,7 +28,7 @@ from kcb.fock import (
     divided_power_term,
     i_node_slots,
 )
-from kcb.partitions import dominates, iter_multipartitions
+from kcb.partitions import dominates
 
 from fock_reference import (
     content_reference,
@@ -37,6 +37,7 @@ from fock_reference import (
     e_tilde_until_none,
     f_tilde_iterated,
     i_node_slots_reference,
+    iter_multipartitions,
 )
 
 partitions_st = st.lists(st.integers(1, 6), max_size=5).map(
@@ -249,19 +250,37 @@ def test_every_computed_term_is_shared():
     for mp in sorted(generate_crystal(ctx, 6).degrees):
         g = basis.element(mp)
         for lam in g.vector:
-            assert lam == g.label or fock._TERMS.get(lam) is lam, (mp, lam)
+            assert lam == g.label or fock._SHARED.get(lam) is lam, (mp, lam)
+
+
+def test_every_entry_value_is_shared(monkeypatch):
+    # separate misses along a path from the highest weight vertex, so every
+    # component was built by a splice; the last one has shifts up to W * 9,
+    # ints that CPython does not share
+    monkeypatch.setattr(fock, "_EXPANSIONS", {})
+    monkeypatch.setattr(fock, "_SHARED", {})
+    ctx = FockContext(2, (0, 0))
+    vec = FockVector.basis(ctx.highest_weight_vertex())
+    for i, k in ((0, 2), (1, 4), (0, 3)):
+        vec = apply_f_divided(ctx, vec, i, k)
+    entries = [entry for memo in fock._EXPANSIONS.values() for entry in memo.values()]
+    assert len(entries) == 3 and max(entries[-1][2]) == fock.W * 9
+    values = [x for _, mps, shifts in entries for mp in mps for x in (mp, *mp)]
+    values += [s for _, _, shifts in entries for s in shifts]
+    assert all(fock._SHARED[x] is x for x in values)
 
 
 # the expansion memo: per (e, charges, i, k), one (low, mps, shifts) entry
 # of two flat tuples per multipartition
 
 
-def _checked_entry(ctx, mp, i, k, shared):
+def _checked_entry(ctx, mp, i, k):
     """The memo entry of f_i^(k) of mp under ctx once apply_f_divided has
     read it, checked against the reference terms of every k-subset: the
     same multipartitions in subset order, the least exponent as `low`, and
-    each shift W * (exponent - low) as the int `shared` holds for its value
-    (added when new), so equal shifts of all entries checked are one object."""
+    the shifts W * (exponent - low); each multipartition and shift is the
+    object _SHARED holds for its value, so equal ones of all entries are
+    one object."""
     apply_f_divided(ctx, FockVector.basis(mp), i, k)
     entry = fock._EXPANSIONS[ctx.e, ctx.charges, i, k][mp]
     terms = [
@@ -272,8 +291,8 @@ def _checked_entry(ctx, mp, i, k, shared):
     assert entry == (low, tuple(nmp for nmp, _ in terms), tuple(fock.W * (x - low) for _, x in terms))
     _, mps, shifts = entry
     # flat: the terms are the shared multipartitions and the shifts are ints
-    assert all(fock._TERMS.get(nmp) is nmp for nmp in mps)
-    assert all(type(s) is int and shared.setdefault(s, s) is s for s in shifts)
+    assert all(fock._SHARED.get(nmp) is nmp for nmp in mps)
+    assert all(type(s) is int and fock._SHARED.get(s) is s for s in shifts)
     return entry
 
 
@@ -282,10 +301,9 @@ def _checked_entry(ctx, mp, i, k, shared):
 @example((FockContext(2, (0,)), ((6, 5, 4, 3, 2, 1),), 0))  # shifts up to W * 12
 def test_expansion_entries_match_reference(case):
     ctx, mp, i = case
-    shared = {}
     n = len(addable_exponents(ctx, mp, i))
     # k = n + 1 has no subset: the entry is (0, (), ())
-    entries = [_checked_entry(ctx, mp, i, k, shared) for k in range(1, n + 2)]
+    entries = [_checked_entry(ctx, mp, i, k) for k in range(1, n + 2)]
     assert entries[-1] == (0, (), ())
     assert len(set(map(id, entries))) == len(entries)  # one entry per k
 
@@ -308,9 +326,8 @@ def context_pairs(draw):
 @example(([FockContext(2, (0, 1)), FockContext(2, (1, 0))], ((1,), ()), 1))
 def test_expansion_entries_keyed_by_charges_and_k(case):
     ctx_pair, mp, i = case
-    shared = {}
     for ctx in ctx_pair:
-        one, two = (_checked_entry(ctx, mp, i, k, shared) for k in (1, 2))
+        one, two = (_checked_entry(ctx, mp, i, k) for k in (1, 2))
         assert one is not two
-    first, second = (_checked_entry(ctx, mp, i, 1, shared) for ctx in ctx_pair)
+    first, second = (_checked_entry(ctx, mp, i, 1) for ctx in ctx_pair)
     assert first is not second

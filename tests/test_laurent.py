@@ -8,9 +8,10 @@ from kcb.laurent import (
     LaurentPoly,
     NotDivisibleError,
     exact_div,
-    qfact,
     qint,
 )
+
+from fock_reference import qfact
 
 
 def P(d):

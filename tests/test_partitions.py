@@ -5,8 +5,6 @@ from kcb.partitions import (
     conjugate,
     dominates,
     is_e_regular,
-    iter_multipartitions,
-    iter_partitions,
     mp_from_json,
     mp_to_json,
     transpose,
@@ -15,6 +13,8 @@ from kcb.partitions import (
     u_family,
     vee,
 )
+
+from fock_reference import iter_multipartitions, iter_partitions
 
 
 class TestTriangular:
