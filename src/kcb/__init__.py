@@ -43,7 +43,7 @@ from .canonical import (
     CanonicalBasis,
     CanonicalElement,
     ReductionError,
-    compute_shape,
+    checked_element,
     diamond,
     get_basis,
     is_svelte,

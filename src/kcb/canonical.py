@@ -32,7 +32,7 @@ import os
 import tempfile
 import warnings
 from bisect import insort
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .crystal import (
     NotAVertexError,
@@ -65,16 +65,22 @@ class CanonicalElement:
     shape: tuple[int, ...]
 
 
-def compute_shape(
-    vector: FockVector, defect: int, label: Multipartition | None = None
-) -> tuple[int, ...]:
-    """Entry l counts basis terms carrying v^l, with coefficient multiplicity.
-    Given a label, also checks the coefficients G(label) must have (leading
-    1, the others in vZ[v], none negative: FockVector.shape)."""
+def checked_element(ctx: FockContext, label: Multipartition, vector: FockVector) -> CanonicalElement:
+    """G(label) with this vector, once it passes the checks of G(label):
+    those of FockVector.shape (leading 1, the others in vN[v], exponents
+    within the defect) and dominance-triangularity; else ReductionError.
+    Every element kcb builds comes through here."""
+    info = weight_info(ctx, content(ctx, label))
     try:
-        return vector.shape(defect, label)
+        shape = vector.shape(info.defect, label)
     except CoefficientError as exc:
-        raise ReductionError(str(exc) if label is None else f"G({label}): {exc}") from exc
+        raise ReductionError(f"G({label}): {exc}") from exc
+    for lam in vector:
+        if lam != label and not dominates(label, lam):
+            raise ReductionError(
+                f"reduction failure: {lam} in G({label}) is not dominated by the label"
+            )
+    return CanonicalElement(label, vector, info, shape)
 
 
 def is_svelte(g: CanonicalElement) -> bool:
@@ -97,8 +103,9 @@ class CanonicalBasis:
     Elements are memoized per multipartition, and each seed is built from
     the memoized element of the label's string top.  Pass cache_dir (or
     set KCB_CACHE_DIR) to persist elements as content-addressed JSON
-    files; a file is served only if it passes the element checks, and a
-    file that cannot be written costs a RuntimeWarning, not the element.
+    files; a file is served only if it passes the element checks.  The
+    first file that cannot be written costs one RuntimeWarning, not the
+    element, and ends the stores of this basis; its reads go on.
     """
 
     def __init__(self, ctx: FockContext, cache_dir: str | None = None):
@@ -108,7 +115,8 @@ class CanonicalBasis:
         # one int per distinct coefficient value of the computed elements
         # (all over the exponent base 0), dropped with the basis
         self._coefficients: dict[int, int] = {}
-        self._cache_dir = cache_dir
+        self._cache_dir = cache_dir or os.environ.get("KCB_CACHE_DIR")
+        self._storing = bool(self._cache_dir)  # until the first failed store
 
     # seeds
 
@@ -141,14 +149,18 @@ class CanonicalBasis:
         finally:
             self._in_progress.discard(mp)
         self._elements[mp] = elem
-        try:
-            self._disk_store(elem)
-        except OSError as exc:
-            # the cache is optional: the element is computed and memoised
-            warnings.warn(
-                f"G({mp}) not stored in the disk cache at {self._cache_path(mp)}: {exc}",
-                RuntimeWarning,
-            )
+        if self._storing:
+            try:
+                self._disk_store(elem)
+            except OSError as exc:
+                # the cache is optional: the element is computed and memoised;
+                # a cache that failed once (a file at its path, read-only, full) warns once
+                self._storing = False
+                warnings.warn(
+                    f"G({mp}) not stored in the disk cache at {self._cache_path(mp)}: {exc};"
+                    " no further element of this basis is stored",
+                    RuntimeWarning,
+                )
         return elem
 
     def at_weight(self, cont) -> dict[Multipartition, CanonicalElement]:
@@ -161,7 +173,6 @@ class CanonicalBasis:
 
     def _compute(self, mp: Multipartition) -> CanonicalElement:
         V = self.monomial(mp)  # raises NotAVertexError off the crystal
-        info = weight_info(self.ctx, content(self.ctx, mp))
 
         # terms outside vZ[v], ascending: pop the largest (see the module
         # docstring).  A subtraction only adds terms below nu, so a queued
@@ -185,55 +196,40 @@ class CanonicalBasis:
                     queued.add(lam)
                     insort(todo, lam)
 
-        shape = self._check_element(mp, V, info.defect)
-        # checked: every exponent is >= 0, so the base 0 drops nothing
-        return CanonicalElement(mp, V.interned(self._coefficients), info, shape)
-
-    def _check_element(self, mp: Multipartition, V: FockVector, defect: int) -> tuple[int, ...]:
-        """The shape of V, once V passes the checks of G(mp): the
-        coefficient checks of compute_shape and dominance-triangularity."""
-        shape = compute_shape(V, defect, mp)
-        for lam in V:
-            if lam != mp and not dominates(mp, lam):
-                raise ReductionError(
-                    f"reduction failure: {lam} in G({mp}) is not dominated by the label"
-                )
-        return shape
+        elem = checked_element(self.ctx, mp, V)
+        # checked: every exponent is >= 0, so the base 0 drops nothing and
+        # the interned vector equals the checked one
+        return replace(elem, vector=V.interned(self._coefficients))
 
     # optional persistent cache
 
     def _cache_path(self, mp: Multipartition) -> str | None:
-        root = self._cache_dir or os.environ.get("KCB_CACHE_DIR")
-        if not root:
+        if not self._cache_dir:
             return None
         key = json.dumps(
             {"e": self.ctx.e, "charges": self.ctx.charges, "mp": mp, "version": CACHE_VERSION},
             sort_keys=True,
         )
         digest = hashlib.sha256(key.encode()).hexdigest()[:32]
-        return os.path.join(root, f"{digest}.json")
+        return os.path.join(self._cache_dir, f"{digest}.json")
 
     def _disk_load(self, mp: Multipartition) -> CanonicalElement | None:
         """The cached G(mp), or None (a miss) when the file is absent,
         unreadable (an OSError, say a directory at its path), not an
         element, or fails a check."""
         path = self._cache_path(mp)
-        if not path or not os.path.exists(path):
+        if not path:
             return None
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                elem = element_from_json(json.load(fh))
-            info = weight_info(self.ctx, content(self.ctx, mp))
-            shape = self._check_element(mp, elem.vector, info.defect)
+                cached = element_from_json(json.load(fh))
+            elem = checked_element(self.ctx, mp, cached.vector)
         except (OSError, ValueError, KeyError, TypeError, ReductionError):
-            # unreadable, bad JSON or text, a missing key, a value of the wrong type, a failed check
-            return None
-        return elem if (elem.label, elem.weight, elem.shape) == (mp, info, shape) else None
+            return None  # absent, unreadable, bad JSON, a missing key or a wrong type, a failed check
+        return elem if cached == elem else None  # the file's label, weight and shape too
 
     def _disk_store(self, elem: CanonicalElement) -> None:
         path = self._cache_path(elem.label)
-        if not path:
-            return
         # encoded before the temporary file exists, so a failure leaves none;
         # json.dumps takes the C encoder, json.dump the pure-Python one
         text = json.dumps(element_to_json(elem))

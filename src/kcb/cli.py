@@ -3,17 +3,17 @@ elements, shape tables, closed forms, and the verification suites.
 
 Output is deterministic: identical invocations produce identical bytes.
 Exit codes: 0 success, 2 usage or invalid parameters, 3 multipartition is
-not a crystal vertex, 1 a verification suite recorded a mismatch.
+not a crystal vertex, 1 a verification suite recorded a mismatch, or an
+element failed its checks.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
-from .canonical import element_to_json, get_basis
+from .canonical import ReductionError, element_to_json, get_basis
 from .closedform import (
     FAMILIES,
     FamilySpec,
@@ -222,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_context_opts(p)
     p.add_argument("--mp", type=str, required=True,
                    help='multipartition literal, e.g. "[[3],[]]"')
-    p.add_argument("--cache-dir", type=str, default=os.environ.get("KCB_CACHE_DIR"))
+    p.add_argument("--cache-dir", type=str, default=None, help="default: $KCB_CACHE_DIR")
     _add_common(p)
     p.set_defaults(fn=cmd_canonical)
 
@@ -274,6 +274,9 @@ def main(argv=None) -> int:
     except NotAVertexError as exc:
         print(f"kcb: not a crystal vertex: {exc}", file=sys.stderr)
         return 3
+    except ReductionError as exc:
+        print(f"kcb: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(f"kcb: {exc}", file=sys.stderr)
         return 2

@@ -33,9 +33,9 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations
 
-from .canonical import CanonicalElement, compute_shape
-from .crystal import f_tilde_string, weight_info
-from .fock import FockContext, FockVector, addable_exponents, apply_f_divided, content, divided_power_term, symmetric_context
+from .canonical import CanonicalElement, checked_element
+from .crystal import f_tilde_string
+from .fock import FockContext, FockVector, addable_exponents, apply_f_divided, divided_power_term, symmetric_context
 from .laurent import LaurentPoly, qint
 from .partitions import Multipartition, triangular, u_family
 
@@ -292,11 +292,6 @@ def family_label(ctx: FockContext, spec: FamilySpec) -> Multipartition:
     return cur
 
 
-def _element_from_vector(ctx: FockContext, label: Multipartition, vec: FockVector) -> CanonicalElement:
-    info = weight_info(ctx, content(ctx, label))
-    return CanonicalElement(label, vec, info, compute_shape(vec, info.defect))
-
-
 def closed_canonical_weyl(a: int, i: int, k: int, n: int) -> CanonicalElement:
     """sum over S(a,k) of v^Inv(S) tau^n_i(S); label is tau^n_i at the
     all-ones-first choice.  n = 0 is the top row, n >= 1 its
@@ -308,7 +303,7 @@ def closed_canonical_weyl(a: int, i: int, k: int, n: int) -> CanonicalElement:
         (tau(a, i, n, s), LaurentPoly.monomial(inv(s))) for s in choice_sequences(a, k)
     ]
     label = tau(a, i, n, ChoiceSequence((1,) * k + (0,) * (a - k)))
-    return _element_from_vector(ctx, label, FockVector(terms))
+    return checked_element(ctx, label, FockVector(terms))
 
 
 def family_term(spec: FamilySpec, choices) -> tuple[Multipartition, int, int]:
@@ -374,9 +369,12 @@ def _canonical_vector(ctx: FockContext, spec: FamilySpec) -> FockVector:
 def closed_canonical_family(spec: FamilySpec) -> CanonicalElement:
     """G(label) of the family, built without the recursive basis: the
     corrected staged sum minus the sibling families' closed forms (module
-    docstring).  Not oracle-checked here."""
+    docstring).  Checked as every G is (checked_element: ReductionError on
+    a failure), but not compared with the recursive element here."""
     ctx = symmetric_context(spec.a)
-    return _element_from_vector(ctx, family_label(ctx, spec), _canonical_vector(ctx, spec))
+    # the check lowers the memoised vector's coefficient bound to max(shape),
+    # which it has just proved to bound every coefficient
+    return checked_element(ctx, family_label(ctx, spec), _canonical_vector(ctx, spec))
 
 
 # top-row defects and the small-defect catalogue

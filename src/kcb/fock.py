@@ -362,28 +362,22 @@ class FockVector:
         low = _decode(x, lo)
         return LaurentPoly._own({**low, **{-e: c for e, c in low.items()}})
 
-    def shape(self, defect: int, label: Multipartition | None = None) -> tuple[int, ...]:
-        """Entry l sums the coefficients of v^l over all terms; every
-        exponent must lie in 0..defect.  Given a label, the check also
-        covers what the canonical element G(label) satisfies: coefficient
-        1 at the label, and every other coefficient in vZ[v] with no
-        negative coefficient; the bound then drops to max(shape), which
-        bounds every coefficient once none is negative.  A failed check
-        raises CoefficientError."""
+    def shape(self, defect: int, label: Multipartition) -> tuple[int, ...]:
+        """Entry l sums the coefficients of v^l over all terms, once the
+        vector passes the checks of the canonical element G(label):
+        coefficient 1 at the label, every other coefficient in vZ[v] with
+        no negative coefficient, and every exponent in 0..defect.  The
+        bound then drops to max(shape), which bounds every coefficient once
+        none is negative.  A failed check raises CoefficientError."""
         t, lo = self._terms, self._lo
-        if label is not None and (lo > 0 or t.get(label) != 1 << W * -lo):
+        if lo > 0 or t.get(label) != 1 << W * -lo:
             raise CoefficientError(f"the coefficient at the label {label} is not 1")
-        if not t:
-            return (0,) * (defect + 1)
         xs = t.values()
-        if label is not None:
-            # no negative digit exactly when X >= 0 and no digit has its top bit
-            ored = reduce(or_, xs)
-            if min(xs) < 0 or ored & _top_bits(ored.bit_length() // W + 1):
-                bad = next(mp for mp, x in t.items() if min(_decode(x, lo).values()) < 0)
-                raise CoefficientError(f"negative coefficient at {bad}: {self.coefficient(bad)}")
-        else:
-            ored = reduce(or_, map(abs, xs))
+        # no negative digit exactly when X >= 0 and no digit has its top bit
+        ored = reduce(or_, xs)
+        if min(xs) < 0 or ored & _top_bits(ored.bit_length() // W + 1):
+            bad = next(mp for mp, x in t.items() if min(_decode(x, lo).values()) < 0)
+            raise CoefficientError(f"negative coefficient at {bad}: {self.coefficient(bad)}")
         # the lowest and the highest digit of the ints with |digit| < 2^(W-1)
         first = lo + ((ored & -ored).bit_length() - 1) // W
         last = lo + ored.bit_length() // W
@@ -397,13 +391,12 @@ class FockVector:
             raise CoefficientError(f"the shape's bound {self._bound} * {len(t)} reaches 2^{W - 2}")
         total = _decode(sum(xs), lo)
         shape = tuple(total.get(e, 0) for e in range(defect + 1))
-        if label is not None:
-            # every coefficient is positive, so v^0 occurs only at the label
-            # exactly when entry 0 is the label's 1
-            if shape[0] != 1:
-                bad = next(mp for mp, x in t.items() if x & _MASK << W * -lo and mp != label)
-                raise CoefficientError(f"coefficient {self.coefficient(bad)} at {bad} not in vZ[v]")
-            self._bound = max(shape)
+        # every coefficient is positive, so v^0 occurs only at the label
+        # exactly when entry 0 is the label's 1
+        if shape[0] != 1:
+            bad = next(mp for mp, x in t.items() if x & _MASK << W * -lo and mp != label)
+            raise CoefficientError(f"coefficient {self.coefficient(bad)} at {bad} not in vZ[v]")
+        self._bound = max(shape)
         return shape
 
     def is_zero(self) -> bool:

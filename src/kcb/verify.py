@@ -93,7 +93,11 @@ def verify_top_row_forms(a: int, i: int, k: int) -> VerificationReport:
     """Top-row closed form equals the recursive element; shape matches the
     recursive shape function."""
     report = VerificationReport("top-row", {"a": a, "i": i, "k": k})
-    closed = closed_canonical_weyl(a, i, k, 0)
+    try:
+        closed = closed_canonical_weyl(a, i, k, 0)
+    except ReductionError as exc:
+        report.instances.append(Instance({"a": a, "i": i, "k": k}, "mismatch", {"check": str(exc)}))
+        return report
     basis = get_basis(symmetric_context(a))
     oracle = basis.element(closed.label)
     detail: dict = {"label": str(closed.label)}
@@ -122,7 +126,12 @@ def verify_weyl_stability(
         raise ValueError(f"need n_max >= 0, got {n_max}")
     basis = get_basis(symmetric_context(a))
     for n in range(n_max + 1):
-        closed = closed_canonical_weyl(a, i, k, n)
+        try:
+            closed = closed_canonical_weyl(a, i, k, n)
+        except ReductionError as exc:
+            params = {"a": a, "i": i, "k": k, "n": n}
+            report.instances.append(Instance(params, "mismatch", {"check": str(exc)}))
+            continue
         size = total_size(closed.label)
         params = {"a": a, "i": i, "k": k, "n": n, "degree": size}
         if size > degree_cap:

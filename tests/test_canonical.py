@@ -10,7 +10,7 @@ from kcb import canonical
 from kcb.canonical import (
     CanonicalBasis,
     ReductionError,
-    compute_shape,
+    checked_element,
     diamond,
     element_from_json,
     element_to_json,
@@ -52,7 +52,7 @@ class TestGoldenExample:
     def test_shape(self):
         elem = get_basis(C01).element(((3,), ()))
         assert elem.shape == (1, 2, 1)
-        assert compute_shape(elem.vector, elem.weight.defect) == (1, 2, 1)
+        assert checked_element(C01, elem.label, elem.vector).shape == (1, 2, 1)
         assert not is_svelte(elem)
 
 
@@ -135,15 +135,35 @@ class TestAtWeight:
 
 
 class TestElementChecks:
+    # G((3,), ()) has defect 2 and shape (1, 2, 1); each bad vector fails one check
+    def test_checked_element(self):
+        elem = checked_element(C01, ((3,), ()), GOLDEN)
+        assert (elem.label, elem.vector, elem.shape) == (((3,), ()), GOLDEN, (1, 2, 1))
+        assert elem.weight == get_basis(C01).element(((3,), ())).weight
+
+    def test_label_coefficient_not_one_rejected(self):
+        bad = FockVector([(((3,), ()), LaurentPoly({0: 1, 1: 1}))])
+        with pytest.raises(ReductionError, match="is not 1"):
+            checked_element(C01, ((3,), ()), bad)
+
     def test_negative_coefficient_rejected(self):
         # leading 1, the rest in vZ[v] within the defect: only the sign is wrong
         bad = vec((((3,), ()), 0), (((1,), (2,)), 1)).add_scaled(
             FockVector.basis(((1, 1, 1), ())), LaurentPoly.monomial(1, -1)
         )
         with pytest.raises(ReductionError, match="negative"):
-            compute_shape(bad, 2, ((3,), ()))
-        # without a label the shape is all that is asked for
-        assert compute_shape(bad, 2) == (1, 0, 0)
+            checked_element(C01, ((3,), ()), bad)
+
+    def test_exponent_above_defect_rejected(self):
+        bad = vec((((3,), ()), 0), (((1, 1, 1), ()), 3))
+        with pytest.raises(ReductionError, match=r"outside 0\.\.2"):
+            checked_element(C01, ((3,), ()), bad)
+
+    def test_undominated_term_rejected(self):
+        # ((1,), (2,)) does not dominate ((3,), ()); the coefficients are fine
+        bad = vec((((1,), (2,)), 0), (((3,), ()), 1))
+        with pytest.raises(ReductionError, match="not dominated"):
+            checked_element(C01, ((1,), (2,)), bad)
 
     def test_negative_coefficient_computed(self):
         class NegativeSeedBasis(CanonicalBasis):
@@ -161,9 +181,9 @@ class TestElementChecks:
     def test_not_in_vzv_rejected(self):
         bad = vec((((3,), ()), 0), (((1,), (2,)), 0))
         with pytest.raises(ReductionError, match="not in vZ"):
-            compute_shape(bad, 2, ((3,), ()))
+            checked_element(C01, ((3,), ()), bad)
         with pytest.raises(ReductionError, match="is not 1"):
-            compute_shape(bad, 2, ((2, 1), ()))  # a label not in the support
+            checked_element(C01, ((2, 1), ()), bad)  # a label not in the support
 
 
 class TestInvariants:

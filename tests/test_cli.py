@@ -102,15 +102,16 @@ class TestCanonical:
 
     def test_unwritable_cache_dir_still_prints(self, capsys, tmp_path, monkeypatch):
         # the disk cache is optional: a regular file at --cache-dir costs
-        # warnings, not the element (exit 1 would mean a mismatch)
+        # one warning, not the element, and no store is tried after it
         monkeypatch.delenv("KCB_CACHE_DIR", raising=False)
         argv = ("canonical", "--a", "1", "--mp", "[[2],[1]]")
         code, plain = run(capsys, *argv)
         assert code == 0
         blocker = tmp_path / "file"
         blocker.write_text("", encoding="utf-8")
-        with pytest.warns(RuntimeWarning, match="not stored in the disk cache"):
+        with pytest.warns(RuntimeWarning, match="not stored in the disk cache") as record:
             code, out = run(capsys, *argv, "--cache-dir", str(blocker))
+        assert len(record) == 1
         assert (code, out) == (0, plain)
         assert blocker.read_text(encoding="utf-8") == ""
 

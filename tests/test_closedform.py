@@ -1,7 +1,8 @@
 import pytest
 
 from kcb import closedform
-from kcb.canonical import CanonicalBasis, get_basis
+from kcb.canonical import CanonicalBasis, ReductionError, get_basis
+from kcb.cli import main
 from kcb.closedform import (
     ChoiceSequence,
     FamilySpec,
@@ -288,6 +289,31 @@ class TestClosedFamilies:
         elem = closed_canonical_family(spec)
         basis = get_basis(symmetric_context(3))
         assert elem.vector == basis.element(elem.label).vector
+
+    @pytest.fixture
+    def flipped_p10k_partner(self, monkeypatch):
+        # -[a-1] in place of [a-1]: at a = 2 the p10k closed form is then
+        # M(p10k) + G(p0k1) = G(p10k) + 2 G(p0k1), which fails the checks of G
+        real = closedform._partners
+
+        def flipped(spec):
+            return [(f, -c if spec.family == "p10k" else c) for f, c in real(spec)]
+
+        closedform._canonical_vector.cache_clear()
+        monkeypatch.setattr(closedform, "_partners", flipped)
+        yield
+        closedform._canonical_vector.cache_clear()
+
+    def test_wrong_partner_fails_the_element_check(self, flipped_p10k_partner):
+        with pytest.raises(ReductionError):
+            closed_canonical_family(FamilySpec("p10k", 2, 1, 1))
+
+    def test_wrong_partner_exits_1(self, capsys, flipped_p10k_partner):
+        code = main(["closed-form", "--family", "p10k", "--a", "2", "--k", "1", "--n", "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("kcb: G(") and captured.err.count("\n") == 1
 
     def test_p010k_needs_k2(self):
         with pytest.raises(ValueError):

@@ -3,8 +3,9 @@ those used only by tests are exactly the listed TEST_ONLY_API, every
 module of src/kcb and tests/ uses what it imports, every process-wide
 memo of src/kcb is listed in MEMOS with its reason, src/kcb checks nothing
 with assert (python -O strips it), only laurent.py and fock.py read the
-coefficient storage `_terms`, src/kcb never encodes with json.dump, and every
-kcb name the benchmark in perfbench/ reads still exists.
+coefficient storage `_terms`, src/kcb never encodes with json.dump, every
+CanonicalElement is built by the element check or the cache reader, and
+every kcb name the benchmark in perfbench/ reads still exists.
 
 A name counts as used when code refers to it (a name, an attribute or an
 import; comments, strings, the definition itself and references inside
@@ -239,6 +240,52 @@ def test_terms_storage_stays_private():
         if isinstance(node, ast.Attribute) and node.attr == "_terms"
     ]
     assert found == [], f"`_terms` read outside laurent.py and fock.py: {found}"
+
+
+# the only functions of src/kcb that call CanonicalElement(...): the check
+# every G passes, and the cache reader, whose element is checked before it
+# is served; any other call would be a route to an unchecked element
+ELEMENT_BUILDERS = {"checked_element", "element_from_json"}
+
+
+def _element_builders(tree: ast.Module) -> list[tuple[str, int]]:
+    """(innermost enclosing function, line) of each CanonicalElement(...) call."""
+    out = []
+
+    def walk(node, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "id", getattr(func, "attr", None)) == "CanonicalElement":
+                    out.append((fn, child.lineno))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            walk(child, child.name if inner else fn)
+
+    walk(tree, "<module>")
+    return out
+
+
+def test_elements_built_only_by_the_check():
+    found = [
+        f"{path.name}:{line}:{fn}"
+        for path in SOURCES + [ROOT / "src" / "kcb" / "__init__.py"]
+        for fn, line in _element_builders(_tree(path))
+        if fn not in ELEMENT_BUILDERS
+    ]
+    assert found == [], f"CanonicalElement built outside {sorted(ELEMENT_BUILDERS)}: {found}"
+
+
+def test_unchecked_element_route_is_found():
+    source = ast.parse(
+        "def checked_element(ctx, label, vector):\n"
+        "    return CanonicalElement(label, vector, None, ())\n"
+        "def shortcut(label, vector):\n"
+        "    def inner():\n"
+        "        return canonical.CanonicalElement(label, vector, None, ())\n"
+        "    return inner()\n"
+        "UNIT = CanonicalElement((), None, None, ())\n"
+    )
+    assert _element_builders(source) == [("checked_element", 2), ("inner", 5), ("<module>", 7)]
 
 
 def _kcb_reads(tree) -> list[tuple[int, str]]:

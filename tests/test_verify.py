@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from kcb import closedform
 from kcb.canonical import CanonicalBasis, ReductionError
 from kcb.fock import FockContext, symmetric_context
 from kcb.laurent import NotDivisibleError
@@ -47,6 +48,16 @@ class TestWeyl:
         # an empty range of n is no pass
         with pytest.raises(ValueError, match="need n_max >= 0"):
             verify_weyl_stability(2, 0, 1, -2)
+
+    def test_failed_closed_form_is_a_mismatch(self, monkeypatch):
+        # every coefficient v^1: the label's is not 1, so no closed form
+        # passes its check; the suite records each and goes on
+        monkeypatch.setattr(closedform, "inv", lambda s: 1)
+        r = verify_weyl_stability(2, 0, 1, 1)
+        assert [i.verdict for i in r.instances] == ["mismatch", "mismatch"]
+        assert all("is not 1" in i.detail["check"] for i in r.instances)
+        r = verify_top_row_forms(2, 0, 1)
+        assert [i.verdict for i in r.instances] == ["mismatch"]
 
     def test_degree_cap_skips(self):
         r = verify_weyl_stability(2, 0, 2, 2, degree_cap=13)
