@@ -21,7 +21,9 @@ m_nu G(nu) once is exact.  Terms the subtraction pushes out of vZ[v] lie
 below nu and join the pass, which thus needs no crystal graph.  At level
 >= 2 a seed can involve canonical elements whose labels strictly dominate
 mu, so the pass starts at the seed's largest term, not at mu; the final
-element is still checked to be dominance-triangular.
+element is still checked to be dominance-triangular.  Each subtraction is
+checked against the theory too: m_nu has no negative coefficient, and
+eps_i(nu) > k for the seed's string f_i^(k).
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from dataclasses import dataclass, replace
 from .crystal import (
     NotAVertexError,
     WeightInfo,
+    _reduced_signature,
     f_tilde_string,
     generate_crystal,
     residue_collected_path,
@@ -69,7 +72,8 @@ def checked_element(ctx: FockContext, label: Multipartition, vector: FockVector)
     """G(label) with this vector, once it passes the checks of G(label):
     those of FockVector.shape (leading 1, the others in vN[v], exponents
     within the defect) and dominance-triangularity; else ReductionError.
-    Every element kcb builds comes through here."""
+    Every element kcb builds comes through here, and its vector is then
+    stored (FockVector.stored), its bound lowered to max(shape)."""
     info = weight_info(ctx, content(ctx, label))
     try:
         shape = vector.shape(info.defect, label)
@@ -80,7 +84,7 @@ def checked_element(ctx: FockContext, label: Multipartition, vector: FockVector)
             raise ReductionError(
                 f"reduction failure: {lam} in G({label}) is not dominated by the label"
             )
-    return CanonicalElement(label, vector, info, shape)
+    return CanonicalElement(label, vector.stored(), info, shape)
 
 
 def is_svelte(g: CanonicalElement) -> bool:
@@ -130,6 +134,14 @@ class CanonicalBasis:
             return FockVector.basis(mp)
         i, k, top = step
         return apply_f_divided(self.ctx, self.element(top).vector, i, k)
+
+    def _seed_string(self, mp: Multipartition) -> tuple[int, int] | None:
+        """(i, k) of the seed f_i^(k) G(top): every other G(nu) it holds
+        has eps_i(nu) > k (Kashiwara, Duke Math. J. 69, 1993), which the
+        reduction checks at each subtraction.  None for a seed without the
+        rule, such as the highest weight vertex's."""
+        step = string_top(self.ctx, mp)
+        return None if step is None else step[:2]
 
     # canonical elements
 
@@ -186,10 +198,23 @@ class CanonicalBasis:
             m_nu = V.symmetric_low(nu)
             if not m_nu:
                 continue  # a term back in vZ[v]
+            # f_i^(k) G(top) has coefficients in N[v, v^-1] on the canonical
+            # basis (Lusztig, Introduction to Quantum Groups, 1993)
+            if any(c < 0 for _, c in m_nu.items()):
+                raise ReductionError(f"wrong seed for G({mp}): G({nu}) has multiplicity {m_nu}")
             try:
                 g = self.element(nu).vector
             except NotAVertexError as exc:
                 raise ReductionError(f"wrong seed for G({mp}): {nu} is not a vertex") from exc
+            string = self._seed_string(mp)  # read per subtraction: most elements have none
+            if string is not None:
+                i, k = string
+                eps = len(_reduced_signature(self.ctx, nu, i)[1])
+                if eps <= k:
+                    raise ReductionError(
+                        f"wrong seed for G({mp}): f_{i}^({k}) G(top) holds G({nu}),"
+                        f" whose eps_{i} is {eps}"
+                    )
             V = V.add_scaled(g, -m_nu)
             for lam in V.outside_vzv(among=g):
                 if lam not in queued:
@@ -198,8 +223,8 @@ class CanonicalBasis:
 
         elem = checked_element(self.ctx, mp, V)
         # checked: every exponent is >= 0, so the base 0 drops nothing and
-        # the interned vector equals the checked one
-        return replace(elem, vector=V.interned(self._coefficients))
+        # the interned vector equals the checked one, its terms not sorted again
+        return replace(elem, vector=elem.vector.interned(self._coefficients))
 
     # optional persistent cache
 
@@ -226,7 +251,10 @@ class CanonicalBasis:
             elem = checked_element(self.ctx, mp, cached.vector)
         except (OSError, ValueError, KeyError, TypeError, ReductionError):
             return None  # absent, unreadable, bad JSON, a missing key or a wrong type, a failed check
-        return elem if cached == elem else None  # the file's label, weight and shape too
+        # the file's label, weight and shape must be the checked ones; its
+        # vector is the checked one, stored
+        same = (cached.label, cached.weight, cached.shape) == (mp, elem.weight, elem.shape)
+        return elem if same else None
 
     def _disk_store(self, elem: CanonicalElement) -> None:
         path = self._cache_path(elem.label)

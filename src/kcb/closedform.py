@@ -167,6 +167,12 @@ def tau(a: int, i: int, n: int, s1: ChoiceSequence) -> Multipartition:
 # the family engine
 
 
+class StageError(ValueError):
+    """A path's stages admit no staged sum: a fill stage whose terms
+    disagree, a stage asking for more nodes than are addable, or a
+    branch budget exceeded."""
+
+
 FAMILIES = ("p0k1", "p10k", "p010k")
 
 # families whose case tables admit conflicting exponent readings at n >= 1;
@@ -237,10 +243,10 @@ def path_monomial(ctx: FockContext, stages) -> tuple[FockVector, list[tuple[int,
         counts = {len(addable_exponents(ctx, mp, i)) for mp in vec}
         if mult is None:
             if len(counts) > 1:
-                raise ValueError(f"stage {idx} fills {sorted(counts)} nodes: the terms disagree")
+                raise StageError(f"stage {idx} fills {sorted(counts)} nodes: the terms disagree")
             (mult,) = counts
         if mult > min(counts):
-            raise ValueError(f"stage {idx} asks for {mult} nodes, only {min(counts)} addable")
+            raise StageError(f"stage {idx} asks for {mult} nodes, only {min(counts)} addable")
         if mult < max(counts):
             m = idx
         vec = apply_f_divided(ctx, vec, i, mult)
@@ -262,7 +268,7 @@ def expand_family(
         for mp, cp in terms.items():
             adds = addable_exponents(ctx, mp, i)
             if kk > len(adds):
-                raise ValueError(f"stage {idx} asks for {kk} nodes, only {len(adds)} addable")
+                raise StageError(f"stage {idx} asks for {kk} nodes, only {len(adds)} addable")
             for picks in combinations(range(len(adds)), kk):
                 nmp, _ = divided_power_term(mp, [adds[pos] for pos in picks])
                 p = cp.shift(sum(picks) - kk * (kk - 1) // 2)
@@ -272,7 +278,7 @@ def expand_family(
         if branch_cap is not None:
             count = sum(n for cp in terms.values() for _, n in cp.items())
             if count > branch_cap:
-                raise ValueError(f"branch budget exceeded ({count} > {branch_cap})")
+                raise StageError(f"branch budget exceeded ({count} > {branch_cap})")
     return list(terms.items())
 
 
@@ -357,13 +363,15 @@ def _partners(spec: FamilySpec) -> list[tuple[str, LaurentPoly]]:
 
 @lru_cache(maxsize=None)
 def _canonical_vector(ctx: FockContext, spec: FamilySpec) -> FockVector:
-    """The divided-power monomial minus its partners, each built once (memoised)."""
+    """The divided-power monomial minus its partners, each built once and
+    memoised stored (FockVector.stored): checked_element keeps it as it
+    is, and a partner's subtraction iterates its terms."""
     vec = path_monomial(ctx, family_stages(spec))[0]
     for family, coeff in _partners(spec):
         if coeff:
             partner = _canonical_vector(ctx, replace(spec, family=family))
             vec = vec.add_scaled(partner, -coeff)
-    return vec
+    return vec.stored()
 
 
 def closed_canonical_family(spec: FamilySpec) -> CanonicalElement:

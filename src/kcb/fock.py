@@ -17,10 +17,11 @@ tuple (component, row, column), all 1-based.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, combinations
-from operator import or_
+from operator import eq, or_
 from typing import Iterator, Mapping
 
 from .laurent import LaurentPoly, exact_div
@@ -238,13 +239,58 @@ def _top_bits(digits: int) -> int:
     return _HALF * (((1 << W * digits) - 1) // _MASK)
 
 
+class SortedTerms:
+    """The read-only terms of a stored vector: its multipartitions in
+    ascending tuple order and their coefficient ints, as two tuples of one
+    pointer a term each, where a dict entry takes 40 bytes or more.  It
+    has the reads FockVector makes of a dict (iteration, len, items,
+    values, get); get bisects."""
+
+    __slots__ = ("mps", "xs")
+
+    def __init__(self, mps: tuple, xs: tuple):
+        self.mps, self.xs = mps, xs
+
+    def __len__(self) -> int:
+        return len(self.mps)
+
+    def __iter__(self) -> Iterator[Multipartition]:
+        return iter(self.mps)
+
+    def items(self):
+        return zip(self.mps, self.xs)
+
+    def values(self) -> tuple:
+        return self.xs
+
+    def get(self, mp: Multipartition, default=None):
+        mps = self.mps
+        j = bisect_left(mps, mp)
+        return self.xs[j] if j < len(mps) and mps[j] == mp else default
+
+    def __getitem__(self, mp: Multipartition) -> int:
+        x = self.get(mp)
+        if x is None:
+            raise KeyError(mp)
+        return x
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SortedTerms):
+            return NotImplemented
+        return self.mps == other.mps and self.xs == other.xs
+
+    __hash__ = None
+
+
 class FockVector:
     """Finite formal sum multipartition -> Laurent polynomial.
 
     Each coefficient is stored as one int over the vector's exponent base
-    (see W above), so the collector never tracks a vector's dict; it is
-    handed out as a LaurentPoly decoded from that int.  A stored dict is
-    never mutated.  `_bound` is at least every |coefficient of a v^e|.
+    (see W above), so the collector never tracks a vector's terms; it is
+    handed out as a LaurentPoly decoded from that int.  The terms are a
+    dict while the vector is built, and SortedTerms once it is stored
+    (`stored`, which every checked canonical element is); neither is ever
+    mutated.  `_bound` is at least every |coefficient of a v^e|.
     """
 
     __slots__ = ("_terms", "_lo", "_bound")
@@ -255,8 +301,8 @@ class FockVector:
         self._terms, self._lo, self._bound = v._terms, v._lo, v._bound
 
     @staticmethod
-    def _wrap(terms: dict[Multipartition, int], lo: int, bound: int) -> "FockVector":
-        """A vector over a finished dict: no zero coefficient, nothing to merge."""
+    def _wrap(terms: dict[Multipartition, int] | SortedTerms, lo: int, bound: int) -> "FockVector":
+        """A vector over finished terms: no zero coefficient, nothing to merge."""
         if bound >= LIMIT:
             raise CoefficientError(f"coefficient bound {bound} reaches 2^{W - 2}")
         v = FockVector.__new__(FockVector)
@@ -310,29 +356,47 @@ class FockVector:
         return iter(self._terms)
 
     def support(self) -> list[Multipartition]:
-        return sorted(self._terms)
+        return list(self.stored()._terms.mps)
+
+    def stored(self) -> "FockVector":
+        """The same vector over SortedTerms: the one place terms are
+        sorted, and a stored vector is its own."""
+        t = self._terms
+        if isinstance(t, SortedTerms):
+            return self
+        mps = tuple(sorted(t))
+        xs = tuple(map(t.__getitem__, mps))
+        return FockVector._wrap(SortedTerms(mps, xs), self._lo, self._bound)
 
     def rebased(self, lo: int) -> "FockVector":
         """The same vector over the exponent base lo, which must not lie
-        above the vector's own: lowering it drops nothing."""
+        above the vector's own: lowering it drops nothing.  A stored
+        vector stays stored."""
         if lo > self._lo:
             raise ValueError(f"rebased only lowers the exponent base {self._lo}, got {lo}")
         if lo == self._lo:
             return self
         s = W * (self._lo - lo)
-        return FockVector._wrap({mp: x << s for mp, x in self._terms.items()}, lo, self._bound)
+        t = self._terms
+        if isinstance(t, SortedTerms):
+            shifted = SortedTerms(t.mps, tuple(x << s for x in t.xs))
+        else:
+            shifted = {mp: x << s for mp, x in t.items()}
+        return FockVector._wrap(shifted, lo, self._bound)
 
     def interned(self, table: dict[int, int]) -> "FockVector":
-        """The same vector over the exponent base 0, each coefficient the
+        """The stored vector over the exponent base 0, each coefficient the
         int `table` holds for its value (added when new), so that equal
-        coefficients are one object.  Only for a vector over a base <= 0
-        with no exponent below 0, such as a checked canonical element: the
-        shift to base 0 then drops nothing, and ints over one base are
-        equal exactly when their coefficients are."""
+        coefficients are one object; the multipartition tuple of a stored
+        vector is kept.  Only for a vector over a base <= 0 with no
+        exponent below 0, such as a checked canonical element: the shift to
+        base 0 then drops nothing, and ints over one base are equal exactly
+        when their coefficients are."""
+        t = self.stored()._terms
         s = W * -self._lo
-        xs = [x >> s for x in self._terms.values()]
-        t = dict(zip(self._terms, map(table.setdefault, xs, xs)))
-        return FockVector._wrap(t, 0, self._bound)
+        xs = [x >> s for x in t.xs] if s else t.xs
+        shared = tuple(map(table.setdefault, xs, xs))
+        return FockVector._wrap(SortedTerms(t.mps, shared), 0, self._bound)
 
     # int-level reads for the reduction and the element checks: no
     # LaurentPoly per term
@@ -412,7 +476,12 @@ class FockVector:
         if not isinstance(other, FockVector):
             return NotImplemented
         lo = min(self._lo, other._lo)
-        return self.rebased(lo)._terms == other.rebased(lo)._terms
+        a, b = self.rebased(lo)._terms, other.rebased(lo)._terms
+        if type(a) is type(b):
+            return a == b
+        if isinstance(b, SortedTerms):
+            a, b = b, a  # b is the dict
+        return len(a) == len(b) and all(map(eq, map(b.get, a), a.values()))
 
     __hash__ = None
 
@@ -430,7 +499,8 @@ class FockVector:
         mlo = min(m)
         base = other._lo + mlo  # the products' exponent base
         lo = min(self._lo, base)
-        t = dict(self.rebased(lo)._terms)
+        src = self.rebased(lo)._terms
+        t = dict(src) if type(src) is dict else dict(src.items())
         mult_x = _encode(m, mlo) << W * (base - lo)
         for mp, x in other._terms.items():
             n = t.get(mp, 0) + x * mult_x
@@ -446,19 +516,20 @@ class FockVector:
     def __str__(self) -> str:
         if not self._terms:
             return "0"
-        bits = [f"({c})*{list(map(list, mp))}" for mp, c in sorted(self.terms())]
+        bits = [f"({c})*{list(map(list, mp))}" for mp, c in self.stored().terms()]
         return " + ".join(bits)
 
     __repr__ = __str__
 
     def to_json(self) -> list[dict]:
-        """Terms in increasing tuple order.  A multipartition stays a tuple
+        """Terms in increasing tuple order, read off the stored terms (a
+        stored vector is not sorted again).  A multipartition stays a tuple
         of tuples, which json writes as nested lists; a coefficient is an
         exponent-string -> coefficient map, exponents ascending, decoded
         once per distinct coefficient and shared by the terms that have it."""
-        t, lo = self._terms, self._lo
-        maps = {x: {str(e): n for e, n in _decode(x, lo).items()} for x in set(t.values())}
-        return [{"multipartition": mp, "coefficient": maps[t[mp]]} for mp in sorted(t)]
+        t, lo = self.stored()._terms, self._lo
+        maps = {x: {str(e): n for e, n in _decode(x, lo).items()} for x in set(t.xs)}
+        return [{"multipartition": mp, "coefficient": maps[x]} for mp, x in t.items()]
 
     @staticmethod
     def from_json(data) -> "FockVector":

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from .canonical import ReductionError, diamond, get_basis, is_svelte
 from .closedform import (
     FamilySpec,
+    StageError,
     closed_canonical_weyl,
     defect_congruences,
     expand_family,
@@ -29,7 +30,7 @@ from .crystal import (
     residue_collected_path,
     weight_info,
 )
-from .fock import FockContext, FockVector, symmetric_context
+from .fock import CoefficientError, FockContext, FockVector, symmetric_context
 from .laurent import LaurentPoly
 from .partitions import conjugate, mp_to_json, total_size, transpose_each
 
@@ -416,23 +417,28 @@ def conjecture_scan(a: int, max_degree: int) -> VerificationReport:
             # with every count explicit, a truncation m only asks that the
             # stages after m be full, and every m that passes gives the
             # same sums: the smallest is path_monomial's m
-            found_m = found_rule = None
+            found_m = found_rule = error = None
             try:
                 plain = FockVector(dict(expand_family(ctx, path, branch_cap=200_000)))
                 corrected, _, m = path_monomial(ctx, path)
-            except ValueError:
-                pass
+            except StageError:
+                pass  # the path has no staged sum: unsupported
+            except CoefficientError as exc:  # a sum too large to decode: no verdict
+                error = str(exc)
             else:
                 for rule, vec in (("corrected", corrected), ("plain", plain)):
                     if vec == oracle.vector:
                         found_m, found_rule = m, rule
                         break
+            status = "supported" if found_m is not None else "unsupported"
             detail = {
-                "status": "supported" if found_m is not None else "unsupported",
+                "status": "error" if error else status,
                 "m": found_m,
                 "rule": found_rule,
                 "within_window": found_m is not None and t <= found_m <= tprime,
             }
+            if error:
+                detail["error"] = error
             report.instances.append(Instance(params, "info", detail))
     return report
 

@@ -2,6 +2,8 @@ import gc
 import hashlib
 import json
 import os
+import struct
+import sys
 from collections import Counter
 
 import pytest
@@ -21,7 +23,8 @@ from kcb.closedform import FamilySpec, closed_canonical_family
 from kcb.crystal import NotAVertexError, generate_crystal, residue_collected_path
 from kcb.fock import FockContext, FockVector, apply_f_divided, symmetric_context
 from kcb.laurent import LaurentPoly
-from kcb.partitions import conjugate, dominates, is_e_regular
+from kcb.partitions import conjugate, dominates, is_e_regular, mp_to_json
+from kcb.verify import _difference
 
 from fock_reference import iter_multipartitions
 
@@ -229,6 +232,12 @@ class PathSeedBasis(CanonicalBasis):
         for i, k in residue_collected_path(self.ctx, mp):
             vec = apply_f_divided(self.ctx, vec, i, k)
         return vec
+
+    def _seed_string(self, mp):
+        # Kashiwara's eps_i rule is one of f_i^(k) G(top), not of the path
+        # monomial, which may hold G(nu) with eps_i(nu) <= k; positivity
+        # is still checked
+        return None
 
 
 # (e, charges, degree): every vertex up to degree
@@ -579,6 +588,135 @@ def test_reduction_and_serialisation_build_no_view_per_term(monkeypatch):
     elements = len(basis._elements)
     terms = sum(len(g.vector) for g in basis._elements.values())
     assert counts["views"] <= elements + 2 * counts["steps"] < terms, (counts, elements, terms)
+
+
+# (context, degree): every vertex up to degree, stored as checked_element leaves it
+STORE_CASES = (
+    (symmetric_context(1), 8),
+    (symmetric_context(2), 6),
+    (symmetric_context(3), 5),
+    (FockContext(3, (0, 1, 2)), 6),
+)
+
+
+def _parent_to_json(vector):
+    # the serialisation before stored vectors: sort the support, then look
+    # each coefficient up
+    coefficients = dict(vector.terms())
+    return [
+        {"multipartition": mp, "coefficient": {str(e): n for e, n in coefficients[mp].items()}}
+        for mp in sorted(coefficients)
+    ]
+
+
+@pytest.fixture(scope="module", params=STORE_CASES, ids=lambda case: str(case[0].charges))
+def stored_elements(request):
+    ctx, degree = request.param
+    basis = CanonicalBasis(ctx)
+    return ctx, [basis.element(mp) for mp in vertices_up_to(basis, degree)]
+
+
+class TestStoredElements:
+    def test_multipartitions_strictly_ascending(self, stored_elements):
+        for g in stored_elements[1]:
+            mps = g.vector._terms.mps
+            assert all(a < b for a, b in zip(mps, mps[1:])), g.label
+            assert g.vector.support() == list(mps)
+
+    def test_equal_to_the_dict_both_ways(self, stored_elements):
+        for g in stored_elements[1]:
+            as_dict = FockVector(list(g.vector.terms()))
+            assert g.vector == as_dict and as_dict == g.vector
+            # one coefficient changed: the label's 1 becomes 1 + v
+            bumped = as_dict + FockVector([(g.label, mono(1))])
+            assert g.vector != bumped and bumped != g.vector
+            assert g.vector != bumped.stored() and bumped.stored() != g.vector
+
+    def test_coefficient_present_and_absent(self, stored_elements):
+        ctx, elems = stored_elements
+        labels = {g.label for g in elems}
+        for g in elems:
+            as_dict = dict(g.vector.terms())
+            for mp, c in as_dict.items():
+                assert g.vector.coefficient(mp) == c
+            # below, between and above the stored terms
+            absent = labels | {ctx.highest_weight_vertex(), ((99,),) * ctx.level}
+            for mp in absent - set(as_dict):
+                assert g.vector.coefficient(mp) == LaurentPoly.zero(), (g.label, mp)
+
+    def test_difference_of_stored_vectors(self, stored_elements):
+        for g in stored_elements[1]:
+            assert _difference(g.vector, g.vector) is None
+            other = (g.vector + FockVector([(g.label, mono(2))])).stored()
+            want = [{"multipartition": mp_to_json(g.label), "coefficient": {"2": 1}}]
+            assert _difference(g.vector, other) == {"symbolic_difference": want}
+
+    def test_to_json_bytes_as_sort_then_lookup(self, stored_elements):
+        for g in stored_elements[1]:
+            want = json.dumps(_parent_to_json(g.vector))
+            assert json.dumps(g.vector.to_json()) == want
+            assert json.dumps(FockVector(list(g.vector.terms())).to_json()) == want
+
+    def test_disk_cache_round_trip(self, stored_elements, tmp_path, monkeypatch):
+        ctx, elems = stored_elements
+        writer = CanonicalBasis(ctx, cache_dir=str(tmp_path))
+        for g in elems:
+            writer.element(g.label)
+        reader = CanonicalBasis(ctx, cache_dir=str(tmp_path))
+        monkeypatch.setattr(reader, "_compute", None)  # every element comes off the disk
+        for g in elems:
+            back = reader.element(g.label)
+            assert back == g and back.vector._terms.mps == g.vector._terms.mps
+
+
+def test_stored_terms_take_two_pointers_a_term():
+    # the term containers of every G for a = 2 to degree 8: two tuples of
+    # one pointer a term each, where a dict takes 40 bytes or more a term
+    basis = CanonicalBasis(symmetric_context(2))
+    elems = [basis.element(mp) for mp in vertices_up_to(basis, 8)]
+    pointer, header = struct.calcsize("P"), sys.getsizeof(())
+    used = terms = 0
+    for g in elems:
+        t = g.vector._terms
+        containers = [getattr(t, name) for name in getattr(t, "__slots__", ())] or [t]
+        used += sum(map(sys.getsizeof, containers))
+        terms += len(g.vector)
+    assert used <= 2 * pointer * terms + 2 * header * len(elems), (used / terms, terms)
+
+
+class TestSubtractionChecks:
+    # at charges (0, 1), G(((3,), ())) is seeded by f_0 G(top) and
+    # G(((2,), (2,))) by f_1 G(top); ((1,), (2,)) lies at the first one's
+    # weight, ((3,), (1,)) at the second one's
+    @staticmethod
+    def planted(label, nu, mult):
+        class PlantedSeedBasis(CanonicalBasis):
+            def monomial(self, mp):
+                seed = super().monomial(mp)
+                if mp == label:
+                    seed = seed.add_scaled(self.element(nu).vector, mult)
+                return seed
+
+        return PlantedSeedBasis(C01)
+
+    def test_negative_multiplicity_raises(self):
+        # eps_0(((1,), (2,))) = 2 > 1 passes Kashiwara's rule, and the pass
+        # would add G(nu) back and end at the right element
+        basis = self.planted(((3,), ()), ((1,), (2,)), LaurentPoly.from_int(-1))
+        with pytest.raises(ReductionError, match="multiplicity"):
+            basis.element(((3,), ()))
+
+    def test_small_eps_raises(self):
+        # eps_1(((3,), (1,))) = 0 <= 1
+        basis = self.planted(((2,), (2,)), ((3,), (1,)), LaurentPoly.one())
+        with pytest.raises(ReductionError, match="eps_1 is 0"):
+            basis.element(((2,), (2,)))
+
+    def test_planted_allowed_string_passes_the_rule(self):
+        # eps_0(((1,), (2,))) = 2 > 1: the rule holds, and the pass
+        # subtracts the planted G(nu) again
+        basis = self.planted(((3,), ()), ((1,), (2,)), LaurentPoly.one())
+        assert basis.element(((3,), ())).vector == get_basis(C01).element(((3,), ())).vector
 
 
 def test_canonical_element_shared_registry():

@@ -6,6 +6,7 @@ from kcb.cli import main
 from kcb.closedform import (
     ChoiceSequence,
     FamilySpec,
+    StageError,
     choice_sequences,
     closed_canonical_family,
     closed_canonical_weyl,
@@ -418,7 +419,7 @@ class TestStagePath:
         # 0-nodes, so a fill stage has no single count
         ctx = symmetric_context(1)
         stages = [(0, 1), (1, 1), (0, None)]
-        with pytest.raises(ValueError, match="disagree"):
+        with pytest.raises(StageError, match="disagree"):
             path_monomial(ctx, stages)
         with pytest.raises(ValueError, match="different weights"):
             expand_family_branches(ctx, stages, 2)
@@ -491,8 +492,16 @@ class TestFoldReference:
         count = len(expand_family_branches(ctx, stages, len(stages)))
         assert len(expand_family(ctx, path)) < count - 1
         assert folds_like_branches(ctx, stages, branch_cap=count)
-        with pytest.raises(ValueError, match="branch budget"):
+        with pytest.raises(StageError, match="branch budget"):
             expand_family(ctx, path, branch_cap=count - 1)
+
+    def test_stage_asking_for_too_many_nodes(self):
+        # the highest weight vertex at a = 1 has one addable 0-node
+        ctx = symmetric_context(1)
+        with pytest.raises(StageError, match="only 1 addable"):
+            path_monomial(ctx, [(0, 2)])
+        with pytest.raises(StageError, match="only 1 addable"):
+            expand_family(ctx, [(0, 2)])
 
 
 class TestDefectHelpers:

@@ -387,6 +387,52 @@ def test_packed_arithmetic_matches_dicts(ca, cb, m):
                 assert as_dicts(apply_f_divided(C01, x, i, k)) == want
 
 
+@given(
+    st.lists(small, min_size=len(MPS), max_size=len(MPS)),
+    st.lists(small, min_size=len(MPS), max_size=len(MPS)),
+    small,
+)
+def test_stored_vector_reads_as_its_dict(ca, cb, m):
+    # every method that can receive a stored vector gives the dict's result
+    a, b = packed(ca), packed(cb, MPS[::-1])
+    sa, sb = a.stored(), b.stored()
+    assert isinstance(sa._terms, fock.SortedTerms) and sa.stored() is sa
+    mps = sa._terms.mps
+    assert all(x < y for x, y in zip(mps, mps[1:]))
+    assert sa.support() == a.support() == list(mps) == sorted(as_dicts(a))
+    assert sa == a and a == sa and as_dicts(sa) == as_dicts(a) and len(sa) == len(a)
+    assert sa.to_json() == a.to_json()
+    low = sa.rebased(sa._lo - 3)
+    assert isinstance(low._terms, fock.SortedTerms) and low == a and a == low
+    want = dict_add_scaled(as_dicts(a), as_dicts(b), m)
+    for x in (a, sa):
+        for y in (b, sb, sb.rebased(sb._lo - 2)):
+            assert as_dicts(x.add_scaled(y, LaurentPoly(m))) == want
+    for mp in MPS:
+        assert sa.coefficient(mp) == a.coefficient(mp)
+
+
+def test_stored_vector_equality_sees_one_coefficient():
+    a = packed([{0: 1}, {1: 2, 3: 1}, {2: 1}])
+    changed = packed([{0: 1}, {1: 2, 3: 2}, {2: 1}])
+    missing = packed([{0: 1}, {1: 2, 3: 1}, {}])
+    for other in (changed, missing):
+        for x, y in ((a.stored(), other), (a, other.stored()), (a.stored(), other.stored())):
+            assert x != y and y != x
+    assert a.stored() == a.rebased(-4).stored() == a
+
+
+def test_sorted_terms_lookup():
+    t = packed([{0: 1}, {1: 2}, {2: 3}]).stored()._terms
+    assert list(t) == sorted(MPS) and len(t) == 3
+    assert dict(t.items()) == {mp: t[mp] for mp in MPS}
+    # absent terms below, between and above the stored ones
+    for mp in (((), ()), ((1,), (1,)), ((9,), ())):
+        assert t.get(mp) is None and t.get(mp, 0) == 0
+        with pytest.raises(KeyError):
+            t[mp]
+
+
 def test_rebased_only_lowers():
     v = packed([{-2: 1, 3: -2}, {0: 3}, {}])
     assert v.rebased(-2) is v and v.rebased(-7) == v

@@ -2,9 +2,10 @@ import json
 
 import pytest
 
-from kcb import closedform
+from kcb import closedform, verify
 from kcb.canonical import CanonicalBasis, ReductionError
-from kcb.fock import FockContext, symmetric_context
+from kcb.closedform import StageError
+from kcb.fock import CoefficientError, FockContext, symmetric_context
 from kcb.laurent import NotDivisibleError
 from kcb.verify import (
     conjecture_scan,
@@ -161,6 +162,27 @@ class TestConjectureScan:
             monkeypatch.setattr(CanonicalBasis, "element", fail(exc))
             with pytest.raises(type(exc)):
                 conjecture_scan(1, 6)
+
+
+    def test_coefficient_overflow_is_an_error_not_unsupported(self, monkeypatch):
+        def overflow(ctx, stages):
+            raise CoefficientError("the bound reaches 2^62")
+
+        monkeypatch.setattr(verify, "path_monomial", overflow)
+        r = conjecture_scan(2, 6)
+        assert r.instances
+        assert all(i.detail["status"] == "error" for i in r.instances)
+        assert all(i.detail["error"] == "the bound reaches 2^62" for i in r.instances)
+
+    def test_stage_error_is_unsupported(self, monkeypatch):
+        def no_sum(ctx, stages):
+            raise StageError("stage 1 asks for 2 nodes, only 1 addable")
+
+        monkeypatch.setattr(verify, "path_monomial", no_sum)
+        r = conjecture_scan(2, 6)
+        assert r.instances
+        assert all(i.detail["status"] == "unsupported" for i in r.instances)
+        assert not any("error" in i.detail for i in r.instances)
 
 
 class TestReportShape:
