@@ -21,11 +21,13 @@ m_nu G(nu) once is exact.  Terms the subtraction pushes out of vZ[v] lie
 below nu and join the pass, which thus needs no crystal graph.  At level
 >= 2 a seed can involve canonical elements whose labels strictly dominate
 mu, so the pass starts at the seed's largest term, not at mu; the final
-element is still checked to be dominance-triangular.  Each subtraction is
-checked against the theory too: m_nu has no negative coefficient, and
-eps_i(nu) > k for the seed's string f_i^(k).
+element is still checked to be dominance-triangular.  The pass, reduce_seed,
+takes any seed built by divided powers from canonical elements, such as
+the monomial of mu's whole path, and checks that no m_nu has a negative
+coefficient.  It returns G(mu) and its certificate, the (nu, m_nu) it
+subtracted in that order.  CanonicalBasis._compute checks Kashiwara's rule
+of f_i^(k) G(top), eps_i(nu) > k, over the certificate.
 """
-
 from __future__ import annotations
 
 import hashlib
@@ -34,6 +36,7 @@ import os
 import tempfile
 import warnings
 from bisect import insort
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 from .crystal import (
@@ -47,6 +50,7 @@ from .crystal import (
     weight_info,
 )
 from .fock import CoefficientError, FockContext, FockVector, apply_f_divided, content
+from .laurent import LaurentPoly
 from .partitions import Multipartition, dominates, ints_from_json, mp_from_json
 
 # Part of every disk-cache key: raise it when the file format or the
@@ -85,6 +89,41 @@ def checked_element(ctx: FockContext, label: Multipartition, vector: FockVector)
                 f"reduction failure: {lam} in G({label}) is not dominated by the label"
             )
     return CanonicalElement(label, vector.stored(), info, shape)
+
+
+def reduce_seed(
+    ctx: FockContext, label: Multipartition, seed: FockVector, element: Callable
+) -> tuple[CanonicalElement, list[tuple[Multipartition, LaurentPoly]]]:
+    """G(label) from a seed that holds it at coefficient 1, where element(nu)
+    gives G(nu), and the certificate (module docstring).  ReductionError on
+    a negative m_nu, a nu off the crystal, or a failed checked_element."""
+    # terms outside vZ[v], ascending: pop the largest.  A subtraction only
+    # adds terms below nu, so a queued term stays in todo until it is popped.
+    V, todo = seed, sorted(seed.outside_vzv())
+    queued = set(todo)
+    certificate = []
+    while todo:
+        nu = todo.pop()
+        if nu == label:
+            continue
+        m_nu = V.symmetric_low(nu)
+        if not m_nu:
+            continue  # a term back in vZ[v]
+        # divided powers of canonical elements have coefficients in N[v, v^-1]
+        # on the canonical basis (Lusztig, Introduction to Quantum Groups, 1993)
+        if any(c < 0 for _, c in m_nu.items()):
+            raise ReductionError(f"wrong seed for G({label}): G({nu}) has multiplicity {m_nu}")
+        try:
+            g = element(nu).vector
+        except NotAVertexError as exc:
+            raise ReductionError(f"wrong seed for G({label}): {nu} is not a vertex") from exc
+        V = V.add_scaled(g, -m_nu)
+        certificate.append((nu, m_nu))
+        for lam in V.outside_vzv(among=g):
+            if lam not in queued:
+                queued.add(lam)
+                insort(todo, lam)
+    return checked_element(ctx, label, V), certificate
 
 
 def is_svelte(g: CanonicalElement) -> bool:
@@ -135,14 +174,6 @@ class CanonicalBasis:
         i, k, top = step
         return apply_f_divided(self.ctx, self.element(top).vector, i, k)
 
-    def _seed_string(self, mp: Multipartition) -> tuple[int, int] | None:
-        """(i, k) of the seed f_i^(k) G(top): every other G(nu) it holds
-        has eps_i(nu) > k (Kashiwara, Duke Math. J. 69, 1993), which the
-        reduction checks at each subtraction.  None for a seed without the
-        rule, such as the highest weight vertex's."""
-        step = string_top(self.ctx, mp)
-        return None if step is None else step[:2]
-
     # canonical elements
 
     def element(self, mp: Multipartition) -> CanonicalElement:
@@ -150,18 +181,12 @@ class CanonicalBasis:
         if got is not None:
             return got
         disk = self._disk_load(mp)
-        if disk is not None:
-            self._elements[mp] = disk
-            return disk
-        if mp in self._in_progress:
-            raise ReductionError(f"cyclic canonical-basis dependency at {mp}")
-        self._in_progress.add(mp)
-        try:
-            elem = self._compute(mp)
-        finally:
-            self._in_progress.discard(mp)
+        elem = self._compute(mp) if disk is None else disk
+        # checked: every exponent is >= 0, so the base 0 drops nothing and
+        # the interned vector equals the checked one, its terms not sorted again
+        elem = replace(elem, vector=elem.vector.interned(self._coefficients))
         self._elements[mp] = elem
-        if self._storing:
+        if disk is None and self._storing:
             try:
                 self._disk_store(elem)
             except OSError as exc:
@@ -184,47 +209,23 @@ class CanonicalBasis:
         return {mp: self.element(mp) for mp in sorted(verts, reverse=True)}
 
     def _compute(self, mp: Multipartition) -> CanonicalElement:
-        V = self.monomial(mp)  # raises NotAVertexError off the crystal
-
-        # terms outside vZ[v], ascending: pop the largest (see the module
-        # docstring).  A subtraction only adds terms below nu, so a queued
-        # term stays in todo until it is popped.
-        todo = sorted(V.outside_vzv())
-        queued = set(todo)
-        while todo:
-            nu = todo.pop()
-            if nu == mp:
-                continue
-            m_nu = V.symmetric_low(nu)
-            if not m_nu:
-                continue  # a term back in vZ[v]
-            # f_i^(k) G(top) has coefficients in N[v, v^-1] on the canonical
-            # basis (Lusztig, Introduction to Quantum Groups, 1993)
-            if any(c < 0 for _, c in m_nu.items()):
-                raise ReductionError(f"wrong seed for G({mp}): G({nu}) has multiplicity {m_nu}")
-            try:
-                g = self.element(nu).vector
-            except NotAVertexError as exc:
-                raise ReductionError(f"wrong seed for G({mp}): {nu} is not a vertex") from exc
-            string = self._seed_string(mp)  # read per subtraction: most elements have none
-            if string is not None:
-                i, k = string
+        if mp in self._in_progress:
+            raise ReductionError(f"cyclic canonical-basis dependency at {mp}")
+        self._in_progress.add(mp)
+        try:  # monomial raises NotAVertexError off the crystal
+            elem, certificate = reduce_seed(self.ctx, mp, self.monomial(mp), self.element)
+        finally:
+            self._in_progress.discard(mp)
+        if certificate:  # Kashiwara, Duke Math. J. 69, 1993: each eps_i(nu) > k
+            i, k, _ = string_top(self.ctx, mp)
+            for nu, _ in certificate:
                 eps = len(_reduced_signature(self.ctx, nu, i)[1])
                 if eps <= k:
                     raise ReductionError(
                         f"wrong seed for G({mp}): f_{i}^({k}) G(top) holds G({nu}),"
                         f" whose eps_{i} is {eps}"
                     )
-            V = V.add_scaled(g, -m_nu)
-            for lam in V.outside_vzv(among=g):
-                if lam not in queued:
-                    queued.add(lam)
-                    insort(todo, lam)
-
-        elem = checked_element(self.ctx, mp, V)
-        # checked: every exponent is >= 0, so the base 0 drops nothing and
-        # the interned vector equals the checked one, its terms not sorted again
-        return replace(elem, vector=elem.vector.interned(self._coefficients))
+        return elem
 
     # optional persistent cache
 

@@ -418,18 +418,16 @@ def conjecture_scan(a: int, max_degree: int) -> VerificationReport:
             # stages after m be full, and every m that passes gives the
             # same sums: the smallest is path_monomial's m
             found_m = found_rule = error = None
-            try:
-                plain = FockVector(dict(expand_family(ctx, path, branch_cap=200_000)))
+            try:  # the plain fold only when M(path) misses: its budget hides no match
                 corrected, _, m = path_monomial(ctx, path)
+                if corrected == oracle.vector:
+                    found_m, found_rule = m, "corrected"
+                elif FockVector(dict(expand_family(ctx, path, branch_cap=200_000))) == oracle.vector:
+                    found_m, found_rule = m, "plain"
             except StageError:
-                pass  # the path has no staged sum: unsupported
+                pass  # no staged sum, or none within the branch budget: unsupported
             except CoefficientError as exc:  # a sum too large to decode: no verdict
                 error = str(exc)
-            else:
-                for rule, vec in (("corrected", corrected), ("plain", plain)):
-                    if vec == oracle.vector:
-                        found_m, found_rule = m, rule
-                        break
             status = "supported" if found_m is not None else "unsupported"
             detail = {
                 "status": "error" if error else status,

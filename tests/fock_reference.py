@@ -1,7 +1,7 @@
 """Reference f_i, e_i, the iterative divided power and the per-branch
 family enumerator, kept beside the tests as independent cross-checks of
 kcb.fock.apply_f_divided and kcb.closedform.expand_family, the way
-tests/test_canonical.py::PathSeedBasis keeps the path seed.
+tests/test_canonical.py::PathSeedRoute keeps the path seed.
 
 apply_f and apply_e sum over the addable (removable) i-nodes one at a
 time; apply_f_divided_iterative applies apply_f k times and divides

@@ -5,6 +5,7 @@ import os
 import struct
 import sys
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -18,10 +19,17 @@ from kcb.canonical import (
     element_to_json,
     get_basis,
     is_svelte,
+    reduce_seed,
 )
-from kcb.closedform import FamilySpec, closed_canonical_family
+from kcb.closedform import (
+    FamilySpec,
+    _partners,
+    closed_canonical_family,
+    family_label,
+    path_monomial,
+)
 from kcb.crystal import NotAVertexError, generate_crystal, residue_collected_path
-from kcb.fock import FockContext, FockVector, apply_f_divided, symmetric_context
+from kcb.fock import FockContext, FockVector, symmetric_context
 from kcb.laurent import LaurentPoly
 from kcb.partitions import conjugate, dominates, is_e_regular, mp_to_json
 from kcb.verify import _difference
@@ -222,22 +230,23 @@ class TestInvariants:
                     assert elem.vector == vec((mp, 0), (conjugate(md), 1))
 
 
-class PathSeedBasis(CanonicalBasis):
-    """The reference seed: divided powers folded along the whole
-    residue-collected path from the highest weight vector, so no seed
-    depends on another canonical element."""
+class PathSeedRoute:
+    """G(b) without the recursion across weights: reduce_seed applied to
+    M(b), the divided-power monomial of b's residue-collected path on the
+    highest weight vector.  Every G(nu) the pass subtracts lies at b's
+    weight and is built the same way, memoised by the route with its
+    certificate.  Kashiwara's eps_i rule is one of f_i^(k) G(top), not of
+    M(b), so only positivity is checked per subtraction."""
 
-    def monomial(self, mp):
-        vec = FockVector.basis(self.ctx.highest_weight_vertex())
-        for i, k in residue_collected_path(self.ctx, mp):
-            vec = apply_f_divided(self.ctx, vec, i, k)
-        return vec
+    def __init__(self, ctx):
+        self.ctx = ctx
+        self.elements, self.certificates = {}, {}
 
-    def _seed_string(self, mp):
-        # Kashiwara's eps_i rule is one of f_i^(k) G(top), not of the path
-        # monomial, which may hold G(nu) with eps_i(nu) <= k; positivity
-        # is still checked
-        return None
+    def element(self, mp):
+        if mp not in self.elements:
+            seed = path_monomial(self.ctx, residue_collected_path(self.ctx, mp))[0]
+            self.elements[mp], self.certificates[mp] = reduce_seed(self.ctx, mp, seed, self.element)
+        return self.elements[mp]
 
 
 # (e, charges, degree): every vertex up to degree
@@ -253,7 +262,7 @@ class TestSeed:
     def test_path_seed_oracle(self):
         for e, charges, degree in SEED_CASES:
             ctx = FockContext(e, charges)
-            basis, oracle = CanonicalBasis(ctx), PathSeedBasis(ctx)
+            basis, oracle = CanonicalBasis(ctx), PathSeedRoute(ctx)
             for mp in vertices_up_to(basis, degree):
                 assert basis.element(mp).vector == oracle.element(mp).vector, mp
 
@@ -280,6 +289,33 @@ class TestSeed:
         assert sum(map(sum, closed.label)) == 43
         got = CanonicalBasis(symmetric_context(3)).element(closed.label)
         assert got.vector == closed.vector
+
+
+class TestCertificate:
+    # the route's certificate at a path family's label is the closed form's
+    # partner table: 1 G(p0k1), [2][3] G(p0k1) and 1 G(p10k)
+    @pytest.mark.parametrize(
+        "family, a, k, n", [("p10k", 2, 1, 1), ("p010k", 2, 2, 1), ("p010k", 3, 3, 0)]
+    )
+    def test_certificate_is_the_partner_table(self, family, a, k, n):
+        spec = FamilySpec(family, a, k, n)
+        ctx = symmetric_context(a)
+        route, label = PathSeedRoute(ctx), family_label(ctx, spec)
+        assert route.element(label).vector == closed_canonical_family(spec).vector
+        partners = [
+            (family_label(ctx, replace(spec, family=family)), coeff)
+            for family, coeff in _partners(spec)
+            if coeff
+        ]
+        assert len(partners) == 1
+        assert route.certificates[label] == partners
+
+    def test_wrong_leading_coefficient_raises(self):
+        # 2 M(b): the pass subtracts 2 m_nu G(nu) and ends at 2 G(b)
+        mp = ((3,), ())
+        seed = path_monomial(C01, residue_collected_path(C01, mp))[0]
+        with pytest.raises(ReductionError, match="is not 1"):
+            reduce_seed(C01, mp, seed.add_scaled(seed, LaurentPoly.one()), PathSeedRoute(C01).element)
 
 
 class TestOrderIndependence:
@@ -563,6 +599,18 @@ class TestCoefficientTable:
             assert mine == theirs
             # ints beyond CPython's small-int cache are only shared by a table
             assert not any(x is theirs[nu] for nu, x in mine.items() if x > 256), mp
+
+    def test_disk_reads_go_through_the_table(self, basis, tmp_path):
+        writer = CanonicalBasis(C01, cache_dir=str(tmp_path))
+        for mp in basis._elements:
+            writer.element(mp)
+        reader = CanonicalBasis(C01, cache_dir=str(tmp_path))
+        reader._compute = None  # every element is read from its file
+        for mp in basis._elements:
+            reader.element(mp)
+        xs = self.stored(reader)
+        assert len({id(x) for x in xs}) == len(set(xs)) < len(xs)
+        assert all(reader._coefficients[x] is x for x in xs)
 
 
 def test_reduction_and_serialisation_build_no_view_per_term(monkeypatch):

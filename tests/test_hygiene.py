@@ -4,8 +4,9 @@ module of src/kcb and tests/ uses what it imports, every process-wide
 memo of src/kcb is listed in MEMOS with its reason, src/kcb checks nothing
 with assert (python -O strips it), only laurent.py and fock.py read the
 coefficient storage `_terms`, src/kcb never encodes with json.dump, every
-CanonicalElement is built by the element check or the cache reader, and
-every kcb name the benchmark in perfbench/ reads still exists.
+CanonicalElement is built by the element check or the cache reader, only
+the reduction pass reads a seed's terms outside vZ[v], and every kcb name
+the benchmark in perfbench/ reads still exists.
 
 A name counts as used when code refers to it (a name, an attribute or an
 import; comments, strings, the definition itself and references inside
@@ -247,16 +248,22 @@ def test_terms_storage_stays_private():
 # is served; any other call would be a route to an unchecked element
 ELEMENT_BUILDERS = {"checked_element", "element_from_json"}
 
+# the reduction's reads of a seed, called only by the one reduction pass:
+# a second pass would be a second route to G that the pass's checks miss
+REDUCTION_READS = {"outside_vzv", "symmetric_low"}
+REDUCTION_PASS = ("canonical.py", "reduce_seed")
 
-def _element_builders(tree: ast.Module) -> list[tuple[str, int]]:
-    """(innermost enclosing function, line) of each CanonicalElement(...) call."""
+
+def _calls(tree: ast.Module, names) -> list[tuple[str, int]]:
+    """(innermost enclosing function, line) of each call of one of the
+    names, as a bare name or an attribute."""
     out = []
 
     def walk(node, fn):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Call):
                 func = child.func
-                if getattr(func, "id", getattr(func, "attr", None)) == "CanonicalElement":
+                if getattr(func, "id", getattr(func, "attr", None)) in names:
                     out.append((fn, child.lineno))
             inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             walk(child, child.name if inner else fn)
@@ -269,7 +276,7 @@ def test_elements_built_only_by_the_check():
     found = [
         f"{path.name}:{line}:{fn}"
         for path in SOURCES + [ROOT / "src" / "kcb" / "__init__.py"]
-        for fn, line in _element_builders(_tree(path))
+        for fn, line in _calls(_tree(path), {"CanonicalElement"})
         if fn not in ELEMENT_BUILDERS
     ]
     assert found == [], f"CanonicalElement built outside {sorted(ELEMENT_BUILDERS)}: {found}"
@@ -285,7 +292,33 @@ def test_unchecked_element_route_is_found():
         "    return inner()\n"
         "UNIT = CanonicalElement((), None, None, ())\n"
     )
-    assert _element_builders(source) == [("checked_element", 2), ("inner", 5), ("<module>", 7)]
+    assert _calls(source, {"CanonicalElement"}) == [
+        ("checked_element", 2), ("inner", 5), ("<module>", 7)
+    ]
+
+
+def test_reduction_reads_only_in_the_pass():
+    found = [
+        f"{path.name}:{line}:{fn}"
+        for path in SOURCES + [ROOT / "src" / "kcb" / "__init__.py"]
+        for fn, line in _calls(_tree(path), REDUCTION_READS)
+        if (path.name, fn) != REDUCTION_PASS
+    ]
+    assert found == [], f"{sorted(REDUCTION_READS)} called outside {REDUCTION_PASS}: {found}"
+
+
+def test_second_reduction_pass_is_found():
+    source = ast.parse(
+        "def reduce_seed(ctx, label, seed, element):\n"
+        "    return seed.outside_vzv(), seed.symmetric_low(label)\n"
+        "class Basis:\n"
+        "    def _compute(self, mp):\n"
+        "        V = self.monomial(mp)\n"
+        "        return [V.symmetric_low(nu) for nu in V.outside_vzv()]\n"
+    )
+    assert _calls(source, REDUCTION_READS) == [
+        ("reduce_seed", 2), ("reduce_seed", 2), ("_compute", 6), ("_compute", 6)
+    ]
 
 
 def _kcb_reads(tree) -> list[tuple[int, str]]:

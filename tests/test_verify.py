@@ -184,6 +184,18 @@ class TestConjectureScan:
         assert all(i.detail["status"] == "unsupported" for i in r.instances)
         assert not any("error" in i.detail for i in r.instances)
 
+    def test_plain_fold_budget_hides_no_corrected_match(self, monkeypatch):
+        # the plain fold runs only when M(path) misses the oracle
+        def over_budget(ctx, stages, branch_cap=None):
+            raise StageError("branch budget exceeded (200001 > 200000)")
+
+        def corrected(report):
+            return [i.params for i in report.instances if i.detail.get("rule") == "corrected"]
+
+        expected = corrected(conjecture_scan(2, 10))
+        monkeypatch.setattr(verify, "expand_family", over_budget)
+        assert expected and corrected(conjecture_scan(2, 10)) == expected
+
 
 class TestReportShape:
     def test_json_and_text(self):
