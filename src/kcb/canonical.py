@@ -241,20 +241,24 @@ class CanonicalBasis:
 
     def _disk_load(self, mp: Multipartition) -> CanonicalElement | None:
         """The cached G(mp), or None (a miss) when the file is absent,
-        unreadable (an OSError, say a directory at its path), not an
-        element, or fails a check."""
+        unreadable (an OSError, say a directory at its path), not
+        element_to_json's document with every number an int (a float or
+        bool would be served and written back as it is), or fails a check."""
         path = self._cache_path(mp)
         if not path:
             return None
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                cached = element_from_json(json.load(fh))
-            elem = checked_element(self.ctx, mp, cached.vector)
+                data = json.load(fh)
+            vector = FockVector.from_json(data["terms"])
+            content, hub, shape = (ints_from_json(data[k]) for k in ("content", "hub", "shape"))
+            (defect,) = ints_from_json([data["defect"]])
+            label = mp_from_json(data["label"])
+            elem = checked_element(self.ctx, mp, vector)
         except (OSError, ValueError, KeyError, TypeError, ReductionError):
             return None  # absent, unreadable, bad JSON, a missing key or a wrong type, a failed check
-        # the file's label, weight and shape must be the checked ones; its
-        # vector is the checked one, stored
-        same = (cached.label, cached.weight, cached.shape) == (mp, elem.weight, elem.shape)
+        # the file's label, weight and shape must be the checked ones
+        same = (label, WeightInfo(content, hub, defect), shape) == (mp, elem.weight, elem.shape)
         return elem if same else None
 
     def _disk_store(self, elem: CanonicalElement) -> None:
@@ -305,13 +309,3 @@ def element_to_json(elem: CanonicalElement) -> dict:
         "terms": elem.vector.to_json()[::-1],  # decreasing tuple order
     }
 
-
-def element_from_json(data) -> CanonicalElement:
-    """The element of element_to_json's document.  Every number must be an
-    int: a float or bool equals the int a check compares it with, but would
-    be served and written back as it is."""
-    vector = FockVector.from_json(data["terms"])
-    content, hub, shape = (ints_from_json(data[key]) for key in ("content", "hub", "shape"))
-    (defect,) = ints_from_json([data["defect"]])
-    info = WeightInfo(content, hub, defect)
-    return CanonicalElement(mp_from_json(data["label"]), vector, info, shape)

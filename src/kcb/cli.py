@@ -155,8 +155,8 @@ _SUITES = {
     "top-row": (("i", "k"), None, lambda o: verify_top_row_forms(o.a, o.i, o.k)),
     "weyl": (("i", "k", "n", "max_degree"), 13,
              lambda o: verify_weyl_stability(o.a, o.i, o.k, o.n, o.max_degree)),
-    "families": (("family", "k", "n", "max_degree"), None,
-                 lambda o: verify_path_families(o.a, o.family, o.k, o.n, o.max_degree)),
+    "families": (("family", "k", "n"), None,
+                 lambda o: verify_path_families(o.a, o.family, o.k, o.n)),
     "duality": (("max_degree",), 8, lambda o: verify_duality(_context_from(o), o.max_degree)),
     "svelte": (("max_degree",), 13, lambda o: verify_svelte_step(_context_from(o), o.max_degree)),
     "structural": (("max_degree",), 9, lambda o: verify_structural(o.a, o.max_degree)),
@@ -250,15 +250,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None, help="weyl, families (default 1)")
     p.add_argument("--family", choices=FAMILIES, default=None,
                    help="families (default p0k1)")
-    p.add_argument("--max-degree", type=int, default=None, help="every suite but top-row")
+    p.add_argument("--max-degree", type=int, default=None,
+                   help="every suite but top-row and families")
     _add_common(p, ("text", "json"))
     p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("conjecture-scan", help="alias of verify --suite conjecture")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--max-degree", type=int, default=13)
-    _add_common(p)
-    p.set_defaults(fn=cmd_verify, suite="conjecture", e=2, charges=None)
 
     return ap
 

@@ -133,7 +133,8 @@ def generate_crystal(ctx: FockContext, max_degree: int) -> CrystalGraph:
 
 @dataclass
 class BlockReducedGraph:
-    """Quotient of the crystal by content; vertices are weights."""
+    """Quotient of the crystal by content; vertices are weights, in the
+    (degree, content) order block_reduced and block_from_json insert them."""
 
     ctx: FockContext
     max_degree: int
@@ -145,7 +146,7 @@ class BlockReducedGraph:
 def block_reduced(g: CrystalGraph) -> BlockReducedGraph:
     weights: dict[tuple[int, ...], WeightInfo] = {}
     dims: dict[tuple[int, ...], int] = {}
-    for cont, verts in g.by_content().items():
+    for cont, verts in sorted(g.by_content().items(), key=lambda cv: (sum(cv[0]), cv[0])):
         weights[cont] = weight_info(g.ctx, cont)
         dims[cont] = len(verts)
     eset = set()
@@ -162,13 +163,18 @@ def is_external(bg: BlockReducedGraph, cont) -> bool:
     cont = tuple(int(x) for x in cont)
     if cont not in bg.weights:
         raise ValueError(f"{cont} is not a weight of the graph")
-    for i in range(bg.ctx.e):
-        if cont[i] == 0:
-            return True
-        raised = cont[:i] + (cont[i] - 1,) + cont[i + 1 :]
-        if raised not in bg.weights:
-            return True
-    return False
+    return not all(string_steps(bg, cont, i, -1) for i in range(bg.ctx.e))
+
+
+def string_steps(bg: BlockReducedGraph, cont: tuple[int, ...], i: int, step: int) -> int:
+    """How many times cont moves by step * alpha_i (step 1 lowers, -1
+    raises) and stays a weight of bg: the i-string below or above it."""
+    n, cur = 0, list(cont)
+    while True:
+        cur[i] += step
+        if tuple(cur) not in bg.weights:
+            return n
+        n += 1
 
 
 def string_top(ctx: FockContext, mp: Multipartition) -> tuple[int, int, Multipartition] | None:
@@ -239,7 +245,6 @@ def crystal_from_json(data) -> CrystalGraph:
 
 
 def block_to_json(bg: BlockReducedGraph) -> dict:
-    order = sorted(bg.weights, key=lambda c: (sum(c), c))
     return {
         "e": bg.ctx.e,
         "charges": list(bg.ctx.charges),
@@ -251,7 +256,7 @@ def block_to_json(bg: BlockReducedGraph) -> dict:
                 "defect": bg.weights[c].defect,
                 "dimension": bg.dims[c],
             }
-            for c in order
+            for c in bg.weights
         ],
         "edges": [
             {"source": list(s), "residue": i, "target": list(t)} for s, i, t in bg.edges
@@ -265,13 +270,13 @@ def block_from_json(data) -> BlockReducedGraph:
     TypeError."""
     ctx = FockContext(data["e"], tuple(data["charges"]))
     (max_degree,) = ints_from_json([data["max_degree"]])
-    weights = {}
-    dims = {}
+    weights, dims = {}, {}
     for v in data["vertices"]:
         c = ints_from_json(v["content"])
         defect, dim = ints_from_json([v["defect"], v["dimension"]])
         weights[c] = WeightInfo(c, ints_from_json(v["hub"]), defect)
         dims[c] = dim
+    weights = {c: weights[c] for c in sorted(weights, key=lambda c: (sum(c), c))}
     edges = []
     for e in data["edges"]:
         (i,) = ints_from_json([e["residue"]])
@@ -285,10 +290,9 @@ def _hub_label(info: WeightInfo) -> str:
 
 def block_to_dot(bg: BlockReducedGraph) -> str:
     """DOT rendering; each weight is labelled hub^defect, edges by residue."""
-    order = sorted(bg.weights, key=lambda c: (sum(c), c))
-    ids = {c: "w_" + "_".join(str(x) for x in c) for c in order}
+    ids = {c: "w_" + "_".join(str(x) for x in c) for c in bg.weights}
     lines = ["digraph block_reduced_crystal {", '  rankdir="TB";']
-    for c in order:
+    for c in bg.weights:
         lines.append(f'  {ids[c]} [label="{_hub_label(bg.weights[c])}", shape=box];')
     for s, i, t in bg.edges:
         lines.append(f'  {ids[s]} -> {ids[t]} [label="{i}"];')

@@ -451,8 +451,10 @@ class FockVector:
                 if not 0 <= c.min_exponent() <= c.max_exponent() <= defect
             )
             raise CoefficientError(f"coefficient {c} at {bad}: an exponent outside 0..{defect}")
-        if self._bound * len(t) >= LIMIT:
-            raise CoefficientError(f"the shape's bound {self._bound} * {len(t)} reaches 2^{W - 2}")
+        # each entry sums len(t) digits: within the bound, or the true largest
+        bound = self._bound if self._bound * len(t) < LIMIT else self._max_digit()
+        if bound * len(t) >= LIMIT:
+            raise CoefficientError(f"the shape's bound {bound} * {len(t)} reaches 2^{W - 2}")
         total = _decode(sum(xs), lo)
         shape = tuple(total.get(e, 0) for e in range(defect + 1))
         # every coefficient is positive, so v^0 occurs only at the label
@@ -462,6 +464,11 @@ class FockVector:
             raise CoefficientError(f"coefficient {self.coefficient(bad)} at {bad} not in vZ[v]")
         self._bound = max(shape)
         return shape
+
+    def _max_digit(self) -> int:
+        """The largest |digit|, exact as _wrap keeps every bound below LIMIT."""
+        digits = (_decode(x, self._lo).values() for x in self._terms.values())
+        return max(map(abs, chain.from_iterable(digits)), default=0)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -612,5 +619,7 @@ def apply_f_divided(ctx: FockContext, vec: FockVector, i: int, k: int) -> FockVe
                 out[nmp] = n
             else:
                 del out[nmp]  # x << s != 0, so a zero sum means nmp was in out
-    # a term of the output sums at most one term per input term
-    return FockVector._wrap(out, vec._lo + low, vec._bound * len(t))
+    # a term of the output sums at most one term per input term, each within
+    # vec's bound or, once compounding has made it loose, its largest digit
+    bound = vec._bound if vec._bound * len(t) < LIMIT else vec._max_digit()
+    return FockVector._wrap(out, vec._lo + low, bound * len(t))

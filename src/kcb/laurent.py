@@ -85,7 +85,19 @@ class LaurentPoly:
     # arithmetic
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return LaurentPoly._own(_add(self._terms, other._terms))
+        a, b = self._terms, other._terms
+        if not b:
+            return self
+        if not a:
+            return other
+        t = dict(a)
+        for e, c in b.items():
+            n = t.get(e, 0) + c
+            if n:
+                t[e] = n
+            else:
+                del t[e]  # c != 0, so a zero sum means e was in t
+        return LaurentPoly._own(t)
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly._own({e: -c for e, c in self._terms.items()})
@@ -100,13 +112,30 @@ class LaurentPoly:
             return LaurentPoly._own({e: c * other for e, c in self._terms.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return LaurentPoly._own(_mul(self._terms, other._terms))
+        a, b = self._terms, other._terms
+        if not a or not b:
+            return _ZERO
+        if len(b) == 1:
+            ((be, bc),) = b.items()
+            return LaurentPoly._own({e + be: c * bc for e, c in a.items()})
+        t: dict[int, int] = {}
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = e1 + e2
+                n = t.get(e, 0) + c1 * c2
+                if n:
+                    t[e] = n
+                else:
+                    del t[e]
+        return LaurentPoly._own(t)
 
     __rmul__ = __mul__
 
     def shift(self, exp: int) -> "LaurentPoly":
-        """Multiply by the monomial v^exp."""
-        return LaurentPoly._own(_shift(self._terms, exp))
+        """Multiply by the monomial v^exp; self when exp is 0."""
+        if exp == 0:
+            return self
+        return LaurentPoly._own({e + exp: c for e, c in self._terms.items()})
 
     def bar(self) -> "LaurentPoly":
         """The bar involution v -> v^-1 (exponent negation term-wise)."""
@@ -150,51 +179,6 @@ class LaurentPoly:
 
 _ZERO = LaurentPoly()
 _ONE = LaurentPoly({0: 1})
-
-
-# Arithmetic on exponent -> nonzero coefficient dicts, for LaurentPoly
-# (fock.FockVector stores packed ints and does not use these).  Each
-# returns a fresh dict or one of its arguments; none mutates an argument.
-
-
-def _add(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    if not b:
-        return a
-    if not a:
-        return b
-    t = dict(a)
-    for e, c in b.items():
-        n = t.get(e, 0) + c
-        if n:
-            t[e] = n
-        else:
-            del t[e]  # c != 0, so a zero sum means e was in t
-    return t
-
-
-def _mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    if not a or not b:
-        return {}
-    if len(b) == 1:
-        ((be, bc),) = b.items()
-        return {e + be: c * bc for e, c in a.items()}
-    t: dict[int, int] = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = e1 + e2
-            n = t.get(e, 0) + c1 * c2
-            if n:
-                t[e] = n
-            else:
-                del t[e]
-    return t
-
-
-def _shift(a: dict[int, int], exp: int) -> dict[int, int]:
-    """a times v^exp; a itself when exp is 0."""
-    if exp == 0:
-        return a
-    return {e + exp: c for e, c in a.items()}
 
 
 def qint(n: int) -> LaurentPoly:

@@ -28,6 +28,7 @@ from .crystal import (
     generate_crystal,
     is_external,
     residue_collected_path,
+    string_steps,
     weight_info,
 )
 from .fock import CoefficientError, FockContext, FockVector, symmetric_context
@@ -145,9 +146,7 @@ def verify_weyl_stability(
     return report
 
 
-def verify_path_families(
-    a: int, family: str, k: int, n_max: int, degree_cap: int | None = None
-) -> VerificationReport:
+def verify_path_families(a: int, family: str, k: int, n_max: int) -> VerificationReport:
     """Path-family closed forms against the recursive elements.
 
     Each instance records which raw exponent reading (plain / corrected)
@@ -166,15 +165,8 @@ def verify_path_families(
         for n in range(n_max + 1):
             spec = FamilySpec(family, a, k, n, dual)
             label = family_label(ctx, spec)
-            size = total_size(label)
-            params = {
-                "a": a, "family": family, "k": k, "n": n, "dual": dual, "degree": size,
-            }
-            if degree_cap is not None and size > degree_cap:
-                report.instances.append(
-                    Instance(params, "info", {"skipped": "beyond degree cap"})
-                )
-                continue
+            params = {"a": a, "family": family, "k": k, "n": n, "dual": dual,
+                      "degree": total_size(label)}
             plain, corrected = family_vectors(ctx, spec)
             oracle = basis.element(label)
             match_plain = plain == oracle.vector
@@ -246,14 +238,6 @@ def verify_duality(ctx: FockContext, max_degree: int) -> VerificationReport:
     return report
 
 
-def _raised(cont, i):
-    return cont[:i] + (cont[i] - 1,) + cont[i + 1 :]
-
-
-def _lowered(cont, i):
-    return cont[:i] + (cont[i] + 1,) + cont[i + 1 :]
-
-
 def verify_svelte_step(ctx: FockContext, max_degree: int) -> VerificationReport:
     """Above every defect-0 bottom end of an i-string, the single-step-up
     element is svelte with defect one less than the string length.  In a
@@ -267,17 +251,13 @@ def verify_svelte_step(ctx: FockContext, max_degree: int) -> VerificationReport:
     basis = get_basis(ctx)
     g = generate_crystal(ctx, max_degree)
     bg = block_reduced(g)
-    for cont in sorted(bg.weights, key=lambda c: (sum(c), c)):
-        if bg.weights[cont].defect != 0:
+    for cont, info in bg.weights.items():
+        if info.defect != 0:
             continue
         for i in range(ctx.e):
-            if _lowered(cont, i) in bg.weights:
+            if string_steps(bg, cont, i, 1):
                 continue  # not the bottom end of its i-string
-            length = 0
-            cur = cont
-            while cur[i] > 0 and _raised(cur, i) in bg.weights:
-                cur = _raised(cur, i)
-                length += 1
+            length = string_steps(bg, cont, i, -1)
             params = {"content": list(cont), "i": i, "string_length": length}
             if length == 0:
                 report.instances.append(Instance(params, "info", {"trivial": True}))
@@ -344,10 +324,9 @@ def verify_structural(a: int, max_degree: int) -> VerificationReport:
                 )
             )
 
-    for cont in sorted(bg.weights, key=lambda c: (sum(c), c)):
-        info = bg.weights[cont]
+    for cont, info in bg.weights.items():
         for i in range(ctx.e):
-            if cont[i] > 0 and _raised(cont, i) in bg.weights:
+            if string_steps(bg, cont, i, -1):
                 continue  # not the top of its i-string
             h = info.hub[i]
             params = {"check": "hub-string", "content": list(cont), "i": i, "hub": h}
@@ -357,11 +336,7 @@ def verify_structural(a: int, max_degree: int) -> VerificationReport:
             if sum(cont) + h + 1 > max_degree:
                 report.instances.append(Instance(params, "info", {"skipped": "string truncated"}))
                 continue
-            cur = cont
-            steps = 0
-            while _lowered(cur, i) in bg.weights:
-                cur = _lowered(cur, i)
-                steps += 1
+            steps = string_steps(bg, cont, i, 1)
             ok = steps == h
             report.instances.append(
                 Instance(params, "match" if ok else "mismatch", None if ok else {"steps": steps})
@@ -381,7 +356,7 @@ def conjecture_scan(a: int, max_degree: int) -> VerificationReport:
     basis = get_basis(ctx)
     g = generate_crystal(ctx, max_degree)
     bg = block_reduced(g)
-    for cont in sorted(bg.weights, key=lambda c: (sum(c), c)):
+    for cont in bg.weights:
         if cont == (0,) * ctx.e or not is_external(bg, cont):
             continue
         for mp in g.by_content()[cont]:

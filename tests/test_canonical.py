@@ -15,7 +15,6 @@ from kcb.canonical import (
     ReductionError,
     checked_element,
     diamond,
-    element_from_json,
     element_to_json,
     get_basis,
     is_svelte,
@@ -266,6 +265,16 @@ class TestSeed:
             for mp in vertices_up_to(basis, degree):
                 assert basis.element(mp).vector == oracle.element(mp).vector, mp
 
+    def test_path_seed_long_paths(self):
+        # the monomials of these paths once compounded their coefficient
+        # bound past 2^62 (1.57e18 * 3640 at the shape), though no
+        # coefficient exceeds 152; both labels lie at one weight, so the
+        # route builds each G it subtracts once
+        ctx = symmetric_context(2)
+        basis, route = CanonicalBasis(ctx), PathSeedRoute(ctx)
+        for mp in (((10,), (), (), ()), ((9,), (), (1,), ())):
+            assert route.element(mp).vector == basis.element(mp).vector, mp
+
     def test_output_bytes_pinned(self):
         # digest of the path-seed implementation's output over 484 vertices
         h = hashlib.sha256()
@@ -434,9 +443,10 @@ SPOILED = {
 
 
 class TestSerialization:
-    def test_roundtrip(self):
+    def test_roundtrip(self, tmp_path):
         elem = get_basis(C01).element(((3,), ()))
-        back = element_from_json(element_to_json(elem))
+        CanonicalBasis(C01, cache_dir=str(tmp_path))._disk_store(elem)
+        back = CanonicalBasis(C01, cache_dir=str(tmp_path))._disk_load(elem.label)
         assert back.label == elem.label
         assert back.vector == elem.vector
         assert back.shape == elem.shape

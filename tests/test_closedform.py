@@ -26,7 +26,13 @@ from kcb.closedform import (
     small_defect_families,
     tau,
 )
-from kcb.crystal import block_reduced, generate_crystal, is_external, residue_collected_path
+from kcb.crystal import (
+    block_reduced,
+    f_tilde_string,
+    generate_crystal,
+    is_external,
+    residue_collected_path,
+)
 from kcb.fock import FockVector, addable_exponents, apply_f_divided, content, symmetric_context
 from kcb.laurent import LaurentPoly
 from kcb.partitions import total_size, transpose_each, triangular
@@ -223,6 +229,25 @@ class TestClosedWeyl:
                 nxt = 1 if n % 2 == 0 else 0
                 count = len(addable_exponents(ctx, elem.label, nxt))
                 assert count == k * (n + 2) + (a - k) * n + a * (n + 1), (a, k, n)
+
+    def test_forms_are_path_monomials(self):
+        # tau^n_i is the top row's i-string of k, then n strings filled to
+        # the end, alternating from 1 - i, and its form is the monomial of
+        # that path: each filled string leaves the coefficients as they are
+        # (Kashiwara's divided-power rule, Duke Math. J. 69, 1993)
+        for a in range(1, 7):
+            ctx = symmetric_context(a)
+            for i in (0, 1):
+                for k in range(a + 1):
+                    for n in range(5):
+                        stages = [(i, k)] + [((1 - i + j) % 2, None) for j in range(n)]
+                        monomial, path, _ = path_monomial(ctx, stages)
+                        elem = closed_canonical_weyl(a, i, k, n)
+                        assert elem.vector == monomial, (a, i, k, n)
+                        end = ctx.highest_weight_vertex()
+                        for r, mult in path:
+                            end = f_tilde_string(ctx, end, r, mult)
+                        assert end == elem.label, (a, i, k, n)
 
 
 class TestPiTerms:

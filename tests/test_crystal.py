@@ -18,6 +18,7 @@ from kcb.crystal import (
     generate_crystal,
     is_external,
     residue_collected_path,
+    string_steps,
     string_top,
     weight_info,
 )
@@ -173,6 +174,17 @@ class TestBlockReduced:
         # the 0-string through (0,1) carries defects 0-2-2-0
         string = [(0, 1), (1, 1), (2, 1), (3, 1)]
         assert [bg.weights[c].defect for c in string] == [0, 2, 2, 0]
+        assert string_steps(bg, (0, 1), 0, 1) == 3 and string_steps(bg, (3, 1), 0, -1) == 3
+        assert string_steps(bg, (0, 1), 0, -1) == 0  # no content below 0
+
+    @pytest.mark.parametrize("ctx", [C01, symmetric_context(2), FockContext(3, (0, 1, 2))])
+    def test_weights_in_degree_content_order(self, ctx):
+        # the order every walk over the weights and both renderings read
+        bg = block_reduced(generate_crystal(ctx, 7))
+        assert list(bg.weights) == sorted(bg.weights, key=lambda c: (sum(c), c))
+        doc = block_to_json(bg)
+        doc["vertices"].reverse()
+        assert list(block_from_json(doc).weights) == list(bg.weights)
 
     def test_defects_nonnegative(self):
         for a in (1, 2, 3):
@@ -281,7 +293,7 @@ class TestSerialization:
     def test_block_roundtrip(self):
         bg = block_reduced(generate_crystal(symmetric_context(2), 5))
         bg2 = block_from_json(block_to_json(bg))
-        assert bg2.weights == bg.weights
+        assert list(bg2.weights.items()) == list(bg.weights.items())
         assert bg2.dims == bg.dims
         assert bg2.edges == bg.edges
 

@@ -480,6 +480,16 @@ def test_bound_reaching_limit_raises():
         apply_f_divided(C01, FockVector([(MPS[0], half), (MPS[1], half)]), 0, 1)
 
 
+def test_loose_bound_reads_the_digits():
+    # a bound compounded far past the coefficients: the shape and f_i^(k)
+    # read the true largest digit before they refuse
+    v = FockVector([(MPS[0], LaurentPoly.one()), (MPS[1], mono(1))])
+    loose = FockVector._wrap(dict(v._terms), v._lo, LIMIT // 2)
+    image = apply_f_divided(C01, loose, 0, 1)
+    assert image == apply_f_divided(C01, v, 0, 1) and image._bound == 2
+    assert loose.shape(1, MPS[0]) == (1, 1)
+
+
 def test_element_bound_is_at_most_max_shape(tmp_path):
     # without the reset to max(shape) the bounds compound through the recursion
     ctx = FockContext(2, (0, 0, 1, 1))

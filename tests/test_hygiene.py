@@ -4,7 +4,7 @@ module of src/kcb and tests/ uses what it imports, every process-wide
 memo of src/kcb is listed in MEMOS with its reason, src/kcb checks nothing
 with assert (python -O strips it), only laurent.py and fock.py read the
 coefficient storage `_terms`, src/kcb never encodes with json.dump, every
-CanonicalElement is built by the element check or the cache reader, only
+CanonicalElement is built by the element check, only
 the reduction pass reads a seed's terms outside vZ[v], and every kcb name
 the benchmark in perfbench/ reads still exists.
 
@@ -243,10 +243,10 @@ def test_terms_storage_stays_private():
     assert found == [], f"`_terms` read outside laurent.py and fock.py: {found}"
 
 
-# the only functions of src/kcb that call CanonicalElement(...): the check
-# every G passes, and the cache reader, whose element is checked before it
-# is served; any other call would be a route to an unchecked element
-ELEMENT_BUILDERS = {"checked_element", "element_from_json"}
+# the only function of src/kcb that calls CanonicalElement(...): the check
+# every G passes, the cache reader's included; any other call would be a
+# route to an unchecked element
+ELEMENT_BUILDERS = {"checked_element"}
 
 # the reduction's reads of a seed, called only by the one reduction pass:
 # a second pass would be a second route to G that the pass's checks miss
