@@ -45,7 +45,6 @@ from .canonical import (
     ReductionError,
     checked_element,
     diamond,
-    get_basis,
     is_svelte,
 )
 from .closedform import (

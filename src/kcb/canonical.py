@@ -143,8 +143,8 @@ def diamond(ctx: FockContext, mp: Multipartition) -> tuple[FockContext, Multipar
 class CanonicalBasis:
     """Canonical-basis computer for one context, with memoization.
 
-    Elements are memoized per multipartition, and each seed is built from
-    the memoized element of the label's string top.  Pass cache_dir (or
+    The caller owns the basis and its memo of elements; each seed is built
+    from the memoized element of the label's string top.  Pass cache_dir (or
     set KCB_CACHE_DIR) to persist elements as content-addressed JSON
     files; a file is served only if it passes the element checks.  The
     first file that cannot be written costs one RuntimeWarning, not the
@@ -277,19 +277,6 @@ class CanonicalBasis:
         except OSError:
             os.unlink(tmp)  # a failed write or rename leaves no temporary file
             raise
-
-
-_BASES: dict[tuple, CanonicalBasis] = {}
-
-
-def get_basis(ctx: FockContext, cache_dir: str | None = None) -> CanonicalBasis:
-    """Shared per-context basis computer (process-wide memoization)."""
-    key = (ctx.e, ctx.charges, cache_dir)
-    basis = _BASES.get(key)
-    if basis is None:
-        basis = CanonicalBasis(ctx, cache_dir)
-        _BASES[key] = basis
-    return basis
 
 
 # serialization

@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .canonical import ReductionError, element_to_json, get_basis
+from .canonical import CanonicalBasis, ReductionError, element_to_json
 from .closedform import (
     FAMILIES,
     FamilySpec,
@@ -68,8 +68,11 @@ def _context_from(args) -> FockContext:
 def _emit(text: str, args) -> None:
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:  # a missing directory, a directory at the path, no permission
+            raise UsageError(f"cannot write {out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -103,8 +106,7 @@ def cmd_canonical(args) -> int:
         raise UsageError(f"bad multipartition literal {args.mp!r}: {exc}") from exc
     if len(mp) != ctx.level:
         raise UsageError(f"multipartition has level {len(mp)}, context has {ctx.level}")
-    basis = get_basis(ctx, args.cache_dir)
-    elem = basis.element(mp)  # NotAVertexError -> exit 3 in main()
+    elem = CanonicalBasis(ctx, args.cache_dir).element(mp)  # NotAVertexError -> exit 3 in main()
     doc = element_to_json(elem)
     if args.format == "text":
         lines = [

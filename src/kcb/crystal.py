@@ -228,20 +228,32 @@ def crystal_to_json(g: CrystalGraph) -> dict:
     }
 
 
+def _edges_from_json(data, vertices: dict, read) -> list:
+    """The document's edges, each end read by read(); ValueError if a vertex
+    is listed twice or an edge has an end that is not listed."""
+    if len(vertices) != len(data["vertices"]):
+        raise ValueError("a vertex is listed twice")
+    edges = []
+    for e in data["edges"]:
+        (i,) = ints_from_json([e["residue"]])
+        src, dst = read(e["source"]), read(e["target"])
+        if src not in vertices or dst not in vertices:
+            raise ValueError(f"edge {src} -{i}-> {dst} leaves the listed vertices")
+        edges.append((src, i, dst))
+    return edges
+
+
 def crystal_from_json(data) -> CrystalGraph:
     """The graph of crystal_to_json's document.  The degrees and residues
-    must be ints: a bool, a float or any other value raises TypeError."""
+    must be ints: a bool, a float or any other value raises TypeError; a
+    document that is not a graph raises ValueError (_edges_from_json)."""
     ctx = FockContext(data["e"], tuple(data["charges"]))
     (max_degree,) = ints_from_json([data["max_degree"]])
     degrees = {}
     for v in data["vertices"]:
         (d,) = ints_from_json([v["degree"]])
         degrees[mp_from_json(v["multipartition"])] = d
-    edges = []
-    for e in data["edges"]:
-        (i,) = ints_from_json([e["residue"]])
-        edges.append((mp_from_json(e["source"]), i, mp_from_json(e["target"])))
-    return CrystalGraph(ctx, max_degree, degrees, edges)
+    return CrystalGraph(ctx, max_degree, degrees, _edges_from_json(data, degrees, mp_from_json))
 
 
 def block_to_json(bg: BlockReducedGraph) -> dict:
@@ -267,20 +279,20 @@ def block_to_json(bg: BlockReducedGraph) -> dict:
 def block_from_json(data) -> BlockReducedGraph:
     """The graph of block_to_json's document.  Every number but the
     context's must be an int: a bool, a float or any other value raises
-    TypeError."""
+    TypeError; a hub or defect other than weight_info's, or a document
+    that is not a graph (_edges_from_json), raises ValueError."""
     ctx = FockContext(data["e"], tuple(data["charges"]))
     (max_degree,) = ints_from_json([data["max_degree"]])
     weights, dims = {}, {}
     for v in data["vertices"]:
         c = ints_from_json(v["content"])
         defect, dim = ints_from_json([v["defect"], v["dimension"]])
-        weights[c] = WeightInfo(c, ints_from_json(v["hub"]), defect)
-        dims[c] = dim
+        want = weight_info(ctx, c)
+        if WeightInfo(c, ints_from_json(v["hub"]), defect) != want:
+            raise ValueError(f"weight {c}: hub or defect is not weight_info's {want}")
+        weights[c], dims[c] = want, dim
     weights = {c: weights[c] for c in sorted(weights, key=lambda c: (sum(c), c))}
-    edges = []
-    for e in data["edges"]:
-        (i,) = ints_from_json([e["residue"]])
-        edges.append((ints_from_json(e["source"]), i, ints_from_json(e["target"])))
+    edges = _edges_from_json(data, weights, ints_from_json)
     return BlockReducedGraph(ctx, max_degree, weights, dims, edges)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .canonical import ReductionError, diamond, get_basis, is_svelte
+from .canonical import CanonicalBasis, ReductionError, diamond, is_svelte
 from .closedform import (
     FamilySpec,
     StageError,
@@ -100,8 +100,7 @@ def verify_top_row_forms(a: int, i: int, k: int) -> VerificationReport:
     except ReductionError as exc:
         report.instances.append(Instance({"a": a, "i": i, "k": k}, "mismatch", {"check": str(exc)}))
         return report
-    basis = get_basis(symmetric_context(a))
-    oracle = basis.element(closed.label)
+    oracle = CanonicalBasis(symmetric_context(a)).element(closed.label)
     detail: dict = {"label": str(closed.label)}
     ok = closed.vector == oracle.vector
     expected_shape = shape_row(a, k)
@@ -126,7 +125,7 @@ def verify_weyl_stability(
     )
     if n_max < 0:
         raise ValueError(f"need n_max >= 0, got {n_max}")
-    basis = get_basis(symmetric_context(a))
+    basis = CanonicalBasis(symmetric_context(a))
     for n in range(n_max + 1):
         try:
             closed = closed_canonical_weyl(a, i, k, n)
@@ -160,7 +159,7 @@ def verify_path_families(a: int, family: str, k: int, n_max: int) -> Verificatio
     if n_max < 0:
         raise ValueError(f"need n_max >= 0, got {n_max}")
     ctx = symmetric_context(a)
-    basis = get_basis(ctx)
+    basis = CanonicalBasis(ctx)
     for dual in (False, True):
         for n in range(n_max + 1):
             spec = FamilySpec(family, a, k, n, dual)
@@ -203,8 +202,8 @@ def verify_duality(ctx: FockContext, max_degree: int) -> VerificationReport:
     report = VerificationReport(
         "duality", {"e": ctx.e, "charges": list(ctx.charges), "max_degree": max_degree}
     )
-    basis = get_basis(ctx)
-    dual_basis = get_basis(ctx.dual())
+    basis = CanonicalBasis(ctx)
+    dual_basis = CanonicalBasis(ctx.dual())
     g = generate_crystal(ctx, max_degree)
     for mp, deg in sorted(g.degrees.items(), key=lambda kv: (kv[1], kv[0])):
         elem = basis.element(mp)
@@ -248,7 +247,7 @@ def verify_svelte_step(ctx: FockContext, max_degree: int) -> VerificationReport:
     )
     mult = ctx.weight_multiplicities
     a = mult[0] if ctx.e == 2 and mult[0] == mult[1] else None
-    basis = get_basis(ctx)
+    basis = CanonicalBasis(ctx)
     g = generate_crystal(ctx, max_degree)
     bg = block_reduced(g)
     for cont, info in bg.weights.items():
@@ -353,7 +352,7 @@ def conjecture_scan(a: int, max_degree: int) -> VerificationReport:
     window [t, t'].  Informational only; instances never fail."""
     report = VerificationReport("conjecture-scan", {"a": a, "max_degree": max_degree})
     ctx = symmetric_context(a)
-    basis = get_basis(ctx)
+    basis = CanonicalBasis(ctx)
     g = generate_crystal(ctx, max_degree)
     bg = block_reduced(g)
     for cont in bg.weights:

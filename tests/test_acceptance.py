@@ -8,7 +8,7 @@ import time
 from itertools import combinations, permutations
 from math import comb
 
-from kcb.canonical import get_basis
+from kcb.canonical import CanonicalBasis
 from kcb.closedform import (
     FamilySpec,
     closed_canonical_family,
@@ -46,7 +46,7 @@ def _report(criterion, t0, budget, note=""):
 
 def test_criterion_01_golden_example():
     t0 = time.perf_counter()
-    elem = get_basis(FockContext(2, (0, 1))).element(((3,), ()))
+    elem = CanonicalBasis(FockContext(2, (0, 1))).element(((3,), ()))
     want = FockVector(
         [
             (((3,), ()), LaurentPoly.one()),
@@ -62,7 +62,7 @@ def test_criterion_01_golden_example():
 def test_criterion_02_top_row_forms():
     t0 = time.perf_counter()
     for a in (1, 2, 3):
-        basis = get_basis(symmetric_context(a))
+        basis = CanonicalBasis(symmetric_context(a))
         for i in (0, 1):
             for k in range(a + 1):
                 closed = closed_canonical_weyl(a, i, k, 0)
@@ -76,7 +76,7 @@ def test_criterion_03_weyl_stability():
     t0 = time.perf_counter()
     checked = 0
     for a, n_max in ((1, 2), (2, 2), (3, 1)):
-        basis = get_basis(symmetric_context(a))
+        basis = CanonicalBasis(symmetric_context(a))
         for i in (0, 1):
             for k in range(a + 1):
                 for n in range(n_max + 1):
@@ -105,7 +105,7 @@ def test_criterion_04_single_step_families():
     failures = []
     for spec in _family_instances([(1, (0,)), (2, (0,)), (3, (0,))]):
         ctx = symmetric_context(spec.a)
-        basis = get_basis(ctx)
+        basis = CanonicalBasis(ctx)
         label = family_label(ctx, spec)
         oracle = basis.element(label)
         closed = closed_canonical_family(spec)
@@ -126,7 +126,7 @@ def test_criterion_05_prop_general_families():
     rows = []
     for spec in _family_instances([(1, (1, 2)), (2, (1, 2)), (3, (1,))]):
         ctx = symmetric_context(spec.a)
-        basis = get_basis(ctx)
+        basis = CanonicalBasis(ctx)
         label = family_label(ctx, spec)
         oracle = basis.element(label)
         closed = closed_canonical_family(spec)

@@ -4,6 +4,7 @@ import json
 import os
 import struct
 import sys
+import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -16,7 +17,6 @@ from kcb.canonical import (
     checked_element,
     diamond,
     element_to_json,
-    get_basis,
     is_svelte,
     reduce_seed,
 )
@@ -31,7 +31,7 @@ from kcb.crystal import NotAVertexError, generate_crystal, residue_collected_pat
 from kcb.fock import FockContext, FockVector, symmetric_context
 from kcb.laurent import LaurentPoly
 from kcb.partitions import conjugate, dominates, is_e_regular, mp_to_json
-from kcb.verify import _difference
+from kcb.verify import _difference, verify_duality
 
 from fock_reference import iter_multipartitions
 
@@ -56,11 +56,11 @@ GOLDEN = vec(
 
 class TestGoldenExample:
     def test_element(self):
-        elem = get_basis(C01).element(((3,), ()))
+        elem = CanonicalBasis(C01).element(((3,), ()))
         assert elem.vector == GOLDEN
 
     def test_shape(self):
-        elem = get_basis(C01).element(((3,), ()))
+        elem = CanonicalBasis(C01).element(((3,), ()))
         assert elem.shape == (1, 2, 1)
         assert checked_element(C01, elem.label, elem.vector).shape == (1, 2, 1)
         assert not is_svelte(elem)
@@ -93,7 +93,7 @@ class TestMonomial:
 
 class TestAtWeight:
     def test_content_11(self):
-        w = get_basis(C01).at_weight((1, 1))
+        w = CanonicalBasis(C01).at_weight((1, 1))
         assert set(w) == {((2,), ()), ((1,), (1,))}
         assert w[((2,), ())].vector == vec(
             (((2,), ()), 0), (((1, 1), ()), 1), (((1,), (1,)), 2)
@@ -103,18 +103,18 @@ class TestAtWeight:
         )
 
     def test_content_21(self):
-        w = get_basis(C01).at_weight((2, 1))
+        w = CanonicalBasis(C01).at_weight((2, 1))
         assert w[((3,), ())].vector == GOLDEN
 
     def test_content_12(self):
         # [(2,1),()] carries one 0-node and two 1-nodes
-        w = get_basis(C01).at_weight((1, 2))
+        w = CanonicalBasis(C01).at_weight((1, 2))
         assert w[((2, 1), ())].vector == vec(
             (((2, 1), ()), 0), (((2,), (1,)), 1), (((1, 1), (1,)), 2)
         )
 
     def test_trivial_weight(self):
-        w = get_basis(C01).at_weight((0, 0))
+        w = CanonicalBasis(C01).at_weight((0, 0))
         assert w == {((), ()): w[((), ())]}
         assert w[((), ())].vector == FockVector.basis(((), ()))
 
@@ -125,7 +125,7 @@ class TestAtWeight:
             off = [mp for n in range(6) for mp in iter_multipartitions(n, ctx.level)
                    if mp not in vertices]
             assert any(is_e_regular(mp, ctx.e) for mp in off)
-            basis = get_basis(ctx)
+            basis = CanonicalBasis(ctx)
             for mp in off:
                 with pytest.raises(NotAVertexError):
                     basis.element(mp)
@@ -149,7 +149,7 @@ class TestElementChecks:
     def test_checked_element(self):
         elem = checked_element(C01, ((3,), ()), GOLDEN)
         assert (elem.label, elem.vector, elem.shape) == (((3,), ()), GOLDEN, (1, 2, 1))
-        assert elem.weight == get_basis(C01).element(((3,), ())).weight
+        assert elem.weight == CanonicalBasis(C01).element(((3,), ())).weight
 
     def test_label_coefficient_not_one_rejected(self):
         bad = FockVector([(((3,), ()), LaurentPoly({0: 1, 1: 1}))])
@@ -200,7 +200,7 @@ class TestInvariants:
     def test_sweep_small(self):
         # leading 1, positivity, dominance, unique v^defect term = (diamond)'
         for ctx in (C01, symmetric_context(2)):
-            basis = get_basis(ctx)
+            basis = CanonicalBasis(ctx)
             g = generate_crystal(ctx, 7)
             for mp in sorted(m for m, d in g.degrees.items() if d <= 7):
                 elem = basis.element(mp)
@@ -217,7 +217,7 @@ class TestInvariants:
 
     def test_defect_characterizations(self):
         for ctx in (C01, symmetric_context(2)):
-            basis = get_basis(ctx)
+            basis = CanonicalBasis(ctx)
             g = generate_crystal(ctx, 7)
             for mp in sorted(m for m, d in g.degrees.items() if d <= 7):
                 elem = basis.element(mp)
@@ -349,7 +349,7 @@ class TestDiamond:
         assert md == ((), ())
 
     def test_defect0_conjugate_fixed(self):
-        basis = get_basis(symmetric_context(2))
+        basis = CanonicalBasis(symmetric_context(2))
         g = generate_crystal(symmetric_context(2), 6)
         for mp in sorted(m for m, d in g.degrees.items() if d <= 6):
             if basis.element(mp).weight.defect == 0:
@@ -359,7 +359,7 @@ class TestDiamond:
 
 class TestDecompositionEntry:
     def test_examples(self):
-        elem = get_basis(C01).element(((3,), ()))
+        elem = CanonicalBasis(C01).element(((3,), ()))
         assert elem.vector.coefficient(((1,), (1, 1))) == mono(2)
         assert elem.vector.coefficient(((3,), ())) == LaurentPoly.one()
         assert elem.vector.coefficient(((2, 1), ())).is_zero()
@@ -367,12 +367,12 @@ class TestDecompositionEntry:
 
 class TestSvelte:
     def test_svelte_examples(self):
-        b1 = get_basis(symmetric_context(1))
+        b1 = CanonicalBasis(symmetric_context(1))
         assert is_svelte(b1.element(((2,), ())))
         assert not is_svelte(b1.element(((3,), ())))
 
     def test_defect0_always_svelte(self):
-        basis = get_basis(symmetric_context(2))
+        basis = CanonicalBasis(symmetric_context(2))
         g = generate_crystal(symmetric_context(2), 6)
         for mp in sorted(m for m, d in g.degrees.items() if d <= 6):
             elem = basis.element(mp)
@@ -444,7 +444,7 @@ SPOILED = {
 
 class TestSerialization:
     def test_roundtrip(self, tmp_path):
-        elem = get_basis(C01).element(((3,), ()))
+        elem = CanonicalBasis(C01).element(((3,), ()))
         CanonicalBasis(C01, cache_dir=str(tmp_path))._disk_store(elem)
         back = CanonicalBasis(C01, cache_dir=str(tmp_path))._disk_load(elem.label)
         assert back.label == elem.label
@@ -453,7 +453,7 @@ class TestSerialization:
         assert back.weight == elem.weight
 
     def test_terms_sorted_by_decreasing_dominance(self):
-        elem = get_basis(C01).element(((3,), ()))
+        elem = CanonicalBasis(C01).element(((3,), ()))
         doc = element_to_json(elem)
         mps = [tuple(tuple(c) for c in t["multipartition"]) for t in doc["terms"]]
         # decreasing tuple order refines dominance: no later term dominates an earlier one
@@ -531,7 +531,8 @@ class TestSerialization:
         mp = ((3,), ())
         key = json.dumps({"e": 2, "charges": [0, 1], "mp": [[3], []]}, sort_keys=True)
         old = tmp_path / f"{hashlib.sha256(key.encode()).hexdigest()[:32]}.json"
-        old.write_text(json.dumps(element_to_json(get_basis(C01).element(mp))), encoding="utf-8")
+        doc = element_to_json(CanonicalBasis(C01).element(mp))
+        old.write_text(json.dumps(doc), encoding="utf-8")
         fresh = CanonicalBasis(C01, cache_dir=str(tmp_path))
         assert fresh._cache_path(mp) != str(old)
         assert fresh._disk_load(mp) is None
@@ -774,18 +775,28 @@ class TestSubtractionChecks:
         # eps_0(((1,), (2,))) = 2 > 1: the rule holds, and the pass
         # subtracts the planted G(nu) again
         basis = self.planted(((3,), ()), ((1,), (2,)), LaurentPoly.one())
-        assert basis.element(((3,), ())).vector == get_basis(C01).element(((3,), ())).vector
+        assert basis.element(((3,), ())).vector == CanonicalBasis(C01).element(((3,), ())).vector
 
 
-def test_canonical_element_shared_registry():
-    a = get_basis(C01).element(((3,), ()))
-    b = get_basis(C01).element(((3,), ()))
-    assert a is b
+def test_no_basis_outlives_its_suite(monkeypatch):
+    # each suite builds its own bases and drops them, with their elements
+    # and coefficient tables, when it returns
+    built = []
+    init = CanonicalBasis.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(weakref.ref(self))
+
+    monkeypatch.setattr(CanonicalBasis, "__init__", recording_init)
+    assert verify_duality(FockContext(3, (0, 1)), 5).passed
+    gc.collect()
+    assert len(built) == 2 and all(ref() is None for ref in built)
 
 
 class TestHigherRank:
     def test_level_one_rank_two(self):
-        b = get_basis(FockContext(2, (0,)))
+        b = CanonicalBasis(FockContext(2, (0,)))
         assert b.element(((2,),)).vector == vec((((2,),), 0), (((1, 1),), 1))
         assert b.element(((1,),)).vector == vec((((1,),), 0))
 

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from kcb import cli
-from kcb.canonical import element_to_json, get_basis
+from kcb.canonical import CanonicalBasis, element_to_json
 from kcb.cli import main
 from kcb.closedform import FamilySpec, family_label, family_vectors
 from kcb.crystal import block_from_json, crystal_from_json
@@ -173,7 +173,7 @@ class TestClosedForm:
         # the staged (corrected) sum is not canonical here; the output is
         ctx = symmetric_context(a)
         spec = FamilySpec(family, a, k, n)
-        oracle = get_basis(ctx).element(family_label(ctx, spec))
+        oracle = CanonicalBasis(ctx).element(family_label(ctx, spec))
         code, out = run(capsys, "closed-form", "--family", family, "--a", str(a),
                         "--k", str(k), "--n", str(n))
         assert code == 0
@@ -280,6 +280,22 @@ class TestOutputFile:
         code = main(["crystal", "--a", "1", "--max-degree", "2", "--out", str(target)])
         assert code == 0
         assert json.loads(target.read_text())["max_degree"] == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("canonical", "--a", "1", "--mp", "[[1],[]]"),
+        ("verify", "--suite", "structural", "--a", "1", "--max-degree", "2"),
+    ])
+    @pytest.mark.parametrize("where", ["missing-parent", "directory"])
+    def test_unwritable_out_exit_2(self, tmp_path, capsys, argv, where):
+        # one line on stderr, not a FileNotFoundError or IsADirectoryError traceback
+        target = tmp_path / "missing" / "x.json" if where == "missing-parent" else tmp_path
+        code = main([*argv, "--out", str(target)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"kcb: cannot write {target}: ")
+        assert captured.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_no_two_subcommands_share_a_handler():

@@ -1,7 +1,7 @@
 import pytest
 
 from kcb import closedform
-from kcb.canonical import CanonicalBasis, ReductionError, get_basis
+from kcb.canonical import CanonicalBasis, ReductionError
 from kcb.cli import main
 from kcb.closedform import (
     ChoiceSequence,
@@ -196,7 +196,7 @@ class TestClosedTop:
 
     def test_matches_oracle(self):
         for a in (1, 2, 3):
-            basis = get_basis(symmetric_context(a))
+            basis = CanonicalBasis(symmetric_context(a))
             for i in (0, 1):
                 for k in range(a + 1):
                     elem = closed_canonical_weyl(a, i, k, 0)
@@ -212,7 +212,7 @@ class TestClosedWeyl:
         assert total_size(e1.label) - total_size(e0.label) == 5
 
     def test_matches_oracle_small(self):
-        basis = get_basis(symmetric_context(2))
+        basis = CanonicalBasis(symmetric_context(2))
         for i in (0, 1):
             for k in range(3):
                 for n in (0, 1):
@@ -307,13 +307,13 @@ class TestClosedFamilies:
     def test_p10k_n0_a1(self):
         spec = FamilySpec("p10k", 1, 1, 0, False)
         elem = closed_canonical_family(spec)
-        basis = get_basis(symmetric_context(1))
+        basis = CanonicalBasis(symmetric_context(1))
         assert elem.vector == basis.element(((1,), (1,))).vector
 
     def test_top_row_a3_is_oracle(self):
         spec = FamilySpec("p0k1", 3, 1, 0, False)
         elem = closed_canonical_family(spec)
-        basis = get_basis(symmetric_context(3))
+        basis = CanonicalBasis(symmetric_context(3))
         assert elem.vector == basis.element(elem.label).vector
 
     @pytest.fixture
@@ -350,7 +350,7 @@ class TestClosedFamilies:
         # exceeds the recursive element by exactly the canonical element of
         # the p0k1 label at the same weight (its partner, coefficient [a-1] = 1)
         ctx = symmetric_context(2)
-        basis = get_basis(ctx)
+        basis = CanonicalBasis(ctx)
         spec = FamilySpec("p10k", 2, 1, 1, False)
         label = family_label(ctx, spec)
         plain, corrected = family_vectors(ctx, spec)
@@ -361,7 +361,7 @@ class TestClosedFamilies:
 
     @pytest.mark.parametrize("a", [3, 4, 5])
     def test_partner_reading_is_oracle_beyond_acceptance_ranges(self, a):
-        basis = get_basis(symmetric_context(a))
+        basis = CanonicalBasis(symmetric_context(a))
         checked = 0
         for family, kmin in (("p0k1", 1), ("p10k", 1), ("p010k", 2)):
             for k in range(kmin, a + 1):
@@ -385,7 +385,7 @@ class TestClosedFamilies:
 
     def test_transpose_closure_on_oracle_families(self):
         ctx = symmetric_context(2)
-        basis = get_basis(ctx)
+        basis = CanonicalBasis(ctx)
         for k in (1, 2):
             for dual in (False, True):
                 spec = FamilySpec("p0k1", 2, k, 1, dual)
@@ -568,7 +568,7 @@ class TestSmallDefectFamilies:
     def test_members_have_defect_two(self):
         for a in (1, 3):
             ctx = symmetric_context(a)
-            basis = get_basis(ctx)
+            basis = CanonicalBasis(ctx)
             for n in (1, 2, 3):
                 for mp, tag in small_defect_families(a, n):
                     if total_size(mp) > 9:

@@ -282,6 +282,13 @@ class TestWeightDimensions:
                 assert len(buckets[(1, k)]) == want
 
 
+# each kind of graph document: its writer from a crystal graph, and its reader
+DOCUMENTS = {
+    "crystal": (crystal_to_json, crystal_from_json),
+    "block": (lambda g: block_to_json(block_reduced(g)), block_from_json),
+}
+
+
 class TestSerialization:
     def test_crystal_roundtrip(self):
         g = generate_crystal(C01, 4)
@@ -325,10 +332,7 @@ class TestSerialization:
     )
     def test_non_int_field_refused(self, kind, place, field, bad):
         g = generate_crystal(C01, 2)
-        to_json, read = {
-            "crystal": (crystal_to_json, crystal_from_json),
-            "block": (lambda g: block_to_json(block_reduced(g)), block_from_json),
-        }[kind]
+        to_json, read = DOCUMENTS[kind]
         data = json.loads(json.dumps(to_json(g)))
         read(data)  # the document as written reads back
         if place is None:
@@ -336,6 +340,32 @@ class TestSerialization:
         else:
             data[place][-1][field] = bad
         with pytest.raises(TypeError):
+            read(data)
+
+    @pytest.mark.parametrize("kind, edit, match", [
+        # each edit leaves every number an int but the document no graph
+        ("crystal", lambda doc: doc["edges"].append({**doc["edges"][0], "target": [[9], []]}),
+         "leaves the listed vertices"),
+        ("crystal", lambda doc: doc["edges"].append({**doc["edges"][0], "source": [[9], []]}),
+         "leaves the listed vertices"),
+        ("crystal", lambda doc: doc["vertices"].append({**doc["vertices"][-1], "degree": 9}),
+         "listed twice"),
+        ("block", lambda doc: doc["edges"].append({**doc["edges"][0], "target": [9, 9]}),
+         "leaves the listed vertices"),
+        ("block", lambda doc: doc["edges"].append({**doc["edges"][0], "source": [9, 9]}),
+         "leaves the listed vertices"),
+        ("block", lambda doc: doc["vertices"].append({**doc["vertices"][-1], "dimension": 9}),
+         "listed twice"),
+        ("block", lambda doc: doc["vertices"][-1].update(hub=[0, 0]), "hub or defect"),
+        ("block", lambda doc: doc["vertices"][-1].update(defect=9), "hub or defect"),
+    ])
+    def test_not_a_graph_refused(self, kind, edit, match):
+        g = generate_crystal(C01, 2)
+        to_json, read = DOCUMENTS[kind]
+        data = json.loads(json.dumps(to_json(g)))
+        read(data)  # the document as written reads back
+        edit(data)
+        with pytest.raises(ValueError, match=match):
             read(data)
 
     def test_dot_labels(self):

@@ -143,7 +143,6 @@ MEMOS = {
     "_EXPANSIONS": "fock: f_i^(k) of each basis term per (e, charges, i, k), as two flat tuples",
     "_SHARED": "fock: one object per distinct spliced component, expansion term and shift int",
     "_STEPS": "partitions: one dominance step per pair of unequal components",
-    "_BASES": "canonical: one CanonicalBasis per (e, charges, cache_dir), shared by every caller",
     "shape_fn": "closedform: the paper's shape function s(a, k, l), recursive in a",
     "_canonical_vector": "closedform: a family's closed-form vector, built from its memoised partners",
     "transpose": "partitions: the conjugate of each partition",
