@@ -10,7 +10,9 @@ element failed its checks.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 
 from .canonical import CanonicalBasis, ReductionError, element_to_json
@@ -63,6 +65,21 @@ def _context_from(args) -> FockContext:
         return FockContext(args.e, charges)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+
+
+def _check_out(path: str) -> None:
+    """Refuse an --out path that no file can take, before the command
+    runs: a directory, or a path whose parent is no directory.  Nothing is
+    created; a failure found only when writing (say, permissions) is left
+    to _emit."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    else:
+        return
+    raise UsageError(f"cannot write {path}: {os.strerror(code)}")
 
 
 def _emit(text: str, args) -> None:
@@ -264,6 +281,8 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        if args.out:
+            _check_out(args.out)
         return args.fn(args)
     except UsageError as exc:
         print(f"kcb: {exc}", file=sys.stderr)

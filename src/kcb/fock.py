@@ -398,8 +398,34 @@ class FockVector:
         shared = tuple(map(table.setdefault, xs, xs))
         return FockVector._wrap(SortedTerms(t.mps, shared), 0, self._bound)
 
-    # int-level reads for the reduction and the element checks: no
-    # LaurentPoly per term
+    # int-level reads for the reduction, the element checks and the
+    # duality suite: no LaurentPoly per term
+
+    def bar_shifted(self, w: int, relabel) -> "FockVector":
+        """sum_lam v^w bar(c_lam) relabel(lam), for a one-to-one relabel.
+        Each distinct coefficient int is decoded once and its digits
+        reversed into an int over the base w - (the largest exponent), so
+        the bound is kept; a relabel that sends two terms to one raises
+        ValueError."""
+        t, lo = self._terms, self._lo
+        maps = {x: _decode(x, lo) for x in set(t.values())}
+        top = max((max(c) for c in maps.values()), default=lo)
+        rev = {x: _encode({top - e: n for e, n in c.items()}, 0) for x, c in maps.items()}
+        out = dict(zip(map(relabel, t), map(rev.__getitem__, t.values())))
+        if len(out) != len(t):
+            raise ValueError(f"relabel sends two of {len(t)} terms to one")
+        return FockVector._wrap(out, w - top, self._bound)
+
+    def with_coefficient(self, p: LaurentPoly) -> list[Multipartition]:
+        """The multipartitions whose coefficient is p, in term order: one
+        int comparison per term.  Empty when p has an exponent below the
+        vector's base or a coefficient above its bound, as then no
+        coefficient can equal p (and p's int would not decode to p)."""
+        c = p._terms
+        if not c or min(c) < self._lo or max(map(abs, c.values())) > self._bound:
+            return []
+        x = _encode(c, self._lo)
+        return [mp for mp, y in self._terms.items() if y == x]
 
     def outside_vzv(self, among: "FockVector | None" = None) -> list[Multipartition]:
         """The multipartitions whose coefficient lies outside vZ[v], only

@@ -137,10 +137,6 @@ class LaurentPoly:
             return self
         return LaurentPoly._own({e + exp: c for e, c in self._terms.items()})
 
-    def bar(self) -> "LaurentPoly":
-        """The bar involution v -> v^-1 (exponent negation term-wise)."""
-        return LaurentPoly._own({-e: c for e, c in self._terms.items()})
-
     # comparisons
 
     def __eq__(self, other) -> bool:

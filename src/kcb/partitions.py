@@ -62,7 +62,7 @@ def u_family(variant: int, n: int) -> Partition:
 
 def conjugate(mp: Multipartition) -> Multipartition:
     """Reverse the component order and transpose every component."""
-    return tuple(transpose(c) for c in reversed(mp))
+    return tuple(map(transpose, reversed(mp)))
 
 
 def transpose_each(mp: Multipartition) -> Multipartition:

@@ -210,13 +210,11 @@ def verify_duality(ctx: FockContext, max_degree: int) -> VerificationReport:
         dctx, md = diamond(ctx, mp)
         delem = dual_basis.element(md)
         w = elem.weight.defect
-        terms = list(elem.vector.terms())  # each coefficient decoded once
-        expected = FockVector([(conjugate(lam), c.bar().shift(w)) for lam, c in terms])
+        expected = elem.vector.bar_shifted(w, conjugate)
         problems = {}
         if expected != delem.vector:
             problems["duality"] = _difference(expected, delem.vector)
-        top = LaurentPoly.monomial(w)
-        tops = [lam for lam, c in terms if c == top]
+        tops = elem.vector.with_coefficient(LaurentPoly.monomial(w))
         if len(tops) != 1 or tops[0] != conjugate(md):
             problems["v_defect_term"] = [str(t) for t in tops]
         if w == 0 and not (

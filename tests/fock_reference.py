@@ -29,6 +29,11 @@ Cartan matrix, against kcb.crystal.weight_info, which reads the two
 neighbours of each residue.  qfact, iter_partitions and
 iter_multipartitions are the quantum factorial and the enumerators that
 only the tests use.
+
+bar is the bar involution of one coefficient, and bar_shifted_reference
+the duality suite's expected vector built from it term by term, one
+decoded LaurentPoly per term, against kcb.fock.FockVector.bar_shifted,
+which reverses the digits of each distinct packed coefficient once.
 """
 
 from functools import lru_cache
@@ -320,3 +325,13 @@ def weight_info_reference(ctx: FockContext, cont) -> tuple[tuple[int, ...], int]
         C[i][j] * cont[i] * cont[j] for i in range(e) for j in range(i + 1, e)
     )
     return hub, defect
+
+
+def bar(p: LaurentPoly) -> LaurentPoly:
+    """The bar involution v -> v^-1 (exponent negation term-wise)."""
+    return LaurentPoly({-e: c for e, c in p.items()})
+
+
+def bar_shifted_reference(vec: FockVector, w: int, relabel) -> FockVector:
+    """sum_lam v^w bar(c_lam) relabel(lam), one term at a time."""
+    return FockVector([(relabel(lam), bar(c).shift(w)) for lam, c in vec.terms()])

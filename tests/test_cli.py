@@ -297,6 +297,33 @@ class TestOutputFile:
         assert captured.err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, name", [
+        (("verify", "--suite", "duality", "--e", "3", "--charges", "0,1"), "verify_duality"),
+        (("canonical", "--a", "1", "--mp", "[[1],[]]"), "CanonicalBasis"),
+        (("crystal", "--a", "1", "--max-degree", "2"), "generate_crystal"),
+    ])
+    @pytest.mark.parametrize("where", ["missing-parent", "directory", "file-as-parent"])
+    def test_unwritable_out_refused_before_the_command_runs(
+        self, tmp_path, capsys, monkeypatch, argv, name, where
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError(f"{name} ran before --out was checked")
+
+        monkeypatch.setattr(cli, name, never)
+        (tmp_path / "file").write_text("")
+        target = {
+            "missing-parent": tmp_path / "missing" / "x.json",
+            "directory": tmp_path,
+            "file-as-parent": tmp_path / "file" / "x.json",
+        }[where]
+        code = main([*argv, "--out", str(target)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"kcb: cannot write {target}: ")
+        assert captured.err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+        assert (tmp_path / "file").read_text() == ""
+
 
 def test_no_two_subcommands_share_a_handler():
     # a second subcommand on one handler is an alias: a second route to one command

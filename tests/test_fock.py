@@ -21,12 +21,14 @@ from kcb.fock import (
     symmetric_context,
 )
 from kcb.laurent import LaurentPoly
+from kcb.partitions import conjugate
 
 from fock_reference import (
     apply_e,
     apply_f,
     apply_f_divided_iterative,
     as_dicts,
+    bar_shifted_reference,
     dict_add_scaled,
     dict_apply_f_divided,
     iter_multipartitions,
@@ -450,6 +452,62 @@ def test_interned_moves_to_base_zero_through_the_table(cs, drop):
     assert all(table[x] is x for x in w._terms.values())
     again = v.interned(table)._terms
     assert all(again[mp] is x for mp, x in w._terms.items())
+
+
+def _with_coefficient_reference(v: FockVector, p: LaurentPoly) -> list:
+    return [mp for mp, c in v.terms() if c == p]
+
+
+@given(st.lists(wide, min_size=len(MPS), max_size=len(MPS)), st.integers(0, 4),
+       st.integers(-60, 60), st.booleans())
+def test_bar_shifted_matches_the_term_route(cs, drop, w, store):
+    v = packed(cs)
+    v = v.rebased(v._lo - drop)
+    v = v.stored() if store else v
+    got = v.bar_shifted(w, conjugate)
+    want = bar_shifted_reference(v, w, conjugate)
+    assert got == want and as_dicts(got) == as_dicts(want)
+    assert got._bound == v._bound
+    # the coefficient-equality read, at every coefficient, at v^w, below
+    # the base, and at an int that aliases a digit one place up
+    probes = [c for _, c in v.terms()] + [mono(w), mono(v._lo - 1), LaurentPoly.zero()]
+    probes.append(LaurentPoly({v._lo: 1 << fock.W}))
+    for p in probes:
+        assert v.with_coefficient(p) == _with_coefficient_reference(v, p)
+
+
+def test_with_coefficient_refuses_an_aliasing_int():
+    # 2^64 v^0 and v^1 are one int over the base 0: the bound tells them apart
+    v = vec((MPS[0], 1), (MPS[1], 0))
+    assert v.with_coefficient(mono(1)) == [MPS[0]]
+    assert v.with_coefficient(LaurentPoly({0: 1 << fock.W})) == []
+    assert v.with_coefficient(mono(-1)) == []
+
+
+def test_bar_shifted_of_the_empty_vector():
+    z = FockVector.zero()
+    assert z.bar_shifted(3, conjugate) == bar_shifted_reference(z, 3, conjugate) == z
+    assert z.bar_shifted(3, conjugate).is_zero() and z.with_coefficient(mono(0)) == []
+
+
+def test_bar_shifted_refuses_a_relabel_that_merges():
+    with pytest.raises(ValueError, match="to one"):
+        vec((MPS[0], 1), (MPS[1], 2)).bar_shifted(0, lambda mp: MPS[2])
+
+
+def test_bar_shifted_of_every_element_to_degree_6():
+    ctx = FockContext(3, (0, 1))
+    basis = CanonicalBasis(ctx)
+    vertices = generate_crystal(ctx, 6).degrees
+    assert len(vertices) > 20
+    for mp in vertices:
+        elem = basis.element(mp)
+        w = elem.weight.defect
+        got = elem.vector.bar_shifted(w, conjugate)
+        want = bar_shifted_reference(elem.vector, w, conjugate)
+        assert got == want and as_dicts(got) == as_dicts(want)
+        for p in (mono(w), mono(0), mono(-1)):
+            assert elem.vector.with_coefficient(p) == _with_coefficient_reference(elem.vector, p)
 
 
 def test_bound_reaching_limit_raises():

@@ -5,7 +5,8 @@ memo of src/kcb is listed in MEMOS with its reason, src/kcb checks nothing
 with assert (python -O strips it), only laurent.py and fock.py read the
 coefficient storage `_terms`, src/kcb never encodes with json.dump, every
 CanonicalElement is built by the element check, only
-the reduction pass reads a seed's terms outside vZ[v], and every kcb name
+the reduction pass reads a seed's terms outside vZ[v], only laurent.py
+and fock.py decode a vector term by term (`.terms()`), and every kcb name
 the benchmark in perfbench/ reads still exists.
 
 A name counts as used when code refers to it (a name, an attribute or an
@@ -318,6 +319,34 @@ def test_second_reduction_pass_is_found():
     assert _calls(source, REDUCTION_READS) == [
         ("reduce_seed", 2), ("reduce_seed", 2), ("_compute", 6), ("_compute", 6)
     ]
+
+
+# FockVector.terms decodes every term into a LaurentPoly; outside the two
+# modules that own the storage, src/kcb reads packed coefficients through
+# the int-level methods (with_coefficient, bar_shifted, to_json, ...)
+PER_TERM_DECODE = {"terms"}
+DECODE_OWNERS = ("laurent.py", "fock.py")
+
+
+def test_no_per_term_decode_outside_the_storage():
+    found = [
+        f"{path.name}:{line}:{fn}"
+        for path in SOURCES + [ROOT / "src" / "kcb" / "__init__.py"]
+        if path.name not in DECODE_OWNERS
+        for fn, line in _calls(_tree(path), PER_TERM_DECODE)
+    ]
+    assert found == [], f".terms() called outside {DECODE_OWNERS}: {found}"
+
+
+def test_per_term_decode_is_found():
+    source = ast.parse(
+        "def verify_duality(elem, w):\n"
+        "    terms = list(elem.vector.terms())\n"
+        "    return [lam for lam, c in terms if c == w]\n"
+        "def check(v):\n"
+        "    return sum(1 for _ in v.stored().terms())\n"
+    )
+    assert _calls(source, PER_TERM_DECODE) == [("verify_duality", 2), ("check", 5)]
 
 
 def _kcb_reads(tree) -> list[tuple[int, str]]:

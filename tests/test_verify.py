@@ -1,13 +1,16 @@
+import dataclasses
 import json
 
 import pytest
 
 from kcb import closedform, verify
-from kcb.canonical import CanonicalBasis, ReductionError
+from kcb.canonical import CanonicalBasis, ReductionError, diamond
 from kcb.closedform import StageError
-from kcb.fock import CoefficientError, FockContext, symmetric_context
-from kcb.laurent import NotDivisibleError
+from kcb.fock import CoefficientError, FockContext, FockVector, symmetric_context
+from kcb.laurent import LaurentPoly, NotDivisibleError
+from kcb.partitions import conjugate
 from kcb.verify import (
+    _difference,
     conjecture_scan,
     verify_duality,
     verify_top_row_forms,
@@ -16,6 +19,8 @@ from kcb.verify import (
     verify_svelte_step,
     verify_weyl_stability,
 )
+
+from fock_reference import bar_shifted_reference
 
 
 class TestTopRowForms:
@@ -101,6 +106,87 @@ class TestDuality:
 
     def test_level4(self):
         assert verify_duality(FockContext(2, (0, 0, 1, 1)), 5).passed
+
+
+def _reference_problems(ctx, elem, delem):
+    """The duality and v^defect details of one instance by the per-term
+    route: one LaurentPoly per term, barred, shifted and re-encoded."""
+    md = diamond(ctx, elem.label)[1]
+    w = elem.weight.defect
+    expected = bar_shifted_reference(elem.vector, w, conjugate)
+    problems = {}
+    if expected != delem.vector:
+        problems["duality"] = _difference(expected, delem.vector)
+    tops = [lam for lam, c in elem.vector.terms() if c == LaurentPoly.monomial(w)]
+    if len(tops) != 1 or tops[0] != conjugate(md):
+        problems["v_defect_term"] = [str(t) for t in tops]
+    return problems
+
+
+class TestDualityMismatch:
+    CTX = FockContext(2, (0, 1))
+
+    def _planted(self, monkeypatch, plant_ctx, plant_mp, change):
+        """verify_duality with the element G(plant_mp) of plant_ctx replaced
+        by change(G) wherever the suite asks for it; the bases' own
+        recursion still reads the true G."""
+        element, depth = CanonicalBasis.element, [0]
+
+        def planted(basis, mp):
+            depth[0] += 1
+            try:
+                got = element(basis, mp)
+            finally:
+                depth[0] -= 1
+            if depth[0] == 0 and basis.ctx == plant_ctx and mp == plant_mp:
+                return dataclasses.replace(got, vector=change(got.vector))
+            return got
+
+        monkeypatch.setattr(CanonicalBasis, "element", planted)
+        return verify_duality(self.CTX, 5)
+
+    def _target(self):
+        basis = CanonicalBasis(self.CTX)
+        for mp in sorted(verify.generate_crystal(self.CTX, 5).degrees):
+            elem = basis.element(mp)
+            if elem.weight.defect >= 2 and len(elem.vector) >= 3:
+                return elem
+        raise AssertionError("no element of defect 2 or more with 3 terms")
+
+    def _check(self, report, elem, delem, keys):
+        bad = [i for i in report.instances if i.verdict == "mismatch"]
+        assert len(bad) == 1 and not report.passed
+        assert bad[0].params["mp"] == str(elem.label)
+        assert set(bad[0].detail) == keys
+        assert bad[0].detail == _reference_problems(self.CTX, elem, delem)
+        assert f"  [mismatch] {bad[0].params}: {bad[0].detail}" in report.to_text()
+
+    def test_one_dual_coefficient_changed(self, monkeypatch):
+        elem = self._target()
+        dctx, md = diamond(self.CTX, elem.label)
+        true = CanonicalBasis(dctx).element(md)
+        lam = next(mp for mp in true.vector if mp != md)
+        bump = FockVector([(lam, LaurentPoly.monomial(1))])
+        report = self._planted(monkeypatch, dctx, md, lambda v: v + bump)
+        delem = dataclasses.replace(true, vector=true.vector + bump)
+        self._check(report, elem, delem, {"duality"})
+        # the difference is the planted v at lam, with lam as nested lists
+        (diff,) = [i.detail["duality"] for i in report.instances if i.verdict == "mismatch"]
+        assert diff == {"symbolic_difference": [
+            {"multipartition": [list(c) for c in lam], "coefficient": {"1": 1}}
+        ]}
+
+    def test_second_v_defect_term(self, monkeypatch):
+        elem = self._target()
+        w = elem.weight.defect
+        top = LaurentPoly.monomial(w)
+        lam = next(mp for mp in elem.vector if elem.vector.coefficient(mp) != top)
+        move = FockVector([(lam, top - elem.vector.coefficient(lam))])
+        report = self._planted(monkeypatch, self.CTX, elem.label, lambda v: v + move)
+        planted = dataclasses.replace(elem, vector=elem.vector + move)
+        delem = CanonicalBasis(self.CTX.dual()).element(diamond(self.CTX, elem.label)[1])
+        self._check(report, planted, delem, {"duality", "v_defect_term"})
+        assert len(planted.vector.with_coefficient(top)) == 2
 
 
 class TestSvelte:
