@@ -76,19 +76,22 @@ def checked_element(ctx: FockContext, label: Multipartition, vector: FockVector)
     """G(label) with this vector, once it passes the checks of G(label):
     those of FockVector.shape (leading 1, the others in vN[v], exponents
     within the defect) and dominance-triangularity; else ReductionError.
-    Every element kcb builds comes through here, and its vector is then
-    stored (FockVector.stored), its bound lowered to max(shape)."""
+    Every element kcb builds comes through here.  Its vector is stored
+    first (FockVector.stored sorts the terms), and its bound is lowered to
+    max(shape); one dominance walk then checks the sorted terms, whose
+    shared leading components it walks once."""
     info = weight_info(ctx, content(ctx, label))
+    vector = vector.stored()
     try:
         shape = vector.shape(info.defect, label)
     except CoefficientError as exc:
         raise ReductionError(f"G({label}): {exc}") from exc
-    for lam in vector:
-        if lam != label and not dominates(label, lam):
-            raise ReductionError(
-                f"reduction failure: {lam} in G({label}) is not dominated by the label"
-            )
-    return CanonicalElement(label, vector.stored(), info, shape)
+    if not dominates(label, *vector):
+        bad = next(lam for lam in vector if not dominates(label, lam))
+        raise ReductionError(
+            f"reduction failure: {bad} in G({label}) is not dominated by the label"
+        )
+    return CanonicalElement(label, vector, info, shape)
 
 
 def reduce_seed(

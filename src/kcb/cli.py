@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import json
 import os
 import sys
@@ -217,7 +218,10 @@ def _add_common(p: argparse.ArgumentParser, formats=("json", "text")) -> None:
     p.add_argument("--out", type=str, default=None, help="write output to a file")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The kcb parser, built once per process: parse_args leaves it as it
+    is, and building it costs far more than parsing one argv."""
     ap = argparse.ArgumentParser(
         prog="kcb",
         description="Crystal graphs and canonical bases for higher-level "

@@ -597,11 +597,23 @@ def _exponent_map(items) -> dict[int, int]:
     return out
 
 
-# f_i^(k) of every basis term seen so far, per (e, charges, i, k): the
+# f_i^(k) of every basis term seen so far, per expansion_key: the
 # multipartition -> (low, mps, shifts) memo that apply_f_divided reads.
 # Each entry holds two flat tuples in subset order and no tuple per term:
 # one (term, shift) pair per term took 10.7 MB on the a = 2 benchmark.
 _EXPANSIONS: dict[tuple, dict[Multipartition, tuple[int, tuple, tuple]]] = {}
+
+
+def expansion_key(ctx: FockContext, i: int, k: int) -> tuple:
+    """The _EXPANSIONS key of f_i^(k) under ctx: its rotation class
+    (e, charges - c_1 mod e, (i - c_1) mod e, k).  i_node_slots reads a
+    charge c only through (i - c) mod e (the residue of a node is its
+    charge plus its column minus its row; Uglov, 2000), so contexts whose
+    charges differ by one constant shift, f_i on one and f_(i+s) on the
+    other, have the same expansions: the two sides of ctx.dual() for
+    symmetric_context(a), and for e = 3 with charges (0, 1, 2)."""
+    e, first = ctx.e, ctx.charges[0]
+    return e, tuple((c - first) % e for c in ctx.charges), (i - first) % e, k
 
 
 def _expansion(ctx: FockContext, mp: Multipartition, i: int, k: int):
@@ -632,7 +644,7 @@ def apply_f_divided(ctx: FockContext, vec: FockVector, i: int, k: int) -> FockVe
     if k == 0:
         return vec
     t = vec._terms
-    memo = _EXPANSIONS.setdefault((ctx.e, ctx.charges, i, k), {})
+    memo = _EXPANSIONS.setdefault(expansion_key(ctx, i, k), {})
     # a miss runs under the caller's context and stores its entry
     expansions = [memo.get(mp) or memo.setdefault(mp, _expansion(ctx, mp, i, k)) for mp in t]
     low = min((lo for lo, mps, _ in expansions if mps), default=0)

@@ -74,10 +74,12 @@ def total_size(mp: Multipartition) -> int:
     return sum(sum(c) for c in mp)
 
 
-# (p, q) -> (low, diff) for a pair of unequal components, process-wide:
-# low is the least running difference of their row prefix sums (0 or
-# below), diff the difference of their sizes
-_STEPS: dict[tuple[Partition, Partition], tuple[int, int]] = {}
+# p -> {q -> (low, diff)} for each pair of unequal components, process-wide:
+# one inner dict per component p of a dominating multipartition, so a call
+# fetches it once per depth and looks each q up in it.  low is the least
+# running difference of their row prefix sums (0 or below), diff the
+# difference of their sizes
+_STEPS: dict[Partition, dict[Partition, tuple[int, int]]] = {}
 
 
 def _step(p: Partition, q: Partition) -> tuple[int, int]:
@@ -89,30 +91,55 @@ def _step(p: Partition, q: Partition) -> tuple[int, int]:
     return low, run
 
 
-def dominates(mu: Multipartition, lam: Multipartition) -> bool:
-    """mu >= lam in the dominance order: every prefix sum of mu, taken
-    component by component and row by row, is at least lam's.  With `run`
-    the size difference of the components before, that holds exactly when
-    run + low >= 0 at every pair of unequal components (low as in _STEPS);
-    the final run checks equal size.  Components are tuples, as in
+def dominates(mu: Multipartition, *lams: Multipartition) -> bool:
+    """mu >= lam in the dominance order for every lam: every prefix sum of
+    mu, taken component by component and row by row, is at least lam's.
+    With `run` the size difference of the components before, that holds
+    exactly when run + low >= 0 at every pair of unequal components (low
+    as in _STEPS); the final run checks equal size.  Every lam is walked,
+    and a lam of another level or size raises ValueError.
+
+    The lams are walked in the given order, and each restarts at the first
+    component that is not the previous lam's component object: the running
+    difference before each depth is kept, so the terms of a sorted vector,
+    which share their leading component tuples, pay only for the
+    components where they differ.  A failed pair in the shared components
+    failed the previous lam already.  Components are tuples, as in
     Multipartition: unequal ones are memo keys, so a list there raises
     TypeError."""
-    if len(mu) != len(lam):
-        raise ValueError("dominance needs equal levels")
-    run, below = 0, False
-    for p, q in zip(mu, lam):
-        if p == q:
-            continue  # leaves the running difference, and so `below`, as it is
-        step = _STEPS.get((p, q))
-        if step is None:
-            step = _STEPS[p, q] = _step(p, q)
-        low, diff = step
-        if run + low < 0:
-            below = True
-        run += diff
-    if run:
-        raise ValueError("dominance needs equal total size")
-    return not below
+    level = len(mu)
+    runs = [0] * (level + 1)  # runs[j]: the running difference before depth j
+    rows: list = [None] * level  # _STEPS[mu[j]], fetched at its first unequal pair
+    # mu as the lam before the first: a component of lam that is mu's own
+    # is an equal pair, which leaves the running difference at 0
+    prev = mu
+    every = True
+    for lam in lams:
+        if len(lam) != level:
+            raise ValueError("dominance needs equal levels")
+        j = 0
+        while j < level and lam[j] is prev[j]:
+            j += 1
+        run = runs[j]
+        while j < level:
+            p, q = mu[j], lam[j]
+            if p != q:  # an equal pair leaves the running difference as it is
+                row = rows[j]
+                if row is None:
+                    row = rows[j] = _STEPS.get(p) or _STEPS.setdefault(p, {})
+                step = row.get(q)
+                if step is None:
+                    step = row[q] = _step(p, q)
+                low, diff = step
+                if run + low < 0:
+                    every = False
+                run += diff
+            j += 1
+            runs[j] = run
+        if run:
+            raise ValueError("dominance needs equal total size")
+        prev = lam
+    return every
 
 
 def is_e_regular(mp: Multipartition, e: int) -> bool:

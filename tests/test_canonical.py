@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import os
+import re
 import struct
 import sys
 import weakref
@@ -174,6 +175,23 @@ class TestElementChecks:
         bad = vec((((1,), (2,)), 0), (((3,), ()), 1))
         with pytest.raises(ReductionError, match="not dominated"):
             checked_element(C01, ((1,), (2,)), bad)
+
+    @pytest.mark.parametrize("planted", [((8,), (), (), ()), ((5,), (3,), (), ())])
+    def test_undominated_term_named_among_many(self, planted):
+        # G of a = 2 at degree 8 with 1,476 terms plus one term at v that the
+        # label does not dominate: sorted after every real term (it lies above
+        # the label in tuple order), or among them, built from their components
+        ctx = symmetric_context(2)
+        g = CanonicalBasis(ctx).element(((5, 1), (1,), (1,), ()))
+        assert len(g.vector) == 1476 and g.weight.defect >= 1
+        assert not dominates(g.label, planted)
+        shared = {c: c for lam in g.vector for c in lam}
+        planted = tuple(shared.get(c, c) for c in planted)
+        bad = g.vector.add_scaled(FockVector.basis(planted), mono(1))
+        assert (bad.stored().support()[-1] == planted) == (planted > g.label)
+        with pytest.raises(ReductionError, match=re.escape(f"{planted} in G({g.label})")):
+            checked_element(ctx, g.label, bad)
+        assert checked_element(ctx, g.label, g.vector).vector == g.vector
 
     def test_negative_coefficient_computed(self):
         class NegativeSeedBasis(CanonicalBasis):

@@ -141,9 +141,13 @@ def test_test_only_definitions_are_listed():
 # ever cleared, so each grows with all the work of the process; a new one
 # fails until it is listed here with why it is worth its memory
 MEMOS = {
-    "_EXPANSIONS": "fock: f_i^(k) of each basis term per (e, charges, i, k), as two flat tuples",
+    "_EXPANSIONS": "fock: f_i^(k) of each basis term per charge rotation class and (i, k),"
+    " as two flat tuples; a context and its shifted dual share one table",
     "_SHARED": "fock: one object per distinct spliced component, expansion term and shift int",
-    "_STEPS": "partitions: one dominance step per pair of unequal components",
+    "_STEPS": "partitions: one dominance step per pair of unequal components, one inner"
+    " dict per dominating component",
+    "build_parser": "cli: the argparse parser, built once per process; verify_cli parses"
+    " 36 argv lists, and building a parser costs about ten times parsing one",
     "shape_fn": "closedform: the paper's shape function s(a, k, l), recursive in a",
     "_canonical_vector": "closedform: a family's closed-form vector, built from its memoised partners",
     "transpose": "partitions: the conjugate of each partition",

@@ -161,7 +161,7 @@ def test_dominates_matches_reference(pair):
         want = dominates_reference(x, y)
         assert dominates(x, y) == want
         # every step of this pair is memoised now
-        assert all((p, q) in partitions._STEPS for p, q in zip(x, y) if p != q)
+        assert all(q in partitions._STEPS.get(p, {}) for p, q in zip(x, y) if p != q)
         assert dominates(x, y) == want
     # a copy with fresh component tuples finds the same memo entries
     assert dominates(tuple(map(tuple, map(list, mu))), lam) == dominates_reference(mu, lam)
@@ -181,11 +181,52 @@ def test_dominates_errors_with_every_step_memoised(mu, lam):
     if partitions.total_size(same_level[0]) != partitions.total_size(same_level[1]):
         for _ in range(2):  # the first call memoises every step
             _raises_value_error(*same_level)
-        assert all((p, q) in partitions._STEPS for p, q in zip(*same_level) if p != q)
+        assert all(q in partitions._STEPS.get(p, {}) for p, q in zip(*same_level) if p != q)
     else:
         dominates(*same_level)
     if len(mu) != len(lam):
         _raises_value_error(mu, lam)
+
+
+@st.composite
+def dominance_lists(draw):
+    """A multipartition and a list of others of its size and level, sorted
+    or shuffled, their components either one object per value (as in a
+    stored vector, whose terms share their leading components) or every
+    one a freshly built tuple."""
+    n, level = draw(st.integers(0, 7)), draw(st.integers(1, 4))
+    pool = _of_size(n, level)
+    mu = draw(st.sampled_from(pool))
+    lams = draw(st.lists(st.sampled_from(pool), max_size=12))
+    if draw(st.booleans()):
+        shared: dict = {}
+        lams = [tuple(shared.setdefault(c, c) for c in lam) for lam in lams]
+    else:
+        lams = [tuple(tuple(list(c)) for c in lam) for lam in lams]
+    lams = sorted(lams) if draw(st.booleans()) else draw(st.permutations(lams))
+    return mu, lams
+
+
+@settings(max_examples=200)
+@given(dominance_lists())
+def test_dominates_every_term_matches_reference(case):
+    mu, lams = case
+    below = [lam for lam in lams if dominates_reference(mu, lam)]
+    assert dominates(mu, *lams) == (len(below) == len(lams))
+    # the terms mu dominates, in the same order, with mu among them as the
+    # label is among the terms of its canonical element
+    assert dominates(mu, *below[:1], mu, *below[1:])
+
+
+def test_dominates_walks_every_term():
+    mu, below, above = ((2,), (1,)), ((1, 1), (1,)), ((3,), ())
+    assert dominates(mu) and dominates(mu, below, below)
+    assert not dominates(mu, below, above, below)
+    # every term is walked: a later one of another size or level raises
+    with pytest.raises(ValueError, match="total size"):
+        dominates(mu, above, ((1,), ()))
+    with pytest.raises(ValueError, match="levels"):
+        dominates(mu, below, ((3,),))
 
 
 def test_dominates_refuses_an_unequal_list_component():
@@ -213,6 +254,26 @@ def test_dominates_list_components_never_answer_wrong(pair, as_list):
             dominates(listed, lam)
     else:
         assert dominates(listed, lam) == dominates_reference(mu, lam)
+
+
+def test_shifted_contexts_share_expansions(monkeypatch):
+    # each dual has its context's charges plus 1, so f_i on the context and
+    # f_(i+1) on the dual read one entry object: symmetric_context(2) and
+    # e = 3 with charges (0, 1, 2)
+    for ctx, shifted in [
+        (FockContext(2, (0, 0, 1, 1)), FockContext(2, (1, 1, 0, 0))),
+        (FockContext(3, (0, 1, 2)), FockContext(3, (1, 2, 0))),
+    ]:
+        assert ctx.dual() == shifted
+        monkeypatch.setattr(fock, "_EXPANSIONS", {})
+        mp = ((2,), (1,), (), (1,))[: ctx.level]
+        for i in range(ctx.e):
+            j = (i + 1) % ctx.e
+            got = apply_f_divided(ctx, FockVector.basis(mp), i, 1)
+            entry = fock._EXPANSIONS[fock.expansion_key(ctx, i, 1)][mp]
+            assert apply_f_divided(shifted, FockVector.basis(mp), j, 1) == got
+            assert fock._EXPANSIONS[fock.expansion_key(shifted, j, 1)][mp] is entry
+        assert len(fock._EXPANSIONS) == ctx.e  # one table per i, not two
 
 
 # sharing: one object per distinct f_i term and per new component
@@ -282,7 +343,7 @@ def _checked_entry(ctx, mp, i, k):
     object _SHARED holds for its value, so equal ones of all entries are
     one object."""
     apply_f_divided(ctx, FockVector.basis(mp), i, k)
-    entry = fock._EXPANSIONS[ctx.e, ctx.charges, i, k][mp]
+    entry = fock._EXPANSIONS[fock.expansion_key(ctx, i, k)][mp]
     terms = [
         divided_power_term_reference(mp, subset)
         for subset in combinations(addable_exponents(ctx, mp, i), k)
