@@ -76,8 +76,9 @@ def checked_element(ctx: FockContext, label: Multipartition, vector: FockVector)
     """G(label) with this vector, once it passes the checks of G(label):
     those of FockVector.shape (leading 1, the others in vN[v], exponents
     within the defect) and dominance-triangularity; else ReductionError.
-    Every element kcb builds comes through here.  Its vector is stored
-    first (FockVector.stored sorts the terms), and its bound is lowered to
+    Every element kcb builds comes through here; a term of another level
+    or size than the label fails it too.  Its vector is stored first
+    (FockVector.stored sorts the terms), and its bound is lowered to
     max(shape); one dominance walk then checks the sorted terms, whose
     shared leading components it walks once."""
     info = weight_info(ctx, content(ctx, label))
@@ -86,11 +87,19 @@ def checked_element(ctx: FockContext, label: Multipartition, vector: FockVector)
         shape = vector.shape(info.defect, label)
     except CoefficientError as exc:
         raise ReductionError(f"G({label}): {exc}") from exc
-    if not dominates(label, *vector):
-        bad = next(lam for lam in vector if not dominates(label, lam))
-        raise ReductionError(
-            f"reduction failure: {bad} in G({label}) is not dominated by the label"
-        )
+    try:
+        ok = dominates(label, *vector)
+    except ValueError:  # a term of another level or size than the label
+        ok = False
+    if not ok:  # name the first term that fails, by one-term calls
+        for lam in vector:
+            try:
+                if not dominates(label, lam):
+                    raise ReductionError(
+                        f"reduction failure: {lam} in G({label}) is not dominated by the label"
+                    )
+            except ValueError as exc:
+                raise ReductionError(f"reduction failure: {lam} in G({label}): {exc}") from exc
     return CanonicalElement(label, vector, info, shape)
 
 

@@ -604,16 +604,24 @@ def _exponent_map(items) -> dict[int, int]:
 _EXPANSIONS: dict[tuple, dict[Multipartition, tuple[int, tuple, tuple]]] = {}
 
 
-def expansion_key(ctx: FockContext, i: int, k: int) -> tuple:
-    """The _EXPANSIONS key of f_i^(k) under ctx: its rotation class
-    (e, charges - c_1 mod e, (i - c_1) mod e, k).  i_node_slots reads a
-    charge c only through (i - c) mod e (the residue of a node is its
-    charge plus its column minus its row; Uglov, 2000), so contexts whose
-    charges differ by one constant shift, f_i on one and f_(i+s) on the
-    other, have the same expansions: the two sides of ctx.dual() for
-    symmetric_context(a), and for e = 3 with charges (0, 1, 2)."""
+def rotation_class(ctx: FockContext) -> tuple:
+    """(e, charges - c_1 mod e): equal for contexts whose charges differ by
+    one constant shift s.  i_node_slots reads a charge c only through
+    (i - c) mod e (the residue of a node is its charge plus its column
+    minus its row; Uglov, 2000), so two such contexts are one Fock space
+    with residue i renamed i + s: the same crystal vertices, f_i^(k) on
+    one is f_(i+s)^(k) on the other, and G(lam) is the same vector under
+    both.  ctx.dual() lies in ctx's class for symmetric_context(a) and for
+    e = 3 with charges (0, 1, 2), not for e = 3 with (0, 0, 1)."""
     e, first = ctx.e, ctx.charges[0]
-    return e, tuple((c - first) % e for c in ctx.charges), (i - first) % e, k
+    return e, tuple((c - first) % e for c in ctx.charges)
+
+
+def expansion_key(ctx: FockContext, i: int, k: int) -> tuple:
+    """The _EXPANSIONS key of f_i^(k) under ctx: its rotation_class, then
+    (i - c_1) mod e and k, so that every context of one class shares the
+    table."""
+    return (*rotation_class(ctx), (i - ctx.charges[0]) % ctx.e, k)
 
 
 def _expansion(ctx: FockContext, mp: Multipartition, i: int, k: int):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .canonical import CanonicalBasis, ReductionError, diamond, is_svelte
+from .canonical import CanonicalBasis, ReductionError, is_svelte
 from .closedform import (
     FamilySpec,
     StageError,
@@ -25,15 +25,17 @@ from .closedform import (
 from .crystal import (
     block_reduced,
     e_tilde,
+    f_tilde_string,
     generate_crystal,
     is_external,
     residue_collected_path,
     string_steps,
+    string_top,
     weight_info,
 )
-from .fock import CoefficientError, FockContext, FockVector, symmetric_context
+from .fock import CoefficientError, FockContext, FockVector, rotation_class, symmetric_context
 from .laurent import LaurentPoly
-from .partitions import conjugate, mp_to_json, total_size, transpose_each
+from .partitions import Multipartition, conjugate, mp_to_json, total_size, transpose_each
 
 
 @dataclass
@@ -198,31 +200,56 @@ def verify_path_families(a: int, family: str, k: int, n_max: int) -> Verificatio
 def verify_duality(ctx: FockContext, max_degree: int) -> VerificationReport:
     """The conjugate/diamond duality across the dual pair of crystals, plus
     the defect-0 and defect-1 characterizations and the uniqueness of the
-    v^defect term."""
+    v^defect term.
+
+    When ctx.dual() lies in ctx's rotation_class (its charges are ctx's
+    shifted by one constant, as for symmetric_context(a)), both contexts
+    hold the same G(lam) at every vertex, so one basis serves both sides;
+    each instance still compares two elements G(mu) and G(diamond mu),
+    each reduced from its own seed.  Otherwise the dual side has its own
+    basis.  Vertices are visited by degree, so the image of mu's string
+    top is known: mu's residue-collected path is its top's followed by
+    (i, k), and diamond(ctx, mu) is f~_(-i)^k of that image."""
     report = VerificationReport(
         "duality", {"e": ctx.e, "charges": list(ctx.charges), "max_degree": max_degree}
     )
+    dctx = ctx.dual()
     basis = CanonicalBasis(ctx)
-    dual_basis = CanonicalBasis(ctx.dual())
+    dual_basis = basis if rotation_class(dctx) == rotation_class(ctx) else CanonicalBasis(dctx)
+    images: dict[Multipartition, Multipartition] = {}
+    conjugates: dict[Multipartition, Multipartition] = {}
+
+    def conj(mp: Multipartition) -> Multipartition:
+        got = conjugates.get(mp)
+        if got is None:
+            got = conjugates[mp] = conjugate(mp)
+        return got
+
     g = generate_crystal(ctx, max_degree)
     for mp, deg in sorted(g.degrees.items(), key=lambda kv: (kv[1], kv[0])):
         elem = basis.element(mp)
-        dctx, md = diamond(ctx, mp)
+        step = string_top(ctx, mp)
+        if step is None:
+            md = dctx.highest_weight_vertex()
+        else:
+            i, k, top = step
+            md = f_tilde_string(dctx, images[top], (-i) % ctx.e, k)
+        images[mp] = md
         delem = dual_basis.element(md)
         w = elem.weight.defect
-        expected = elem.vector.bar_shifted(w, conjugate)
+        expected = elem.vector.bar_shifted(w, conj)
         problems = {}
         if expected != delem.vector:
             problems["duality"] = _difference(expected, delem.vector)
         tops = elem.vector.with_coefficient(LaurentPoly.monomial(w))
-        if len(tops) != 1 or tops[0] != conjugate(md):
+        if len(tops) != 1 or tops[0] != conj(md):
             problems["v_defect_term"] = [str(t) for t in tops]
         if w == 0 and not (
-            elem.vector == FockVector.basis(mp) and mp == conjugate(md)
+            elem.vector == FockVector.basis(mp) and mp == conj(md)
         ):
             problems["defect0"] = str(md)
         if w == 1:
-            want = FockVector([(mp, LaurentPoly.one()), (conjugate(md), LaurentPoly.monomial(1))])
+            want = FockVector([(mp, LaurentPoly.one()), (conj(md), LaurentPoly.monomial(1))])
             if elem.vector != want:
                 problems["defect1"] = _difference(want, elem.vector)
         report.instances.append(

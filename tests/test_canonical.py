@@ -176,6 +176,16 @@ class TestElementChecks:
         with pytest.raises(ReductionError, match="not dominated"):
             checked_element(C01, ((1,), (2,)), bad)
 
+    @pytest.mark.parametrize("term, why", [
+        (((1,), (1,)), "dominance needs equal total size"),
+        (((1,), (1,), ()), "dominance needs equal levels"),
+    ])
+    def test_term_of_another_size_or_level_rejected(self, term, why):
+        # a failed check (kcb exits 1), not the ValueError of a usage error (exit 2)
+        bad = GOLDEN.add_scaled(FockVector.basis(term), mono(1))
+        with pytest.raises(ReductionError, match=re.escape(f"{term} in G(((3,), ())): {why}")):
+            checked_element(C01, ((3,), ()), bad)
+
     @pytest.mark.parametrize("planted", [((8,), (), (), ()), ((5,), (3,), (), ())])
     def test_undominated_term_named_among_many(self, planted):
         # G of a = 2 at degree 8 with 1,476 terms plus one term at v that the
@@ -798,7 +808,8 @@ class TestSubtractionChecks:
 
 def test_no_basis_outlives_its_suite(monkeypatch):
     # each suite builds its own bases and drops them, with their elements
-    # and coefficient tables, when it returns
+    # and coefficient tables, when it returns: one basis when the dual is
+    # a charge rotation ((0, 1) -> (2, 0)), two otherwise ((0, 0, 1) -> (2, 0, 0))
     built = []
     init = CanonicalBasis.__init__
 
@@ -807,9 +818,11 @@ def test_no_basis_outlives_its_suite(monkeypatch):
         built.append(weakref.ref(self))
 
     monkeypatch.setattr(CanonicalBasis, "__init__", recording_init)
-    assert verify_duality(FockContext(3, (0, 1)), 5).passed
-    gc.collect()
-    assert len(built) == 2 and all(ref() is None for ref in built)
+    for charges, bases in (((0, 1), 1), ((0, 0, 1), 2)):
+        built.clear()
+        assert verify_duality(FockContext(3, charges), 5).passed
+        gc.collect()
+        assert len(built) == bases and all(ref() is None for ref in built)
 
 
 class TestHigherRank:

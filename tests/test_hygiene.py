@@ -118,6 +118,8 @@ TEST_ONLY_API = {
     "small_defect_families": "the paper's defect-2 families at a = 1 and 3",
     "crystal_from_json": "reads back the JSON that `kcb crystal` writes",
     "block_from_json": "reads back the JSON that `kcb block-graph` writes",
+    "diamond": "the diamond involution by its definition, a replay of the whole"
+    " residue-collected path, against which the duality suite's images are tested",
 }
 
 

@@ -276,6 +276,29 @@ def test_shifted_contexts_share_expansions(monkeypatch):
         assert len(fock._EXPANSIONS) == ctx.e  # one table per i, not two
 
 
+@pytest.mark.parametrize("ctx, shifted, degree", [
+    (FockContext(2, (0, 0, 1, 1)), FockContext(2, (1, 1, 0, 0)), 7),
+    (FockContext(3, (0, 1, 2)), FockContext(3, (1, 2, 0)), 7),
+    (FockContext(4, (0, 1, 3)), FockContext(4, (1, 2, 0)), 7),
+    (FockContext(3, (0, 0, 1)), FockContext(3, (1, 1, 2)), 6),
+])
+def test_charge_rotation_keeps_every_element(monkeypatch, ctx, shifted, degree):
+    # charges c and c + 1 (mod e) are one Fock space with residue i named
+    # i + 1: the same crystal vertices and the same G(lam) at each.  Each side
+    # is reduced with a table of f_i^(k) of its own, so neither reads the
+    # other's expansions.  The first two pairs are a context and its dual.
+    assert shifted.charges == tuple((c + 1) % ctx.e for c in ctx.charges)
+    assert fock.rotation_class(shifted) == fock.rotation_class(ctx)
+    vertices = generate_crystal(ctx, degree).degrees
+    assert generate_crystal(shifted, degree).degrees == vertices
+    elements = {}
+    for c in (ctx, shifted):
+        monkeypatch.setattr(fock, "_EXPANSIONS", {})
+        basis = CanonicalBasis(c)
+        elements[c] = [basis.element(mp).vector for mp in sorted(vertices)]
+    assert elements[shifted] == elements[ctx]
+
+
 # sharing: one object per distinct f_i term and per new component
 
 C01 = FockContext(2, (0, 1))

@@ -107,6 +107,31 @@ class TestDuality:
     def test_level4(self):
         assert verify_duality(FockContext(2, (0, 0, 1, 1)), 5).passed
 
+    @pytest.mark.parametrize("ctx, degree", [
+        (symmetric_context(2), 6),
+        (FockContext(3, (0, 1, 2)), 7),
+        (FockContext(3, (0, 0, 1)), 5),
+        (FockContext(4, (0, 1, 3)), 6),
+    ])
+    def test_images_are_diamond(self, monkeypatch, ctx, degree):
+        # the suite reads G(mu) and then G(diamond mu) for every vertex mu;
+        # each image it takes along mu's string top is diamond's replay
+        element, depth, read = CanonicalBasis.element, [0], []
+
+        def recording(basis, mp):
+            if depth[0] == 0:
+                read.append(mp)
+            depth[0] += 1
+            try:
+                return element(basis, mp)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(CanonicalBasis, "element", recording)
+        assert verify_duality(ctx, degree).passed
+        assert sorted(read[::2]) == sorted(verify.generate_crystal(ctx, degree).degrees)
+        assert read[1::2] == [diamond(ctx, mp)[1] for mp in read[::2]]
+
 
 def _reference_problems(ctx, elem, delem):
     """The duality and v^defect details of one instance by the per-term
@@ -124,11 +149,14 @@ def _reference_problems(ctx, elem, delem):
 
 
 class TestDualityMismatch:
+    # the dual of (0, 1) is the rotation (1, 0): both sides come from one
+    # basis.  The dual of e = 3 (0, 0, 1) is (2, 0, 0), which has its own.
     CTX = FockContext(2, (0, 1))
+    SEPARATE = FockContext(3, (0, 0, 1))
 
-    def _planted(self, monkeypatch, plant_ctx, plant_mp, change):
-        """verify_duality with the element G(plant_mp) of plant_ctx replaced
-        by change(G) wherever the suite asks for it; the bases' own
+    def _planted(self, monkeypatch, ctx, plant_ctx, plant_mp, change):
+        """verify_duality(ctx, 5) with the element G(plant_mp) of plant_ctx
+        replaced by change(G) wherever the suite asks for it; the bases' own
         recursion still reads the true G."""
         element, depth = CanonicalBasis.element, [0]
 
@@ -143,49 +171,84 @@ class TestDualityMismatch:
             return got
 
         monkeypatch.setattr(CanonicalBasis, "element", planted)
-        return verify_duality(self.CTX, 5)
+        return verify_duality(ctx, 5)
 
-    def _target(self):
-        basis = CanonicalBasis(self.CTX)
-        for mp in sorted(verify.generate_crystal(self.CTX, 5).degrees):
+    def _target(self, ctx):
+        basis = CanonicalBasis(ctx)
+        for mp in sorted(verify.generate_crystal(ctx, 5).degrees):
             elem = basis.element(mp)
             if elem.weight.defect >= 2 and len(elem.vector) >= 3:
                 return elem
         raise AssertionError("no element of defect 2 or more with 3 terms")
 
-    def _check(self, report, elem, delem, keys):
-        bad = [i for i in report.instances if i.verdict == "mismatch"]
-        assert len(bad) == 1 and not report.passed
-        assert bad[0].params["mp"] == str(elem.label)
-        assert set(bad[0].detail) == keys
-        assert bad[0].detail == _reference_problems(self.CTX, elem, delem)
-        assert f"  [mismatch] {bad[0].params}: {bad[0].detail}" in report.to_text()
+    def _check(self, report, ctx, pairs, keys):
+        """The mismatches are one per (G(mu), G(diamond mu)) pair, as the
+        suite read them, with the per-term route's details; keys[n] are
+        the detail keys of the n-th pair's instance."""
+        bad = {i.params["mp"]: i for i in report.instances if i.verdict == "mismatch"}
+        assert not report.passed
+        assert set(bad) == {str(elem.label) for elem, _ in pairs}
+        for (elem, delem), want in zip(pairs, keys):
+            inst = bad[str(elem.label)]
+            assert set(inst.detail) == want
+            assert inst.detail == _reference_problems(ctx, elem, delem)
+            assert f"  [mismatch] {inst.params}: {inst.detail}" in report.to_text()
+        return {mp: inst.detail for mp, inst in bad.items()}
 
-    def test_one_dual_coefficient_changed(self, monkeypatch):
-        elem = self._target()
-        dctx, md = diamond(self.CTX, elem.label)
-        true = CanonicalBasis(dctx).element(md)
-        lam = next(mp for mp in true.vector if mp != md)
-        bump = FockVector([(lam, LaurentPoly.monomial(1))])
-        report = self._planted(monkeypatch, dctx, md, lambda v: v + bump)
-        delem = dataclasses.replace(true, vector=true.vector + bump)
-        self._check(report, elem, delem, {"duality"})
+    def _bump(self, elem, md):
+        """v at a term of G(md) other than md, and that term."""
+        lam = next(mp for mp in elem.vector if mp != md)
+        return FockVector([(lam, LaurentPoly.monomial(1))]), lam
+
+    def _assert_bump(self, detail, lam):
         # the difference is the planted v at lam, with lam as nested lists
-        (diff,) = [i.detail["duality"] for i in report.instances if i.verdict == "mismatch"]
-        assert diff == {"symbolic_difference": [
+        assert detail["duality"] == {"symbolic_difference": [
             {"multipartition": [list(c) for c in lam], "coefficient": {"1": 1}}
         ]}
 
+    def test_one_dual_coefficient_changed(self, monkeypatch):
+        # G(md) is the dual side of mu's instance and the left side of md's
+        # own, whose dual side is G(mu) (diamond is an involution): both fail.
+        # The v lands on G(md)'s v^defect term, which md's instance names too
+        elem = self._target(self.CTX)
+        md = diamond(self.CTX, elem.label)[1]
+        assert md != elem.label and diamond(self.CTX, md)[1] == elem.label
+        true = CanonicalBasis(self.CTX).element(md)
+        bump, lam = self._bump(true, md)
+        report = self._planted(monkeypatch, self.CTX, self.CTX, md, lambda v: v + bump)
+        planted = dataclasses.replace(true, vector=true.vector + bump)
+        details = self._check(
+            report, self.CTX, [(elem, planted), (planted, elem)],
+            [{"duality"}, {"duality", "v_defect_term"}],
+        )
+        self._assert_bump(details[str(elem.label)], lam)
+
+    def test_one_dual_coefficient_changed_in_the_dual_basis(self, monkeypatch):
+        # a dual basis of its own: the planted G(md) is read once
+        elem = self._target(self.SEPARATE)
+        dctx, md = diamond(self.SEPARATE, elem.label)
+        true = CanonicalBasis(dctx).element(md)
+        bump, lam = self._bump(true, md)
+        report = self._planted(monkeypatch, self.SEPARATE, dctx, md, lambda v: v + bump)
+        planted = dataclasses.replace(true, vector=true.vector + bump)
+        details = self._check(report, self.SEPARATE, [(elem, planted)], [{"duality"}])
+        self._assert_bump(details[str(elem.label)], lam)
+
     def test_second_v_defect_term(self, monkeypatch):
-        elem = self._target()
+        # the planted G(mu) is also the dual side of md's instance
+        elem = self._target(self.CTX)
         w = elem.weight.defect
         top = LaurentPoly.monomial(w)
         lam = next(mp for mp in elem.vector if elem.vector.coefficient(mp) != top)
         move = FockVector([(lam, top - elem.vector.coefficient(lam))])
-        report = self._planted(monkeypatch, self.CTX, elem.label, lambda v: v + move)
+        report = self._planted(monkeypatch, self.CTX, self.CTX, elem.label, lambda v: v + move)
         planted = dataclasses.replace(elem, vector=elem.vector + move)
-        delem = CanonicalBasis(self.CTX.dual()).element(diamond(self.CTX, elem.label)[1])
-        self._check(report, planted, delem, {"duality", "v_defect_term"})
+        md = diamond(self.CTX, elem.label)[1]
+        delem = CanonicalBasis(self.CTX).element(md)
+        self._check(
+            report, self.CTX, [(planted, delem), (delem, planted)],
+            [{"duality", "v_defect_term"}, {"duality"}],
+        )
         assert len(planted.vector.with_coefficient(top)) == 2
 
 
