@@ -52,7 +52,6 @@ from .closedform import (
     FamilySpec,
     choice_sequences,
     closed_canonical_family,
-    closed_canonical_weyl,
     defect_congruences,
     defect_top_row,
     family_term,

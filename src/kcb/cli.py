@@ -17,13 +17,7 @@ import os
 import sys
 
 from .canonical import CanonicalBasis, ReductionError, element_to_json
-from .closedform import (
-    FAMILIES,
-    FamilySpec,
-    closed_canonical_family,
-    closed_canonical_weyl,
-    shape_table,
-)
+from .closedform import FAMILIES, PATH_FAMILIES, FamilySpec, closed_canonical_family, shape_table
 from .crystal import (
     NotAVertexError,
     block_reduced,
@@ -156,14 +150,12 @@ def cmd_shape_table(args) -> int:
 
 
 def cmd_closed_form(args) -> int:
-    if args.family == "weyl":
-        if args.dual:
-            raise UsageError("--dual applies to the path families, not weyl")
-        elem = closed_canonical_weyl(args.a, args.i or 0, args.k, args.n)
-    else:
-        if args.i is not None:
-            raise UsageError(f"--i applies to weyl only, not {args.family}")
-        elem = closed_canonical_family(FamilySpec(args.family, args.a, args.k, args.n, args.dual))
+    # --i picks the weyl residue and --dual a path family's first one: both set FamilySpec.dual
+    if args.family == "weyl" and args.dual:
+        raise UsageError("--dual applies to the path families, not weyl")
+    if args.family != "weyl" and args.i is not None:
+        raise UsageError(f"--i applies to weyl only, not {args.family}")
+    elem = closed_canonical_family(FamilySpec(args.family, args.a, args.k, args.n, args.dual or args.i == 1))
     _emit_json(element_to_json(elem), args)
     return 0
 
@@ -255,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_shape_table)
 
     p = sub.add_parser("closed-form", help="closed-form canonical element")
-    p.add_argument("--family", required=True, choices=("weyl", *FAMILIES))
+    p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, default=0)
@@ -271,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--i", type=int, default=None, choices=(0, 1),
                    help="top-row, weyl (default 0)")
     p.add_argument("--n", type=int, default=None, help="weyl, families (default 1)")
-    p.add_argument("--family", choices=FAMILIES, default=None,
+    p.add_argument("--family", choices=PATH_FAMILIES, default=None,
                    help="families (default p0k1)")
     p.add_argument("--max-degree", type=int, default=None,
                    help="every suite but top-row and families")

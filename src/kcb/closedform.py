@@ -15,14 +15,20 @@ of each term, later stages use every addable node.  Two sums come of it:
 family_vectors returns both sums.  By Kashiwara's rule for divided powers
 on the global basis, M(fam) is G(label) plus multiples of G(b') for the
 vertices b' of the weight with epsilon_i(b') larger than the last divided
-power; for the path families these are the sibling family labels.
+power; here they are sibling family labels, and weyl and p0k1 have none.
 closed_canonical_family subtracts them ([m] the quantum integer, [0] = 0):
 
+* G(weyl)  = M(weyl)
 * G(p0k1)  = M(p0k1)
 * G(p10k)  = M(p10k)  - [a-1] G(p0k1)                       (n >= 1 only)
 * G(p010k) = M(p010k) - [k-2] G(p10k) - [k][a+1] G(p0k1)    (last term n >= 1 only)
 
-The coefficients were found against the recursive oracle, which
+The weyl family is the top row's i-string of k, then n strings filled to
+the end; its monomial is the paper's sum of v^inv(S) tau^n_i(S) over
+S(a, k).  Every component of a tau term is a staircase, whose addable
+nodes share one residue and whose removable nodes have the other, so a
+fill adds each term's nodes at v^0 and keeps its coefficient.  The other
+coefficients were found against the recursive oracle, which
 closed_canonical_family matches on every instance tested
 (tests/test_acceptance.py, tests/test_closedform.py).
 """
@@ -173,7 +179,8 @@ class StageError(ValueError):
     branch budget exceeded."""
 
 
-FAMILIES = ("p0k1", "p10k", "p010k")
+PATH_FAMILIES = ("p0k1", "p10k", "p010k")
+FAMILIES = ("weyl", *PATH_FAMILIES)
 
 # families whose case tables admit conflicting exponent readings at n >= 1;
 # verify_path_families reports a raw staged sum that misses the recursive
@@ -193,11 +200,12 @@ class FamilySpec:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.a < 1:
-            raise ValueError("need a >= 1")
-        if not 1 <= self.k <= self.a:
-            raise ValueError(f"need 1 <= k <= a, got k={self.k}, a={self.a}")
+            raise ValueError(f"need a >= 1, got {self.a}")
+        kmin = 0 if self.family == "weyl" else 1
+        if not kmin <= self.k <= self.a:
+            raise ValueError(f"need {kmin} <= k <= a, got k={self.k}, a={self.a}")
         if self.n < 0:
-            raise ValueError("need n >= 0")
+            raise ValueError(f"need n >= 0, got {self.n}")
         if self.family == "p010k" and self.k < 2:
             raise ValueError(
                 "family p010k needs k >= 2 (for k = 1 the path collapses to p0k1)"
@@ -210,22 +218,25 @@ class FamilySpec:
 
 def family_stages(spec: FamilySpec) -> list[tuple[int, int | None]]:
     """Path segments (residue, multiplicity; None = fill every addable
-    node): the choice stages, then the filled strings."""
+    node): the choice stages, then the filled strings.  The weyl family is
+    (i, k) followed by n filled strings, i = 1 when dual."""
     a, k, n = spec.a, spec.k, spec.n
     i0 = 1 if spec.dual else 0
     i1 = 1 - i0
     stages: list[tuple[int, int | None]]
-    if spec.family == "p0k1":
+    if spec.family == "weyl":
+        stages = [(i0, k)]
+    elif spec.family == "p0k1":
         stages = [(i0, k), (i1, 1 if n == 0 else 2 * k + a - 1)]
     elif spec.family == "p10k":
         stages = [(i1, 1), (i0, k)]
     else:  # p010k
         stages = [(i0, 1), (i1, 1), (i0, k - 1)]
-    if n >= 1 and spec.family != "p0k1":
+    if n >= 1 and spec.family in ("p10k", "p010k"):
         stages.append((i1, 2 * k + a - 2))
     # remaining strings are filled completely, alternating residues
     res = stages[-1][0]
-    for _ in range(n - 1):
+    for _ in range(n if spec.family == "weyl" else n - 1):
         res = 1 - res
         stages.append((res, None))
     return stages
@@ -296,20 +307,6 @@ def family_label(ctx: FockContext, spec: FamilySpec) -> Multipartition:
         k = len(addable_exponents(ctx, cur, i)) if mult is None else mult
         cur = f_tilde_string(ctx, cur, i, k)
     return cur
-
-
-def closed_canonical_weyl(a: int, i: int, k: int, n: int) -> CanonicalElement:
-    """sum over S(a,k) of v^Inv(S) tau^n_i(S); label is tau^n_i at the
-    all-ones-first choice.  n = 0 is the top row, n >= 1 its
-    string-reflected images, with the same coefficients."""
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    ctx = symmetric_context(a)
-    terms = [
-        (tau(a, i, n, s), LaurentPoly.monomial(inv(s))) for s in choice_sequences(a, k)
-    ]
-    label = tau(a, i, n, ChoiceSequence((1,) * k + (0,) * (a - k)))
-    return checked_element(ctx, label, FockVector(terms))
 
 
 def family_term(spec: FamilySpec, choices) -> tuple[Multipartition, int, int]:

@@ -12,9 +12,10 @@ from dataclasses import dataclass, field
 
 from .canonical import CanonicalBasis, ReductionError, is_svelte
 from .closedform import (
+    PATH_FAMILIES,
     FamilySpec,
     StageError,
-    closed_canonical_weyl,
+    closed_canonical_family,
     defect_congruences,
     expand_family,
     family_label,
@@ -93,12 +94,18 @@ def _difference(expected: FockVector, got: FockVector) -> dict | None:
     return {"symbolic_difference": terms}
 
 
+def _weyl_spec(a: int, i: int, k: int, n: int) -> FamilySpec:
+    if i not in (0, 1):  # FamilySpec reads i = 1 as dual: i = 2 must not pass as 0
+        raise ValueError(f"residue must be 0 or 1, got {i}")
+    return FamilySpec("weyl", a, k, n, i == 1)
+
+
 def verify_top_row_forms(a: int, i: int, k: int) -> VerificationReport:
     """Top-row closed form equals the recursive element; shape matches the
     recursive shape function."""
     report = VerificationReport("top-row", {"a": a, "i": i, "k": k})
     try:
-        closed = closed_canonical_weyl(a, i, k, 0)
+        closed = closed_canonical_family(_weyl_spec(a, i, k, 0))
     except ReductionError as exc:
         report.instances.append(Instance({"a": a, "i": i, "k": k}, "mismatch", {"check": str(exc)}))
         return report
@@ -127,10 +134,12 @@ def verify_weyl_stability(
     )
     if n_max < 0:
         raise ValueError(f"need n_max >= 0, got {n_max}")
+    if degree_cap < 0:  # it would skip every instance
+        raise ValueError(f"need degree_cap >= 0, got {degree_cap}")
     basis = CanonicalBasis(symmetric_context(a))
     for n in range(n_max + 1):
         try:
-            closed = closed_canonical_weyl(a, i, k, n)
+            closed = closed_canonical_family(_weyl_spec(a, i, k, n))
         except ReductionError as exc:
             params = {"a": a, "i": i, "k": k, "n": n}
             report.instances.append(Instance(params, "mismatch", {"check": str(exc)}))
@@ -160,6 +169,8 @@ def verify_path_families(a: int, family: str, k: int, n_max: int) -> Verificatio
     )
     if n_max < 0:
         raise ValueError(f"need n_max >= 0, got {n_max}")
+    if family not in PATH_FAMILIES:
+        raise ValueError(f"need a path family {PATH_FAMILIES}, got {family!r}")
     ctx = symmetric_context(a)
     basis = CanonicalBasis(ctx)
     for dual in (False, True):

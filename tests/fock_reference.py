@@ -34,6 +34,11 @@ bar is the bar involution of one coefficient, and bar_shifted_reference
 the duality suite's expected vector built from it term by term, one
 decoded LaurentPoly per term, against kcb.fock.FockVector.bar_shifted,
 which reverses the digits of each distinct packed coefficient once.
+
+tau_sum is the paper's form of the top row and its string images: v^inv(S)
+tau^n_i(S) summed over the choice sequences S(a, k), term by term, with its
+label, against the weyl family of kcb.closedform.closed_canonical_family,
+which builds the divided-power monomial of the family's path.
 """
 
 from functools import lru_cache
@@ -50,6 +55,7 @@ from kcb.fock import (
     i_node_slots,
     remove_node,
 )
+from kcb.closedform import ChoiceSequence, choice_sequences, inv, tau
 from kcb.laurent import LaurentPoly, qint
 from kcb.partitions import Multipartition, Partition
 
@@ -335,3 +341,12 @@ def bar(p: LaurentPoly) -> LaurentPoly:
 def bar_shifted_reference(vec: FockVector, w: int, relabel) -> FockVector:
     """sum_lam v^w bar(c_lam) relabel(lam), one term at a time."""
     return FockVector([(relabel(lam), bar(c).shift(w)) for lam, c in vec.terms()])
+
+
+def tau_sum(a: int, i: int, k: int, n: int) -> tuple[FockVector, Multipartition]:
+    """sum over S(a, k) of v^inv(S) tau^n_i(S), and its label: tau^n_i at
+    the all-ones-first choice."""
+    vec = FockVector(
+        [(tau(a, i, n, s), LaurentPoly.monomial(inv(s))) for s in choice_sequences(a, k)]
+    )
+    return vec, tau(a, i, n, ChoiceSequence((1,) * k + (0,) * (a - k)))

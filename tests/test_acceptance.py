@@ -12,7 +12,6 @@ from kcb.canonical import CanonicalBasis
 from kcb.closedform import (
     FamilySpec,
     closed_canonical_family,
-    closed_canonical_weyl,
     family_label,
     inv,
     shape_fn,
@@ -35,7 +34,7 @@ from kcb.verify import (
     verify_svelte_step,
 )
 
-from fock_reference import apply_f_divided_iterative, iter_multipartitions, qfact
+from fock_reference import apply_f_divided_iterative, iter_multipartitions, qfact, tau_sum
 
 
 def _report(criterion, t0, budget, note=""):
@@ -65,9 +64,11 @@ def test_criterion_02_top_row_forms():
         basis = CanonicalBasis(symmetric_context(a))
         for i in (0, 1):
             for k in range(a + 1):
-                closed = closed_canonical_weyl(a, i, k, 0)
-                oracle = basis.element(closed.label)
-                assert closed.vector == oracle.vector, (a, i, k)
+                paper, label = tau_sum(a, i, k, 0)
+                closed = closed_canonical_family(FamilySpec("weyl", a, k, 0, i == 1))
+                oracle = basis.element(label)
+                assert oracle.vector == paper == closed.vector, (a, i, k)
+                assert closed.label == label, (a, i, k)
                 assert closed.shape == shape_row(a, k) == oracle.shape, (a, i, k)
     _report(2, t0, 10)
 
@@ -80,11 +81,13 @@ def test_criterion_03_weyl_stability():
         for i in (0, 1):
             for k in range(a + 1):
                 for n in range(n_max + 1):
-                    closed = closed_canonical_weyl(a, i, k, n)
-                    if total_size(closed.label) > 13:
+                    paper, label = tau_sum(a, i, k, n)
+                    if total_size(label) > 13:
                         continue
-                    oracle = basis.element(closed.label)
-                    assert closed.vector == oracle.vector, (a, i, k, n)
+                    closed = closed_canonical_family(FamilySpec("weyl", a, k, n, i == 1))
+                    oracle = basis.element(label)
+                    assert oracle.vector == paper == closed.vector, (a, i, k, n)
+                    assert closed.label == label, (a, i, k, n)
                     assert closed.shape == shape_row(a, k) == oracle.shape, (a, i, k, n)
                     checked += 1
     assert checked >= 30

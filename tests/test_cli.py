@@ -264,6 +264,27 @@ class TestVerify:
         assert captured.out == ""
         assert flag[0] in captured.err
 
+    def test_weyl_negative_max_degree_exit_2(self, capsys):
+        # a negative degree cap skips every instance, which is no pass
+        code = main(["verify", "--suite", "weyl", "--a", "1", "--k", "1", "--n", "1",
+                     "--max-degree", "-5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "need degree_cap >= 0" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ("closed-form", "--family", "weyl", "--a", "2", "--k", "5"),
+        ("verify", "--suite", "top-row", "--a", "2", "--k", "5"),
+        ("verify", "--suite", "weyl", "--a", "2", "--k", "5"),
+    ])
+    def test_weyl_k_out_of_range_exit_2(self, capsys, argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "kcb: need 0 <= k <= a, got k=5, a=2\n"
+
     @pytest.mark.parametrize("suite,n", [("weyl", "-2"), ("families", "-1")])
     def test_negative_n_exit_2(self, capsys, suite, n):
         # no instance to check is not a pass

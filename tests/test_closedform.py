@@ -9,7 +9,6 @@ from kcb.closedform import (
     StageError,
     choice_sequences,
     closed_canonical_family,
-    closed_canonical_weyl,
     defect_congruences,
     defect_top_row,
     expand_family,
@@ -28,7 +27,6 @@ from kcb.closedform import (
 )
 from kcb.crystal import (
     block_reduced,
-    f_tilde_string,
     generate_crystal,
     is_external,
     residue_collected_path,
@@ -37,7 +35,7 @@ from kcb.fock import FockVector, addable_exponents, apply_f_divided, content, sy
 from kcb.laurent import LaurentPoly
 from kcb.partitions import total_size, transpose_each, triangular
 
-from fock_reference import expand_family_branches
+from fock_reference import expand_family_branches, tau_sum
 
 
 def S(*bits):
@@ -169,14 +167,23 @@ class TestTau:
         assert got == ((), (), (1,), ())
 
 
+def weyl(a, i, k, n):
+    return closed_canonical_family(FamilySpec("weyl", a, k, n, i == 1))
+
+
 class TestClosedTop:
     @pytest.mark.parametrize("a,k", [(2, 1), (1, 0)])
     def test_negative_n_raises(self, a, k):
         with pytest.raises(ValueError, match="need n >= 0"):
-            closed_canonical_weyl(a, 0, k, -1)
+            FamilySpec("weyl", a, k, -1)
+
+    @pytest.mark.parametrize("k", [-1, 3])
+    def test_k_out_of_range_raises(self, k):
+        with pytest.raises(ValueError, match=rf"^need 0 <= k <= a, got k={k}, a=2$"):
+            FamilySpec("weyl", 2, k)
 
     def test_a3_display(self):
-        elem = closed_canonical_weyl(3, 0, 1, 0)
+        elem = weyl(3, 0, 1, 0)
         assert elem.vector == FockVector(
             [
                 ((((1,), (), (), (), (), ())), LaurentPoly.one()),
@@ -186,11 +193,11 @@ class TestClosedTop:
         )
 
     def test_k0_is_highest_weight(self):
-        elem = closed_canonical_weyl(2, 0, 0, 0)
+        elem = weyl(2, 0, 0, 0)
         assert elem.vector == FockVector.basis(((),) * 4)
 
     def test_k_equals_a(self):
-        elem = closed_canonical_weyl(2, 0, 2, 0)
+        elem = weyl(2, 0, 2, 0)
         assert len(elem.vector) == 1
         assert elem.weight.defect == 0
 
@@ -199,7 +206,7 @@ class TestClosedTop:
             basis = CanonicalBasis(symmetric_context(a))
             for i in (0, 1):
                 for k in range(a + 1):
-                    elem = closed_canonical_weyl(a, i, k, 0)
+                    elem = weyl(a, i, k, 0)
                     assert elem.vector == basis.element(elem.label).vector
                     assert elem.shape == shape_row(a, k)
 
@@ -207,8 +214,8 @@ class TestClosedTop:
 class TestClosedWeyl:
     def test_degree_jump(self):
         # one Weyl step from tau^0 at a=3, k=1 adds the 2k+a = 5 string
-        e0 = closed_canonical_weyl(3, 0, 1, 0)
-        e1 = closed_canonical_weyl(3, 0, 1, 1)
+        e0 = weyl(3, 0, 1, 0)
+        e1 = weyl(3, 0, 1, 1)
         assert total_size(e1.label) - total_size(e0.label) == 5
 
     def test_matches_oracle_small(self):
@@ -216,7 +223,7 @@ class TestClosedWeyl:
         for i in (0, 1):
             for k in range(3):
                 for n in (0, 1):
-                    elem = closed_canonical_weyl(2, i, k, n)
+                    elem = weyl(2, i, k, n)
                     assert elem.vector == basis.element(elem.label).vector
                     assert elem.shape == shape_row(2, k)
 
@@ -225,29 +232,30 @@ class TestClosedWeyl:
         for a, k in ((2, 1), (3, 1), (3, 2)):
             ctx = symmetric_context(a)
             for n in (0, 1, 2):
-                elem = closed_canonical_weyl(a, 0, k, n)
+                elem = weyl(a, 0, k, n)
                 nxt = 1 if n % 2 == 0 else 0
                 count = len(addable_exponents(ctx, elem.label, nxt))
                 assert count == k * (n + 2) + (a - k) * n + a * (n + 1), (a, k, n)
 
     def test_forms_are_path_monomials(self):
-        # tau^n_i is the top row's i-string of k, then n strings filled to
-        # the end, alternating from 1 - i, and its form is the monomial of
-        # that path: each filled string leaves the coefficients as they are
-        # (Kashiwara's divided-power rule, Duke Math. J. 69, 1993)
-        for a in range(1, 7):
-            ctx = symmetric_context(a)
+        # the weyl family is the top row's i-string of k, then n strings
+        # filled to the end, alternating from 1 - i, and its monomial is the
+        # paper's tau-sum: each filled string leaves the coefficients as they
+        # are (Kashiwara's divided-power rule, Duke Math. J. 69, 1993)
+        checked = 0
+        for a in range(1, 9):
             for i in (0, 1):
                 for k in range(a + 1):
-                    for n in range(5):
-                        stages = [(i, k)] + [((1 - i + j) % 2, None) for j in range(n)]
-                        monomial, path, _ = path_monomial(ctx, stages)
-                        elem = closed_canonical_weyl(a, i, k, n)
-                        assert elem.vector == monomial, (a, i, k, n)
-                        end = ctx.highest_weight_vertex()
-                        for r, mult in path:
-                            end = f_tilde_string(ctx, end, r, mult)
-                        assert end == elem.label, (a, i, k, n)
+                    for n in range(4 if a <= 6 else 2):
+                        spec = FamilySpec("weyl", a, k, n, i == 1)
+                        assert family_stages(spec) == [(i, k)] + [
+                            ((1 - i + j) % 2, None) for j in range(n)
+                        ]
+                        vec, label = tau_sum(a, i, k, n)
+                        elem = closed_canonical_family(spec)
+                        assert (elem.vector, elem.label) == (vec, label), (a, i, k, n)
+                        checked += 1
+        assert checked == 284
 
 
 class TestPiTerms:

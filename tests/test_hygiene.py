@@ -4,8 +4,9 @@ module of src/kcb and tests/ uses what it imports, every process-wide
 memo of src/kcb is listed in MEMOS with its reason, src/kcb checks nothing
 with assert (python -O strips it), only laurent.py and fock.py read the
 coefficient storage `_terms`, src/kcb never encodes with json.dump, every
-CanonicalElement is built by the element check, only
-the reduction pass reads a seed's terms outside vZ[v], only laurent.py
+CanonicalElement is built by the element check, which outside
+canonical.py only the one closed-form builder calls, only the reduction
+pass reads a seed's terms outside vZ[v], only laurent.py
 and fock.py decode a vector term by term (`.terms()`), and every kcb name
 the benchmark in perfbench/ reads still exists.
 
@@ -120,6 +121,8 @@ TEST_ONLY_API = {
     "block_from_json": "reads back the JSON that `kcb block-graph` writes",
     "diamond": "the diamond involution by its definition, a replay of the whole"
     " residue-collected path, against which the duality suite's images are tested",
+    "tau": "the paper's tau^n_i(S), summed term by term against the weyl family's closed form",
+    "choice_sequences": "the paper's choice sequences S(a, k), over which that sum runs",
 }
 
 
@@ -301,6 +304,42 @@ def test_unchecked_element_route_is_found():
     assert _calls(source, {"CanonicalElement"}) == [
         ("checked_element", 2), ("inner", 5), ("<module>", 7)
     ]
+
+
+# the one closed-form builder: outside canonical.py, whose basis and cache
+# reader hand their elements to the check, only it calls checked_element
+CLOSED_FORM_BUILDER = ("closedform.py", "closed_canonical_family")
+
+
+def _check_callers(trees) -> list[str]:
+    """file:line:function of each call of checked_element, by name -> tree,
+    outside canonical.py and the closed-form builder."""
+    return [
+        f"{name}:{line}:{fn}"
+        for name, tree in trees.items()
+        if name != "canonical.py"
+        for fn, line in _calls(tree, {"checked_element"})
+        if (name, fn) != CLOSED_FORM_BUILDER
+    ]
+
+
+def test_one_closed_form_builder():
+    found = _check_callers({p.name: _tree(p) for p in SOURCES + [ROOT / "src" / "kcb" / "__init__.py"]})
+    assert found == [], f"checked_element called outside canonical.py and {CLOSED_FORM_BUILDER}: {found}"
+
+
+def test_second_closed_form_builder_is_found():
+    closedform = ast.parse(
+        "def closed_canonical_family(spec):\n"
+        "    return checked_element(ctx, family_label(ctx, spec), vec)\n"
+        "def closed_canonical_weyl(a, i, k, n):\n"
+        "    return canonical.checked_element(ctx, label, FockVector(terms))\n"
+    )
+    canonical = ast.parse("def element(self, mp):\n    return checked_element(self.ctx, mp, vec)\n")
+    verify = ast.parse("def verify_top_row_forms(a, i, k):\n    return checked_element(ctx, mp, vec)\n")
+    assert _check_callers(
+        {"closedform.py": closedform, "canonical.py": canonical, "verify.py": verify}
+    ) == ["closedform.py:4:closed_canonical_weyl", "verify.py:2:verify_top_row_forms"]
 
 
 def test_reduction_reads_only_in_the_pass():

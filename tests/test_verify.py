@@ -56,14 +56,36 @@ class TestWeyl:
             verify_weyl_stability(2, 0, 1, -2)
 
     def test_failed_closed_form_is_a_mismatch(self, monkeypatch):
-        # every coefficient v^1: the label's is not 1, so no closed form
-        # passes its check; the suite records each and goes on
-        monkeypatch.setattr(closedform, "inv", lambda s: 1)
-        r = verify_weyl_stability(2, 0, 1, 1)
-        assert [i.verdict for i in r.instances] == ["mismatch", "mismatch"]
-        assert all("is not 1" in i.detail["check"] for i in r.instances)
-        r = verify_top_row_forms(2, 0, 1)
-        assert [i.verdict for i in r.instances] == ["mismatch"]
+        # the builder's monomials times v: the label's coefficient is not 1,
+        # so no closed form passes its check; the suite records each and goes on
+        real = closedform.path_monomial
+
+        def times_v(ctx, stages):
+            vec, path, m = real(ctx, stages)
+            return FockVector.zero().add_scaled(vec, LaurentPoly.monomial(1)), path, m
+
+        closedform._canonical_vector.cache_clear()
+        monkeypatch.setattr(closedform, "path_monomial", times_v)
+        try:
+            r = verify_weyl_stability(2, 0, 1, 1)
+            assert [i.verdict for i in r.instances] == ["mismatch", "mismatch"]
+            assert all("is not 1" in i.detail["check"] for i in r.instances)
+            r = verify_top_row_forms(2, 0, 1)
+            assert [i.verdict for i in r.instances] == ["mismatch"]
+        finally:
+            closedform._canonical_vector.cache_clear()
+
+    def test_residue_out_of_range_raises(self):
+        # FamilySpec reads i = 1 as dual: i = 2 must not pass as i = 0
+        with pytest.raises(ValueError, match="residue must be 0 or 1"):
+            verify_top_row_forms(2, 2, 1)
+        with pytest.raises(ValueError, match="residue must be 0 or 1"):
+            verify_weyl_stability(2, 2, 1, 1)
+
+    def test_negative_degree_cap_raises(self):
+        # a negative cap would skip every instance: no instance checked is no pass
+        with pytest.raises(ValueError, match="need degree_cap >= 0"):
+            verify_weyl_stability(1, 0, 1, 1, degree_cap=-5)
 
     def test_degree_cap_skips(self):
         r = verify_weyl_stability(2, 0, 2, 2, degree_cap=13)
@@ -81,6 +103,11 @@ class TestPathFamilies:
     def test_negative_n_max_raises(self):
         with pytest.raises(ValueError, match="need n_max >= 0"):
             verify_path_families(2, "p0k1", 1, -1)
+
+    def test_weyl_is_no_path_family(self):
+        # the weyl family has no partners and no plain reading to report
+        with pytest.raises(ValueError, match="need a path family"):
+            verify_path_families(2, "weyl", 1, 1)
 
     def test_p10k_n0_clean(self):
         r = verify_path_families(2, "p10k", 2, 0)
