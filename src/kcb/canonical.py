@@ -156,11 +156,11 @@ class CanonicalBasis:
     """Canonical-basis computer for one context, with memoization.
 
     The caller owns the basis and its memo of elements; each seed is built
-    from the memoized element of the label's string top.  Pass cache_dir (or
-    set KCB_CACHE_DIR) to persist elements as content-addressed JSON
-    files; a file is served only if it passes the element checks.  The
-    first file that cannot be written costs one RuntimeWarning, not the
-    element, and ends the stores of this basis; its reads go on.
+    from the memoized element of the label's string top.  Only a basis
+    passed cache_dir persists elements, as content-addressed JSON files;
+    a file is served only if it passes the element checks.  The first file
+    that cannot be written costs one RuntimeWarning, not the element, and
+    ends the stores of this basis; its reads go on.
     """
 
     def __init__(self, ctx: FockContext, cache_dir: str | None = None):
@@ -170,7 +170,7 @@ class CanonicalBasis:
         # one int per distinct coefficient value of the computed elements
         # (all over the exponent base 0), dropped with the basis
         self._coefficients: dict[int, int] = {}
-        self._cache_dir = cache_dir or os.environ.get("KCB_CACHE_DIR")
+        self._cache_dir = cache_dir
         self._storing = bool(self._cache_dir)  # until the first failed store
 
     # seeds

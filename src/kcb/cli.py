@@ -237,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_context_opts(p)
     p.add_argument("--mp", type=str, required=True,
                    help='multipartition literal, e.g. "[[3],[]]"')
-    p.add_argument("--cache-dir", type=str, default=None, help="default: $KCB_CACHE_DIR")
+    p.add_argument("--cache-dir", type=str, default=None, help="persist elements as JSON files here")
     _add_common(p)
     p.set_defaults(fn=cmd_canonical)
 
@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--i", type=int, default=None, choices=(0, 1), help="weyl only (default 0)")
     p.add_argument("--dual", action="store_true", help="path families only")
-    _add_common(p)
+    _add_common(p, ("json",))
     p.set_defaults(fn=cmd_closed_form)
 
     p = sub.add_parser("verify", help="run a verification suite")

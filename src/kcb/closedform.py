@@ -38,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations
+from operator import add
 
 from .canonical import CanonicalElement, checked_element
 from .crystal import f_tilde_string
@@ -94,20 +95,12 @@ def choice_sequences(c: int, k: int) -> list[ChoiceSequence]:
 # shape function
 
 
-@lru_cache(maxsize=None)
 def shape_fn(a: int, k: int, ell: int) -> int:
-    """Recursive count of choice sequences in S(a, k) with inversion ell.
-
-    s(1,0,0) = s(1,1,0) = 1, s(a,k,l) = s(a-1,k-1,l) + s(a-1,k,l-k);
-    zero outside 0 <= l <= k(a-k).
-    """
-    if a < 1 or k < 0 or k > a:
+    """The number of choice sequences in S(a, k) with inversion ell, read
+    off shape_table(a); zero outside a >= 1, 0 <= k <= a, 0 <= l <= k(a-k)."""
+    if a < 1 or not 0 <= k <= a or not 0 <= ell <= k * (a - k):
         return 0
-    if ell < 0 or ell > k * (a - k):
-        return 0
-    if a == 1:
-        return 1 if ell == 0 else 0
-    return shape_fn(a - 1, k - 1, ell) + shape_fn(a - 1, k, ell - k)
+    return shape_table(a)[k][ell]
 
 
 def shape_fn_closed(a: int, k: int, ell: int) -> int:
@@ -139,13 +132,26 @@ def shape_fn_closed(a: int, k: int, ell: int) -> int:
 
 
 def shape_row(a: int, k: int) -> tuple[int, ...]:
-    return tuple(shape_fn(a, k, ell) for ell in range(k * (a - k) + 1))
+    return shape_table(a)[k]
 
 
 def shape_table(a: int) -> dict[int, tuple[int, ...]]:
+    """The rows k = 0..a of the shape function s(a, k, l), l = 0..k(a-k),
+    built bottom-up from s(1,0,0) = s(1,1,0) = 1 by
+    s(a,k,l) = s(a-1,k-1,l) + s(a-1,k,l-k), keeping only the previous a."""
     if a < 1:
         raise ValueError(f"need a >= 1, got {a}")
-    return {k: shape_row(a, k) for k in range(a + 1)}
+    rows = [[1], [1]]
+    for b in range(2, a + 1):
+        nxt = []
+        for k in range(b + 1):
+            # s(b-1,k-1,.) padded to length k(b-k)+1, plus s(b-1,k,.) shifted by k
+            row = rows[k - 1] + [0] * (b - k) if k else [0]
+            if k < b:
+                row[k:] = map(add, row[k:], rows[k])
+            nxt.append(row)
+        rows = nxt
+    return {k: tuple(row) for k, row in enumerate(rows)}
 
 
 # tau families

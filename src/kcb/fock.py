@@ -597,7 +597,7 @@ def _exponent_map(items) -> dict[int, int]:
     return out
 
 
-# f_i^(k) of every basis term seen so far, per expansion_key: the
+# f_i^(k) of every basis term seen so far, per (e, charges, i, k): the
 # multipartition -> (low, mps, shifts) memo that apply_f_divided reads.
 # Each entry holds two flat tuples in subset order and no tuple per term:
 # one (term, shift) pair per term took 10.7 MB on the a = 2 benchmark.
@@ -615,13 +615,6 @@ def rotation_class(ctx: FockContext) -> tuple:
     e = 3 with charges (0, 1, 2), not for e = 3 with (0, 0, 1)."""
     e, first = ctx.e, ctx.charges[0]
     return e, tuple((c - first) % e for c in ctx.charges)
-
-
-def expansion_key(ctx: FockContext, i: int, k: int) -> tuple:
-    """The _EXPANSIONS key of f_i^(k) under ctx: its rotation_class, then
-    (i - c_1) mod e and k, so that every context of one class shares the
-    table."""
-    return (*rotation_class(ctx), (i - ctx.charges[0]) % ctx.e, k)
 
 
 def _expansion(ctx: FockContext, mp: Multipartition, i: int, k: int):
@@ -652,8 +645,7 @@ def apply_f_divided(ctx: FockContext, vec: FockVector, i: int, k: int) -> FockVe
     if k == 0:
         return vec
     t = vec._terms
-    memo = _EXPANSIONS.setdefault(expansion_key(ctx, i, k), {})
-    # a miss runs under the caller's context and stores its entry
+    memo = _EXPANSIONS.setdefault((ctx.e, ctx.charges, i, k), {})
     expansions = [memo.get(mp) or memo.setdefault(mp, _expansion(ctx, mp, i, k)) for mp in t]
     low = min((lo for lo, mps, _ in expansions if mps), default=0)
     out: dict[Multipartition, int] = {}

@@ -101,10 +101,9 @@ class TestCanonical:
         _, b = run(capsys, "canonical", "--a", "2", "--mp", "[[2],[],[1],[]]")
         assert a == b
 
-    def test_unwritable_cache_dir_still_prints(self, capsys, tmp_path, monkeypatch):
+    def test_unwritable_cache_dir_still_prints(self, capsys, tmp_path):
         # the disk cache is optional: a regular file at --cache-dir costs
         # one warning, not the element, and no store is tried after it
-        monkeypatch.delenv("KCB_CACHE_DIR", raising=False)
         argv = ("canonical", "--a", "1", "--mp", "[[2],[1]]")
         code, plain = run(capsys, *argv)
         assert code == 0
@@ -149,6 +148,15 @@ class TestClosedForm:
         assert code == 0
         assert json.loads(out)["terms"][0]["multipartition"] == [[2, 1], []]
 
+    def test_json_is_the_only_format(self, capsys):
+        # --format text once printed JSON and exited 0
+        argv = ["closed-form", "--family", "weyl", "--a", "1", "--k", "1"]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--format", "text"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert run(capsys, *argv, "--format", "json") == run(capsys, *argv)
+
     @pytest.mark.parametrize("a,k", [("2", "1"), ("1", "0")])
     def test_weyl_negative_n_exit_2(self, capsys, a, k):
         code = main(["closed-form", "--family", "weyl", "--a", a, "--k", k, "--n", "-1"])
@@ -189,6 +197,13 @@ class TestVerify:
                         "--charges", "0,1", "--max-degree", "5")
         assert code == 0
         assert "PASS" in out
+
+    def test_environment_turns_no_cache_on(self, capsys, tmp_path, monkeypatch):
+        # only --cache-dir uses the disk: a suite's oracle is never read from a file
+        monkeypatch.setenv("KCB_CACHE_DIR", str(tmp_path))
+        code, _ = run(capsys, "verify", "--suite", "duality", "--a", "2", "--max-degree", "6")
+        assert code == 0
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("e, charges", [("2", "1"), ("3", "1,2")])
     def test_svelte_without_charge_0(self, capsys, e, charges):

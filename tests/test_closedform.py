@@ -42,6 +42,23 @@ def S(*bits):
     return ChoiceSequence(tuple(bits))
 
 
+def gaussian_binomial(a, k):
+    """The coefficients of [a choose k]_q, one factor of the product at a
+    time: after factor j it is [a-k+j choose j]_q, so each division by
+    1 - q^j is exact."""
+    poly = [1]
+    for j in range(1, k + 1):
+        m = a - k + j
+        out = poly + [0] * m
+        for d, c in enumerate(poly):
+            out[d + m] -= c
+        for d in range(j, len(out)):
+            out[d] += out[d - j]
+        assert out[len(out) - j:] == [0] * j
+        poly = out[: len(out) - j]
+    return tuple(poly)
+
+
 class TestInv:
     def test_examples(self):
         assert inv(S(0, 0, 1)) == 2
@@ -100,23 +117,23 @@ class TestShapeFn:
             for k in range(a + 1):
                 assert sum(shape_row(a, k)) == comb(a, k)
 
-    def test_symmetry_k_le_2(self):
-        for a in range(1, 11):
-            for k in (1, 2):
-                if k > a:
-                    continue
-                d = k * (a - k)
-                for ell in range(d + 1):
-                    assert shape_fn(a, k, ell) == shape_fn(a, k, d - ell)
+    def test_rows_are_palindromic(self):
+        # reversing a sequence of S(a, k) maps inv to k(a-k) - inv
+        for a in range(1, 41):
+            for k, row in shape_table(a).items():
+                assert row == row[::-1], (a, k)
 
-    def test_symmetry_k3_observed(self):
-        # not asserted in general; record the small-range observation
-        for a in range(3, 11):
-            d = 3 * (a - 3)
-            assert all(
-                shape_fn(a, 3, ell) == shape_fn(a, 3, d - ell) for ell in range(d + 1)
-            )
+    def test_matches_gaussian_binomial(self):
+        # sum_l s(a, k, l) q^l = prod_j (1 - q^(a-k+j)) / (1 - q^j), j = 1..k
+        for a in range(1, 41):
+            for k, row in shape_table(a).items():
+                assert row == gaussian_binomial(a, k), (a, k)
 
+    def test_zero_outside_the_rows(self):
+        assert shape_fn(0, 0, 0) == 0
+        assert shape_fn(3, -1, 0) == shape_fn(3, 4, 0) == 0
+        assert shape_fn(4, 2, -1) == shape_fn(4, 2, 5) == 0
+        assert shape_fn(4, 2, 4) == 1
 
     @pytest.mark.parametrize("a", [0, -1])
     def test_table_needs_a_at_least_one(self, a):

@@ -1,8 +1,9 @@
 """Source hygiene: every function and class in src/kcb is used somewhere,
 those used only by tests are exactly the listed TEST_ONLY_API, every
 module of src/kcb and tests/ uses what it imports, every process-wide
-memo of src/kcb is listed in MEMOS with its reason, src/kcb checks nothing
-with assert (python -O strips it), only laurent.py and fock.py read the
+memo of src/kcb is listed in MEMOS with its reason, src/kcb reads no
+environment variable, src/kcb checks nothing with assert (python -O
+strips it), only laurent.py and fock.py read the
 coefficient storage `_terms`, src/kcb never encodes with json.dump, every
 CanonicalElement is built by the element check, which outside
 canonical.py only the one closed-form builder calls, only the reduction
@@ -121,6 +122,7 @@ TEST_ONLY_API = {
     "block_from_json": "reads back the JSON that `kcb block-graph` writes",
     "diamond": "the diamond involution by its definition, a replay of the whole"
     " residue-collected path, against which the duality suite's images are tested",
+    "shape_fn": "the paper's shape function s(a, k, l) at one point, zero outside its rows",
     "tau": "the paper's tau^n_i(S), summed term by term against the weyl family's closed form",
     "choice_sequences": "the paper's choice sequences S(a, k), over which that sum runs",
 }
@@ -146,14 +148,12 @@ def test_test_only_definitions_are_listed():
 # ever cleared, so each grows with all the work of the process; a new one
 # fails until it is listed here with why it is worth its memory
 MEMOS = {
-    "_EXPANSIONS": "fock: f_i^(k) of each basis term per charge rotation class and (i, k),"
-    " as two flat tuples; a context and its shifted dual share one table",
+    "_EXPANSIONS": "fock: f_i^(k) of each basis term per context and (i, k), as two flat tuples",
     "_SHARED": "fock: one object per distinct spliced component, expansion term and shift int",
     "_STEPS": "partitions: one dominance step per pair of unequal components, one inner"
     " dict per dominating component",
     "build_parser": "cli: the argparse parser, built once per process; verify_cli parses"
     " 36 argv lists, and building a parser costs about ten times parsing one",
-    "shape_fn": "closedform: the paper's shape function s(a, k, l), recursive in a",
     "_canonical_vector": "closedform: a family's closed-form vector, built from its memoised partners",
     "transpose": "partitions: the conjugate of each partition",
 }
@@ -195,6 +195,47 @@ def test_memos_are_listed():
         f"memos not listed: {sorted(set(found) - set(MEMOS))}; "
         f"listed but not memos: {sorted(set(MEMOS) - set(found))}"
     )
+
+
+# what reads the process environment: os.environ, os.getenv and their
+# bytes forms, as attributes or imported bare.  Every input of src/kcb is
+# an argument, so that no run depends on a variable its caller cannot see:
+# a cache directory turned on that way would feed the verify suites'
+# oracle from disk, where no file is checked for bar-invariance
+ENV_READS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def _environment_reads(tree: ast.Module) -> list[int]:
+    """Lines that name one of ENV_READS, or import one from a module."""
+    return sorted({
+        node.lineno
+        for node in ast.walk(tree)
+        if getattr(node, "attr", getattr(node, "id", None)) in ENV_READS
+        or isinstance(node, ast.ImportFrom) and any(a.name in ENV_READS for a in node.names)
+    })
+
+
+def test_no_environment_reads():
+    found = [
+        f"{path.name}:{line}"
+        for path in SOURCES + [ROOT / "src" / "kcb" / "__init__.py"]
+        for line in _environment_reads(_tree(path))
+    ]
+    assert found == [], f"src/kcb reads the environment (take an argument): {found}"
+
+
+def test_environment_read_is_found():
+    source = ast.parse(
+        "import os\n"
+        "from os import getenv\n"
+        "class Basis:\n"
+        "    def __init__(self, cache_dir=None):\n"
+        "        self.dir = cache_dir or os.environ.get('KCB_CACHE_DIR')\n"
+        "def home():\n"
+        "    return getenv('HOME'), os.getenv('USER')\n"
+        "PATH = os.environb[b'PATH']\n"
+    )
+    assert _environment_reads(source) == [2, 5, 7, 8]
 
 
 def test_no_unused_imports():

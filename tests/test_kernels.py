@@ -258,8 +258,9 @@ def test_dominates_list_components_never_answer_wrong(pair, as_list):
 
 def test_shifted_contexts_share_expansions(monkeypatch):
     # each dual has its context's charges plus 1, so f_i on the context and
-    # f_(i+1) on the dual read one entry object: symmetric_context(2) and
-    # e = 3 with charges (0, 1, 2)
+    # f_(i+1) on the dual give one vector: symmetric_context(2) and e = 3
+    # with charges (0, 1, 2).  Each context keeps tables of its own, and
+    # their entries share every term object through _SHARED
     for ctx, shifted in [
         (FockContext(2, (0, 0, 1, 1)), FockContext(2, (1, 1, 0, 0))),
         (FockContext(3, (0, 1, 2)), FockContext(3, (1, 2, 0))),
@@ -270,10 +271,12 @@ def test_shifted_contexts_share_expansions(monkeypatch):
         for i in range(ctx.e):
             j = (i + 1) % ctx.e
             got = apply_f_divided(ctx, FockVector.basis(mp), i, 1)
-            entry = fock._EXPANSIONS[fock.expansion_key(ctx, i, 1)][mp]
             assert apply_f_divided(shifted, FockVector.basis(mp), j, 1) == got
-            assert fock._EXPANSIONS[fock.expansion_key(shifted, j, 1)][mp] is entry
-        assert len(fock._EXPANSIONS) == ctx.e  # one table per i, not two
+            entry = fock._EXPANSIONS[ctx.e, ctx.charges, i, 1][mp]
+            other = fock._EXPANSIONS[shifted.e, shifted.charges, j, 1][mp]
+            assert other == entry and other is not entry
+            assert all(x is y for x, y in zip(other[1], entry[1]))
+        assert len(fock._EXPANSIONS) == 2 * ctx.e  # one table per context and i
 
 
 @pytest.mark.parametrize("ctx, shifted, degree", [
@@ -366,7 +369,7 @@ def _checked_entry(ctx, mp, i, k):
     object _SHARED holds for its value, so equal ones of all entries are
     one object."""
     apply_f_divided(ctx, FockVector.basis(mp), i, k)
-    entry = fock._EXPANSIONS[fock.expansion_key(ctx, i, k)][mp]
+    entry = fock._EXPANSIONS[ctx.e, ctx.charges, i, k][mp]
     terms = [
         divided_power_term_reference(mp, subset)
         for subset in combinations(addable_exponents(ctx, mp, i), k)
