@@ -117,6 +117,24 @@ class TestShapeFn:
             for k in range(a + 1):
                 assert sum(shape_row(a, k)) == comb(a, k)
 
+    def test_symmetry_k_le_2(self):
+        for a in range(1, 11):
+            for k in (1, 2):
+                if k > a:
+                    continue
+                d = k * (a - k)
+                for ell in range(d + 1):
+                    assert shape_fn(a, k, ell) == shape_fn(a, k, d - ell)
+
+    def test_symmetry_k3_observed(self):
+        # the k = 3 case pointwise through shape_fn; every row of the
+        # table is checked below
+        for a in range(3, 11):
+            d = 3 * (a - 3)
+            assert all(
+                shape_fn(a, 3, ell) == shape_fn(a, 3, d - ell) for ell in range(d + 1)
+            )
+
     def test_rows_are_palindromic(self):
         # reversing a sequence of S(a, k) maps inv to k(a-k) - inv
         for a in range(1, 41):
