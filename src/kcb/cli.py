@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import errno
 import functools
+import inspect
 import json
 import os
 import sys
@@ -28,15 +29,11 @@ from .crystal import (
 )
 from .fock import FockContext, symmetric_context
 from .partitions import mp_from_json, mp_to_json
-from .verify import (
-    conjecture_scan,
-    verify_duality,
-    verify_path_families,
-    verify_structural,
-    verify_svelte_step,
-    verify_top_row_forms,
-    verify_weyl_stability,
-)
+from .verify import SUITES
+
+# perfbench's tests and tests/test_hygiene.py::test_benchmark_reads_resolve
+# pin this name; kcb verify runs SUITES["duality"] itself
+verify_duality = SUITES["duality"]
 
 
 class UsageError(Exception):
@@ -160,43 +157,42 @@ def cmd_closed_form(args) -> int:
     return 0
 
 
-# per suite: the options it reads beyond the context, its default
-# --max-degree and its call.  A call looks its verify_* function up when
-# it runs, so a wrapper bound to that name in this module is the one run.
-_SUITES = {
-    "top-row": (("i", "k"), None, lambda o: verify_top_row_forms(o.a, o.i, o.k)),
-    "weyl": (("i", "k", "n", "max_degree"), 13,
-             lambda o: verify_weyl_stability(o.a, o.i, o.k, o.n, o.max_degree)),
-    "families": (("family", "k", "n"), None,
-                 lambda o: verify_path_families(o.a, o.family, o.k, o.n)),
-    "duality": (("max_degree",), 8, lambda o: verify_duality(_context_from(o), o.max_degree)),
-    "svelte": (("max_degree",), 13, lambda o: verify_svelte_step(_context_from(o), o.max_degree)),
-    "structural": (("max_degree",), 9, lambda o: verify_structural(o.a, o.max_degree)),
-    "conjecture": (("max_degree",), 13, lambda o: conjecture_scan(o.a, o.max_degree)),
+# the kcb verify options, in the order an unread one is named; a suite
+# reads those its SUITES function takes, with that function's defaults
+_VERIFY_OPTIONS = {
+    "i": {"type": int, "choices": (0, 1)},
+    "k": {"type": int},
+    "n": {"type": int},
+    "family": {"choices": PATH_FAMILIES},
+    "max_degree": {"type": int},
 }
 
 
 def cmd_verify(args) -> int:
-    suite = args.suite
-    if suite not in ("duality", "svelte") and (args.a is None or args.charges or args.e != 2):
-        raise UsageError(f"suite {suite} needs --a (charges 0^a 1^a), no --charges, and --e 2")
-    reads, degree, call = _SUITES[suite]
-    unread = [
-        "--" + opt.replace("_", "-")
-        for opt in ("i", "k", "n", "family", "max_degree")
-        if getattr(args, opt, None) is not None and opt not in reads
-    ]
+    suite = SUITES[args.suite]  # looked up per run: a wrapper put in SUITES is the one run
+    first, *reads = inspect.signature(suite).parameters
+    if first == "a" and (args.a is None or args.charges or args.e != 2):
+        raise UsageError(f"suite {args.suite} needs --a (charges 0^a 1^a), no --charges, and --e 2")
+    given = {opt: getattr(args, opt) for opt in _VERIFY_OPTIONS if getattr(args, opt) is not None}
+    unread = ["--" + opt.replace("_", "-") for opt in given if opt not in reads]
     if unread:
-        raise UsageError(f"suite {suite} does not read {', '.join(unread)}")
-    for opt, default in (("i", 0), ("k", 1), ("n", 1), ("family", "p0k1"), ("max_degree", degree)):
-        if getattr(args, opt, None) is None:
-            setattr(args, opt, default)
-    report = call(args)
+        raise UsageError(f"suite {args.suite} does not read {', '.join(unread)}")
+    report = suite(args.a if first == "a" else _context_from(args), **given)
     if args.format == "json":
         _emit_json(report.to_json(), args)
     else:
         _emit(report.to_text(), args)
     return 0 if report.passed else 1
+
+
+def _readers(opt: str) -> str:
+    """The suites that take a verify option, grouped by their default."""
+    by_default: dict = {}
+    for name, suite in sorted(SUITES.items()):
+        param = inspect.signature(suite).parameters.get(opt)
+        if param is not None:
+            by_default.setdefault(param.default, []).append(name)
+    return "; ".join(f"{', '.join(names)} (default {d})" for d, names in by_default.items())
 
 
 def _add_context_opts(p: argparse.ArgumentParser) -> None:
@@ -257,16 +253,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_closed_form)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", required=True, choices=sorted(_SUITES))
+    p.add_argument("--suite", required=True, choices=sorted(SUITES))
     _add_context_opts(p)
-    p.add_argument("--k", type=int, default=None, help="top-row, weyl, families (default 1)")
-    p.add_argument("--i", type=int, default=None, choices=(0, 1),
-                   help="top-row, weyl (default 0)")
-    p.add_argument("--n", type=int, default=None, help="weyl, families (default 1)")
-    p.add_argument("--family", choices=PATH_FAMILIES, default=None,
-                   help="families (default p0k1)")
-    p.add_argument("--max-degree", type=int, default=None,
-                   help="every suite but top-row and families")
+    for opt, kwargs in _VERIFY_OPTIONS.items():
+        p.add_argument("--" + opt.replace("_", "-"), default=None, help=_readers(opt), **kwargs)
     _add_common(p, ("text", "json"))
     p.set_defaults(fn=cmd_verify)
 

@@ -100,7 +100,7 @@ def _weyl_spec(a: int, i: int, k: int, n: int) -> FamilySpec:
     return FamilySpec("weyl", a, k, n, i == 1)
 
 
-def verify_top_row_forms(a: int, i: int, k: int) -> VerificationReport:
+def verify_top_row_forms(a: int, i: int = 0, k: int = 1) -> VerificationReport:
     """Top-row closed form equals the recursive element; shape matches the
     recursive shape function."""
     report = VerificationReport("top-row", {"a": a, "i": i, "k": k})
@@ -126,27 +126,28 @@ def verify_top_row_forms(a: int, i: int, k: int) -> VerificationReport:
 
 
 def verify_weyl_stability(
-    a: int, i: int, k: int, n_max: int, degree_cap: int = 13
+    a: int, i: int = 0, k: int = 1, n: int = 1, max_degree: int = 13
 ) -> VerificationReport:
-    """String-reflected top-row elements keep the same coefficients and shape."""
+    """String-reflected top-row elements keep the same coefficients and
+    shape, for 0..n strings; labels beyond max_degree are skipped."""
     report = VerificationReport(
-        "weyl-stability", {"a": a, "i": i, "k": k, "n_max": n_max, "degree_cap": degree_cap}
+        "weyl-stability", {"a": a, "i": i, "k": k, "n_max": n, "degree_cap": max_degree}
     )
-    if n_max < 0:
-        raise ValueError(f"need n_max >= 0, got {n_max}")
-    if degree_cap < 0:  # it would skip every instance
-        raise ValueError(f"need degree_cap >= 0, got {degree_cap}")
+    if n < 0:
+        raise ValueError(f"need n_max >= 0, got {n}")
+    if max_degree < k:  # the top row has degree k and each string adds to it: all skipped
+        raise ValueError(f"need max_degree >= k, got max_degree={max_degree}, k={k}")
     basis = CanonicalBasis(symmetric_context(a))
-    for n in range(n_max + 1):
+    for strings in range(n + 1):
         try:
-            closed = closed_canonical_family(_weyl_spec(a, i, k, n))
+            closed = closed_canonical_family(_weyl_spec(a, i, k, strings))
         except ReductionError as exc:
-            params = {"a": a, "i": i, "k": k, "n": n}
+            params = {"a": a, "i": i, "k": k, "n": strings}
             report.instances.append(Instance(params, "mismatch", {"check": str(exc)}))
             continue
         size = total_size(closed.label)
-        params = {"a": a, "i": i, "k": k, "n": n, "degree": size}
-        if size > degree_cap:
+        params = {"a": a, "i": i, "k": k, "n": strings, "degree": size}
+        if size > max_degree:
             report.instances.append(Instance(params, "info", {"skipped": "beyond degree cap"}))
             continue
         oracle = basis.element(closed.label)
@@ -156,7 +157,7 @@ def verify_weyl_stability(
     return report
 
 
-def verify_path_families(a: int, family: str, k: int, n_max: int) -> VerificationReport:
+def verify_path_families(a: int, family: str = "p0k1", k: int = 1, n: int = 1) -> VerificationReport:
     """Path-family closed forms against the recursive elements.
 
     Each instance records which raw exponent reading (plain / corrected)
@@ -165,19 +166,19 @@ def verify_path_families(a: int, family: str, k: int, n_max: int) -> Verificatio
     families' closed forms, is not reported.
     """
     report = VerificationReport(
-        "path-families", {"a": a, "family": family, "k": k, "n_max": n_max}
+        "path-families", {"a": a, "family": family, "k": k, "n_max": n}
     )
-    if n_max < 0:
-        raise ValueError(f"need n_max >= 0, got {n_max}")
+    if n < 0:
+        raise ValueError(f"need n_max >= 0, got {n}")
     if family not in PATH_FAMILIES:
         raise ValueError(f"need a path family {PATH_FAMILIES}, got {family!r}")
     ctx = symmetric_context(a)
     basis = CanonicalBasis(ctx)
     for dual in (False, True):
-        for n in range(n_max + 1):
-            spec = FamilySpec(family, a, k, n, dual)
+        for strings in range(n + 1):
+            spec = FamilySpec(family, a, k, strings, dual)
             label = family_label(ctx, spec)
-            params = {"a": a, "family": family, "k": k, "n": n, "dual": dual,
+            params = {"a": a, "family": family, "k": k, "n": strings, "dual": dual,
                       "degree": total_size(label)}
             plain, corrected = family_vectors(ctx, spec)
             oracle = basis.element(label)
@@ -188,7 +189,7 @@ def verify_path_families(a: int, family: str, k: int, n_max: int) -> Verificatio
                 "rule_matches": {"plain": match_plain, "corrected": match_corr},
                 "flagged_subcase": spec.flagged,
             }
-            if n >= 1:
+            if strings >= 1:
                 expected_defect = (k - 1) * (a - k + 1) + 2 * a
                 detail["defect_ok"] = oracle.weight.defect == expected_defect
             supp = set(oracle.vector.support())
@@ -208,7 +209,7 @@ def verify_path_families(a: int, family: str, k: int, n_max: int) -> Verificatio
     return report
 
 
-def verify_duality(ctx: FockContext, max_degree: int) -> VerificationReport:
+def verify_duality(ctx: FockContext, max_degree: int = 8) -> VerificationReport:
     """The conjugate/diamond duality across the dual pair of crystals, plus
     the defect-0 and defect-1 characterizations and the uniqueness of the
     v^defect term.
@@ -273,7 +274,7 @@ def verify_duality(ctx: FockContext, max_degree: int) -> VerificationReport:
     return report
 
 
-def verify_svelte_step(ctx: FockContext, max_degree: int) -> VerificationReport:
+def verify_svelte_step(ctx: FockContext, max_degree: int = 13) -> VerificationReport:
     """Above every defect-0 bottom end of an i-string, the single-step-up
     element is svelte with defect one less than the string length.  In a
     symmetric context (e = 2, a_0 = a_1 = a) the length is also an odd
@@ -322,7 +323,7 @@ def verify_svelte_step(ctx: FockContext, max_degree: int) -> VerificationReport:
 KNOWN_CONGRUENCE_CLASSES = {1: {0}, 2: {0, 1}, 3: {0, 2}, 4: {0, 3, 4}}
 
 
-def verify_structural(a: int, max_degree: int) -> VerificationReport:
+def verify_structural(a: int, max_degree: int = 9) -> VerificationReport:
     """Defect congruence classes, the (k,1)/(1,k) weight-space dimensions,
     and the hub/string-length law over a generated symmetric graph."""
     report = VerificationReport("structural", {"a": a, "max_degree": max_degree})
@@ -379,7 +380,7 @@ def verify_structural(a: int, max_degree: int) -> VerificationReport:
     return report
 
 
-def conjecture_scan(a: int, max_degree: int) -> VerificationReport:
+def conjecture_scan(a: int, max_degree: int = 13) -> VerificationReport:
     """Exploratory scan: for every external weight and every vertex there,
     test whether the staged sums of its residue-collected path (the
     corrected divided-power monomial, then the plain inversion sum)
@@ -451,6 +452,10 @@ def conjecture_scan(a: int, max_degree: int) -> VerificationReport:
     return report
 
 
+# `kcb verify --suite NAME` runs SUITES[NAME] and reads its signature: the
+# first parameter, a or ctx, is the context (--a, or --e with --charges);
+# every other is the verify option of its name, and its default is the
+# command's
 SUITES = {
     "top-row": verify_top_row_forms,
     "weyl": verify_weyl_stability,

@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import json
 
 import pytest
@@ -213,9 +214,6 @@ class TestVerify:
         assert code in (0, 1)
         assert out.startswith("suite svelte")
 
-    def test_every_suite_has_one_table_row(self):
-        assert sorted(cli._SUITES) == sorted(SUITES)
-
     def test_unknown_suite_exit2(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "nope"])
@@ -246,8 +244,11 @@ class TestVerify:
         ("structural", "max_degree"), ("conjecture", "max_degree"),
     ])
     def test_explicit_max_degree_zero(self, capsys, suite, key):
-        code, out = run(capsys, "verify", "--suite", suite, "--a", "2",
-                        "--max-degree", "0", "--format", "json")
+        argv = ("verify", "--suite", suite, "--a", "2", "--max-degree", "0", "--format", "json")
+        code, out = run(capsys, *argv)
+        if suite == "weyl":  # below the top row's degree k = 1 the suite checks nothing
+            assert code == 2 and out == ""
+            code, out = run(capsys, *argv, "--k", "0")
         assert code == 0
         assert json.loads(out)["params"][key] == 0
 
@@ -286,7 +287,7 @@ class TestVerify:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert "need degree_cap >= 0" in captured.err
+        assert captured.err == "kcb: need max_degree >= k, got max_degree=-5, k=1\n"
 
     @pytest.mark.parametrize("argv", [
         ("closed-form", "--family", "weyl", "--a", "2", "--k", "5"),
@@ -308,6 +309,52 @@ class TestVerify:
         assert code == 2
         assert captured.out == ""
         assert "need n_max >= 0" in captured.err
+
+
+def _suite_signature_faults(suite) -> list[str]:
+    """What keeps kcb verify from reading a suite off its signature: a first
+    parameter other than a or ctx, or a later one that is no verify option
+    or has no default."""
+    first, *rest = inspect.signature(suite).parameters.values()
+    faults = [] if first.name in ("a", "ctx") else [f"first {first.name}"]
+    return faults + [p.name for p in rest
+                     if p.name not in cli._VERIFY_OPTIONS or p.default is p.empty]
+
+
+def test_every_suite_takes_a_context_then_defaulted_options():
+    assert {name: _suite_signature_faults(fn) for name, fn in SUITES.items()} == (
+        {name: [] for name in SUITES})
+
+
+def test_suite_signature_fault_is_found():
+    def unknown(a, k=1, q=2):
+        pass
+
+    def undefaulted(ctx, max_degree):
+        pass
+
+    def no_context(k=1):
+        pass
+
+    assert _suite_signature_faults(unknown) == ["q"]
+    assert _suite_signature_faults(undefaulted) == ["max_degree"]
+    assert _suite_signature_faults(no_context) == ["first k"]
+
+
+@pytest.mark.parametrize("suite, params", [
+    ("top-row", {"a": 1, "i": 0, "k": 1}),
+    ("weyl", {"a": 1, "i": 0, "k": 1, "n_max": 1, "degree_cap": 13}),
+    ("families", {"a": 1, "family": "p0k1", "k": 1, "n_max": 1}),
+    ("duality", {"e": 2, "charges": [0, 1], "max_degree": 8}),
+    ("svelte", {"e": 2, "charges": [0, 1], "max_degree": 13}),
+    ("structural", {"a": 1, "max_degree": 9}),
+    ("conjecture", {"a": 1, "max_degree": 13}),
+])
+def test_suite_defaults(capsys, suite, params):
+    # with no option given, each suite runs on its function's defaults
+    code, out = run(capsys, "verify", "--suite", suite, "--a", "1", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["params"] == params
 
 
 class TestOutputFile:
@@ -346,6 +393,8 @@ class TestOutputFile:
             raise AssertionError(f"{name} ran before --out was checked")
 
         monkeypatch.setattr(cli, name, never)
+        if name == "verify_duality":  # kcb verify runs the suite from the table
+            monkeypatch.setitem(SUITES, "duality", never)
         (tmp_path / "file").write_text("")
         target = {
             "missing-parent": tmp_path / "missing" / "x.json",

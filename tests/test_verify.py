@@ -83,12 +83,15 @@ class TestWeyl:
             verify_weyl_stability(2, 2, 1, 1)
 
     def test_negative_degree_cap_raises(self):
-        # a negative cap would skip every instance: no instance checked is no pass
-        with pytest.raises(ValueError, match="need degree_cap >= 0"):
-            verify_weyl_stability(1, 0, 1, 1, degree_cap=-5)
+        # a cap below the top row's degree k would skip every instance: no
+        # instance checked is no pass
+        with pytest.raises(ValueError, match="need max_degree >= k"):
+            verify_weyl_stability(1, 0, 1, 1, max_degree=-5)
+        with pytest.raises(ValueError, match="got max_degree=1, k=2"):
+            verify_weyl_stability(2, 0, 2, 1, max_degree=1)
 
     def test_degree_cap_skips(self):
-        r = verify_weyl_stability(2, 0, 2, 2, degree_cap=13)
+        r = verify_weyl_stability(2, 0, 2, 2, max_degree=13)
         verds = [i.verdict for i in r.instances]
         assert "info" in verds  # n = 2 instance exceeds the cap
         assert r.passed
