@@ -2,12 +2,14 @@
 reduction to the canonical basis, plus shape, sveltness, the diamond
 involution, and serialization.
 
-The seed of G(mu) is A = f_i^(k) G(mu'), where (i, k) is the last segment
-of mu's residue-collected path and mu' = e~_i^k(mu) is the top of mu's
-i-string (Lascoux-Leclerc-Thibon; Fayers for higher level).  It is
-bar-invariant, and by Kashiwara's divided-power rule G(mu) occurs in it
-with coefficient exactly 1.  The reduction expresses A over the canonical
-elements at the same weight and strips off everything but G(mu).  Write
+The seed of G(mu) is A = f_i^(k) G(mu'), where k = eps_i(mu) > 0 and
+mu' = e~_i^k(mu) is the top of mu's i-string (Lascoux-Leclerc-Thibon;
+Fayers for higher level).  It is bar-invariant, and by Kashiwara's
+divided-power rule G(mu) occurs in it with coefficient exactly 1, for any
+such i (Duke Math. J. 69, 1993).  seed_string takes the i whose top has
+the lowest defect, the smallest such i on a tie.  The reduction
+expresses A over the canonical elements at the same weight and strips
+off everything but G(mu).  Write
 A = sum_nu m_nu G(nu) with every m_nu bar-symmetric and m_mu = 1.  The
 reduction is one pass, in decreasing tuple order, over the terms of V = A
 whose coefficient lies outside vZ[v].  Tuple order refines dominance:
@@ -26,7 +28,7 @@ takes any seed built by divided powers from canonical elements, such as
 the monomial of mu's whole path, and checks that no m_nu has a negative
 coefficient.  It returns G(mu) and its certificate, the (nu, m_nu) it
 subtracted in that order.  CanonicalBasis._compute checks Kashiwara's rule
-of f_i^(k) G(top), eps_i(nu) > k, over the certificate.
+of the seed's f_i^(k) G(top), eps_i(nu) > k, over the certificate.
 """
 from __future__ import annotations
 
@@ -37,7 +39,8 @@ import tempfile
 import warnings
 from bisect import insort
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import reduce
 
 from .crystal import (
     NotAVertexError,
@@ -45,11 +48,11 @@ from .crystal import (
     _reduced_signature,
     f_tilde_string,
     generate_crystal,
+    good_strings,
     residue_collected_path,
-    string_top,
     weight_info,
 )
-from .fock import CoefficientError, FockContext, FockVector, apply_f_divided, content
+from .fock import CoefficientError, FockContext, FockVector, Node, apply_f_divided, content, remove_node
 from .laurent import LaurentPoly
 from .partitions import Multipartition, dominates, ints_from_json, mp_from_json
 
@@ -70,6 +73,9 @@ class CanonicalElement:
     vector: FockVector
     weight: WeightInfo
     shape: tuple[int, ...]
+    # the JSON maps of the coefficients of the basis that holds the element
+    # (FockVector.to_json), shared by all its documents
+    json_maps: dict | None = field(default=None, compare=False, repr=False)
 
 
 def checked_element(ctx: FockContext, label: Multipartition, vector: FockVector) -> CanonicalElement:
@@ -138,6 +144,26 @@ def reduce_seed(
     return checked_element(ctx, label, V), certificate
 
 
+def seed_string(ctx: FockContext, mp: Multipartition) -> tuple[int, list[Node]] | None:
+    """(i, the good i-nodes of mp) of the string that seeds G(mp): among the
+    residues with k = eps_i(mp) > 0, the one whose top e~_i^k(mp) has the
+    lowest defect, that of weight_info of content(mp) - k alpha_i, so that
+    no top is built to choose it; the smallest i on a tie, which is
+    string_top's choice.  None at the highest weight vertex;
+    NotAVertexError off the crystal (crystal.good_strings)."""
+    if mp == ctx.highest_weight_vertex():
+        return None
+    cont = content(ctx, mp)
+
+    def top_defect(string: tuple[int, list[Node]]) -> int:
+        i, good = string
+        lowered = list(cont)
+        lowered[i] -= len(good)
+        return weight_info(ctx, lowered).defect
+
+    return min(good_strings(ctx, mp), key=top_defect)
+
+
 def is_svelte(g: CanonicalElement) -> bool:
     """Shape is all ones of length defect + 1."""
     return g.shape == (1,) * (g.weight.defect + 1)
@@ -156,11 +182,11 @@ class CanonicalBasis:
     """Canonical-basis computer for one context, with memoization.
 
     The caller owns the basis and its memo of elements; each seed is built
-    from the memoized element of the label's string top.  Only a basis
-    passed cache_dir persists elements, as content-addressed JSON files;
-    a file is served only if it passes the element checks.  The first file
-    that cannot be written costs one RuntimeWarning, not the element, and
-    ends the stores of this basis; its reads go on.
+    from the memoized element of the top of the label's seed_string.  Only
+    a basis passed cache_dir persists elements, as content-addressed JSON
+    files; a file is served only if it passes the element checks.  The
+    first file that cannot be written costs one RuntimeWarning, not the
+    element, and ends the stores of this basis; its reads go on.
     """
 
     def __init__(self, ctx: FockContext, cache_dir: str | None = None):
@@ -168,23 +194,25 @@ class CanonicalBasis:
         self._elements: dict[Multipartition, CanonicalElement] = {}
         self._in_progress: set[Multipartition] = set()
         # one int per distinct coefficient value of the computed elements
-        # (all over the exponent base 0), dropped with the basis
+        # (all over the exponent base 0), and the JSON map of each as
+        # element_to_json first decodes it; both dropped with the basis
         self._coefficients: dict[int, int] = {}
+        self._json_maps: dict[int, dict[str, int]] = {}
         self._cache_dir = cache_dir
         self._storing = bool(self._cache_dir)  # until the first failed store
 
     # seeds
 
     def monomial(self, mp: Multipartition) -> FockVector:
-        """The seed f_i^(k) G(top), where (i, k, top) is mp's first string
-        (string_top, the last segment of the residue-collected path);
-        bar-invariant, with G(mp) at coefficient 1.  The highest weight
-        vertex seeds itself."""
-        step = string_top(self.ctx, mp)
+        """The seed f_i^(k) G(top) of mp's seed_string, k its number of
+        good nodes and top = e~_i^k(mp); bar-invariant, with G(mp) at
+        coefficient 1.  The highest weight vertex seeds itself."""
+        step = seed_string(self.ctx, mp)
         if step is None:
             return FockVector.basis(mp)
-        i, k, top = step
-        return apply_f_divided(self.ctx, self.element(top).vector, i, k)
+        i, good = step
+        top = reduce(remove_node, good, mp)
+        return apply_f_divided(self.ctx, self.element(top).vector, i, len(good))
 
     # canonical elements
 
@@ -196,7 +224,7 @@ class CanonicalBasis:
         elem = self._compute(mp) if disk is None else disk
         # checked: every exponent is >= 0, so the base 0 drops nothing and
         # the interned vector equals the checked one, its terms not sorted again
-        elem = replace(elem, vector=elem.vector.interned(self._coefficients))
+        elem = replace(elem, vector=elem.vector.interned(self._coefficients), json_maps=self._json_maps)
         self._elements[mp] = elem
         if disk is None and self._storing:
             try:
@@ -229,7 +257,8 @@ class CanonicalBasis:
         finally:
             self._in_progress.discard(mp)
         if certificate:  # Kashiwara, Duke Math. J. 69, 1993: each eps_i(nu) > k
-            i, k, _ = string_top(self.ctx, mp)
+            i, good = seed_string(self.ctx, mp)
+            k = len(good)
             for nu, _ in certificate:
                 eps = len(_reduced_signature(self.ctx, nu, i)[1])
                 if eps <= k:
@@ -297,14 +326,15 @@ class CanonicalBasis:
 def element_to_json(elem: CanonicalElement) -> dict:
     """A JSON-ready document; its tuples (label, multipartitions, content,
     hub, shape) are handed to json as they are, which writes them as lists.
-    Terms with equal coefficients may share one coefficient dict, so the
-    document is read-only."""
+    Terms with equal coefficients share one coefficient dict, within the
+    document and across the documents of one basis's elements (its
+    json_maps), so every document is read-only."""
     return {
         "label": elem.label,
         "content": elem.weight.content,
         "hub": elem.weight.hub,
         "defect": elem.weight.defect,
         "shape": elem.shape,
-        "terms": elem.vector.to_json()[::-1],  # decreasing tuple order
+        "terms": elem.vector.to_json(elem.json_maps)[::-1],  # decreasing tuple order
     }
 

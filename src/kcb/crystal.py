@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
+from typing import Iterator
 
-from .fock import FockContext, add_node, content, i_node_slots, remove_node
+from .fock import FockContext, Node, add_node, content, i_node_slots, remove_node
 from .partitions import Multipartition, ints_from_json, is_e_regular, mp_from_json, mp_to_json
 
 
@@ -149,9 +150,9 @@ def block_reduced(g: CrystalGraph) -> BlockReducedGraph:
     for cont, verts in sorted(g.by_content().items(), key=lambda cv: (sum(cv[0]), cv[0])):
         weights[cont] = weight_info(g.ctx, cont)
         dims[cont] = len(verts)
-    eset = set()
-    for src, i, dst in g.edges:
-        eset.add((content(g.ctx, src), i, content(g.ctx, dst)))
+    # each vertex's content, as by_content took it
+    cont_of = {mp: cont for cont, verts in g.by_content().items() for mp in verts}
+    eset = {(cont_of[src], i, cont_of[dst]) for src, i, dst in g.edges}
     return BlockReducedGraph(g.ctx, g.max_degree, weights, dims, sorted(eset))
 
 
@@ -177,6 +178,23 @@ def string_steps(bg: BlockReducedGraph, cont: tuple[int, ...], i: int, step: int
         n += 1
 
 
+def good_strings(ctx: FockContext, mp: Multipartition) -> Iterator[tuple[int, list[Node]]]:
+    """(i, the good i-nodes of mp) for each residue i with eps_i(mp) > 0,
+    ascending, one reduced signature each as the walk asks for it: removing
+    those nodes reaches e~_i^eps_i(mp), the top of mp's i-string.  Raises
+    NotAVertexError when mp is not e-regular or has no good node."""
+    if not is_e_regular(mp, ctx.e):
+        raise NotAVertexError(f"{mp} is not {ctx.e}-regular")
+    found = False
+    for i in range(ctx.e):
+        _, rems = _reduced_signature(ctx, mp, i)
+        if rems:
+            found = True
+            yield i, rems
+    if not found:
+        raise NotAVertexError(f"{mp} does not reach the highest weight vertex")
+
+
 def string_top(ctx: FockContext, mp: Multipartition) -> tuple[int, int, Multipartition] | None:
     """(i, k, e~_i^k(mp)) for mp's first maximal string, i the smallest
     residue with a good node, k = eps_i the number of surviving - of its
@@ -184,13 +202,8 @@ def string_top(ctx: FockContext, mp: Multipartition) -> tuple[int, int, Multipar
     when mp is not e-regular or has no good node."""
     if mp == ctx.highest_weight_vertex():
         return None
-    if not is_e_regular(mp, ctx.e):
-        raise NotAVertexError(f"{mp} is not {ctx.e}-regular")
-    for i in range(ctx.e):
-        _, rems = _reduced_signature(ctx, mp, i)
-        if rems:
-            return i, len(rems), reduce(remove_node, rems, mp)
-    raise NotAVertexError(f"{mp} does not reach the highest weight vertex")
+    i, rems = next(good_strings(ctx, mp))
+    return i, len(rems), reduce(remove_node, rems, mp)
 
 
 def residue_collected_path(ctx: FockContext, mp: Multipartition) -> tuple[tuple[int, int], ...]:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, combinations
 from operator import eq, or_
+from sys import intern
 from typing import Iterator, Mapping
 
 from .laurent import LaurentPoly, exact_div
@@ -95,39 +96,98 @@ def symmetric_context(a: int) -> FockContext:
 Node = tuple[int, int, int]
 
 
+# One object per distinct value the f_i^(k) expansions build
+# (hash-consing, Filliatre and Conchon, ML Workshop 2006): each component
+# a node table fills or divided_power_term splices, each multipartition of
+# an _expansion and each shift int.  Equal terms share their tuples, so
+# they are stored once and dict lookups on them hit on identity.  A fill
+# or splice builds a fresh tuple every time, even a new row (1,), and
+# CPython shares only the ints up to 256.  The three kinds never compare
+# equal (a non-empty tuple of ints, a non-empty tuple of tuples, an int),
+# so one table keeps one object per value.
+_SHARED: dict = {}
+
+
+# The i-nodes of each component, keyed by (e, (i - charge) mod e, component):
+# a component's slots depend on its charge and on i only through that
+# offset.  An entry is (slots, balance, adds, fills).  slots are its
+# addable (True) and removable (False) i-nodes, top to bottom, as (row,
+# column, is_addable); balance is #addable - #removable; adds are the
+# addable ones as (row, column, local), local = #addable - #removable above
+# the node in its component.  fills maps a subset of adds, as the mask
+# with bit p for adds[p], to the component with those nodes added: each
+# single node's when the entry is made, the others as f_i^(k) first asks
+# for them (_filled).  Every row is scanned for i-nodes here and nowhere
+# else.
+_NODES: dict[tuple, tuple] = {}
+
+
+def _component_nodes(e: int, off: int, comp) -> tuple:
+    key = (e, off, comp)
+    got = _NODES.get(key)
+    if got is not None:
+        return got
+    # row j of length cur ends in a removable i-node when (cur - j) % e
+    # is off, and its addable slot is an i-node when it is off - 1
+    add, t = (off - 1) % e, len(comp)
+    slots, adds, na, nr = [], [], 0, 0
+    for j, cur in enumerate(comp, start=1):
+        d = (cur - j) % e
+        if d == add:
+            # addable when the row above is strictly longer
+            if j == 1 or comp[j - 2] > cur:
+                slots.append((j, cur + 1, True))
+                adds.append((j, cur + 1, na - nr))
+                na += 1
+        elif d == off:
+            # removable when the row below is strictly shorter
+            if j == t or comp[j] < cur:
+                slots.append((j, cur, False))
+                nr += 1
+    if (-t - 1) % e == add:  # the slot past the last row is always addable
+        slots.append((t + 1, 1, True))
+        adds.append((t + 1, 1, na - nr))
+        na += 1
+    got = _NODES[key] = (tuple(slots), na - nr, tuple(adds), {})
+    for p in range(na):
+        _filled(comp, got, 1 << p)
+    return got
+
+
+def _filled(comp, entry: tuple, mask: int):
+    """comp with the addable nodes of its entry that mask picks added, each
+    new row length the node's column, whether it starts a row or extends
+    one; kept in the entry's fills, one object per value through _SHARED."""
+    rows = list(comp)
+    for p, (row, col, _) in enumerate(entry[2]):
+        if mask >> p & 1:
+            if row > len(rows):
+                rows.append(col)
+            else:
+                rows[row - 1] = col
+    rows = tuple(rows)
+    got = entry[3][mask] = _SHARED.setdefault(rows, rows)
+    return got
+
+
 def i_node_slots(ctx: FockContext, mp: Multipartition, i: int) -> list[tuple[Node, bool]]:
     """Addable (True) and removable (False) i-nodes, top to bottom."""
-    out = []
     e = ctx.e
-    for u, (comp, ch) in enumerate(zip(mp, ctx.charges), start=1):
-        # row j of length cur ends in a removable i-node when (cur - j) % e
-        # is rem, and its addable slot is an i-node when it is add
-        add, rem = (i - ch - 1) % e, (i - ch) % e
-        t = len(comp)
-        for j, cur in enumerate(comp, start=1):
-            d = (cur - j) % e
-            if d == add:
-                # addable when the row above is strictly longer
-                if j == 1 or comp[j - 2] > cur:
-                    out.append(((u, j, cur + 1), True))
-            elif d == rem:
-                # removable when the row below is strictly shorter
-                if j == t or comp[j] < cur:
-                    out.append(((u, j, cur), False))
-        if (-t - 1) % e == add:  # the slot past the last row is always addable
-            out.append(((u, t + 1, 1), True))
-    return out
+    return [
+        ((u, row, col), isadd)
+        for u, (comp, ch) in enumerate(zip(mp, ctx.charges), start=1)
+        for row, col, isadd in _component_nodes(e, (i - ch) % e, comp)[0]
+    ]
 
 
 def addable_exponents(ctx: FockContext, mp: Multipartition, i: int) -> list[tuple[Node, int]]:
     """Addable i-nodes, top to bottom, each with its f_i exponent
     N = #{addable i-nodes above it} - #{removable i-nodes above it}."""
-    out, nr = [], 0
-    for node, isadd in i_node_slots(ctx, mp, i):
-        if isadd:
-            out.append((node, len(out) - nr))
-        else:
-            nr += 1
+    out, above, e = [], 0, ctx.e
+    for u, (comp, ch) in enumerate(zip(mp, ctx.charges), start=1):
+        _, balance, adds, _ = _component_nodes(e, (i - ch) % e, comp)
+        out += [((u, row, col), above + local) for row, col, local in adds]
+        above += balance
     return out
 
 
@@ -150,18 +210,6 @@ def remove_node(mp: Multipartition, node: Node) -> Multipartition:
     else:
         new = comp[: row - 1] + (r,) + comp[row:]
     return mp[: u - 1] + (new,) + mp[u:]
-
-
-# One object per distinct value the f_i^(k) expansions build
-# (hash-consing, Filliatre and Conchon, ML Workshop 2006): each component
-# divided_power_term splices, each multipartition of an _expansion and
-# each shift int.  Equal terms share their tuples, so they are stored once
-# and dict lookups on them hit on identity.  A splice builds a fresh tuple
-# every time, even a new row (1,), which add_node's comp + (1,) takes from
-# the code's constants, and CPython shares only the ints up to 256.  The
-# three kinds never compare equal (a non-empty tuple of ints, a non-empty
-# tuple of tuples, an int), so one table keeps one object per value.
-_SHARED: dict = {}
 
 
 def divided_power_term(mp: Multipartition, subset) -> tuple[Multipartition, int]:
@@ -554,14 +602,24 @@ class FockVector:
 
     __repr__ = __str__
 
-    def to_json(self) -> list[dict]:
+    def to_json(self, maps: dict[int, dict[str, int]] | None = None) -> list[dict]:
         """Terms in increasing tuple order, read off the stored terms (a
         stored vector is not sorted again).  A multipartition stays a tuple
         of tuples, which json writes as nested lists; a coefficient is an
         exponent-string -> coefficient map, exponents ascending, decoded
-        once per distinct coefficient and shared by the terms that have it."""
+        once per distinct coefficient and shared by the terms that have it.
+        `maps` keeps each decoded map by its int for the next call: only
+        for vectors over the exponent base 0, such as the interned
+        elements of one basis, whose ints are equal exactly when their
+        coefficients are.  Every exponent key is the one interned string
+        of its value."""
         t, lo = self.stored()._terms, self._lo
-        maps = {x: {str(e): n for e, n in _decode(x, lo).items()} for x in set(t.xs)}
+        if maps is None:
+            maps = {}
+        elif lo:
+            raise ValueError(f"a shared map table needs the exponent base 0, got {lo}")
+        for x in {x for x in t.xs if x not in maps}:
+            maps[x] = {intern(str(e)): n for e, n in _decode(x, lo).items()}
         return [{"multipartition": mp, "coefficient": maps[x]} for mp, x in t.items()]
 
     @staticmethod
@@ -598,10 +656,11 @@ def _exponent_map(items) -> dict[int, int]:
 
 
 # f_i^(k) of every basis term seen so far, per (e, charges, i, k): the
-# multipartition -> (low, mps, shifts) memo that apply_f_divided reads.
-# Each entry holds two flat tuples in subset order and no tuple per term:
-# one (term, shift) pair per term took 10.7 MB on the a = 2 benchmark.
-_EXPANSIONS: dict[tuple, dict[Multipartition, tuple[int, tuple, tuple]]] = {}
+# multipartition -> entry memo that apply_f_divided reads.  An entry is
+# one flat tuple (mp_1, s_1, ..., mp_n, s_n, low), read as zip(it, it),
+# which stops at the odd last item: one tuple header per entry, where
+# (low, mps, shifts) took three.
+_EXPANSIONS: dict[tuple, dict[Multipartition, tuple]] = {}
 
 
 def rotation_class(ctx: FockContext) -> tuple:
@@ -617,23 +676,61 @@ def rotation_class(ctx: FockContext) -> tuple:
     return e, tuple((c - first) % e for c in ctx.charges)
 
 
-def _expansion(ctx: FockContext, mp: Multipartition, i: int, k: int):
-    """f_i^(k) of the basis vector mp: the least exponent `low` (0 when
-    there is no term), then, one per k-subset of mp's addable i-nodes, the
-    multipartitions and the shifts W * (exponent - low) that put each
-    term's v^exponent onto v^low.  Distinct subsets add distinct nodes, so
-    no multipartition occurs twice.  Each multipartition and shift is the
-    one object _SHARED holds for its value: a shift W * d of d >= 5 would
-    otherwise be a fresh int in every entry."""
-    terms = [
-        divided_power_term(mp, subset)
-        for subset in combinations(addable_exponents(ctx, mp, i), k)
-    ]
-    low = min((expo for _, expo in terms), default=0)
-    mps = [nmp for nmp, _ in terms]
-    shifts = [W * (expo - low) for _, expo in terms]
+def _expansion(ctx: FockContext, mp: Multipartition, i: int, k: int) -> tuple:
+    """f_i^(k) of the basis vector mp as an _EXPANSIONS entry: one term
+    per k-subset of mp's addable i-nodes, each the multipartition with its
+    shift W * (exponent - low), then the least exponent `low` (0 when there
+    is no term).  A node's exponent is O_c + its local one, O_c the balance
+    of the components above its component c, so a subset's is sum_c (j_c *
+    O_c + its local sum in c) - C(k,2) for j_c nodes in c; and its term
+    replaces each component it touches by the node table's fill at the
+    mask of the nodes it takes there, with no per-node splice.  Distinct
+    subsets add distinct nodes, so no multipartition occurs twice.  Each
+    multipartition and shift is the one object _SHARED holds for its
+    value: a shift W * d of d >= 5 would otherwise be a fresh int in every
+    entry."""
+    e = ctx.e
+    # the node-table entry of each component with an addable i-node, and
+    # each such node as (component position, its bit there, exponent)
+    entries, nodes, above = {}, [], 0
+    for u, (comp, ch) in enumerate(zip(mp, ctx.charges)):
+        entry = _component_nodes(e, (i - ch) % e, comp)
+        if entry[2]:
+            entries[u] = entry
+            nodes += [(u, 1 << p, above + local) for p, (_, _, local) in enumerate(entry[2])]
+        above += entry[1]
+    if len(nodes) < k:
+        return (0,)
+    if k == 1:
+        mps = [mp[:u] + (entries[u][3][bit],) + mp[u + 1 :] for u, bit, _ in nodes]
+        expos = [n for _, _, n in nodes]
+    else:
+        mps, expos = [], []
+        for subset in combinations(nodes, k):
+            # the nodes of one component are consecutive: gather each
+            # component's mask, then put in its fill
+            term = list(mp)
+            expo = -(k * (k - 1) // 2)
+            at, mask = subset[0][0], 0
+            for u, bit, n in subset:
+                expo += n
+                if u != at:
+                    fills = entries[at][3]
+                    term[at] = fills.get(mask) or _filled(mp[at], entries[at], mask)
+                    at, mask = u, bit
+                else:
+                    mask |= bit
+            fills = entries[at][3]
+            term[at] = fills.get(mask) or _filled(mp[at], entries[at], mask)
+            mps.append(tuple(term))
+            expos.append(expo)
+    low = min(expos)
+    shifts = [W * (x - low) for x in expos]
     share = _SHARED.setdefault
-    return low, tuple(map(share, mps, mps)), tuple(map(share, shifts, shifts))
+    out = [low] * (2 * len(mps) + 1)
+    out[0:-1:2] = map(share, mps, mps)
+    out[1:-1:2] = map(share, shifts, shifts)
+    return tuple(out)
 
 
 def apply_f_divided(ctx: FockContext, vec: FockVector, i: int, k: int) -> FockVector:
@@ -647,12 +744,14 @@ def apply_f_divided(ctx: FockContext, vec: FockVector, i: int, k: int) -> FockVe
     t = vec._terms
     memo = _EXPANSIONS.setdefault((ctx.e, ctx.charges, i, k), {})
     expansions = [memo.get(mp) or memo.setdefault(mp, _expansion(ctx, mp, i, k)) for mp in t]
-    low = min((lo for lo, mps, _ in expansions if mps), default=0)
+    low = min((entry[-1] for entry in expansions if len(entry) > 1), default=0)
     out: dict[Multipartition, int] = {}
-    for x, (lo, mps, shifts) in zip(t.values(), expansions):
-        x <<= W * (lo - low)
-        for nmp, s in zip(mps, shifts):
-            n = out.get(nmp, 0) + (x << s)
+    get = out.get
+    for x, entry in zip(t.values(), expansions):
+        x <<= W * (entry[-1] - low)
+        it = iter(entry)
+        for nmp, s in zip(it, it):
+            n = get(nmp, 0) + (x << s)
             if n:
                 out[nmp] = n
             else:

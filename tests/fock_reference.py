@@ -13,11 +13,12 @@ multipartition -> {exponent: coefficient} dicts, so they check the packed
 int storage of kcb.fock.FockVector against arithmetic that has none.
 
 The *_reference functions are the plain kernels that kcb.partitions
-dominates and kcb.fock i_node_slots, divided_power_term and content
-replaced by faster ones: a dominance
-walk over every row with no memo, a slot walk over every row with a
-charge lookup per component, one add_node per added node, and a count
-of every cell.
+dominates and kcb.fock i_node_slots, addable_exponents,
+divided_power_term, the f_i^(k) expansion and content replaced by faster
+ones: a dominance walk over every row with no memo, a slot walk over
+every row with a charge lookup per component and no node table, one
+add_node per added node and one term per subset of the addable nodes of
+the whole multipartition, and a count of every cell.
 
 f_tilde_iterated and e_tilde_until_none step through an i-string one
 crystal operator at a time, each step reading a fresh signature off
@@ -303,6 +304,26 @@ def divided_power_term_reference(mp: Multipartition, subset) -> tuple[Multiparti
         mp = add_node(mp, node)
         expo += n
     return mp, expo
+
+
+def addable_exponents_reference(ctx: FockContext, mp: Multipartition, i: int) -> list:
+    """Addable i-nodes of the reference slot walk, top to bottom, each with
+    N = #{addable i-nodes above it} - #{removable i-nodes above it}."""
+    out, nr = [], 0
+    for node, isadd in i_node_slots_reference(ctx, mp, i):
+        if isadd:
+            out.append((node, len(out) - nr))
+        else:
+            nr += 1
+    return out
+
+
+def expansion_reference(ctx: FockContext, mp: Multipartition, i: int, k: int) -> dict:
+    """f_i^(k) of the basis vector mp by the subset rule, as multipartition
+    -> exponent: one term per k-subset of the reference addable nodes, each
+    built one add_node at a time."""
+    subsets = combinations(addable_exponents_reference(ctx, mp, i), k)
+    return dict(divided_power_term_reference(mp, subset) for subset in subsets)
 
 
 def content_reference(ctx: FockContext, mp: Multipartition) -> tuple[int, ...]:

@@ -8,10 +8,11 @@ import sys
 import weakref
 from collections import Counter
 from dataclasses import replace
+from functools import reduce
 
 import pytest
 
-from kcb import canonical
+from kcb import canonical, fock
 from kcb.canonical import (
     CanonicalBasis,
     ReductionError,
@@ -20,6 +21,7 @@ from kcb.canonical import (
     element_to_json,
     is_svelte,
     reduce_seed,
+    seed_string,
 )
 from kcb.closedform import (
     FamilySpec,
@@ -28,13 +30,21 @@ from kcb.closedform import (
     family_label,
     path_monomial,
 )
-from kcb.crystal import NotAVertexError, generate_crystal, residue_collected_path
-from kcb.fock import FockContext, FockVector, symmetric_context
+from kcb.crystal import (
+    NotAVertexError,
+    _reduced_signature,
+    generate_crystal,
+    good_strings,
+    residue_collected_path,
+    string_top,
+    weight_info,
+)
+from kcb.fock import FockContext, FockVector, apply_f_divided, content, remove_node, symmetric_context
 from kcb.laurent import LaurentPoly
 from kcb.partitions import conjugate, dominates, is_e_regular, mp_to_json
 from kcb.verify import _difference, verify_duality
 
-from fock_reference import iter_multipartitions
+from fock_reference import e_tilde_until_none, iter_multipartitions
 
 C01 = FockContext(2, (0, 1))
 
@@ -83,13 +93,29 @@ class TestMonomial:
         )
 
     def test_seed_reaches_above_the_label(self):
-        # the seed of G((2),(2,1)) carries G((3),(2)), whose label dominates it,
-        # so the elimination must range over vertices above the label too
-        mp, above = ((2,), (2, 1)), ((3,), (2,))
-        assert dominates(above, mp) and above != mp
-        basis = CanonicalBasis(C01)
-        assert basis.monomial(mp).coefficient(above) == LaurentPoly.one()
-        assert basis.element(mp).vector.coefficient(above) == LaurentPoly.zero()
+        # a seed that carries G(above), whose label dominates the seed's, so
+        # the elimination must range over vertices above the label too:
+        # the basis's own seed of G((2),(),(1),(1)) carries
+        # G((2,1),(),(1),()); the string-top seed of G((2),(2,1)), f_0
+        # G((2),(2)), carries G((3),(2)), which its lowest-defect seed does not
+        for ctx, mp, above in [
+            (symmetric_context(2), ((2,), (), (1,), (1,)), ((2, 1), (), (1,), ())),
+            (C01, ((2,), (2, 1)), ((3,), (2,))),
+        ]:
+            assert dominates(above, mp) and above != mp
+            basis = CanonicalBasis(ctx)
+            i, k, top = string_top(ctx, mp)
+            if ctx == C01:
+                assert seed_string(ctx, mp)[0] != i
+                assert basis.monomial(mp).coefficient(above) == LaurentPoly.zero()
+                seed = apply_f_divided(ctx, basis.element(top).vector, i, k)
+            else:
+                seed = basis.monomial(mp)
+            assert seed.coefficient(above) == LaurentPoly.one()
+            elem, certificate = reduce_seed(ctx, mp, seed, basis.element)
+            assert above in dict(certificate)
+            assert elem.vector.coefficient(above) == LaurentPoly.zero()
+            assert elem.vector == basis.element(mp).vector
 
 
 class TestAtWeight:
@@ -283,6 +309,60 @@ SEED_CASES = ((2, (0, 1), 10), (2, (0, 0, 1, 1), 7), (3, (0, 1, 2), 8))
 def vertices_up_to(basis, degree):
     g = generate_crystal(basis.ctx, degree)
     return sorted(m for m, d in g.degrees.items() if d <= degree)
+
+
+# every vertex up to degree 7 of these contexts; at (0, 0, 1, 1) and at
+# e = 3 the lowest-defect seed differs from the string-top seed at some
+# vertices
+SEED_RULE_CONTEXTS = (
+    FockContext(2, (0, 1)),
+    FockContext(2, (0, 0, 1, 1)),
+    FockContext(3, (0, 1, 2)),
+    FockContext(3, (0, 0, 1)),
+)
+
+
+class TestSeedRule:
+    @pytest.mark.parametrize("ctx", SEED_RULE_CONTEXTS, ids=str)
+    def test_every_valid_seed_reduces_to_one_element(self, ctx):
+        # Kashiwara's divided-power rule holds for every i with eps_i > 0:
+        # each such seed reduces to the basis's G, and its certificate keeps
+        # eps_i(nu) > k
+        basis = CanonicalBasis(ctx)
+        seeds = 0
+        for mp in vertices_up_to(basis, 7):
+            want = basis.element(mp).vector
+            if mp == ctx.highest_weight_vertex():
+                continue
+            for i, good in good_strings(ctx, mp):
+                k = len(good)
+                top = reduce(remove_node, good, mp)
+                seed = apply_f_divided(ctx, basis.element(top).vector, i, k)
+                elem, certificate = reduce_seed(ctx, mp, seed, basis.element)
+                assert elem.vector == want, (mp, i)
+                assert all(len(_reduced_signature(ctx, nu, i)[1]) > k for nu, _ in certificate)
+                seeds += 1
+        assert seeds > len(basis._elements)  # some vertex has two valid seeds
+
+    @pytest.mark.parametrize("ctx", SEED_RULE_CONTEXTS, ids=str)
+    def test_seed_string_has_the_lowest_top_defect(self, ctx):
+        # against the defect of each built top; a tie goes to the smallest
+        # i, string_top's choice
+        differs = 0
+        for mp in vertices_up_to(CanonicalBasis(ctx), 7):
+            if mp == ctx.highest_weight_vertex():
+                assert seed_string(ctx, mp) is None
+                continue
+            tops = [(weight_info(ctx, content(ctx, top)).defect, i, k, top)
+                    for i in range(ctx.e)
+                    for k, top in [e_tilde_until_none(ctx, mp, i)] if k]
+            _, i, k, top = min(tops)
+            got_i, good = seed_string(ctx, mp)
+            assert (got_i, len(good), reduce(remove_node, good, mp)) == (i, k, top)
+            if len({d for d, *_ in tops}) == 1:
+                assert got_i == string_top(ctx, mp)[0]
+            differs += got_i != string_top(ctx, mp)[0]
+        assert differs or ctx == C01
 
 
 class TestSeed:
@@ -743,6 +823,25 @@ class TestStoredElements:
             want = json.dumps(_parent_to_json(g.vector))
             assert json.dumps(g.vector.to_json()) == want
             assert json.dumps(FockVector(list(g.vector.terms())).to_json()) == want
+
+    def test_json_maps_decoded_once_per_basis(self, stored_elements, monkeypatch):
+        # the documents of one basis read one shared dict per coefficient
+        # value, decoded the first time any of them needs it, and keep the
+        # bytes of a decode per element
+        _, elems = stored_elements
+        maps = elems[0].json_maps
+        assert all(g.json_maps is maps for g in elems)
+        before = set(maps)
+        decoded = []
+        real = fock._decode
+        monkeypatch.setattr(fock, "_decode", lambda x, lo: decoded.append(x) or real(x, lo))
+        docs = [element_to_json(g) for g in elems]
+        values = {x for g in elems for x in g.vector._terms.xs}
+        assert sorted(decoded) == sorted(values - before)
+        for g, doc in zip(elems, docs):
+            assert json.dumps(doc["terms"]) == json.dumps(_parent_to_json(g.vector)[::-1])
+            xs = g.vector._terms.xs[::-1]
+            assert all(t["coefficient"] is maps[x] for t, x in zip(doc["terms"], xs))
 
     def test_disk_cache_round_trip(self, stored_elements, tmp_path, monkeypatch):
         ctx, elems = stored_elements

@@ -270,6 +270,21 @@ def test_fock_vector_json_roundtrip():
     assert FockVector.from_json(v.to_json()) == v
 
 
+def test_to_json_map_table():
+    # a table shared by vectors over the base 0 decodes each coefficient
+    # once, with one interned string per exponent key; another base is refused
+    v = vec((((2,), (1,)), 3), (((1, 1), ()), 12), (((1,), (2,)), 3)).rebased(0)
+    w = vec((((3,), ()), 12),).rebased(0)
+    maps: dict = {}
+    first, second = v.to_json(maps), w.to_json(maps)
+    assert first == v.to_json() and second == w.to_json()
+    assert len(maps) == 2 and second[0]["coefficient"] is first[1]["coefficient"]
+    (key,) = second[0]["coefficient"]
+    assert key == "12" and key is next(iter(first[1]["coefficient"]))
+    with pytest.raises(ValueError, match="base 0"):
+        vec((((1,), ()), -1),).to_json({})
+
+
 def test_from_json_shares_equal_partitions():
     v = vec((((2,), (1,)), 1), (((1,), (2,)), 2), (((2, 1), (1,)), 1))
     doc = json.loads(json.dumps(v.to_json()))

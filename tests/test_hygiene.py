@@ -148,8 +148,11 @@ def test_test_only_definitions_are_listed():
 # ever cleared, so each grows with all the work of the process; a new one
 # fails until it is listed here with why it is worth its memory
 MEMOS = {
-    "_EXPANSIONS": "fock: f_i^(k) of each basis term per context and (i, k), as two flat tuples",
-    "_SHARED": "fock: one object per distinct spliced component, expansion term and shift int",
+    "_EXPANSIONS": "fock: f_i^(k) of each basis term per context and (i, k), as one flat tuple",
+    "_NODES": "fock: the i-nodes of each component per rank and (i - charge) mod e, and its"
+    " filled components per number of added nodes; keyed by component, not by multipartition,"
+    " so it stays small (186 entries on allg_a2)",
+    "_SHARED": "fock: one object per distinct filled or spliced component, expansion term and shift int",
     "_STEPS": "partitions: one dominance step per pair of unequal components, one inner"
     " dict per dominating component",
     "build_parser": "cli: the argparse parser, built once per process; verify_cli parses"

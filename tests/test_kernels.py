@@ -1,7 +1,9 @@
 """The per-term kernels against the plain ones in fock_reference: the
-memoised dominance steps, the slot walk, the one-splice divided-power
-term, the per-row content and the one-signature crystal strings; the
-sharing of equal f_i terms; and the layout of the f_i^(k) memo."""
+memoised dominance steps, the slot walk and addable exponents off the
+component node tables, the one-splice divided-power term, the f_i^(k)
+expansion by whole components, the per-row content and the
+one-signature crystal strings; the sharing of equal f_i terms; and the
+layout of the f_i^(k) memo."""
 
 from functools import lru_cache
 from itertools import combinations
@@ -31,10 +33,12 @@ from kcb.fock import (
 from kcb.partitions import dominates
 
 from fock_reference import (
+    addable_exponents_reference,
     content_reference,
     divided_power_term_reference,
     dominates_reference,
     e_tilde_until_none,
+    expansion_reference,
     f_tilde_iterated,
     i_node_slots_reference,
     iter_multipartitions,
@@ -274,8 +278,9 @@ def test_shifted_contexts_share_expansions(monkeypatch):
             assert apply_f_divided(shifted, FockVector.basis(mp), j, 1) == got
             entry = fock._EXPANSIONS[ctx.e, ctx.charges, i, 1][mp]
             other = fock._EXPANSIONS[shifted.e, shifted.charges, j, 1][mp]
-            assert other == entry and other is not entry
-            assert all(x is y for x, y in zip(other[1], entry[1]))
+            # two entries, except that an entry with no term is the constant (0,)
+            assert other == entry and (other is not entry or entry == (0,))
+            assert all(x is y for x, y in zip(other[0:-1:2], entry[0:-1:2]))
         assert len(fock._EXPANSIONS) == 2 * ctx.e  # one table per context and i
 
 
@@ -315,8 +320,8 @@ def test_expansion_misses_share_equal_terms(monkeypatch):
     # one miss under each key
     (first,) = fock._EXPANSIONS[2, (0, 1), 1, 1].values()
     (second,) = fock._EXPANSIONS[2, (0, 1), 0, 1].values()
-    (a,) = [mp for mp in first[1] if mp == ((1,), (1,))]
-    (b,) = [mp for mp in second[1] if mp == ((1,), (1,))]
+    (a,) = [mp for mp in first[0:-1:2] if mp == ((1,), (1,))]
+    (b,) = [mp for mp in second[0:-1:2] if mp == ((1,), (1,))]
     assert a is b
 
 
@@ -342,41 +347,39 @@ def test_every_computed_term_is_shared():
 
 def test_every_entry_value_is_shared(monkeypatch):
     # separate misses along a path from the highest weight vertex, so every
-    # component was built by a splice; the last one has shifts up to W * 9,
-    # ints that CPython does not share
+    # component was built by a node table's fill; the last one has shifts up
+    # to W * 9, ints that CPython does not share
     monkeypatch.setattr(fock, "_EXPANSIONS", {})
     monkeypatch.setattr(fock, "_SHARED", {})
+    monkeypatch.setattr(fock, "_NODES", {})
     ctx = FockContext(2, (0, 0))
     vec = FockVector.basis(ctx.highest_weight_vertex())
     for i, k in ((0, 2), (1, 4), (0, 3)):
         vec = apply_f_divided(ctx, vec, i, k)
     entries = [entry for memo in fock._EXPANSIONS.values() for entry in memo.values()]
-    assert len(entries) == 3 and max(entries[-1][2]) == fock.W * 9
-    values = [x for _, mps, shifts in entries for mp in mps for x in (mp, *mp)]
-    values += [s for _, _, shifts in entries for s in shifts]
+    assert len(entries) == 3 and max(entries[-1][1:-1:2]) == fock.W * 9
+    values = [x for entry in entries for mp in entry[0:-1:2] for x in (mp, *mp)]
+    values += [s for entry in entries for s in entry[1:-1:2]]
     assert all(fock._SHARED[x] is x for x in values)
 
 
-# the expansion memo: per (e, charges, i, k), one (low, mps, shifts) entry
-# of two flat tuples per multipartition
+# the expansion memo: per (e, charges, i, k), one flat entry
+# (mp_1, s_1, ..., mp_n, s_n, low) per multipartition
 
 
 def _checked_entry(ctx, mp, i, k):
     """The memo entry of f_i^(k) of mp under ctx once apply_f_divided has
-    read it, checked against the reference terms of every k-subset: the
-    same multipartitions in subset order, the least exponent as `low`, and
-    the shifts W * (exponent - low); each multipartition and shift is the
-    object _SHARED holds for its value, so equal ones of all entries are
-    one object."""
+    read it, checked against the subset rule of fock_reference: the same
+    multipartitions, the least exponent as `low`, and the shifts W *
+    (exponent - low); each multipartition and shift is the object _SHARED
+    holds for its value, so equal ones of all entries are one object."""
     apply_f_divided(ctx, FockVector.basis(mp), i, k)
     entry = fock._EXPANSIONS[ctx.e, ctx.charges, i, k][mp]
-    terms = [
-        divided_power_term_reference(mp, subset)
-        for subset in combinations(addable_exponents(ctx, mp, i), k)
-    ]
-    low = min((expo for _, expo in terms), default=0)
-    assert entry == (low, tuple(nmp for nmp, _ in terms), tuple(fock.W * (x - low) for _, x in terms))
-    _, mps, shifts = entry
+    want = expansion_reference(ctx, mp, i, k)
+    low = min(want.values(), default=0)
+    assert type(entry) is tuple and len(entry) == 2 * len(want) + 1 and entry[-1] == low
+    mps, shifts = entry[0:-1:2], entry[1:-1:2]
+    assert dict(zip(mps, shifts)) == {nmp: fock.W * (x - low) for nmp, x in want.items()}
     # flat: the terms are the shared multipartitions and the shifts are ints
     assert all(fock._SHARED.get(nmp) is nmp for nmp in mps)
     assert all(type(s) is int and fock._SHARED.get(s) is s for s in shifts)
@@ -389,10 +392,30 @@ def _checked_entry(ctx, mp, i, k):
 def test_expansion_entries_match_reference(case):
     ctx, mp, i = case
     n = len(addable_exponents(ctx, mp, i))
-    # k = n + 1 has no subset: the entry is (0, (), ())
+    # k = n + 1 has no subset: the entry is (0,)
     entries = [_checked_entry(ctx, mp, i, k) for k in range(1, n + 2)]
-    assert entries[-1] == (0, (), ())
+    assert entries[-1] == (0,)
     assert len(set(map(id, entries))) == len(entries)  # one entry per k
+
+
+# deadline=None: the reference builds every k-subset one add_node at a time
+@settings(max_examples=150, deadline=None)
+@given(context_terms(), st.integers(1, 6))
+@example((FockContext(3, (0, 0, 1)), ((2,), (2,), (1,)), 2), 3)  # equal components under one charge
+@example((FockContext(2, (0, 1, 1)), ((3, 1), (), (2, 1)), 1), 2)  # nodes in three components
+def test_expansion_matches_subset_rule(case, k):
+    # multipartitions off the crystal too, repeated charges, e = 2..4 and
+    # k <= 6: the component tables give the subset rule's terms and
+    # exponents, and its addable nodes
+    ctx, mp, i = case
+    assert addable_exponents(ctx, mp, i) == addable_exponents_reference(ctx, mp, i)
+    entry = fock._expansion(ctx, mp, i, k)
+    want = expansion_reference(ctx, mp, i, k)
+    low = entry[-1]
+    assert low == min(want.values(), default=0)
+    it = iter(entry)
+    assert {nmp: low + s // fock.W for nmp, s in zip(it, it)} == want
+    assert len(entry) == 2 * len(want) + 1  # no multipartition twice
 
 
 @st.composite
@@ -415,6 +438,7 @@ def test_expansion_entries_keyed_by_charges_and_k(case):
     ctx_pair, mp, i = case
     for ctx in ctx_pair:
         one, two = (_checked_entry(ctx, mp, i, k) for k in (1, 2))
-        assert one is not two
+        assert one is not two or one == two == (0,)  # the one constant of no term
+        assert all(mp in fock._EXPANSIONS[ctx.e, ctx.charges, i, k] for k in (1, 2))
     first, second = (_checked_entry(ctx, mp, i, 1) for ctx in ctx_pair)
-    assert first is not second
+    assert first is not second or first == second == (0,)
