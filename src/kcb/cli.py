@@ -147,12 +147,7 @@ def cmd_shape_table(args) -> int:
 
 
 def cmd_closed_form(args) -> int:
-    # --i picks the weyl residue and --dual a path family's first one: both set FamilySpec.dual
-    if args.family == "weyl" and args.dual:
-        raise UsageError("--dual applies to the path families, not weyl")
-    if args.family != "weyl" and args.i is not None:
-        raise UsageError(f"--i applies to weyl only, not {args.family}")
-    elem = closed_canonical_family(FamilySpec(args.family, args.a, args.k, args.n, args.dual or args.i == 1))
+    elem = closed_canonical_family(FamilySpec(args.family, args.a, args.k, args.n, args.i == 1))
     _emit_json(element_to_json(elem), args)
     return 0
 
@@ -247,8 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, default=0)
-    p.add_argument("--i", type=int, default=None, choices=(0, 1), help="weyl only (default 0)")
-    p.add_argument("--dual", action="store_true", help="path families only")
+    p.add_argument("--i", type=int, default=0, choices=(0, 1), help="residue of the family's k-node stage (default 0)")
     _add_common(p, ("json",))
     p.set_defaults(fn=cmd_closed_form)
 

@@ -36,13 +36,20 @@ closed_canonical_family matches on every instance tested
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from itertools import combinations
 from operator import add
 
 from .canonical import CanonicalElement, checked_element
 from .crystal import f_tilde_string
-from .fock import FockContext, FockVector, addable_exponents, apply_f_divided, divided_power_term, symmetric_context
+from .fock import (
+    FockContext,
+    FockVector,
+    addable_count,
+    addable_exponents,
+    apply_f_divided,
+    divided_power_term,
+    symmetric_context,
+)
 from .laurent import LaurentPoly, qint
 from .partitions import Multipartition, triangular, u_family
 
@@ -257,7 +264,7 @@ def path_monomial(ctx: FockContext, stages) -> tuple[FockVector, list[tuple[int,
     vec = FockVector.basis(ctx.highest_weight_vertex())
     path, m = [], 1
     for idx, (i, mult) in enumerate(stages, start=1):
-        counts = {len(addable_exponents(ctx, mp, i)) for mp in vec}
+        counts = {addable_count(ctx, mp, i) for mp in vec}
         if mult is None:
             if len(counts) > 1:
                 raise StageError(f"stage {idx} fills {sorted(counts)} nodes: the terms disagree")
@@ -310,7 +317,7 @@ def family_label(ctx: FockContext, spec: FamilySpec) -> Multipartition:
     """The e-regular member: replay the path through the crystal operators."""
     cur = ctx.highest_weight_vertex()
     for i, mult in family_stages(spec):
-        k = len(addable_exponents(ctx, cur, i)) if mult is None else mult
+        k = addable_count(ctx, cur, i) if mult is None else mult
         cur = f_tilde_string(ctx, cur, i, k)
     return cur
 
@@ -364,17 +371,19 @@ def _partners(spec: FamilySpec) -> list[tuple[str, LaurentPoly]]:
     return []
 
 
-@lru_cache(maxsize=None)
-def _canonical_vector(ctx: FockContext, spec: FamilySpec) -> FockVector:
-    """The divided-power monomial minus its partners, each built once and
-    memoised stored (FockVector.stored): checked_element keeps it as it
-    is, and a partner's subtraction iterates its terms."""
-    vec = path_monomial(ctx, family_stages(spec))[0]
-    for family, coeff in _partners(spec):
-        if coeff:
-            partner = _canonical_vector(ctx, replace(spec, family=family))
-            vec = vec.add_scaled(partner, -coeff)
-    return vec.stored()
+def _canonical_vector(ctx: FockContext, spec: FamilySpec, built: dict) -> FockVector:
+    """The divided-power monomial minus its partners; built holds the
+    vectors of one closed_canonical_family call, so a partner two
+    siblings share is built once."""
+    vec = built.get(spec)
+    if vec is None:
+        vec = path_monomial(ctx, family_stages(spec))[0]
+        for family, coeff in _partners(spec):
+            if coeff:
+                partner = _canonical_vector(ctx, replace(spec, family=family), built)
+                vec = vec.add_scaled(partner, -coeff)
+        built[spec] = vec
+    return vec
 
 
 def closed_canonical_family(spec: FamilySpec) -> CanonicalElement:
@@ -383,9 +392,7 @@ def closed_canonical_family(spec: FamilySpec) -> CanonicalElement:
     docstring).  Checked as every G is (checked_element: ReductionError on
     a failure), but not compared with the recursive element here."""
     ctx = symmetric_context(spec.a)
-    # the check lowers the memoised vector's coefficient bound to max(shape),
-    # which it has just proved to bound every coefficient
-    return checked_element(ctx, family_label(ctx, spec), _canonical_vector(ctx, spec))
+    return checked_element(ctx, family_label(ctx, spec), _canonical_vector(ctx, spec, {}))
 
 
 # top-row defects and the small-defect catalogue

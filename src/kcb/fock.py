@@ -115,10 +115,9 @@ _SHARED: dict = {}
 # column, is_addable); balance is #addable - #removable; adds are the
 # addable ones as (row, column, local), local = #addable - #removable above
 # the node in its component.  fills maps a subset of adds, as the mask
-# with bit p for adds[p], to the component with those nodes added: each
-# single node's when the entry is made, the others as f_i^(k) first asks
-# for them (_filled).  Every row is scanned for i-nodes here and nowhere
-# else.
+# with bit p for adds[p], to the component with those nodes added, each
+# made only when f_i^(k) first asks for it (_filled).  Every row is
+# scanned for i-nodes here and nowhere else.
 _NODES: dict[tuple, tuple] = {}
 
 
@@ -149,8 +148,6 @@ def _component_nodes(e: int, off: int, comp) -> tuple:
         adds.append((t + 1, 1, na - nr))
         na += 1
     got = _NODES[key] = (tuple(slots), na - nr, tuple(adds), {})
-    for p in range(na):
-        _filled(comp, got, 1 << p)
     return got
 
 
@@ -189,6 +186,12 @@ def addable_exponents(ctx: FockContext, mp: Multipartition, i: int) -> list[tupl
         out += [((u, row, col), above + local) for row, col, local in adds]
         above += balance
     return out
+
+
+def addable_count(ctx: FockContext, mp: Multipartition, i: int) -> int:
+    """The number of addable i-nodes of mp, read off the node tables."""
+    e = ctx.e
+    return sum(len(_component_nodes(e, (i - ch) % e, comp)[2]) for comp, ch in zip(mp, ctx.charges))
 
 
 def add_node(mp: Multipartition, node: Node) -> Multipartition:
@@ -701,29 +704,25 @@ def _expansion(ctx: FockContext, mp: Multipartition, i: int, k: int) -> tuple:
         above += entry[1]
     if len(nodes) < k:
         return (0,)
-    if k == 1:
-        mps = [mp[:u] + (entries[u][3][bit],) + mp[u + 1 :] for u, bit, _ in nodes]
-        expos = [n for _, _, n in nodes]
-    else:
-        mps, expos = [], []
-        for subset in combinations(nodes, k):
-            # the nodes of one component are consecutive: gather each
-            # component's mask, then put in its fill
-            term = list(mp)
-            expo = -(k * (k - 1) // 2)
-            at, mask = subset[0][0], 0
-            for u, bit, n in subset:
-                expo += n
-                if u != at:
-                    fills = entries[at][3]
-                    term[at] = fills.get(mask) or _filled(mp[at], entries[at], mask)
-                    at, mask = u, bit
-                else:
-                    mask |= bit
-            fills = entries[at][3]
-            term[at] = fills.get(mask) or _filled(mp[at], entries[at], mask)
-            mps.append(tuple(term))
-            expos.append(expo)
+    mps, expos = [], []
+    for subset in combinations(nodes, k):
+        # the nodes of one component are consecutive: gather each
+        # component's mask, then put in its fill
+        term = list(mp)
+        expo = -(k * (k - 1) // 2)
+        at, mask = subset[0][0], 0
+        for u, bit, n in subset:
+            expo += n
+            if u != at:
+                fills = entries[at][3]
+                term[at] = fills.get(mask) or _filled(mp[at], entries[at], mask)
+                at, mask = u, bit
+            else:
+                mask |= bit
+        fills = entries[at][3]
+        term[at] = fills.get(mask) or _filled(mp[at], entries[at], mask)
+        mps.append(tuple(term))
+        expos.append(expo)
     low = min(expos)
     shifts = [W * (x - low) for x in expos]
     share = _SHARED.setdefault

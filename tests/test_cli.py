@@ -166,30 +166,39 @@ class TestClosedForm:
         assert captured.out == ""
         assert "need n >= 0" in captured.err
 
-    @pytest.mark.parametrize("flag,argv", [
-        ("--dual", ("--family", "weyl", "--dual")),
-        ("--i", ("--family", "p0k1", "--i", "0")),
-    ])
-    def test_flag_the_family_ignores_exit2(self, capsys, flag, argv):
-        code = main(["closed-form", *argv, "--a", "2", "--k", "1"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert flag in captured.err
+    def test_dual_is_refused_exit2(self, capsys):
+        # --i is the one residue option, for every family
+        for family in ("weyl", "p10k"):
+            with pytest.raises(SystemExit) as exc:
+                main(["closed-form", "--family", family, "--a", "2", "--k", "1", "--dual"])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "--dual" in captured.err
+
+    def test_i_applies_to_path_families(self, capsys):
+        argv = ["closed-form", "--family", "p0k1", "--a", "2", "--k", "1"]
+        code, out = run(capsys, *argv, "--i", "0")
+        assert code == 0
+        assert (code, out) == run(capsys, *argv)
+        code, dual = run(capsys, *argv, "--i", "1")
+        assert code == 0 and dual != out
 
     @pytest.mark.parametrize("family,a,k,n", [("p010k", 3, 3, 0), ("p10k", 2, 1, 1)])
     def test_default_reading_is_canonical(self, capsys, family, a, k, n):
-        # the staged (corrected) sum is not canonical here; the output is
+        # the staged (corrected) sum is not canonical here, at either
+        # residue; the output is
         ctx = symmetric_context(a)
-        spec = FamilySpec(family, a, k, n)
-        oracle = CanonicalBasis(ctx).element(family_label(ctx, spec))
-        code, out = run(capsys, "closed-form", "--family", family, "--a", str(a),
-                        "--k", str(k), "--n", str(n))
-        assert code == 0
-        # json writes the document's tuples as lists, so compare after one round trip
-        assert json.loads(out) == json.loads(json.dumps(element_to_json(oracle)))
-        _, corrected = family_vectors(ctx, spec)
-        assert corrected != oracle.vector
+        for i in (0, 1):
+            spec = FamilySpec(family, a, k, n, dual=i == 1)
+            oracle = CanonicalBasis(ctx).element(family_label(ctx, spec))
+            code, out = run(capsys, "closed-form", "--family", family, "--a", str(a),
+                            "--k", str(k), "--n", str(n), "--i", str(i))
+            assert code == 0
+            # json writes the document's tuples as lists, so compare after one round trip
+            assert json.loads(out) == json.loads(json.dumps(element_to_json(oracle)))
+            _, corrected = family_vectors(ctx, spec)
+            assert corrected != oracle.vector
 
 
 class TestVerify:

@@ -368,10 +368,7 @@ class TestClosedFamilies:
         def flipped(spec):
             return [(f, -c if spec.family == "p10k" else c) for f, c in real(spec)]
 
-        closedform._canonical_vector.cache_clear()
         monkeypatch.setattr(closedform, "_partners", flipped)
-        yield
-        closedform._canonical_vector.cache_clear()
 
     def test_wrong_partner_fails_the_element_check(self, flipped_p10k_partner):
         with pytest.raises(ReductionError):
@@ -466,8 +463,10 @@ class TestStagePath:
         assert checked == 156
 
     def test_each_sibling_built_once(self, monkeypatch):
-        # _canonical_vector builds one monomial per spec it misses, so one
-        # build per spec in all means every sibling is built once
+        # one monomial per family a call subtracts from (a = k = 3, so no
+        # partner coefficient is [0]), the p0k1 partner that p010k and p10k
+        # share built once; a second, identical call keeps nothing of the
+        # first and builds them all again
         builds = []
         real = closedform.path_monomial
 
@@ -476,11 +475,16 @@ class TestStagePath:
             return real(ctx, stages)
 
         monkeypatch.setattr(closedform, "path_monomial", counting)
-        closedform._canonical_vector.cache_clear()
-        specs = family_specs(3, 2)
-        for spec in specs:
+        for family, n, built in (
+            ("p010k", 1, 3), ("p010k", 2, 3), ("p010k", 0, 2), ("p10k", 1, 2), ("p10k", 2, 2),
+            ("p10k", 0, 1), ("p0k1", 1, 1), ("weyl", 1, 1),
+        ):
+            spec = FamilySpec(family, 3, 3, n)
+            builds.clear()
             closed_canonical_family(spec)
-        assert len(builds) == len(specs) == 48
+            assert len(builds) == len(set(builds)) == built, spec
+            closed_canonical_family(spec)
+            assert builds == builds[:built] * 2, spec
 
     def test_fill_stage_terms_disagree(self):
         # after f_0 f_1 at a = 1 the three terms have one or two addable

@@ -150,14 +150,13 @@ def test_test_only_definitions_are_listed():
 MEMOS = {
     "_EXPANSIONS": "fock: f_i^(k) of each basis term per context and (i, k), as one flat tuple",
     "_NODES": "fock: the i-nodes of each component per rank and (i - charge) mod e, and its"
-    " filled components per number of added nodes; keyed by component, not by multipartition,"
-    " so it stays small (186 entries on allg_a2)",
+    " filled components per subset of its addable nodes, each made when first asked for; keyed"
+    " by component, not by multipartition, so it stays small (186 entries on allg_a2)",
     "_SHARED": "fock: one object per distinct filled or spliced component, expansion term and shift int",
     "_STEPS": "partitions: one dominance step per pair of unequal components, one inner"
     " dict per dominating component",
     "build_parser": "cli: the argparse parser, built once per process; verify_cli parses"
     " 36 argv lists, and building a parser costs about ten times parsing one",
-    "_canonical_vector": "closedform: a family's closed-form vector, built from its memoised partners",
     "transpose": "partitions: the conjugate of each partition",
 }
 

@@ -347,17 +347,18 @@ def test_every_computed_term_is_shared():
 
 def test_every_entry_value_is_shared(monkeypatch):
     # separate misses along a path from the highest weight vertex, so every
-    # component was built by a node table's fill; the last one has shifts up
-    # to W * 9, ints that CPython does not share
+    # component was built by a node table's fill; the third has shifts up
+    # to W * 9, ints that CPython does not share, and the k = 1 step after
+    # it puts in the single-node fills, made as they are first asked for
     monkeypatch.setattr(fock, "_EXPANSIONS", {})
     monkeypatch.setattr(fock, "_SHARED", {})
     monkeypatch.setattr(fock, "_NODES", {})
     ctx = FockContext(2, (0, 0))
     vec = FockVector.basis(ctx.highest_weight_vertex())
-    for i, k in ((0, 2), (1, 4), (0, 3)):
+    for i, k in ((0, 2), (1, 4), (0, 3), (1, 1)):
         vec = apply_f_divided(ctx, vec, i, k)
     entries = [entry for memo in fock._EXPANSIONS.values() for entry in memo.values()]
-    assert len(entries) == 3 and max(entries[-1][1:-1:2]) == fock.W * 9
+    assert len(entries) == 3 + 20 and max(entries[2][1:-1:2]) == fock.W * 9
     values = [x for entry in entries for mp in entry[0:-1:2] for x in (mp, *mp)]
     values += [s for entry in entries for s in entry[1:-1:2]]
     assert all(fock._SHARED[x] is x for x in values)
@@ -406,9 +407,10 @@ def test_expansion_entries_match_reference(case):
 def test_expansion_matches_subset_rule(case, k):
     # multipartitions off the crystal too, repeated charges, e = 2..4 and
     # k <= 6: the component tables give the subset rule's terms and
-    # exponents, and its addable nodes
+    # exponents, and its addable nodes and their number
     ctx, mp, i = case
     assert addable_exponents(ctx, mp, i) == addable_exponents_reference(ctx, mp, i)
+    assert fock.addable_count(ctx, mp, i) == len(addable_exponents_reference(ctx, mp, i))
     entry = fock._expansion(ctx, mp, i, k)
     want = expansion_reference(ctx, mp, i, k)
     low = entry[-1]
