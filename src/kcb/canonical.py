@@ -6,8 +6,9 @@ The seed of G(mu) is A = f_i^(k) G(mu'), where k = eps_i(mu) > 0 and
 mu' = e~_i^k(mu) is the top of mu's i-string (Lascoux-Leclerc-Thibon;
 Fayers for higher level).  It is bar-invariant, and by Kashiwara's
 divided-power rule G(mu) occurs in it with coefficient exactly 1, for any
-such i (Duke Math. J. 69, 1993).  seed_string takes the i whose top has
-the lowest defect, the smallest such i on a tie.  The reduction
+such i (Duke Math. J. 69, 1993).  The i is crystal.string_top's, the one
+whose top has the lowest defect, so (i, k) is the last segment of mu's
+residue-collected path.  The reduction
 expresses A over the canonical elements at the same weight and strips
 off everything but G(mu).  Write
 A = sum_nu m_nu G(nu) with every m_nu bar-symmetric and m_mu = 1.  The
@@ -40,7 +41,6 @@ import warnings
 from bisect import insort
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
-from functools import reduce
 
 from .crystal import (
     NotAVertexError,
@@ -48,11 +48,11 @@ from .crystal import (
     _reduced_signature,
     f_tilde_string,
     generate_crystal,
-    good_strings,
     residue_collected_path,
+    string_top,
     weight_info,
 )
-from .fock import CoefficientError, FockContext, FockVector, Node, apply_f_divided, content, remove_node
+from .fock import CoefficientError, FockContext, FockVector, apply_f_divided, content
 from .laurent import LaurentPoly
 from .partitions import Multipartition, dominates, ints_from_json, mp_from_json
 
@@ -144,26 +144,6 @@ def reduce_seed(
     return checked_element(ctx, label, V), certificate
 
 
-def seed_string(ctx: FockContext, mp: Multipartition) -> tuple[int, list[Node]] | None:
-    """(i, the good i-nodes of mp) of the string that seeds G(mp): among the
-    residues with k = eps_i(mp) > 0, the one whose top e~_i^k(mp) has the
-    lowest defect, that of weight_info of content(mp) - k alpha_i, so that
-    no top is built to choose it; the smallest i on a tie, which is
-    string_top's choice.  None at the highest weight vertex;
-    NotAVertexError off the crystal (crystal.good_strings)."""
-    if mp == ctx.highest_weight_vertex():
-        return None
-    cont = content(ctx, mp)
-
-    def top_defect(string: tuple[int, list[Node]]) -> int:
-        i, good = string
-        lowered = list(cont)
-        lowered[i] -= len(good)
-        return weight_info(ctx, lowered).defect
-
-    return min(good_strings(ctx, mp), key=top_defect)
-
-
 def is_svelte(g: CanonicalElement) -> bool:
     """Shape is all ones of length defect + 1."""
     return g.shape == (1,) * (g.weight.defect + 1)
@@ -182,7 +162,7 @@ class CanonicalBasis:
     """Canonical-basis computer for one context, with memoization.
 
     The caller owns the basis and its memo of elements; each seed is built
-    from the memoized element of the top of the label's seed_string.  Only
+    from the memoized element of the top of the label's string_top.  Only
     a basis passed cache_dir persists elements, as content-addressed JSON
     files; a file is served only if it passes the element checks.  The
     first file that cannot be written costs one RuntimeWarning, not the
@@ -204,15 +184,14 @@ class CanonicalBasis:
     # seeds
 
     def monomial(self, mp: Multipartition) -> FockVector:
-        """The seed f_i^(k) G(top) of mp's seed_string, k its number of
-        good nodes and top = e~_i^k(mp); bar-invariant, with G(mp) at
-        coefficient 1.  The highest weight vertex seeds itself."""
-        step = seed_string(self.ctx, mp)
+        """The seed f_i^(k) G(top) of mp's string_top (i, k, top), k its
+        number of good nodes and top = e~_i^k(mp); bar-invariant, with G(mp)
+        at coefficient 1.  The highest weight vertex seeds itself."""
+        step = string_top(self.ctx, mp)
         if step is None:
             return FockVector.basis(mp)
-        i, good = step
-        top = reduce(remove_node, good, mp)
-        return apply_f_divided(self.ctx, self.element(top).vector, i, len(good))
+        i, k, top = step
+        return apply_f_divided(self.ctx, self.element(top).vector, i, k)
 
     # canonical elements
 
@@ -257,8 +236,7 @@ class CanonicalBasis:
         finally:
             self._in_progress.discard(mp)
         if certificate:  # Kashiwara, Duke Math. J. 69, 1993: each eps_i(nu) > k
-            i, good = seed_string(self.ctx, mp)
-            k = len(good)
+            i, k, _ = string_top(self.ctx, mp)
             for nu, _ in certificate:
                 eps = len(_reduced_signature(self.ctx, nu, i)[1])
                 if eps <= k:

@@ -196,8 +196,10 @@ def _add_context_opts(p: argparse.ArgumentParser) -> None:
     p.add_argument("--a", type=int, default=None, help="symmetric shortcut: charges 0^a 1^a")
 
 
-def _add_common(p: argparse.ArgumentParser, formats=("json", "text")) -> None:
-    p.add_argument("--format", choices=formats, default=formats[0])
+def _add_common(p: argparse.ArgumentParser, formats=()) -> None:
+    """--out, and --format when the command offers formats (the first is the default)."""
+    if formats:
+        p.add_argument("--format", choices=formats, default=formats[0])
     p.add_argument("--out", type=str, default=None, help="write output to a file")
 
 
@@ -215,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("crystal", help="generate the crystal graph")
     _add_context_opts(p)
     p.add_argument("--max-degree", type=int, required=True)
-    _add_common(p, ("json",))
+    _add_common(p)
     p.set_defaults(fn=cmd_crystal)
 
     p = sub.add_parser("block-graph", help="generate the block-reduced graph")
@@ -229,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mp", type=str, required=True,
                    help='multipartition literal, e.g. "[[3],[]]"')
     p.add_argument("--cache-dir", type=str, default=None, help="persist elements as JSON files here")
-    _add_common(p)
+    _add_common(p, ("json", "text"))
     p.set_defaults(fn=cmd_canonical)
 
     p = sub.add_parser("shape-table", help="shape-function table for a symmetric weight")
@@ -243,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--i", type=int, default=0, choices=(0, 1), help="residue of the family's k-node stage (default 0)")
-    _add_common(p, ("json",))
+    _add_common(p)
     p.set_defaults(fn=cmd_closed_form)
 
     p = sub.add_parser("verify", help="run a verification suite")

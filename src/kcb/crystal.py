@@ -4,15 +4,19 @@ hubs, defects, the block-reduced graph, and path extraction.
 Signature convention: the +/- word is written bottom to top (component 1
 is topmost), "-+" pairs are cancelled, the good node is the leftmost
 surviving "-", the cogood node the rightmost surviving "+".
+
+string_top is the one rule that chooses among a vertex's maximal strings:
+the one whose top has the lowest defect, the smallest residue on a tie.
+The seed of G(mu) (canonical.CanonicalBasis.monomial), the
+residue-collected path and the duality images all peel that string.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Iterator
 
-from .fock import FockContext, Node, add_node, content, i_node_slots, remove_node
+from .fock import FockContext, add_node, content, i_node_slots, remove_node
 from .partitions import Multipartition, ints_from_json, is_e_regular, mp_from_json, mp_to_json
 
 
@@ -178,31 +182,27 @@ def string_steps(bg: BlockReducedGraph, cont: tuple[int, ...], i: int, step: int
         n += 1
 
 
-def good_strings(ctx: FockContext, mp: Multipartition) -> Iterator[tuple[int, list[Node]]]:
-    """(i, the good i-nodes of mp) for each residue i with eps_i(mp) > 0,
-    ascending, one reduced signature each as the walk asks for it: removing
-    those nodes reaches e~_i^eps_i(mp), the top of mp's i-string.  Raises
-    NotAVertexError when mp is not e-regular or has no good node."""
-    if not is_e_regular(mp, ctx.e):
-        raise NotAVertexError(f"{mp} is not {ctx.e}-regular")
-    found = False
-    for i in range(ctx.e):
-        _, rems = _reduced_signature(ctx, mp, i)
-        if rems:
-            found = True
-            yield i, rems
-    if not found:
-        raise NotAVertexError(f"{mp} does not reach the highest weight vertex")
-
-
 def string_top(ctx: FockContext, mp: Multipartition) -> tuple[int, int, Multipartition] | None:
-    """(i, k, e~_i^k(mp)) for mp's first maximal string, i the smallest
-    residue with a good node, k = eps_i the number of surviving - of its
-    signature; None at the highest weight vertex.  Raises NotAVertexError
-    when mp is not e-regular or has no good node."""
+    """(i, k, e~_i^k(mp)) for the maximal string of mp whose top has the
+    lowest defect, the smallest i on a tie; k = eps_i(mp) > 0 is the number
+    of surviving - of the i-signature.  Lowering the content by k alpha_i
+    lowers the defect by k hub_i + k^2, and hub_i = phi_i - eps_i, so the
+    top's defect is defect(mp) - eps_i phi_i: the signature's counts
+    choose, and no top or weight is built.  This string seeds G(mp) and
+    ends mp's residue-collected path.  None at the highest weight vertex;
+    NotAVertexError when mp is not e-regular or has no good node."""
     if mp == ctx.highest_weight_vertex():
         return None
-    i, rems = next(good_strings(ctx, mp))
+    if not is_e_regular(mp, ctx.e):
+        raise NotAVertexError(f"{mp} is not {ctx.e}-regular")
+    strings = []
+    for i in range(ctx.e):
+        adds, rems = _reduced_signature(ctx, mp, i)
+        if rems:
+            strings.append((-len(adds) * len(rems), i, rems))
+    if not strings:
+        raise NotAVertexError(f"{mp} does not reach the highest weight vertex")
+    _, i, rems = min(strings)  # (-eps_i phi_i, i) never ties
     return i, len(rems), reduce(remove_node, rems, mp)
 
 

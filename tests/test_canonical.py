@@ -8,7 +8,6 @@ import sys
 import weakref
 from collections import Counter
 from dataclasses import replace
-from functools import reduce
 
 import pytest
 
@@ -21,7 +20,6 @@ from kcb.canonical import (
     element_to_json,
     is_svelte,
     reduce_seed,
-    seed_string,
 )
 from kcb.closedform import (
     FamilySpec,
@@ -33,13 +31,13 @@ from kcb.closedform import (
 from kcb.crystal import (
     NotAVertexError,
     _reduced_signature,
+    f_tilde_string,
     generate_crystal,
-    good_strings,
     residue_collected_path,
     string_top,
     weight_info,
 )
-from kcb.fock import FockContext, FockVector, apply_f_divided, content, remove_node, symmetric_context
+from kcb.fock import FockContext, FockVector, apply_f_divided, content, symmetric_context
 from kcb.laurent import LaurentPoly
 from kcb.partitions import conjugate, dominates, is_e_regular, mp_to_json
 from kcb.verify import _difference, verify_duality
@@ -96,19 +94,19 @@ class TestMonomial:
         # a seed that carries G(above), whose label dominates the seed's, so
         # the elimination must range over vertices above the label too:
         # the basis's own seed of G((2),(),(1),(1)) carries
-        # G((2,1),(),(1),()); the string-top seed of G((2),(2,1)), f_0
-        # G((2),(2)), carries G((3),(2)), which its lowest-defect seed does not
+        # G((2,1),(),(1),()); the f_0 seed of G((2),(2,1)), f_0 G((2),(2)),
+        # carries G((3),(2)), which its string_top seed, at i = 1, does not
         for ctx, mp, above in [
             (symmetric_context(2), ((2,), (), (1,), (1,)), ((2, 1), (), (1,), ())),
             (C01, ((2,), (2, 1)), ((3,), (2,))),
         ]:
             assert dominates(above, mp) and above != mp
             basis = CanonicalBasis(ctx)
-            i, k, top = string_top(ctx, mp)
             if ctx == C01:
-                assert seed_string(ctx, mp)[0] != i
+                k, top = e_tilde_until_none(ctx, mp, 0)
+                assert k and string_top(ctx, mp)[0] != 0
                 assert basis.monomial(mp).coefficient(above) == LaurentPoly.zero()
-                seed = apply_f_divided(ctx, basis.element(top).vector, i, k)
+                seed = apply_f_divided(ctx, basis.element(top).vector, 0, k)
             else:
                 seed = basis.monomial(mp)
             assert seed.coefficient(above) == LaurentPoly.one()
@@ -312,8 +310,8 @@ def vertices_up_to(basis, degree):
 
 
 # every vertex up to degree 7 of these contexts; at (0, 0, 1, 1) and at
-# e = 3 the lowest-defect seed differs from the string-top seed at some
-# vertices
+# e = 3 string_top's lowest-defect string is not the smallest residue's
+# at some vertices
 SEED_RULE_CONTEXTS = (
     FockContext(2, (0, 1)),
     FockContext(2, (0, 0, 1, 1)),
@@ -334,9 +332,10 @@ class TestSeedRule:
             want = basis.element(mp).vector
             if mp == ctx.highest_weight_vertex():
                 continue
-            for i, good in good_strings(ctx, mp):
-                k = len(good)
-                top = reduce(remove_node, good, mp)
+            for i in range(ctx.e):
+                k, top = e_tilde_until_none(ctx, mp, i)
+                if not k:
+                    continue
                 seed = apply_f_divided(ctx, basis.element(top).vector, i, k)
                 elem, certificate = reduce_seed(ctx, mp, seed, basis.element)
                 assert elem.vector == want, (mp, i)
@@ -346,23 +345,53 @@ class TestSeedRule:
 
     @pytest.mark.parametrize("ctx", SEED_RULE_CONTEXTS, ids=str)
     def test_seed_string_has_the_lowest_top_defect(self, ctx):
-        # against the defect of each built top; a tie goes to the smallest
-        # i, string_top's choice
+        # string_top, the seed's string, against the defect of each built
+        # top; a tie goes to the smallest i
         differs = 0
         for mp in vertices_up_to(CanonicalBasis(ctx), 7):
             if mp == ctx.highest_weight_vertex():
-                assert seed_string(ctx, mp) is None
+                assert string_top(ctx, mp) is None
                 continue
             tops = [(weight_info(ctx, content(ctx, top)).defect, i, k, top)
                     for i in range(ctx.e)
                     for k, top in [e_tilde_until_none(ctx, mp, i)] if k]
             _, i, k, top = min(tops)
-            got_i, good = seed_string(ctx, mp)
-            assert (got_i, len(good), reduce(remove_node, good, mp)) == (i, k, top)
+            assert string_top(ctx, mp) == (i, k, top)
+            smallest = tops[0][1]  # the smallest residue with eps_i > 0
             if len({d for d, *_ in tops}) == 1:
-                assert got_i == string_top(ctx, mp)[0]
-            differs += got_i != string_top(ctx, mp)[0]
+                assert i == smallest
+            differs += i != smallest
         assert differs or ctx == C01
+
+    @pytest.mark.parametrize("ctx", SEED_RULE_CONTEXTS, ids=str)
+    def test_seed_string_ends_the_path(self, ctx):
+        # the basis seeds G(mp) with the last segment of mp's path
+        basis = CanonicalBasis(ctx)
+        for mp in vertices_up_to(basis, 7):
+            if mp == ctx.highest_weight_vertex():
+                continue
+            i, k = residue_collected_path(ctx, mp)[-1]
+            assert string_top(ctx, mp)[:2] == (i, k), mp
+            top = e_tilde_until_none(ctx, mp, i)[1]
+            assert basis.monomial(mp) == apply_f_divided(ctx, basis.element(top).vector, i, k), mp
+
+    def test_diamond_does_not_depend_on_the_path(self):
+        # the diamond is a crystal isomorphism: replaying the smallest-residue
+        # peel through the dual crystal lands where string_top's path does
+        ctx = FockContext(3, (0, 0, 1))
+        dctx, differs = ctx.dual(), 0
+        for mp in vertices_up_to(CanonicalBasis(ctx), 7):
+            segs, cur = [], mp
+            while cur != ctx.highest_weight_vertex():
+                i = next(i for i in range(ctx.e) if e_tilde_until_none(ctx, cur, i)[0])
+                k, cur = e_tilde_until_none(ctx, cur, i)
+                segs.append((i, k))
+            md = dctx.highest_weight_vertex()
+            for i, k in reversed(segs):
+                md = f_tilde_string(dctx, md, (-i) % ctx.e, k)
+            assert (dctx, md) == diamond(ctx, mp), mp
+            differs += tuple(reversed(segs)) != residue_collected_path(ctx, mp)
+        assert differs
 
 
 class TestSeed:

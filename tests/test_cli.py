@@ -38,6 +38,14 @@ class TestCrystal:
         code = main(["crystal", "--e", "2", "--charges", "0,1,0", "--max-degree", "2"])
         assert code == 2
 
+    def test_json_is_the_only_format(self, capsys):
+        argv = ["crystal", "--a", "1", "--max-degree", "2"]
+        for fmt in ("json", "text"):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--format", fmt])
+            assert exc.value.code == 2
+            assert capsys.readouterr().out == ""
+
 
 @pytest.mark.parametrize("argv", [
     ("crystal", "--max-degree", "1"),
@@ -150,13 +158,16 @@ class TestClosedForm:
         assert json.loads(out)["terms"][0]["multipartition"] == [[2, 1], []]
 
     def test_json_is_the_only_format(self, capsys):
-        # --format text once printed JSON and exited 0
+        # JSON is the only output, so there is no --format to give
         argv = ["closed-form", "--family", "weyl", "--a", "1", "--k", "1"]
-        with pytest.raises(SystemExit) as exc:
-            main([*argv, "--format", "text"])
-        assert exc.value.code == 2
-        assert capsys.readouterr().out == ""
-        assert run(capsys, *argv, "--format", "json") == run(capsys, *argv)
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["label"] == [[1], []]
+        for fmt in ("json", "text"):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--format", fmt])
+            assert exc.value.code == 2
+            assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("a,k", [("2", "1"), ("1", "0")])
     def test_weyl_negative_n_exit_2(self, capsys, a, k):

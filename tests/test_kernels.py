@@ -42,6 +42,7 @@ from fock_reference import (
     f_tilde_iterated,
     i_node_slots_reference,
     iter_multipartitions,
+    weight_info_reference,
 )
 
 partitions_st = st.lists(st.integers(1, 6), max_size=5).map(
@@ -124,6 +125,7 @@ def test_f_tilde_string_matches_iterated_steps(case):
 @given(crystal_vertices())
 @example((FockContext(2, (0,)), ((1,),)))  # the good node empties the row
 @example((FockContext(2, (0, 0)), ((1,), (1,))))  # two removals empty two rows
+@example((FockContext(2, (0, 1)), ((2,), (2, 1))))  # the lowest top is not at the smallest i
 def test_string_top_matches_e_tilde_until_none(case):
     ctx, mp = case
     strings = [e_tilde_until_none(ctx, mp, i) for i in range(ctx.e)]
@@ -133,9 +135,14 @@ def test_string_top_matches_e_tilde_until_none(case):
         while (nxt := e_tilde(ctx, cur, i)) is not None:
             cur, steps = nxt, steps + 1
         assert (steps, cur) == (k, top)
-    first = next(((i, k, top) for i, (k, top) in enumerate(strings) if k), None)
-    assert string_top(ctx, mp) == first
-    assert (first is None) == (mp == ctx.highest_weight_vertex())
+    # the lowest-defect top, built; the smallest i on a tie
+    lowest = min(
+        ((weight_info_reference(ctx, content_reference(ctx, top))[1], i, k, top)
+         for i, (k, top) in enumerate(strings) if k),
+        default=None,
+    )
+    assert string_top(ctx, mp) == (lowest and lowest[1:])
+    assert (lowest is None) == (mp == ctx.highest_weight_vertex())
 
 
 @lru_cache(maxsize=None)
