@@ -45,9 +45,8 @@ from .fock import (
     FockContext,
     FockVector,
     addable_count,
-    addable_exponents,
     apply_f_divided,
-    divided_power_term,
+    subset_terms,
     symmetric_context,
 )
 from .laurent import LaurentPoly, qint
@@ -283,18 +282,18 @@ def expand_family(
 ) -> list[tuple[Multipartition, LaurentPoly]]:
     """The staged sum of v^inv over the choice sequences, one
     (multipartition, coefficient) pair per distinct multipartition; every
-    stage has an explicit count, so every term ends at one weight.
+    stage has an explicit count, so every term ends at one weight.  A
+    stage's terms come from fock.subset_terms, in the order of the picks.
     branch_cap bounds the choice branches: the sum of the integer
     coefficients of the coefficients."""
     terms = {ctx.highest_weight_vertex(): LaurentPoly.one()}
     for idx, (i, kk) in enumerate(stages, start=1):
         nxt: dict[Multipartition, LaurentPoly] = {}
         for mp, cp in terms.items():
-            adds = addable_exponents(ctx, mp, i)
-            if kk > len(adds):
-                raise StageError(f"stage {idx} asks for {kk} nodes, only {len(adds)} addable")
-            for picks in combinations(range(len(adds)), kk):
-                nmp, _ = divided_power_term(mp, [adds[pos] for pos in picks])
+            n = addable_count(ctx, mp, i)
+            if kk > n:
+                raise StageError(f"stage {idx} asks for {kk} nodes, only {n} addable")
+            for picks, nmp in zip(combinations(range(n), kk), subset_terms(ctx, mp, i, kk)[0]):
                 p = cp.shift(sum(picks) - kk * (kk - 1) // 2)
                 prev = nxt.get(nmp)
                 nxt[nmp] = p if prev is None else prev + p
@@ -324,7 +323,8 @@ def family_label(ctx: FockContext, spec: FamilySpec) -> Multipartition:
 
 def family_term(spec: FamilySpec, choices) -> tuple[Multipartition, int, int]:
     """One family term for explicit choice sequences (one per choice stage):
-    (multipartition, plain exponent, corrected exponent)."""
+    (multipartition, plain exponent, corrected exponent).  Each stage takes
+    the fock.subset_terms term and exponent at the index of its picks."""
     ctx = symmetric_context(spec.a)
     stages = family_stages(spec)
     m = sum(mult is not None for _, mult in stages)
@@ -336,24 +336,24 @@ def family_term(spec: FamilySpec, choices) -> tuple[Multipartition, int, int]:
     mp = ctx.highest_weight_vertex()
     ep = ec = 0
     for idx, (i, mult) in enumerate(stages):
-        adds = addable_exponents(ctx, mp, i)
+        n = addable_count(ctx, mp, i)
         if idx < m:
             s = choices[idx]
-            if s.length != len(adds):
+            if s.length != n:
                 raise ValueError(
-                    f"stage {idx + 1}: sequence length {s.length} != "
-                    f"{len(adds)} addable nodes"
+                    f"stage {idx + 1}: sequence length {s.length} != {n} addable nodes"
                 )
             if s.weight != mult:
                 raise ValueError(
                     f"stage {idx + 1}: sequence weight {s.weight} != {mult}"
                 )
-            picks = [adds[p] for p, b in enumerate(s.bits) if b]
+            picks = tuple(p for p, b in enumerate(s.bits) if b)
             ep += inv(s)
         else:
-            picks = adds
-        mp, dc = divided_power_term(mp, picks)
-        ec += dc
+            picks = tuple(range(n))
+        mps, expos = subset_terms(ctx, mp, i, len(picks))
+        at = list(combinations(range(n), len(picks))).index(picks)
+        mp, ec = mps[at], ec + expos[at]
     return mp, ep, ec
 
 

@@ -5,7 +5,8 @@ f_i^(k) adds each k-subset T of the addable i-nodes at v^(sum_T N_t -
 C(k,2)), N_t = #addable - #removable i-nodes above t (Kashiwara, Duke
 Math. J. 69, 1993): adding an i-node only turns its slot removable, so
 the k! orders of adding T under f_i^k sum to [k]! times that monomial.
-Only apply_f_divided and closedform.family_term read this exponent.
+subset_terms alone turns a subset into its term and this exponent;
+apply_f_divided and closedform's family engine read both from it.
 
 Ordering convention used everywhere ("above"/"below"): component 1 is
 topmost, and within a component a smaller row index is higher.  A single
@@ -98,13 +99,13 @@ Node = tuple[int, int, int]
 
 # One object per distinct value the f_i^(k) expansions build
 # (hash-consing, Filliatre and Conchon, ML Workshop 2006): each component
-# a node table fills or divided_power_term splices, each multipartition of
-# an _expansion and each shift int.  Equal terms share their tuples, so
-# they are stored once and dict lookups on them hit on identity.  A fill
-# or splice builds a fresh tuple every time, even a new row (1,), and
-# CPython shares only the ints up to 256.  The three kinds never compare
-# equal (a non-empty tuple of ints, a non-empty tuple of tuples, an int),
-# so one table keeps one object per value.
+# a node table fills, each multipartition of an _expansion and each shift
+# int.  Equal terms share their tuples, so they are stored once and dict
+# lookups on them hit on identity.  A fill builds a fresh tuple every
+# time, even a new row (1,), and CPython shares only the ints up to 256.
+# The three kinds never compare equal (a non-empty tuple of ints, a
+# non-empty tuple of tuples, an int), so one table keeps one object per
+# value.
 _SHARED: dict = {}
 
 
@@ -177,21 +178,56 @@ def i_node_slots(ctx: FockContext, mp: Multipartition, i: int) -> list[tuple[Nod
     ]
 
 
-def addable_exponents(ctx: FockContext, mp: Multipartition, i: int) -> list[tuple[Node, int]]:
-    """Addable i-nodes, top to bottom, each with its f_i exponent
-    N = #{addable i-nodes above it} - #{removable i-nodes above it}."""
-    out, above, e = [], 0, ctx.e
-    for u, (comp, ch) in enumerate(zip(mp, ctx.charges), start=1):
-        _, balance, adds, _ = _component_nodes(e, (i - ch) % e, comp)
-        out += [((u, row, col), above + local) for row, col, local in adds]
-        above += balance
-    return out
-
-
 def addable_count(ctx: FockContext, mp: Multipartition, i: int) -> int:
     """The number of addable i-nodes of mp, read off the node tables."""
     e = ctx.e
     return sum(len(_component_nodes(e, (i - ch) % e, comp)[2]) for comp, ch in zip(mp, ctx.charges))
+
+
+def subset_terms(ctx: FockContext, mp: Multipartition, i: int, k: int) -> tuple[list, list[int]]:
+    """The terms of f_i^(k) on the basis vector mp by the subset rule of
+    the module docstring, as two lists: the multipartitions and their
+    exponents, one per k-subset of mp's addable i-nodes, in combinations
+    order over those nodes top to bottom (both empty when fewer than k
+    are addable; mp at exponent 0 when k = 0).  A node's exponent is O_c
+    + its local one, O_c the balance of the components above its
+    component c, so a subset's is sum_c (j_c * O_c + its local sum in c)
+    - C(k,2) for j_c nodes in c; and its term replaces each component it
+    touches by the node table's fill at the mask of the nodes it takes
+    there.  Distinct subsets add distinct nodes, so no multipartition
+    occurs twice."""
+    if k == 0:
+        return [mp], [0]
+    e = ctx.e
+    # the node-table entry of each component with an addable i-node, and
+    # each such node as (component position, its bit there, exponent)
+    entries, nodes, above = {}, [], 0
+    for u, (comp, ch) in enumerate(zip(mp, ctx.charges)):
+        entry = _component_nodes(e, (i - ch) % e, comp)
+        if entry[2]:
+            entries[u] = entry
+            nodes += [(u, 1 << p, above + local) for p, (_, _, local) in enumerate(entry[2])]
+        above += entry[1]
+    mps, expos = [], []
+    for subset in combinations(nodes, k):
+        # the nodes of one component are consecutive: gather each
+        # component's mask, then put in its fill
+        term = list(mp)
+        expo = -(k * (k - 1) // 2)
+        at, mask = subset[0][0], 0
+        for u, bit, n in subset:
+            expo += n
+            if u != at:
+                fills = entries[at][3]
+                term[at] = fills.get(mask) or _filled(mp[at], entries[at], mask)
+                at, mask = u, bit
+            else:
+                mask |= bit
+        fills = entries[at][3]
+        term[at] = fills.get(mask) or _filled(mp[at], entries[at], mask)
+        mps.append(tuple(term))
+        expos.append(expo)
+    return mps, expos
 
 
 def add_node(mp: Multipartition, node: Node) -> Multipartition:
@@ -213,22 +249,6 @@ def remove_node(mp: Multipartition, node: Node) -> Multipartition:
     else:
         new = comp[: row - 1] + (r,) + comp[row:]
     return mp[: u - 1] + (new,) + mp[u:]
-
-
-def divided_power_term(mp: Multipartition, subset) -> tuple[Multipartition, int]:
-    """The term of f_i^(k) at a k-subset of addable_exponents(ctx, mp, i):
-    mp with those nodes added, and its exponent sum(N) - C(k,2).  A node's
-    new row length is its column, whether it starts a row or extends one."""
-    k = len(subset)
-    expo = -(k * (k - 1) // 2)
-    comps = list(mp)
-    share = _SHARED.setdefault
-    for (u, row, col), n in subset:
-        comp = comps[u - 1]
-        comp = comp[: row - 1] + (col,) + comp[row:]
-        comps[u - 1] = share(comp, comp)
-        expo += n
-    return tuple(comps), expo
 
 
 def content(ctx: FockContext, mp: Multipartition) -> tuple[int, ...]:
@@ -680,49 +700,15 @@ def rotation_class(ctx: FockContext) -> tuple:
 
 
 def _expansion(ctx: FockContext, mp: Multipartition, i: int, k: int) -> tuple:
-    """f_i^(k) of the basis vector mp as an _EXPANSIONS entry: one term
-    per k-subset of mp's addable i-nodes, each the multipartition with its
-    shift W * (exponent - low), then the least exponent `low` (0 when there
-    is no term).  A node's exponent is O_c + its local one, O_c the balance
-    of the components above its component c, so a subset's is sum_c (j_c *
-    O_c + its local sum in c) - C(k,2) for j_c nodes in c; and its term
-    replaces each component it touches by the node table's fill at the
-    mask of the nodes it takes there, with no per-node splice.  Distinct
-    subsets add distinct nodes, so no multipartition occurs twice.  Each
+    """f_i^(k) of the basis vector mp as an _EXPANSIONS entry: each term
+    of subset_terms as the multipartition with its shift W * (exponent -
+    low), then the least exponent `low` (0 when there is no term).  Each
     multipartition and shift is the one object _SHARED holds for its
     value: a shift W * d of d >= 5 would otherwise be a fresh int in every
     entry."""
-    e = ctx.e
-    # the node-table entry of each component with an addable i-node, and
-    # each such node as (component position, its bit there, exponent)
-    entries, nodes, above = {}, [], 0
-    for u, (comp, ch) in enumerate(zip(mp, ctx.charges)):
-        entry = _component_nodes(e, (i - ch) % e, comp)
-        if entry[2]:
-            entries[u] = entry
-            nodes += [(u, 1 << p, above + local) for p, (_, _, local) in enumerate(entry[2])]
-        above += entry[1]
-    if len(nodes) < k:
+    mps, expos = subset_terms(ctx, mp, i, k)
+    if not mps:
         return (0,)
-    mps, expos = [], []
-    for subset in combinations(nodes, k):
-        # the nodes of one component are consecutive: gather each
-        # component's mask, then put in its fill
-        term = list(mp)
-        expo = -(k * (k - 1) // 2)
-        at, mask = subset[0][0], 0
-        for u, bit, n in subset:
-            expo += n
-            if u != at:
-                fills = entries[at][3]
-                term[at] = fills.get(mask) or _filled(mp[at], entries[at], mask)
-                at, mask = u, bit
-            else:
-                mask |= bit
-        fills = entries[at][3]
-        term[at] = fills.get(mask) or _filled(mp[at], entries[at], mask)
-        mps.append(tuple(term))
-        expos.append(expo)
     low = min(expos)
     shifts = [W * (x - low) for x in expos]
     share = _SHARED.setdefault

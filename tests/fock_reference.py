@@ -7,18 +7,21 @@ apply_f and apply_e sum over the addable (removable) i-nodes one at a
 time; apply_f_divided_iterative applies apply_f k times and divides
 exactly by [k]!.  None of them shares the subset rule of kcb.fock.
 expand_family_branches carries every choice branch separately to the
-last stage, with its own plain and corrected exponents, and merges none.
+last stage, with its own plain and corrected exponents and the choice
+sequences it took, and merges none.
 dict_add_scaled and dict_apply_f_divided work on plain
 multipartition -> {exponent: coefficient} dicts, so they check the packed
 int storage of kcb.fock.FockVector against arithmetic that has none.
 
 The *_reference functions are the plain kernels that kcb.partitions
-dominates and kcb.fock i_node_slots, addable_exponents,
-divided_power_term, the f_i^(k) expansion and content replaced by faster
-ones: a dominance walk over every row with no memo, a slot walk over
-every row with a charge lookup per component and no node table, one
-add_node per added node and one term per subset of the addable nodes of
-the whole multipartition, and a count of every cell.
+dominates and kcb.fock i_node_slots, addable_count, subset_terms, the
+f_i^(k) expansion and content replaced by faster ones: a dominance walk
+over every row with no memo, a slot walk over every row with a charge
+lookup per component and no node table, one add_node per added node and
+one term per subset of the addable nodes of the whole multipartition,
+and a count of every cell.  expand_family_branches and
+dict_apply_f_divided build their terms with these, not with kcb's node
+code.
 
 f_tilde_iterated and e_tilde_until_none step through an i-string one
 crystal operator at a time, each step reading a fresh signature off
@@ -50,9 +53,7 @@ from kcb.fock import (
     FockContext,
     FockVector,
     add_node,
-    addable_exponents,
     content,
-    divided_power_term,
     i_node_slots,
     remove_node,
 )
@@ -164,13 +165,15 @@ def apply_f_divided_iterative(ctx: FockContext, vec: FockVector, i: int, k: int)
 
 def expand_family_branches(
     ctx: FockContext, stages, m: int, branch_cap: int | None = None
-) -> list[tuple[Multipartition, int, int]]:
-    """All branches (multipartition, plain exponent, corrected exponent)."""
-    branches = [(ctx.highest_weight_vertex(), 0, 0)]
+) -> list[tuple[Multipartition, int, int, tuple]]:
+    """All branches (multipartition, plain exponent, corrected exponent,
+    picks): picks holds one 0/1 choice sequence per stage before m, the
+    bits of the addable nodes the branch took there."""
+    branches = [(ctx.highest_weight_vertex(), 0, 0, ())]
     for idx, (i, mult) in enumerate(stages):
         nxt = []
-        for mp, ep, ec in branches:
-            adds = addable_exponents(ctx, mp, i)
+        for mp, ep, ec, picks in branches:
+            adds = addable_exponents_reference(ctx, mp, i)
             kk = len(adds) if mult is None else mult
             if kk > len(adds):
                 raise ValueError(
@@ -182,12 +185,15 @@ def expand_family_branches(
                     f"{len(adds) - kk} nodes unused"
                 )
             for T in combinations(range(len(adds)), kk):
-                nmp, dc = divided_power_term(mp, [adds[pos] for pos in T])
-                nxt.append((nmp, ep + sum(T) - kk * (kk - 1) // 2, ec + dc))
+                nmp, dc = divided_power_term_reference(mp, [adds[pos] for pos in T])
+                took = picks
+                if idx < m:
+                    took += (tuple(int(pos in T) for pos in range(len(adds))),)
+                nxt.append((nmp, ep + sum(T) - kk * (kk - 1) // 2, ec + dc, took))
         branches = nxt
         if branch_cap is not None and len(branches) > branch_cap:
             raise ValueError(f"branch budget exceeded ({len(branches)} > {branch_cap})")
-    conts = {content(ctx, mp) for mp, _, _ in branches}
+    conts = {content(ctx, branch[0]) for branch in branches}
     if len(conts) > 1:
         raise ValueError(f"branches ended at different weights: {sorted(conts)}")
     return branches
@@ -221,8 +227,8 @@ def dict_apply_f_divided(ctx: FockContext, a: dict, i: int, k: int) -> dict:
     """f_i^(k) by the subset rule, one subset and one exponent at a time."""
     out: dict = {}
     for mp, c in a.items():
-        for subset in combinations(addable_exponents(ctx, mp, i), k):
-            nmp, expo = divided_power_term(mp, subset)
+        for subset in combinations(addable_exponents_reference(ctx, mp, i), k):
+            nmp, expo = divided_power_term_reference(mp, subset)
             for e, n in c.items():
                 _accumulate(out, nmp, e + expo, n)
     return out

@@ -31,7 +31,7 @@ from kcb.crystal import (
     is_external,
     residue_collected_path,
 )
-from kcb.fock import FockVector, addable_exponents, apply_f_divided, content, symmetric_context
+from kcb.fock import FockVector, addable_count, apply_f_divided, content, symmetric_context
 from kcb.laurent import LaurentPoly
 from kcb.partitions import total_size, transpose_each, triangular
 
@@ -269,7 +269,7 @@ class TestClosedWeyl:
             for n in (0, 1, 2):
                 elem = weyl(a, 0, k, n)
                 nxt = 1 if n % 2 == 0 else 0
-                count = len(addable_exponents(ctx, elem.label, nxt))
+                count = addable_count(ctx, elem.label, nxt)
                 assert count == k * (n + 2) + (a - k) * n + a * (n + 1), (a, k, n)
 
     def test_forms_are_path_monomials(self):
@@ -332,6 +332,25 @@ class TestPiTerms:
         spec = FamilySpec("p0k1", 2, 1, 0, False)
         with pytest.raises(ValueError):
             family_term(spec, [S(1, 0), S(1, 0)])  # wrong length at stage 2
+
+    def test_every_branch(self):
+        # every branch of the per-branch reference, whose nodes and terms
+        # share no code with kcb.fock: family_term at its choice sequences
+        # gives its multipartition, plain and corrected exponent
+        checked = 0
+        for a in range(1, 4):
+            ctx = symmetric_context(a)
+            weyl_specs = [
+                FamilySpec("weyl", a, k, n, dual)
+                for k in range(a + 1) for n in (0, 1) for dual in (False, True)
+            ]
+            for spec in weyl_specs + family_specs(a, 1):
+                stages = family_stages(spec)
+                m = sum(mult is not None for _, mult in stages)
+                for mp, ep, ec, picks in expand_family_branches(ctx, stages, m):
+                    assert family_term(spec, picks) == (mp, ep, ec), (spec, picks)
+                    checked += 1
+        assert checked == 2074  # 96 specs
 
 
 class TestClosedFamilies:
@@ -456,7 +475,7 @@ class TestStagePath:
                 vec = FockVector.basis(ctx.highest_weight_vertex())
                 for i, mult in family_stages(spec):
                     if mult is None:
-                        (mult,) = {len(addable_exponents(ctx, mp, i)) for mp, _ in vec.terms()}
+                        (mult,) = {addable_count(ctx, mp, i) for mp, _ in vec.terms()}
                     vec = apply_f_divided(ctx, vec, i, mult)
                 assert family_vectors(ctx, spec)[1] == vec, spec
                 checked += 1

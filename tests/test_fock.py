@@ -14,10 +14,10 @@ from kcb.fock import (
     FockContext,
     FockVector,
     add_node,
-    addable_exponents,
     apply_f_divided,
     content,
     i_node_slots,
+    subset_terms,
     symmetric_context,
 )
 from kcb.laurent import LaurentPoly
@@ -86,16 +86,21 @@ class TestResidue:
 
 
 class TestNodes:
+    # the k = 1 terms of subset_terms: one per addable node, top to bottom,
+    # at its exponent N
     def test_addable_highest_weight(self):
-        assert addable_exponents(C01, ((), ()), 0) == [((1, 1, 1), 0)]
+        assert subset_terms(C01, ((), ()), 0, 1) == ([((1,), ())], [0])
 
     def test_addable_ordering(self):
-        nodes = addable_exponents(C01, ((), (1,)), 0)
-        assert nodes == [((1, 1, 1), 0), ((2, 1, 2), 1), ((2, 2, 1), 2)]
+        # the nodes (1, 1, 1), (2, 1, 2) and (2, 2, 1)
+        terms = subset_terms(C01, ((), (1,)), 0, 1)
+        assert terms == ([((1,), (1,)), ((), (2,)), ((), (1, 1))], [0, 1, 2])
 
     def test_highest_weight_corners(self):
         ctx = FockContext(2, (0, 0, 0, 1, 1, 1))
-        assert len(addable_exponents(ctx, ((),) * 6, 0)) == 3
+        mps, expos = subset_terms(ctx, ((),) * 6, 0, 1)
+        assert mps == [((),) * u + ((1,),) + ((),) * (5 - u) for u in range(3)]
+        assert expos == [0, 1, 2]
 
     def test_removable(self):
         assert i_node_slots(C01, ((1,), ()), 0) == [((1, 1, 1), False)]

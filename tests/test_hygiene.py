@@ -152,7 +152,7 @@ MEMOS = {
     "_NODES": "fock: the i-nodes of each component per rank and (i - charge) mod e, and its"
     " filled components per subset of its addable nodes, each made when first asked for; keyed"
     " by component, not by multipartition, so it stays small (186 entries on allg_a2)",
-    "_SHARED": "fock: one object per distinct filled or spliced component, expansion term and shift int",
+    "_SHARED": "fock: one object per distinct filled component, expansion term and shift int",
     "_STEPS": "partitions: one dominance step per pair of unequal components, one inner"
     " dict per dominating component",
     "build_parser": "cli: the argparse parser, built once per process; verify_cli parses"

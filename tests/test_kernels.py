@@ -1,7 +1,7 @@
 """The per-term kernels against the plain ones in fock_reference: the
-memoised dominance steps, the slot walk and addable exponents off the
-component node tables, the one-splice divided-power term, the f_i^(k)
-expansion by whole components, the per-row content and the
+memoised dominance steps, the slot walk and addable count off the
+component node tables, the subset terms of f_i^(k) by whole components
+and the memo entries built from them, the per-row content and the
 one-signature crystal strings; the sharing of equal f_i terms; and the
 layout of the f_i^(k) memo."""
 
@@ -24,11 +24,11 @@ from kcb.crystal import (
 from kcb.fock import (
     FockContext,
     FockVector,
-    addable_exponents,
+    addable_count,
     apply_f_divided,
     content,
-    divided_power_term,
     i_node_slots,
+    subset_terms,
 )
 from kcb.partitions import dominates
 
@@ -77,11 +77,14 @@ def test_i_node_slots_matches_reference(case):
 @settings(max_examples=40, deadline=None)
 @given(context_terms())
 def test_divided_power_term_matches_reference(case):
+    # every k from 0 to n + 1: the terms and exponents of subset_terms are
+    # the reference's subsets of the reference addable nodes, in order
     ctx, mp, i = case
-    adds = addable_exponents(ctx, mp, i)
-    for k in range(len(adds) + 1):
-        for subset in combinations(adds, k):
-            assert divided_power_term(mp, subset) == divided_power_term_reference(mp, subset)
+    adds = addable_exponents_reference(ctx, mp, i)
+    for k in range(len(adds) + 2):
+        want = [divided_power_term_reference(mp, subset) for subset in combinations(adds, k)]
+        mps, expos = subset_terms(ctx, mp, i, k)
+        assert list(zip(mps, expos)) == want, k
 
 
 @settings(max_examples=60)
@@ -333,13 +336,15 @@ def test_expansion_misses_share_equal_terms(monkeypatch):
 
 
 def test_equal_new_components_are_one_object():
-    node = ((1, 2, 1), 0)  # a second row under (1,)
-    left, _ = divided_power_term(((1,), ()), [node])
-    right, _ = divided_power_term(((1,), (2,)), [node])
-    assert left[0] == (1, 1) and left[0] is right[0]
+    # a second row under (1,): the 1-node (1, 2, 1) at e = 2 and the 2-node
+    # at e = 3, filled by two node tables
+    (left,) = [mp for mp in subset_terms(C01, ((1,), ()), 1, 1)[0] if mp[0] == (1, 1)]
+    right_ctx = FockContext(3, (0, 0))
+    (right,) = [mp for mp in subset_terms(right_ctx, ((1,), (2,)), 2, 1)[0] if mp[0] == (1, 1)]
+    assert left[0] is right[0]
     # an untouched component is the input's own object
     mp = ((3,), (2, 1))
-    out, _ = divided_power_term(mp, [((1, 1, 4), 0)])
+    (out,) = [nmp for nmp in subset_terms(C01, mp, 1, 1)[0] if nmp[0] == (4,)]
     assert out == ((4,), (2, 1)) and out[1] is mp[1]
 
 
@@ -399,7 +404,7 @@ def _checked_entry(ctx, mp, i, k):
 @example((FockContext(2, (0,)), ((6, 5, 4, 3, 2, 1),), 0))  # shifts up to W * 12
 def test_expansion_entries_match_reference(case):
     ctx, mp, i = case
-    n = len(addable_exponents(ctx, mp, i))
+    n = addable_count(ctx, mp, i)
     # k = n + 1 has no subset: the entry is (0,)
     entries = [_checked_entry(ctx, mp, i, k) for k in range(1, n + 2)]
     assert entries[-1] == (0,)
@@ -416,7 +421,6 @@ def test_expansion_matches_subset_rule(case, k):
     # k <= 6: the component tables give the subset rule's terms and
     # exponents, and its addable nodes and their number
     ctx, mp, i = case
-    assert addable_exponents(ctx, mp, i) == addable_exponents_reference(ctx, mp, i)
     assert fock.addable_count(ctx, mp, i) == len(addable_exponents_reference(ctx, mp, i))
     entry = fock._expansion(ctx, mp, i, k)
     want = expansion_reference(ctx, mp, i, k)
