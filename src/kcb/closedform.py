@@ -12,11 +12,13 @@ of each term, later stages use every addable node.  Two sums come of it:
                 path_monomial with fock.apply_f_divided, whose N also
                 counts the removable i-nodes above each pick.
 
-family_vectors returns both sums.  By Kashiwara's rule for divided powers
-on the global basis, M(fam) is G(label) plus multiples of G(b') for the
-vertices b' of the weight with epsilon_i(b') larger than the last divided
-power; here they are sibling family labels, and weyl and p0k1 have none.
-closed_canonical_family subtracts them ([m] the quantum integer, [0] = 0):
+family_vectors returns both sums; only the families suite reads the
+plain one, and the conjecture scan judges M(path) alone.  By Kashiwara's
+rule for divided powers on the global basis, M(fam) is G(label) plus
+multiples of G(b') for the vertices b' of the weight with epsilon_i(b')
+larger than the last divided power; here they are sibling family labels,
+and weyl and p0k1 have none.  closed_canonical_family subtracts them
+([m] the quantum integer, [0] = 0):
 
 * G(weyl)  = M(weyl)
 * G(p0k1)  = M(p0k1)
@@ -187,8 +189,7 @@ def tau(a: int, i: int, n: int, s1: ChoiceSequence) -> Multipartition:
 
 class StageError(ValueError):
     """A path's stages admit no staged sum: a fill stage whose terms
-    disagree, a stage asking for more nodes than are addable, or a
-    branch budget exceeded."""
+    disagree, or a stage asking for more nodes than are addable."""
 
 
 PATH_FAMILIES = ("p0k1", "p10k", "p010k")
@@ -277,15 +278,11 @@ def path_monomial(ctx: FockContext, stages) -> tuple[FockVector, list[tuple[int,
     return vec, path, m
 
 
-def expand_family(
-    ctx: FockContext, stages, branch_cap: int | None = None
-) -> list[tuple[Multipartition, LaurentPoly]]:
+def expand_family(ctx: FockContext, stages) -> list[tuple[Multipartition, LaurentPoly]]:
     """The staged sum of v^inv over the choice sequences, one
     (multipartition, coefficient) pair per distinct multipartition; every
     stage has an explicit count, so every term ends at one weight.  A
-    stage's terms come from fock.subset_terms, in the order of the picks.
-    branch_cap bounds the choice branches: the sum of the integer
-    coefficients of the coefficients."""
+    stage's terms come from fock.subset_terms, in the order of the picks."""
     terms = {ctx.highest_weight_vertex(): LaurentPoly.one()}
     for idx, (i, kk) in enumerate(stages, start=1):
         nxt: dict[Multipartition, LaurentPoly] = {}
@@ -298,10 +295,6 @@ def expand_family(
                 prev = nxt.get(nmp)
                 nxt[nmp] = p if prev is None else prev + p
         terms = nxt
-        if branch_cap is not None:
-            count = sum(n for cp in terms.values() for _, n in cp.items())
-            if count > branch_cap:
-                raise StageError(f"branch budget exceeded ({count} > {branch_cap})")
     return list(terms.items())
 
 

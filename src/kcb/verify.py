@@ -17,7 +17,6 @@ from .closedform import (
     StageError,
     closed_canonical_family,
     defect_congruences,
-    expand_family,
     family_label,
     family_vectors,
     path_monomial,
@@ -381,12 +380,14 @@ def verify_structural(a: int, max_degree: int = 9) -> VerificationReport:
 
 
 def conjecture_scan(a: int, max_degree: int = 13) -> VerificationReport:
-    """Exploratory scan: for every external weight and every vertex there,
-    test whether the staged sums of its residue-collected path (the
-    corrected divided-power monomial, then the plain inversion sum)
-    reproduce the recursive element.  Reports the smallest number m of
-    choice stages the path allows and whether it lies in the conjectured
-    window [t, t'].  Informational only; instances never fail."""
+    """Exploratory scan: for every vertex of every external weight, test
+    whether the divided-power monomial M(path) of its residue-collected
+    path (path_monomial) is the recursive element.  One walk reads each
+    prefix's defect and externality: t is the first prefix from which the
+    defect stays at its final value, t' the first external prefix from t
+    on.  Reports the smallest number m of choice stages the path allows
+    and whether it lies in the conjectured window [t, t'].  Informational
+    only; instances never fail."""
     report = VerificationReport("conjecture-scan", {"a": a, "max_degree": max_degree})
     ctx = symmetric_context(a)
     basis = CanonicalBasis(ctx)
@@ -399,20 +400,15 @@ def conjecture_scan(a: int, max_degree: int = 13) -> VerificationReport:
             path = residue_collected_path(ctx, mp)
             w = len(path)
             cum = [0] * ctx.e
-            defects = []
+            defects, external = [], []
             for i, mult in path:
                 cum[i] += mult
                 defects.append(weight_info(ctx, tuple(cum)).defect)
+                external.append(is_external(bg, tuple(cum)))
             t = w
             while t > 1 and defects[t - 2] == defects[-1]:
                 t -= 1
-            cum2 = [0] * ctx.e
-            tprime = w
-            for idx, (i, mult) in enumerate(path, start=1):
-                cum2[i] += mult
-                if idx >= t and is_external(bg, tuple(cum2)):
-                    tprime = idx
-                    break
+            tprime = next((idx for idx in range(t, w + 1) if external[idx - 1]), w)
             params = {
                 "content": list(cont),
                 "mp": str(mp),
@@ -427,23 +423,21 @@ def conjecture_scan(a: int, max_degree: int = 13) -> VerificationReport:
                 continue
             # with every count explicit, a truncation m only asks that the
             # stages after m be full, and every m that passes gives the
-            # same sums: the smallest is path_monomial's m
-            found_m = found_rule = error = None
-            try:  # the plain fold only when M(path) misses: its budget hides no match
+            # same monomial: the smallest is path_monomial's m
+            found_m = error = None
+            try:
                 corrected, _, m = path_monomial(ctx, path)
                 if corrected == oracle.vector:
-                    found_m, found_rule = m, "corrected"
-                elif FockVector(dict(expand_family(ctx, path, branch_cap=200_000))) == oracle.vector:
-                    found_m, found_rule = m, "plain"
+                    found_m = m
             except StageError:
-                pass  # no staged sum, or none within the branch budget: unsupported
+                pass  # no staged sum: unsupported
             except CoefficientError as exc:  # a sum too large to decode: no verdict
                 error = str(exc)
             status = "supported" if found_m is not None else "unsupported"
             detail = {
                 "status": "error" if error else status,
                 "m": found_m,
-                "rule": found_rule,
+                "rule": None if found_m is None else "corrected",
                 "within_window": found_m is not None and t <= found_m <= tprime,
             }
             if error:

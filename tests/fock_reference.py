@@ -13,15 +13,18 @@ dict_add_scaled and dict_apply_f_divided work on plain
 multipartition -> {exponent: coefficient} dicts, so they check the packed
 int storage of kcb.fock.FockVector against arithmetic that has none.
 
-The *_reference functions are the plain kernels that kcb.partitions
-dominates and kcb.fock i_node_slots, addable_count, subset_terms, the
-f_i^(k) expansion and content replaced by faster ones: a dominance walk
-over every row with no memo, a slot walk over every row with a charge
-lookup per component and no node table, one add_node per added node and
-one term per subset of the addable nodes of the whole multipartition,
-and a count of every cell.  expand_family_branches and
-dict_apply_f_divided build their terms with these, not with kcb's node
-code.
+The *_reference functions are plain kernels for kcb.partitions
+dominates and for kcb.fock i_node_slots, add_node, remove_node,
+addable_count, subset_terms, the f_i^(k) expansion and content: a
+dominance walk over every row with no memo, a slot walk over every row
+with a charge lookup per component and no node table, a splice that sets
+the node's row to the length its column gives and checks that the
+result is a partition, one such splice per added node and one term per
+subset of the addable nodes of the whole multipartition, and a count of
+every cell.  Every reference here (apply_f, apply_e, the iterative
+divided power, expand_family_branches, dict_apply_f_divided and the
+crystal steps below) builds its terms with these; none imports kcb's
+node code.
 
 f_tilde_iterated and e_tilde_until_none step through an i-string one
 crystal operator at a time, each step reading a fresh signature off
@@ -49,14 +52,7 @@ from functools import lru_cache
 from itertools import combinations, zip_longest
 from typing import Iterator
 
-from kcb.fock import (
-    FockContext,
-    FockVector,
-    add_node,
-    content,
-    i_node_slots,
-    remove_node,
-)
+from kcb.fock import FockContext, FockVector
 from kcb.closedform import ChoiceSequence, choice_sequences, inv, tau
 from kcb.laurent import LaurentPoly, qint
 from kcb.partitions import Multipartition, Partition
@@ -112,9 +108,9 @@ def apply_f(ctx: FockContext, vec: FockVector, i: int) -> FockVector:
     out: dict[Multipartition, LaurentPoly] = {}
     for mp, c in vec.terms():
         na = nr = 0
-        for node, isadd in i_node_slots(ctx, mp, i):
+        for node, isadd in i_node_slots_reference(ctx, mp, i):
             if isadd:
-                nmp = add_node(mp, node)
+                nmp = add_node_reference(mp, node)
                 p = c.shift(na - nr)
                 prev = out.get(nmp)
                 n = p if prev is None else prev + p
@@ -135,7 +131,7 @@ def apply_e(ctx: FockContext, vec: FockVector, i: int) -> FockVector:
     """
     out: dict[Multipartition, LaurentPoly] = {}
     for mp, c in vec.terms():
-        slots = i_node_slots(ctx, mp, i)
+        slots = i_node_slots_reference(ctx, mp, i)
         ta = sum(1 for _, isadd in slots if isadd)
         tr = len(slots) - ta
         na = nr = 0
@@ -143,7 +139,7 @@ def apply_e(ctx: FockContext, vec: FockVector, i: int) -> FockVector:
             if isadd:
                 na += 1
             else:
-                nmp = remove_node(mp, node)
+                nmp = remove_node_reference(mp, node)
                 p = c.shift((ta - na) - (tr - nr - 1))
                 prev = out.get(nmp)
                 n = p if prev is None else prev + p
@@ -193,7 +189,7 @@ def expand_family_branches(
         branches = nxt
         if branch_cap is not None and len(branches) > branch_cap:
             raise ValueError(f"branch budget exceeded ({len(branches)} > {branch_cap})")
-    conts = {content(ctx, branch[0]) for branch in branches}
+    conts = {content_reference(ctx, branch[0]) for branch in branches}
     if len(conts) > 1:
         raise ValueError(f"branches ended at different weights: {sorted(conts)}")
     return branches
@@ -287,7 +283,7 @@ def f_tilde_iterated(ctx: FockContext, mp: Multipartition, i: int, k: int):
         adds = [node for node, isadd in _signature_reference(ctx, mp, i) if isadd]
         if not adds:
             return None
-        mp = add_node(mp, adds[-1])
+        mp = add_node_reference(mp, adds[-1])
     return mp
 
 
@@ -299,15 +295,40 @@ def e_tilde_until_none(ctx: FockContext, mp: Multipartition, i: int) -> tuple[in
         rems = [node for node, isadd in _signature_reference(ctx, mp, i) if not isadd]
         if not rems:
             return k, mp
-        mp, k = remove_node(mp, rems[0]), k + 1
+        mp, k = remove_node_reference(mp, rems[0]), k + 1
+
+
+def _set_row(mp: Multipartition, node, was: int, now: int) -> Multipartition:
+    """mp with row j of component u changed from length was to now, for
+    node (u, j, c); a ValueError unless it was that long and the result
+    is a partition."""
+    u, j, _ = node
+    rows = list(mp[u - 1]) + [0]
+    if rows[j - 1] != was:
+        raise ValueError(f"row {j} of component {u} has length {rows[j - 1]}, not {was}")
+    rows[j - 1] = now
+    if rows != sorted(rows, reverse=True):
+        raise ValueError(f"{node} leaves component {u} no partition: {rows}")
+    return mp[: u - 1] + (tuple(r for r in rows if r),) + mp[u:]
+
+
+def add_node_reference(mp: Multipartition, node) -> Multipartition:
+    """mp with the cell (u, j, c) added: row j grows from c - 1 to c cells."""
+    return _set_row(mp, node, node[2] - 1, node[2])
+
+
+def remove_node_reference(mp: Multipartition, node) -> Multipartition:
+    """mp with the cell (u, j, c) removed: row j shrinks from c to c - 1 cells."""
+    return _set_row(mp, node, node[2], node[2] - 1)
 
 
 def divided_power_term_reference(mp: Multipartition, subset) -> tuple[Multipartition, int]:
-    """mp with the subset's nodes added one add_node at a time, and sum(N) - C(k,2)."""
+    """mp with the subset's nodes added one add_node_reference at a time,
+    and sum(N) - C(k,2)."""
     k = len(subset)
     expo = -(k * (k - 1) // 2)
     for node, n in subset:
-        mp = add_node(mp, node)
+        mp = add_node_reference(mp, node)
         expo += n
     return mp, expo
 
@@ -327,7 +348,7 @@ def addable_exponents_reference(ctx: FockContext, mp: Multipartition, i: int) ->
 def expansion_reference(ctx: FockContext, mp: Multipartition, i: int, k: int) -> dict:
     """f_i^(k) of the basis vector mp by the subset rule, as multipartition
     -> exponent: one term per k-subset of the reference addable nodes, each
-    built one add_node at a time."""
+    built one add_node_reference at a time."""
     subsets = combinations(addable_exponents_reference(ctx, mp, i), k)
     return dict(divided_power_term_reference(mp, subset) for subset in subsets)
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -316,6 +317,18 @@ class TestConjectureScan:
         assert all(i.verdict == "info" for i in r.instances)
         assert any(i.detail.get("status") == "supported" for i in r.instances)
 
+    @pytest.mark.parametrize("a,degree,digest", [
+        (1, 16, "b7d02ef88176a313"),
+        (2, 14, "6fa35f70d11a9d53"),
+        (3, 13, "560f6b1ada5816ca"),
+        (4, 11, "43ebef5d0369fb4e"),
+    ])
+    def test_json_bytes(self, a, degree, digest):
+        # what `kcb verify --suite conjecture --format json` prints, less its
+        # last newline
+        doc = json.dumps(conjecture_scan(a, degree).to_json(), indent=2)
+        assert hashlib.sha256(doc.encode()).hexdigest()[:16] == digest
+
     def test_supported_instances_record_m(self):
         r = conjecture_scan(2, 6)
         for inst in r.instances:
@@ -359,17 +372,15 @@ class TestConjectureScan:
         assert all(i.detail["status"] == "unsupported" for i in r.instances)
         assert not any("error" in i.detail for i in r.instances)
 
-    def test_plain_fold_budget_hides_no_corrected_match(self, monkeypatch):
-        # the plain fold runs only when M(path) misses the oracle
-        def over_budget(ctx, stages, branch_cap=None):
-            raise StageError("branch budget exceeded (200001 > 200000)")
+    def test_scan_never_folds(self, monkeypatch):
+        # the scan judges M(path) alone: the plain fold decides nothing
+        def fold(ctx, stages):
+            raise AssertionError("the scan folded a path")
 
-        def corrected(report):
-            return [i.params for i in report.instances if i.detail.get("rule") == "corrected"]
-
-        expected = corrected(conjecture_scan(2, 10))
-        monkeypatch.setattr(verify, "expand_family", over_budget)
-        assert expected and corrected(conjecture_scan(2, 10)) == expected
+        expected = conjecture_scan(2, 10).to_json()
+        monkeypatch.setattr(closedform, "expand_family", fold)
+        monkeypatch.setattr(verify, "expand_family", fold, raising=False)
+        assert expected["instances"] and conjecture_scan(2, 10).to_json() == expected
 
 
 class TestReportShape:
