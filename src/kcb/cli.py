@@ -136,7 +136,7 @@ def cmd_canonical(args) -> int:
 def cmd_shape_table(args) -> int:
     table = shape_table(args.a)
     if args.format == "json":
-        _emit_json({"a": args.a, "rows": {str(k): list(v) for k, v in table.items()}}, args)
+        _emit_json({"a": args.a, "rows": {str(k): v for k, v in table.items()}}, args)
         return 0
     width = max(len(str(x)) for row in table.values() for x in row)
     lines = [f"shape function rows for a={args.a} (k by ell)"]

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 
 from .fock import FockContext, add_node, content, i_node_slots, remove_node
-from .partitions import Multipartition, ints_from_json, is_e_regular, mp_from_json, mp_to_json
+from .partitions import Multipartition, ints_from_json, is_e_regular
 
 
 class NotAVertexError(ValueError):
@@ -38,8 +38,9 @@ def weight_info(ctx: FockContext, cont) -> WeightInfo:
     -1 at each of the two neighbours i - 1 and i + 1 mod e (-2 at e = 2,
     where both are the other residue).  So h_i = a_i - 2c_i + c_(i-1) +
     c_(i+1), and (c.Cc)/2 = sum_i (c_i^2 - c_i c_(i+1)), an integer.
+    A content entry that is not an int (a bool, a float) raises TypeError.
     """
-    cont = tuple(int(x) for x in cont)
+    cont = ints_from_json(cont)
     if len(cont) != ctx.e or any(x < 0 for x in cont):
         raise ValueError(f"content must be a non-negative length-{ctx.e} vector: {cont}")
     a = ctx.weight_multiplicities
@@ -139,7 +140,7 @@ def generate_crystal(ctx: FockContext, max_degree: int) -> CrystalGraph:
 @dataclass
 class BlockReducedGraph:
     """Quotient of the crystal by content; vertices are weights, in the
-    (degree, content) order block_reduced and block_from_json insert them."""
+    (degree, content) order block_reduced inserts them."""
 
     ctx: FockContext
     max_degree: int
@@ -164,8 +165,9 @@ def is_external(bg: BlockReducedGraph, cont) -> bool:
     """True iff some raising direction leaves the weight set.
 
     Raised contents sit at lower degree, so truncation never hides them.
+    A content entry that is not an int (a bool, a float) raises TypeError.
     """
-    cont = tuple(int(x) for x in cont)
+    cont = ints_from_json(cont)
     if cont not in bg.weights:
         raise ValueError(f"{cont} is not a weight of the graph")
     return not all(string_steps(bg, cont, i, -1) for i in range(bg.ctx.e))
@@ -221,92 +223,33 @@ def residue_collected_path(ctx: FockContext, mp: Multipartition) -> tuple[tuple[
 
 
 def crystal_to_json(g: CrystalGraph) -> dict:
+    """A JSON-ready document; its tuples (charges, multipartitions,
+    contents) are handed to json as they are, which writes them as lists."""
     verts = sorted(g.degrees.items(), key=lambda kv: (kv[1], kv[0]))
     return {
         "e": g.ctx.e,
-        "charges": list(g.ctx.charges),
+        "charges": g.ctx.charges,
         "max_degree": g.max_degree,
         "vertices": [
-            {
-                "multipartition": mp_to_json(mp),
-                "degree": d,
-                "content": list(content(g.ctx, mp)),
-            }
+            {"multipartition": mp, "degree": d, "content": content(g.ctx, mp)}
             for mp, d in verts
         ],
-        "edges": [
-            {"source": mp_to_json(s), "residue": i, "target": mp_to_json(t)}
-            for s, i, t in g.edges
-        ],
+        "edges": [{"source": s, "residue": i, "target": t} for s, i, t in g.edges],
     }
-
-
-def _edges_from_json(data, vertices: dict, read) -> list:
-    """The document's edges, each end read by read(); ValueError if a vertex
-    is listed twice or an edge has an end that is not listed."""
-    if len(vertices) != len(data["vertices"]):
-        raise ValueError("a vertex is listed twice")
-    edges = []
-    for e in data["edges"]:
-        (i,) = ints_from_json([e["residue"]])
-        src, dst = read(e["source"]), read(e["target"])
-        if src not in vertices or dst not in vertices:
-            raise ValueError(f"edge {src} -{i}-> {dst} leaves the listed vertices")
-        edges.append((src, i, dst))
-    return edges
-
-
-def crystal_from_json(data) -> CrystalGraph:
-    """The graph of crystal_to_json's document.  The degrees and residues
-    must be ints: a bool, a float or any other value raises TypeError; a
-    document that is not a graph raises ValueError (_edges_from_json)."""
-    ctx = FockContext(data["e"], tuple(data["charges"]))
-    (max_degree,) = ints_from_json([data["max_degree"]])
-    degrees = {}
-    for v in data["vertices"]:
-        (d,) = ints_from_json([v["degree"]])
-        degrees[mp_from_json(v["multipartition"])] = d
-    return CrystalGraph(ctx, max_degree, degrees, _edges_from_json(data, degrees, mp_from_json))
 
 
 def block_to_json(bg: BlockReducedGraph) -> dict:
+    """A JSON-ready document, its tuples written as lists as in crystal_to_json."""
     return {
         "e": bg.ctx.e,
-        "charges": list(bg.ctx.charges),
+        "charges": bg.ctx.charges,
         "max_degree": bg.max_degree,
         "vertices": [
-            {
-                "content": list(c),
-                "hub": list(bg.weights[c].hub),
-                "defect": bg.weights[c].defect,
-                "dimension": bg.dims[c],
-            }
-            for c in bg.weights
+            {"content": c, "hub": w.hub, "defect": w.defect, "dimension": bg.dims[c]}
+            for c, w in bg.weights.items()
         ],
-        "edges": [
-            {"source": list(s), "residue": i, "target": list(t)} for s, i, t in bg.edges
-        ],
+        "edges": [{"source": s, "residue": i, "target": t} for s, i, t in bg.edges],
     }
-
-
-def block_from_json(data) -> BlockReducedGraph:
-    """The graph of block_to_json's document.  Every number but the
-    context's must be an int: a bool, a float or any other value raises
-    TypeError; a hub or defect other than weight_info's, or a document
-    that is not a graph (_edges_from_json), raises ValueError."""
-    ctx = FockContext(data["e"], tuple(data["charges"]))
-    (max_degree,) = ints_from_json([data["max_degree"]])
-    weights, dims = {}, {}
-    for v in data["vertices"]:
-        c = ints_from_json(v["content"])
-        defect, dim = ints_from_json([v["defect"], v["dimension"]])
-        want = weight_info(ctx, c)
-        if WeightInfo(c, ints_from_json(v["hub"]), defect) != want:
-            raise ValueError(f"weight {c}: hub or defect is not weight_info's {want}")
-        weights[c], dims[c] = want, dim
-    weights = {c: weights[c] for c in sorted(weights, key=lambda c: (sum(c), c))}
-    edges = _edges_from_json(data, weights, ints_from_json)
-    return BlockReducedGraph(ctx, max_degree, weights, dims, edges)
 
 
 def _hub_label(info: WeightInfo) -> str:

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import inspect
 import json
 
@@ -8,8 +9,8 @@ from kcb import cli
 from kcb.canonical import CanonicalBasis, element_to_json
 from kcb.cli import main
 from kcb.closedform import FamilySpec, family_label, family_vectors
-from kcb.crystal import block_from_json, crystal_from_json
-from kcb.fock import symmetric_context
+from kcb.crystal import block_reduced, block_to_json, crystal_to_json, generate_crystal
+from kcb.fock import FockContext, symmetric_context
 from kcb.verify import SUITES
 
 
@@ -24,10 +25,8 @@ class TestCrystal:
         code, out = run(capsys, "crystal", "--e", "2", "--charges", "0,1",
                         "--max-degree", "3")
         assert code == 0
-        doc = json.loads(out)
-        g = crystal_from_json(doc)
-        assert g.degrees[((), ())] == 0
-        assert len(doc["vertices"]) == len(g.degrees)
+        g = generate_crystal(FockContext(2, (0, 1)), 3)
+        assert json.loads(out) == json.loads(json.dumps(crystal_to_json(g)))
 
     def test_degree_zero(self, capsys):
         code, out = run(capsys, "crystal", "--a", "1", "--max-degree", "0")
@@ -66,8 +65,8 @@ class TestBlockGraph:
     def test_roundtrip(self, capsys):
         code, out = run(capsys, "block-graph", "--a", "2", "--max-degree", "5")
         assert code == 0
-        bg = block_from_json(json.loads(out))
-        assert (0, 0) in bg.weights
+        bg = block_reduced(generate_crystal(symmetric_context(2), 5))
+        assert json.loads(out) == json.loads(json.dumps(block_to_json(bg)))
 
     def test_dot_figure_shape(self, capsys):
         code, out = run(capsys, "block-graph", "--e", "2", "--charges", "0,0,0,1,1,1",
@@ -75,6 +74,22 @@ class TestBlockGraph:
         assert code == 0
         assert out.startswith("digraph")
         assert '"[3,3]^0"' in out and '"[1,5]^2"' in out
+
+
+@pytest.mark.parametrize("argv, digest", [
+    ("crystal --a 2 --max-degree 9", "16ff95645ec5808d"),
+    ("crystal --e 3 --charges 0,0,1 --max-degree 8", "2f525a28921addc4"),
+    ("block-graph --a 3 --max-degree 12", "46ba8435d98badb2"),
+    ("block-graph --a 3 --max-degree 12 --format dot", "5d5ab53bca51eb2f"),
+    ("block-graph --e 4 --charges 0,1,3 --max-degree 8", "6d396ecbd12ab703"),
+    ("shape-table --a 40", "2bf8d012b7dc42c2"),
+    ("shape-table --a 40 --format json", "a86d25708820139b"),
+])
+def test_document_bytes(capsys, argv, digest):
+    # sha256 prefixes of what each command prints
+    code, out = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 
 class TestCanonical:

@@ -6,11 +6,9 @@ from hypothesis import given, strategies as st
 from kcb import crystal
 from kcb.crystal import (
     NotAVertexError,
-    block_from_json,
     block_reduced,
     block_to_dot,
     block_to_json,
-    crystal_from_json,
     crystal_to_json,
     e_tilde,
     f_tilde,
@@ -22,7 +20,7 @@ from kcb.crystal import (
     string_top,
     weight_info,
 )
-from kcb.fock import FockContext, symmetric_context
+from kcb.fock import FockContext, content, symmetric_context
 
 from fock_reference import iter_multipartitions, weight_info_reference
 
@@ -53,6 +51,7 @@ class TestWeightInfo:
         w = weight_info(symmetric_context(3), (1, 0))
         assert w.hub == (1, 5)
         assert w.defect == 2
+        assert weight_info(symmetric_context(3), [1, 0]) == w
 
     def test_highest(self):
         w = weight_info(symmetric_context(3), (0, 0))
@@ -70,6 +69,12 @@ class TestWeightInfo:
                 for c1 in range(5):
                     w = weight_info(ctx, (c0, c1))
                     assert w.defect == a * (c0 + c1) - (c0 - c1) ** 2
+
+    @pytest.mark.parametrize("cont", [(1.9, 1), (1, True)])
+    def test_non_int_content_refused(self, cont):
+        # no entry is truncated: (1.9, True) is not the content (1, 1)
+        with pytest.raises(TypeError):
+            weight_info(symmetric_context(2), cont)
 
 
 class TestCrystalOperators:
@@ -182,9 +187,6 @@ class TestBlockReduced:
         # the order every walk over the weights and both renderings read
         bg = block_reduced(generate_crystal(ctx, 7))
         assert list(bg.weights) == sorted(bg.weights, key=lambda c: (sum(c), c))
-        doc = block_to_json(bg)
-        doc["vertices"].reverse()
-        assert list(block_from_json(doc).weights) == list(bg.weights)
 
     def test_defects_nonnegative(self):
         for a in (1, 2, 3):
@@ -228,11 +230,19 @@ class TestExternal:
         assert is_external(bg, (0, 0))
         bg1 = block_reduced(generate_crystal(symmetric_context(1), 4))
         assert not is_external(bg1, (1, 1))
+        assert is_external(bg, [1, 0]) and not is_external(bg1, [1, 1])
 
     def test_unknown_vertex(self):
         bg = block_reduced(generate_crystal(symmetric_context(1), 2))
         with pytest.raises(ValueError):
             is_external(bg, (9, 9))
+
+    @pytest.mark.parametrize("cont", [(0.7, 1.2), (True, 0)])
+    def test_non_int_content_refused(self, cont):
+        # no entry is truncated: (0.7, 1.2) is not the content (0, 1)
+        bg = block_reduced(generate_crystal(symmetric_context(1), 2))
+        with pytest.raises(TypeError):
+            is_external(bg, cont)
 
 
 class TestPath:
@@ -282,91 +292,36 @@ class TestWeightDimensions:
                 assert len(buckets[(1, k)]) == want
 
 
-# each kind of graph document: its writer from a crystal graph, and its reader
-DOCUMENTS = {
-    "crystal": (crystal_to_json, crystal_from_json),
-    "block": (lambda g: block_to_json(block_reduced(g)), block_from_json),
-}
-
-
 class TestSerialization:
     def test_crystal_roundtrip(self):
-        g = generate_crystal(C01, 4)
-        g2 = crystal_from_json(crystal_to_json(g))
-        assert g2.ctx == g.ctx
-        assert g2.degrees == g.degrees
-        assert g2.edges == g.edges
+        # the document, through json, lists exactly the graph's vertices
+        # (by degree, then multipartition), degrees, contents and edges
+        g = generate_crystal(FockContext(3, (0, 0, 1)), 4)
+        doc = json.loads(json.dumps(crystal_to_json(g)))
+        assert (doc["e"], doc["charges"], doc["max_degree"]) == (3, [0, 0, 1], 4)
+        mp = lambda v: tuple(map(tuple, v))
+        verts = [
+            (mp(v["multipartition"]), v["degree"], tuple(v["content"])) for v in doc["vertices"]
+        ]
+        assert verts == sorted(
+            ((m, d, content(g.ctx, m)) for m, d in g.degrees.items()), key=lambda v: (v[1], v[0])
+        )
+        edges = [(mp(e["source"]), e["residue"], mp(e["target"])) for e in doc["edges"]]
+        assert edges == g.edges
 
     def test_block_roundtrip(self):
+        # the document, through json, lists exactly the graph's weights in
+        # its order, with their hubs, defects and dimensions, and its edges
         bg = block_reduced(generate_crystal(symmetric_context(2), 5))
-        bg2 = block_from_json(block_to_json(bg))
-        assert list(bg2.weights.items()) == list(bg.weights.items())
-        assert bg2.dims == bg.dims
-        assert bg2.edges == bg.edges
-
-    @pytest.mark.parametrize("field, bad", [("e", 2.0), ("charges", [0, 1.0]), ("charges", [0, True])])
-    def test_non_int_context_refused(self, field, bad):
-        # JSON numbers go straight into FockContext, which truncates none
-        g = json.loads(json.dumps(crystal_to_json(generate_crystal(C01, 2))))
-        bg = json.loads(json.dumps(block_to_json(block_reduced(generate_crystal(C01, 2)))))
-        for data, read in ((g, crystal_from_json), (bg, block_from_json)):
-            with pytest.raises(TypeError):
-                read({**data, field: bad})
-
-    @pytest.mark.parametrize(
-        "kind, place, field, bad",
-        [
-            # the four edits of a document that were once read back as given
-            ("crystal", "edges", "residue", 0.0),
-            ("crystal", "vertices", "degree", True),
-            ("block", "vertices", "content", [0.5, 0]),
-            ("block", "vertices", "defect", 1.5),
-            ("crystal", None, "max_degree", 2.0),
-            ("block", None, "max_degree", True),
-            ("block", "edges", "residue", False),
-            ("block", "edges", "source", [0, 0.0]),
-            ("block", "edges", "target", "0"),
-            ("block", "vertices", "hub", [1, True]),
-            ("block", "vertices", "dimension", 1.0),
-        ],
-    )
-    def test_non_int_field_refused(self, kind, place, field, bad):
-        g = generate_crystal(C01, 2)
-        to_json, read = DOCUMENTS[kind]
-        data = json.loads(json.dumps(to_json(g)))
-        read(data)  # the document as written reads back
-        if place is None:
-            data[field] = bad
-        else:
-            data[place][-1][field] = bad
-        with pytest.raises(TypeError):
-            read(data)
-
-    @pytest.mark.parametrize("kind, edit, match", [
-        # each edit leaves every number an int but the document no graph
-        ("crystal", lambda doc: doc["edges"].append({**doc["edges"][0], "target": [[9], []]}),
-         "leaves the listed vertices"),
-        ("crystal", lambda doc: doc["edges"].append({**doc["edges"][0], "source": [[9], []]}),
-         "leaves the listed vertices"),
-        ("crystal", lambda doc: doc["vertices"].append({**doc["vertices"][-1], "degree": 9}),
-         "listed twice"),
-        ("block", lambda doc: doc["edges"].append({**doc["edges"][0], "target": [9, 9]}),
-         "leaves the listed vertices"),
-        ("block", lambda doc: doc["edges"].append({**doc["edges"][0], "source": [9, 9]}),
-         "leaves the listed vertices"),
-        ("block", lambda doc: doc["vertices"].append({**doc["vertices"][-1], "dimension": 9}),
-         "listed twice"),
-        ("block", lambda doc: doc["vertices"][-1].update(hub=[0, 0]), "hub or defect"),
-        ("block", lambda doc: doc["vertices"][-1].update(defect=9), "hub or defect"),
-    ])
-    def test_not_a_graph_refused(self, kind, edit, match):
-        g = generate_crystal(C01, 2)
-        to_json, read = DOCUMENTS[kind]
-        data = json.loads(json.dumps(to_json(g)))
-        read(data)  # the document as written reads back
-        edit(data)
-        with pytest.raises(ValueError, match=match):
-            read(data)
+        doc = json.loads(json.dumps(block_to_json(bg)))
+        assert (doc["e"], doc["charges"], doc["max_degree"]) == (2, [0, 0, 1, 1], 5)
+        verts = [
+            (tuple(v["content"]), tuple(v["hub"]), v["defect"], v["dimension"])
+            for v in doc["vertices"]
+        ]
+        assert verts == [(c, w.hub, w.defect, bg.dims[c]) for c, w in bg.weights.items()]
+        edges = [(tuple(e["source"]), e["residue"], tuple(e["target"])) for e in doc["edges"]]
+        assert edges == bg.edges
 
     def test_dot_labels(self):
         bg = block_reduced(generate_crystal(symmetric_context(3), 3))

@@ -118,8 +118,6 @@ TEST_ONLY_API = {
     "family_term": "one path-family term for explicit choice sequences, as the paper states it",
     "defect_top_row": "the paper's top-row defect k(a-k)",
     "small_defect_families": "the paper's defect-2 families at a = 1 and 3",
-    "crystal_from_json": "reads back the JSON that `kcb crystal` writes",
-    "block_from_json": "reads back the JSON that `kcb block-graph` writes",
     "diamond": "the diamond involution by its definition, a replay of the whole"
     " residue-collected path, against which the duality suite's images are tested",
     "shape_fn": "the paper's shape function s(a, k, l) at one point, zero outside its rows",
