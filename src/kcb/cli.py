@@ -28,7 +28,7 @@ from .crystal import (
     generate_crystal,
 )
 from .fock import FockContext, symmetric_context
-from .partitions import mp_from_json, mp_to_json
+from .partitions import mp_from_json
 from .verify import SUITES
 
 # perfbench's tests and tests/test_hygiene.py::test_benchmark_reads_resolve
@@ -116,20 +116,7 @@ def cmd_canonical(args) -> int:
     if len(mp) != ctx.level:
         raise UsageError(f"multipartition has level {len(mp)}, context has {ctx.level}")
     elem = CanonicalBasis(ctx, args.cache_dir).element(mp)  # NotAVertexError -> exit 3 in main()
-    doc = element_to_json(elem)
-    if args.format == "text":
-        lines = [
-            f"G({args.mp}) defect {doc['defect']} shape {tuple(doc['shape'])}",
-        ]
-        for t in doc["terms"]:
-            coeff = " + ".join(
-                (str(c) if e == "0" else (f"v^{e}" if c == 1 else f"{c}*v^{e}"))
-                for e, c in t["coefficient"].items()
-            )
-            lines.append(f"  ({coeff}) * {mp_to_json(t['multipartition'])}")
-        _emit("\n".join(lines) + "\n", args)
-    else:
-        _emit_json(doc, args)
+    _emit_json(element_to_json(elem), args)
     return 0
 
 
@@ -231,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mp", type=str, required=True,
                    help='multipartition literal, e.g. "[[3],[]]"')
     p.add_argument("--cache-dir", type=str, default=None, help="persist elements as JSON files here")
-    _add_common(p, ("json", "text"))
+    _add_common(p)
     p.set_defaults(fn=cmd_canonical)
 
     p = sub.add_parser("shape-table", help="shape-function table for a symmetric weight")

@@ -210,6 +210,8 @@ class FamilySpec:
     dual: bool = False
 
     def __post_init__(self):
+        if not {type(self.a), type(self.k), type(self.n)} <= {int}:
+            raise TypeError(f"a, k and n must be ints, got {self.a!r}, {self.k!r} and {self.n!r}")
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.a < 1:

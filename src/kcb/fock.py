@@ -88,7 +88,10 @@ class FockContext:
 
 
 def symmetric_context(a: int) -> FockContext:
-    """e = 2 with highest weight a*Lambda_0 + a*Lambda_1 (charges 0^a 1^a)."""
+    """e = 2 with highest weight a*Lambda_0 + a*Lambda_1 (charges 0^a 1^a).
+    A bool, a float or any other non-int a raises TypeError."""
+    if type(a) is not int:
+        raise TypeError(f"a must be an int, got {a!r}")
     if a < 1:
         raise ValueError(f"need a >= 1, got {a}")
     return FockContext(2, (0,) * a + (1,) * a)
@@ -593,7 +596,7 @@ class FockVector:
         return self.add_scaled(other, LaurentPoly.one())
 
     def __sub__(self, other: "FockVector") -> "FockVector":
-        return self.add_scaled(other, LaurentPoly.from_int(-1))
+        return self.add_scaled(other, LaurentPoly.monomial(0, -1))
 
     def add_scaled(self, other: "FockVector", mult: LaurentPoly) -> "FockVector":
         """self + mult * other."""

@@ -20,6 +20,9 @@ class LaurentPoly:
     """An integer-coefficient Laurent polynomial in v.
 
     Terms are stored sparsely as exponent -> nonzero coefficient.
+    Exponents and coefficients are ints: a bool, a float or any other
+    type raises TypeError (it is not truncated).  A LaurentPoly equals
+    and multiplies only another LaurentPoly, and it is unhashable.
     Instances are immutable by convention: every operation builds a new
     object, so values can be shared freely between workers.
     """
@@ -27,12 +30,10 @@ class LaurentPoly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[int, int] | None = None):
-        t: dict[int, int] = {}
-        if terms:
-            for e, c in terms.items():
-                if c:
-                    t[int(e)] = c
-        self._terms = t
+        terms = terms or {}
+        if not set(map(type, terms)) | set(map(type, terms.values())) <= {int}:
+            raise TypeError(f"exponents and coefficients must be ints, got {terms!r}")
+        self._terms = {e: c for e, c in terms.items() if c}
 
     # construction helpers
 
@@ -55,10 +56,6 @@ class LaurentPoly:
     @staticmethod
     def monomial(exp: int, coeff: int = 1) -> "LaurentPoly":
         return LaurentPoly({exp: coeff})
-
-    @staticmethod
-    def from_int(n: int) -> "LaurentPoly":
-        return LaurentPoly({0: n})
 
     # inspection
 
@@ -106,10 +103,6 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            if other == 0:
-                return _ZERO
-            return LaurentPoly._own({e: c * other for e, c in self._terms.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         a, b = self._terms, other._terms
@@ -129,8 +122,6 @@ class LaurentPoly:
                     del t[e]
         return LaurentPoly._own(t)
 
-    __rmul__ = __mul__
-
     def shift(self, exp: int) -> "LaurentPoly":
         """Multiply by the monomial v^exp; self when exp is 0."""
         if exp == 0:
@@ -140,14 +131,11 @@ class LaurentPoly:
     # comparisons
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            return self._terms == ({0: other} if other else {})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self._terms == other._terms
 
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+    __hash__ = None
 
     def __bool__(self) -> bool:
         return bool(self._terms)

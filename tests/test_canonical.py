@@ -917,7 +917,7 @@ class TestSubtractionChecks:
     def test_negative_multiplicity_raises(self):
         # eps_0(((1,), (2,))) = 2 > 1 passes Kashiwara's rule, and the pass
         # would add G(nu) back and end at the right element
-        basis = self.planted(((3,), ()), ((1,), (2,)), LaurentPoly.from_int(-1))
+        basis = self.planted(((3,), ()), ((1,), (2,)), LaurentPoly.monomial(0, -1))
         with pytest.raises(ReductionError, match="multiplicity"):
             basis.element(((3,), ()))
 

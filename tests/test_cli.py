@@ -84,6 +84,8 @@ class TestBlockGraph:
     ("block-graph --e 4 --charges 0,1,3 --max-degree 8", "6d396ecbd12ab703"),
     ("shape-table --a 40", "2bf8d012b7dc42c2"),
     ("shape-table --a 40 --format json", "a86d25708820139b"),
+    ("canonical --a 2 --mp [[2],[],[1],[]]", "7cb5d12cbfb77b82"),
+    ("canonical --e 3 --charges 0,1,2 --mp [[3],[1],[1]]", "cda37d625925ba8f"),
 ])
 def test_document_bytes(capsys, argv, digest):
     # sha256 prefixes of what each command prints
@@ -119,6 +121,14 @@ class TestCanonical:
     def test_non_vertex_exit_3(self, capsys):
         code = main(["canonical", "--e", "2", "--charges", "0,1", "--mp", "[[2,2],[]]"])
         assert code == 3
+
+    def test_json_is_the_only_format(self, capsys):
+        argv = ["canonical", "--a", "1", "--mp", "[[1],[]]"]
+        for fmt in ("json", "text"):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--format", fmt])
+            assert exc.value.code == 2
+            assert capsys.readouterr().out == ""
 
     def test_byte_identical(self, capsys):
         _, a = run(capsys, "canonical", "--a", "2", "--mp", "[[2],[],[1],[]]")

@@ -217,6 +217,16 @@ class TestClosedTop:
         with pytest.raises(ValueError, match=rf"^need 0 <= k <= a, got k={k}, a=2$"):
             FamilySpec("weyl", 2, k)
 
+    @pytest.mark.parametrize("family,a,k,n", [
+        ("weyl", True, 1, 0), ("weyl", 2, 1, True), ("p0k1", 2, 1.0, 0),
+        ("weyl", 2.0, 1, 0), ("p10k", 2, 1, 1.0),
+    ])
+    def test_non_int_parameter_refused(self, family, a, k, n):
+        # FamilySpec("weyl", True, 1) once built G for a = 1, and a float k
+        # died inside the builder on a slice index
+        with pytest.raises(TypeError):
+            FamilySpec(family, a, k, n)
+
     def test_a3_display(self):
         elem = weyl(3, 0, 1, 0)
         assert elem.vector == FockVector(

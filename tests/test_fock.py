@@ -73,6 +73,12 @@ class TestContext:
         with pytest.raises(TypeError):
             FockContext(e, charges)
 
+    @pytest.mark.parametrize("a", [True, 2.0, "2"])
+    def test_symmetric_non_int_refused(self, a):
+        # symmetric_context(True) once was FockContext(2, (0, 1))
+        with pytest.raises(TypeError):
+            symmetric_context(a)
+
     def test_charges_become_a_tuple(self):
         assert FockContext(2, [0, 1]) == C01
 

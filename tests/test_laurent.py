@@ -79,6 +79,28 @@ class TestExactDiv:
             exact_div(P({0: 1}), LaurentPoly.zero())
 
 
+class TestOnlyLaurentPoly:
+    # a coefficient meets only coefficients: no int reading, no hash
+    def test_not_equal_to_int(self):
+        assert LaurentPoly.one() != 1
+        assert LaurentPoly.zero() != 0
+
+    def test_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(LaurentPoly.one())
+
+    def test_no_int_product(self):
+        with pytest.raises(TypeError):
+            qint(2) * 3
+        with pytest.raises(TypeError):
+            3 * qint(2)
+
+    @pytest.mark.parametrize("terms", [{1.5: 2}, {True: 1}, {"1": 1}, {0: 1.5}, {0: True}])
+    def test_non_int_refused(self, terms):
+        with pytest.raises(TypeError):
+            LaurentPoly(terms)
+
+
 small_polys = st.dictionaries(
     st.integers(min_value=-6, max_value=6),
     st.integers(min_value=-9, max_value=9),
