@@ -36,27 +36,20 @@ from .verify import SUITES
 verify_duality = SUITES["duality"]
 
 
-class UsageError(Exception):
-    pass
-
-
 def _context_from(args) -> FockContext:
     if getattr(args, "a", None) is not None:
         if args.charges:
-            raise UsageError("give either --a or --charges, not both")
+            raise ValueError("give either --a or --charges, not both")
         if args.e != 2:
-            raise UsageError(f"--a fixes rank 2, got --e {args.e}")
+            raise ValueError(f"--a fixes rank 2, got --e {args.e}")
         return symmetric_context(args.a)
     if not args.charges:
-        raise UsageError("need --charges or --a")
+        raise ValueError("need --charges or --a")
     try:
         charges = tuple(int(c) for c in args.charges.split(","))
     except ValueError as exc:
-        raise UsageError(f"bad charge list {args.charges!r}") from exc
-    try:
-        return FockContext(args.e, charges)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        raise ValueError(f"bad charge list {args.charges!r}") from exc
+    return FockContext(args.e, charges)
 
 
 def _check_out(path: str) -> None:
@@ -71,7 +64,7 @@ def _check_out(path: str) -> None:
         code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
     else:
         return
-    raise UsageError(f"cannot write {path}: {os.strerror(code)}")
+    raise ValueError(f"cannot write {path}: {os.strerror(code)}")
 
 
 def _emit(text: str, args) -> None:
@@ -81,7 +74,7 @@ def _emit(text: str, args) -> None:
             with open(out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:  # a missing directory, a directory at the path, no permission
-            raise UsageError(f"cannot write {out}: {exc.strerror or exc}") from exc
+            raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -111,10 +104,10 @@ def cmd_canonical(args) -> int:
     ctx = _context_from(args)
     try:
         mp = mp_from_json(json.loads(args.mp))
-    except (json.JSONDecodeError, ValueError) as exc:
-        raise UsageError(f"bad multipartition literal {args.mp!r}: {exc}") from exc
+    except ValueError as exc:  # json.JSONDecodeError is one
+        raise ValueError(f"bad multipartition literal {args.mp!r}: {exc}") from exc
     if len(mp) != ctx.level:
-        raise UsageError(f"multipartition has level {len(mp)}, context has {ctx.level}")
+        raise ValueError(f"multipartition has level {len(mp)}, context has {ctx.level}")
     elem = CanonicalBasis(ctx, args.cache_dir).element(mp)  # NotAVertexError -> exit 3 in main()
     _emit_json(element_to_json(elem), args)
     return 0
@@ -134,7 +127,7 @@ def cmd_shape_table(args) -> int:
 
 
 def cmd_closed_form(args) -> int:
-    elem = closed_canonical_family(FamilySpec(args.family, args.a, args.k, args.n, args.i == 1))
+    elem = closed_canonical_family(FamilySpec(args.family, args.a, args.k, args.n, args.i))
     _emit_json(element_to_json(elem), args)
     return 0
 
@@ -154,11 +147,11 @@ def cmd_verify(args) -> int:
     suite = SUITES[args.suite]  # looked up per run: a wrapper put in SUITES is the one run
     first, *reads = inspect.signature(suite).parameters
     if first == "a" and (args.a is None or args.charges or args.e != 2):
-        raise UsageError(f"suite {args.suite} needs --a (charges 0^a 1^a), no --charges, and --e 2")
+        raise ValueError(f"suite {args.suite} needs --a (charges 0^a 1^a), no --charges, and --e 2")
     given = {opt: getattr(args, opt) for opt in _VERIFY_OPTIONS if getattr(args, opt) is not None}
     unread = ["--" + opt.replace("_", "-") for opt in given if opt not in reads]
     if unread:
-        raise UsageError(f"suite {args.suite} does not read {', '.join(unread)}")
+        raise ValueError(f"suite {args.suite} does not read {', '.join(unread)}")
     report = suite(args.a if first == "a" else _context_from(args), **given)
     if args.format == "json":
         _emit_json(report.to_json(), args)
@@ -253,9 +246,6 @@ def main(argv=None) -> int:
         if args.out:
             _check_out(args.out)
         return args.fn(args)
-    except UsageError as exc:
-        print(f"kcb: {exc}", file=sys.stderr)
-        return 2
     except NotAVertexError as exc:
         print(f"kcb: not a crystal vertex: {exc}", file=sys.stderr)
         return 3

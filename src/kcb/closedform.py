@@ -203,15 +203,20 @@ FLAGGED = {("p10k", True), ("p010k", True)}  # (family, n >= 1)
 
 @dataclass(frozen=True)
 class FamilySpec:
+    """The whole input of a closed form: a family at (a, k, n) whose
+    k-node stage has residue i; ctx is the Fock space it lives in."""
+
     family: str
     a: int
     k: int
     n: int = 0
-    dual: bool = False
+    i: int = 0
 
     def __post_init__(self):
-        if not {type(self.a), type(self.k), type(self.n)} <= {int}:
-            raise TypeError(f"a, k and n must be ints, got {self.a!r}, {self.k!r} and {self.n!r}")
+        if not {type(self.a), type(self.k), type(self.n), type(self.i)} <= {int}:
+            raise TypeError(f"a, k, n and i must be ints, got {self!r}")
+        if self.i not in (0, 1):
+            raise ValueError(f"residue must be 0 or 1, got {self.i}")
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.a < 1:
@@ -227,6 +232,10 @@ class FamilySpec:
             )
 
     @property
+    def ctx(self) -> FockContext:
+        return symmetric_context(self.a)
+
+    @property
     def flagged(self) -> bool:
         return (self.family, self.n >= 1) in FLAGGED
 
@@ -234,9 +243,8 @@ class FamilySpec:
 def family_stages(spec: FamilySpec) -> list[tuple[int, int | None]]:
     """Path segments (residue, multiplicity; None = fill every addable
     node): the choice stages, then the filled strings.  The weyl family is
-    (i, k) followed by n filled strings, i = 1 when dual."""
-    a, k, n = spec.a, spec.k, spec.n
-    i0 = 1 if spec.dual else 0
+    (i, k) followed by n filled strings."""
+    a, k, n, i0 = spec.a, spec.k, spec.n, spec.i
     i1 = 1 - i0
     stages: list[tuple[int, int | None]]
     if spec.family == "weyl":
@@ -300,15 +308,17 @@ def expand_family(ctx: FockContext, stages) -> list[tuple[Multipartition, Lauren
     return list(terms.items())
 
 
-def family_vectors(ctx: FockContext, spec: FamilySpec) -> tuple[FockVector, FockVector]:
+def family_vectors(spec: FamilySpec) -> tuple[FockVector, FockVector]:
     """(plain-reading sum, divided-power monomial) of the family: the raw
     staged sums, not canonical in general (module docstring)."""
+    ctx = spec.ctx
     monomial, path, _ = path_monomial(ctx, family_stages(spec))
     return FockVector(dict(expand_family(ctx, path))), monomial
 
 
-def family_label(ctx: FockContext, spec: FamilySpec) -> Multipartition:
+def family_label(spec: FamilySpec) -> Multipartition:
     """The e-regular member: replay the path through the crystal operators."""
+    ctx = spec.ctx
     cur = ctx.highest_weight_vertex()
     for i, mult in family_stages(spec):
         k = addable_count(ctx, cur, i) if mult is None else mult
@@ -320,7 +330,7 @@ def family_term(spec: FamilySpec, choices) -> tuple[Multipartition, int, int]:
     """One family term for explicit choice sequences (one per choice stage):
     (multipartition, plain exponent, corrected exponent).  Each stage takes
     the fock.subset_terms term and exponent at the index of its picks."""
-    ctx = symmetric_context(spec.a)
+    ctx = spec.ctx
     stages = family_stages(spec)
     m = sum(mult is not None for _, mult in stages)
     choices = tuple(
@@ -386,8 +396,8 @@ def closed_canonical_family(spec: FamilySpec) -> CanonicalElement:
     corrected staged sum minus the sibling families' closed forms (module
     docstring).  Checked as every G is (checked_element: ReductionError on
     a failure), but not compared with the recursive element here."""
-    ctx = symmetric_context(spec.a)
-    return checked_element(ctx, family_label(ctx, spec), _canonical_vector(ctx, spec, {}))
+    ctx = spec.ctx
+    return checked_element(ctx, family_label(spec), _canonical_vector(ctx, spec, {}))
 
 
 # top-row defects and the small-defect catalogue

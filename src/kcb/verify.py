@@ -93,18 +93,12 @@ def _difference(expected: FockVector, got: FockVector) -> dict | None:
     return {"symbolic_difference": terms}
 
 
-def _weyl_spec(a: int, i: int, k: int, n: int) -> FamilySpec:
-    if i not in (0, 1):  # FamilySpec reads i = 1 as dual: i = 2 must not pass as 0
-        raise ValueError(f"residue must be 0 or 1, got {i}")
-    return FamilySpec("weyl", a, k, n, i == 1)
-
-
 def verify_top_row_forms(a: int, i: int = 0, k: int = 1) -> VerificationReport:
     """Top-row closed form equals the recursive element; shape matches the
     recursive shape function."""
     report = VerificationReport("top-row", {"a": a, "i": i, "k": k})
     try:
-        closed = closed_canonical_family(_weyl_spec(a, i, k, 0))
+        closed = closed_canonical_family(FamilySpec("weyl", a, k, 0, i))
     except ReductionError as exc:
         report.instances.append(Instance({"a": a, "i": i, "k": k}, "mismatch", {"check": str(exc)}))
         return report
@@ -139,7 +133,7 @@ def verify_weyl_stability(
     basis = CanonicalBasis(symmetric_context(a))
     for strings in range(n + 1):
         try:
-            closed = closed_canonical_family(_weyl_spec(a, i, k, strings))
+            closed = closed_canonical_family(FamilySpec("weyl", a, k, strings, i))
         except ReductionError as exc:
             params = {"a": a, "i": i, "k": k, "n": strings}
             report.instances.append(Instance(params, "mismatch", {"check": str(exc)}))
@@ -171,15 +165,14 @@ def verify_path_families(a: int, family: str = "p0k1", k: int = 1, n: int = 1) -
         raise ValueError(f"need n_max >= 0, got {n}")
     if family not in PATH_FAMILIES:
         raise ValueError(f"need a path family {PATH_FAMILIES}, got {family!r}")
-    ctx = symmetric_context(a)
-    basis = CanonicalBasis(ctx)
-    for dual in (False, True):
+    basis = CanonicalBasis(symmetric_context(a))
+    for i in (0, 1):
         for strings in range(n + 1):
-            spec = FamilySpec(family, a, k, strings, dual)
-            label = family_label(ctx, spec)
-            params = {"a": a, "family": family, "k": k, "n": strings, "dual": dual,
+            spec = FamilySpec(family, a, k, strings, i)
+            label = family_label(spec)
+            params = {"a": a, "family": family, "k": k, "n": strings, "dual": i == 1,
                       "degree": total_size(label)}
-            plain, corrected = family_vectors(ctx, spec)
+            plain, corrected = family_vectors(spec)
             oracle = basis.element(label)
             match_plain = plain == oracle.vector
             match_corr = corrected == oracle.vector

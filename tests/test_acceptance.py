@@ -65,7 +65,7 @@ def test_criterion_02_top_row_forms():
         for i in (0, 1):
             for k in range(a + 1):
                 paper, label = tau_sum(a, i, k, 0)
-                closed = closed_canonical_family(FamilySpec("weyl", a, k, 0, i == 1))
+                closed = closed_canonical_family(FamilySpec("weyl", a, k, 0, i))
                 oracle = basis.element(label)
                 assert oracle.vector == paper == closed.vector, (a, i, k)
                 assert closed.label == label, (a, i, k)
@@ -84,7 +84,7 @@ def test_criterion_03_weyl_stability():
                     paper, label = tau_sum(a, i, k, n)
                     if total_size(label) > 13:
                         continue
-                    closed = closed_canonical_family(FamilySpec("weyl", a, k, n, i == 1))
+                    closed = closed_canonical_family(FamilySpec("weyl", a, k, n, i))
                     oracle = basis.element(label)
                     assert oracle.vector == paper == closed.vector, (a, i, k, n)
                     assert closed.label == label, (a, i, k, n)
@@ -99,28 +99,27 @@ def _family_instances(a_n_pairs):
         for family, kmin in (("p0k1", 1), ("p10k", 1), ("p010k", 2)):
             for k in range(kmin, a + 1):
                 for n in ns:
-                    for dual in (False, True):
-                        yield FamilySpec(family, a, k, n, dual)
+                    for i in (0, 1):
+                        yield FamilySpec(family, a, k, n, i)
 
 
 def test_criterion_04_single_step_families():
     t0 = time.perf_counter()
     failures = []
     for spec in _family_instances([(1, (0,)), (2, (0,)), (3, (0,))]):
-        ctx = symmetric_context(spec.a)
-        basis = CanonicalBasis(ctx)
-        label = family_label(ctx, spec)
+        basis = CanonicalBasis(spec.ctx)
+        label = family_label(spec)
         oracle = basis.element(label)
         closed = closed_canonical_family(spec)
         if closed.vector != oracle.vector:
             failures.append((spec, label))
     dt = time.perf_counter() - t0
     print(f"[criterion 4] {'PASS' if not failures else 'FAIL'} in {dt:.2f}s "
-          f"(budget 60s); mismatching instances: {[ (f.family, f.a, f.k, f.dual) for f, _ in failures ]}")
+          f"(budget 60s); mismatching instances: {[ (f.family, f.a, f.k, f.i) for f, _ in failures ]}")
     assert dt < 60
     assert not failures, (
         "partner closed form != recursive element (see README.md, 'Known discrepancies') for: "
-        + "; ".join(f"{f.family} a={f.a} k={f.k} dual={f.dual} label={l}" for f, l in failures)
+        + "; ".join(f"{f.family} a={f.a} k={f.k} i={f.i} label={l}" for f, l in failures)
     )
 
 
@@ -128,9 +127,8 @@ def test_criterion_05_prop_general_families():
     t0 = time.perf_counter()
     rows = []
     for spec in _family_instances([(1, (1, 2)), (2, (1, 2)), (3, (1,))]):
-        ctx = symmetric_context(spec.a)
-        basis = CanonicalBasis(ctx)
-        label = family_label(ctx, spec)
+        basis = CanonicalBasis(spec.ctx)
+        label = family_label(spec)
         oracle = basis.element(label)
         closed = closed_canonical_family(spec)
         expected_defect = (spec.k - 1) * (spec.a - spec.k + 1) + 2 * spec.a
@@ -149,14 +147,14 @@ def test_criterion_05_prop_general_families():
     unmatched = [r["spec"] for r in rows if not r["partner"]]
     print(f"[criterion 5] {'PASS' if not unmatched else 'FAIL'} "
           f"in {dt:.2f}s (budget 600s); instances={len(rows)}, "
-          f"unmatched={[(s.family, s.a, s.k, s.n, s.dual) for s in unmatched]}")
+          f"unmatched={[(s.family, s.a, s.k, s.n, s.i) for s in unmatched]}")
     assert dt < 600
     assert not defect_bad, f"defect formula fails for {defect_bad}"
     assert not transpose_bad, f"transpose closure fails for {transpose_bad}"
     assert not unmatched, (
         "the partner reading does not reproduce the recursive element (see README.md, "
         "'Known discrepancies') for: "
-        + "; ".join(f"{s.family} a={s.a} k={s.k} n={s.n} dual={s.dual}" for s in unmatched)
+        + "; ".join(f"{s.family} a={s.a} k={s.k} n={s.n} i={s.i}" for s in unmatched)
     )
 
 

@@ -445,11 +445,10 @@ class TestCertificate:
     )
     def test_certificate_is_the_partner_table(self, family, a, k, n):
         spec = FamilySpec(family, a, k, n)
-        ctx = symmetric_context(a)
-        route, label = PathSeedRoute(ctx), family_label(ctx, spec)
+        route, label = PathSeedRoute(spec.ctx), family_label(spec)
         assert route.element(label).vector == closed_canonical_family(spec).vector
         partners = [
-            (family_label(ctx, replace(spec, family=family)), coeff)
+            (family_label(replace(spec, family=family)), coeff)
             for family, coeff in _partners(spec)
             if coeff
         ]

@@ -37,6 +37,13 @@ class TestCrystal:
         code = main(["crystal", "--e", "2", "--charges", "0,1,0", "--max-degree", "2"])
         assert code == 2
 
+    def test_charge_out_of_range_exit_2(self, capsys):
+        # FockContext's own message, printed once on the one exit-2 path
+        code = main(["crystal", "--e", "3", "--charges", "0,5", "--max-degree", "2"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "kcb: charges must lie in 0..2: (0, 5)\n"
+
     def test_json_is_the_only_format(self, capsys):
         argv = ["crystal", "--a", "1", "--max-degree", "2"]
         for fmt in ("json", "text"):
@@ -86,6 +93,10 @@ class TestBlockGraph:
     ("shape-table --a 40 --format json", "a86d25708820139b"),
     ("canonical --a 2 --mp [[2],[],[1],[]]", "7cb5d12cbfb77b82"),
     ("canonical --e 3 --charges 0,1,2 --mp [[3],[1],[1]]", "cda37d625925ba8f"),
+    ("closed-form --family p10k --a 2 --k 1 --n 1 --i 1", "5a8b97b93a78bcdf"),
+    ("closed-form --family weyl --a 3 --k 2 --n 1 --i 1", "d2e412be688e9f98"),
+    ("verify --suite families --a 2 --family p10k --k 2 --n 1 --format json", "1fbf01970015d5fc"),
+    ("verify --suite weyl --a 2 --i 1 --k 1 --n 2 --format json", "c23eb69faa3d63b8"),
 ])
 def test_document_bytes(capsys, argv, digest):
     # sha256 prefixes of what each command prints
@@ -224,16 +235,15 @@ class TestClosedForm:
     def test_default_reading_is_canonical(self, capsys, family, a, k, n):
         # the staged (corrected) sum is not canonical here, at either
         # residue; the output is
-        ctx = symmetric_context(a)
         for i in (0, 1):
-            spec = FamilySpec(family, a, k, n, dual=i == 1)
-            oracle = CanonicalBasis(ctx).element(family_label(ctx, spec))
+            spec = FamilySpec(family, a, k, n, i)
+            oracle = CanonicalBasis(spec.ctx).element(family_label(spec))
             code, out = run(capsys, "closed-form", "--family", family, "--a", str(a),
                             "--k", str(k), "--n", str(n), "--i", str(i))
             assert code == 0
             # json writes the document's tuples as lists, so compare after one round trip
             assert json.loads(out) == json.loads(json.dumps(element_to_json(oracle)))
-            _, corrected = family_vectors(ctx, spec)
+            _, corrected = family_vectors(spec)
             assert corrected != oracle.vector
 
 

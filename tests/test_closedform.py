@@ -203,7 +203,7 @@ class TestTau:
 
 
 def weyl(a, i, k, n):
-    return closed_canonical_family(FamilySpec("weyl", a, k, n, i == 1))
+    return closed_canonical_family(FamilySpec("weyl", a, k, n, i))
 
 
 class TestClosedTop:
@@ -226,6 +226,20 @@ class TestClosedTop:
         # died inside the builder on a slice index
         with pytest.raises(TypeError):
             FamilySpec(family, a, k, n)
+
+    @pytest.mark.parametrize("i", ["no", True, 1.0])
+    def test_non_int_residue_refused(self, i):
+        # a residue read by truth once built the i = 1 element for "no"
+        with pytest.raises(TypeError):
+            FamilySpec("weyl", 2, 1, 0, i)
+
+    @pytest.mark.parametrize("i", [2, -1])
+    def test_residue_out_of_range_refused(self, i):
+        with pytest.raises(ValueError, match="residue must be 0 or 1"):
+            FamilySpec("weyl", 2, 1, 0, i)
+
+    def test_context_is_read_off_the_spec(self):
+        assert FamilySpec("p10k", 2, 1, 1, 1).ctx == symmetric_context(2)
 
     def test_a3_display(self):
         elem = weyl(3, 0, 1, 0)
@@ -292,7 +306,7 @@ class TestClosedWeyl:
             for i in (0, 1):
                 for k in range(a + 1):
                     for n in range(4 if a <= 6 else 2):
-                        spec = FamilySpec("weyl", a, k, n, i == 1)
+                        spec = FamilySpec("weyl", a, k, n, i)
                         assert family_stages(spec) == [(i, k)] + [
                             ((1 - i + j) % 2, None) for j in range(n)
                         ]
@@ -305,7 +319,7 @@ class TestClosedWeyl:
 
 class TestPiTerms:
     def test_pi0_p0k1_examples(self):
-        spec = FamilySpec("p0k1", 1, 1, 0, False)
+        spec = FamilySpec("p0k1", 1, 1, 0)
         # j_2 = 3 among the three addable 1-nodes
         mp, _, e = family_term(spec, [S(1), S(0, 0, 1)])
         assert mp == ((1,), (1,)) and e == 2
@@ -315,14 +329,14 @@ class TestPiTerms:
         assert mp == ((1, 1), ()) and e == 1
 
     def test_pi0_p10k_example(self):
-        spec = FamilySpec("p10k", 1, 1, 0, False)
+        spec = FamilySpec("p10k", 1, 1, 0)
         mp, _, e = family_term(spec, [S(1), S(0, 1, 0)])
         assert mp == ((), (2,)) and e == 1
         mp, _, e = family_term(spec, [S(1), S(1, 0, 0)])
         assert mp == ((1,), (1,)) and e == 0
 
     def test_pin_family_a_examples(self):
-        spec = FamilySpec("p0k1", 1, 1, 1, False)
+        spec = FamilySpec("p0k1", 1, 1, 1)
         mp, _, e = family_term(spec, [S(1), S(1, 1, 0)])  # single 0 in position j_2 = 3
         assert mp == ((2, 1), ()) and e == 0
         mp, _, e = family_term(spec, [S(1), S(1, 0, 1)])
@@ -331,7 +345,7 @@ class TestPiTerms:
         assert mp == ((1, 1), (1,)) and e == 2
 
     def test_flagged_subcase_readings_differ(self):
-        spec = FamilySpec("p10k", 2, 1, 1, False)
+        spec = FamilySpec("p10k", 2, 1, 1)
         # S_2 = (1,0|0,0) then omitting the middle addable reaches the
         # inconsistent printed rows: plain and corrected exponents differ
         mp, ep, ec = family_term(spec, [S(1, 0), S(1, 0, 0, 0), S(1, 0, 1)])
@@ -339,7 +353,7 @@ class TestPiTerms:
         assert ep == 1
 
     def test_pi_validation(self):
-        spec = FamilySpec("p0k1", 2, 1, 0, False)
+        spec = FamilySpec("p0k1", 2, 1, 0)
         with pytest.raises(ValueError):
             family_term(spec, [S(1, 0), S(1, 0)])  # wrong length at stage 2
 
@@ -351,8 +365,8 @@ class TestPiTerms:
         for a in range(1, 4):
             ctx = symmetric_context(a)
             weyl_specs = [
-                FamilySpec("weyl", a, k, n, dual)
-                for k in range(a + 1) for n in (0, 1) for dual in (False, True)
+                FamilySpec("weyl", a, k, n, i)
+                for k in range(a + 1) for n in (0, 1) for i in (0, 1)
             ]
             for spec in weyl_specs + family_specs(a, 1):
                 stages = family_stages(spec)
@@ -365,7 +379,7 @@ class TestPiTerms:
 
 class TestClosedFamilies:
     def test_p0k1_n1_a1(self):
-        spec = FamilySpec("p0k1", 1, 1, 1, False)
+        spec = FamilySpec("p0k1", 1, 1, 1)
         elem = closed_canonical_family(spec)
         assert elem.vector == FockVector(
             [
@@ -377,13 +391,13 @@ class TestClosedFamilies:
         assert elem.label == ((2, 1), ())
 
     def test_p10k_n0_a1(self):
-        spec = FamilySpec("p10k", 1, 1, 0, False)
+        spec = FamilySpec("p10k", 1, 1, 0)
         elem = closed_canonical_family(spec)
         basis = CanonicalBasis(symmetric_context(1))
         assert elem.vector == basis.element(((1,), (1,))).vector
 
     def test_top_row_a3_is_oracle(self):
-        spec = FamilySpec("p0k1", 3, 1, 0, False)
+        spec = FamilySpec("p0k1", 3, 1, 0)
         elem = closed_canonical_family(spec)
         basis = CanonicalBasis(symmetric_context(3))
         assert elem.vector == basis.element(elem.label).vector
@@ -412,7 +426,7 @@ class TestClosedFamilies:
 
     def test_p010k_needs_k2(self):
         with pytest.raises(ValueError):
-            FamilySpec("p010k", 2, 1, 0, False)
+            FamilySpec("p010k", 2, 1, 0)
 
     def test_known_discrepancy_p10k_n1_a2(self):
         # regression pin for the recorded conflict: the staged monomial sum
@@ -420,9 +434,9 @@ class TestClosedFamilies:
         # the p0k1 label at the same weight (its partner, coefficient [a-1] = 1)
         ctx = symmetric_context(2)
         basis = CanonicalBasis(ctx)
-        spec = FamilySpec("p10k", 2, 1, 1, False)
-        label = family_label(ctx, spec)
-        plain, corrected = family_vectors(ctx, spec)
+        spec = FamilySpec("p10k", 2, 1, 1)
+        label = family_label(spec)
+        plain, corrected = family_vectors(spec)
         oracle = basis.element(label)
         assert plain != oracle.vector and corrected != oracle.vector
         other = basis.element(((2, 1), (), (1,), ()))
@@ -435,8 +449,8 @@ class TestClosedFamilies:
         for family, kmin in (("p0k1", 1), ("p10k", 1), ("p010k", 2)):
             for k in range(kmin, a + 1):
                 for n in range({3: 4, 4: 4, 5: 2}[a]):
-                    for dual in (False, True):
-                        spec = FamilySpec(family, a, k, n, dual)
+                    for i in (0, 1):
+                        spec = FamilySpec(family, a, k, n, i)
                         elem = closed_canonical_family(spec)
                         assert elem.vector == basis.element(elem.label).vector, spec
                         checked += 1
@@ -449,15 +463,15 @@ class TestClosedFamilies:
         for name, attr in vars(CanonicalBasis).items():
             if callable(attr) and not name.startswith("__"):
                 monkeypatch.setattr(CanonicalBasis, name, refuse)
-        elem = closed_canonical_family(FamilySpec("p010k", 3, 3, 1, False))
+        elem = closed_canonical_family(FamilySpec("p010k", 3, 3, 1))
         assert elem.vector.coefficient(elem.label) == LaurentPoly.one()
 
     def test_transpose_closure_on_oracle_families(self):
         ctx = symmetric_context(2)
         basis = CanonicalBasis(ctx)
         for k in (1, 2):
-            for dual in (False, True):
-                spec = FamilySpec("p0k1", 2, k, 1, dual)
+            for i in (0, 1):
+                spec = FamilySpec("p0k1", 2, k, 1, i)
                 elem = closed_canonical_family(spec)
                 supp = set(elem.vector.support())
                 assert {transpose_each(m) for m in supp} == supp
@@ -466,11 +480,11 @@ class TestClosedFamilies:
 
 def family_specs(a, n_max):
     return [
-        FamilySpec(family, a, k, n, dual)
+        FamilySpec(family, a, k, n, i)
         for family, kmin in (("p0k1", 1), ("p10k", 1), ("p010k", 2))
         for k in range(kmin, a + 1)
         for n in range(n_max + 1)
-        for dual in (False, True)
+        for i in (0, 1)
     ]
 
 
@@ -487,7 +501,7 @@ class TestStagePath:
                     if mult is None:
                         (mult,) = {addable_count(ctx, mp, i) for mp, _ in vec.terms()}
                     vec = apply_f_divided(ctx, vec, i, mult)
-                assert family_vectors(ctx, spec)[1] == vec, spec
+                assert family_vectors(spec)[1] == vec, spec
                 checked += 1
         assert checked == 156
 

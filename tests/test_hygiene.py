@@ -375,7 +375,7 @@ def test_one_closed_form_builder():
 def test_second_closed_form_builder_is_found():
     closedform = ast.parse(
         "def closed_canonical_family(spec):\n"
-        "    return checked_element(ctx, family_label(ctx, spec), vec)\n"
+        "    return checked_element(ctx, family_label(spec), vec)\n"
         "def closed_canonical_weyl(a, i, k, n):\n"
         "    return canonical.checked_element(ctx, label, FockVector(terms))\n"
     )

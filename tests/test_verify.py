@@ -73,7 +73,6 @@ class TestWeyl:
         assert [i.verdict for i in r.instances] == ["mismatch"]
 
     def test_residue_out_of_range_raises(self):
-        # FamilySpec reads i = 1 as dual: i = 2 must not pass as i = 0
         with pytest.raises(ValueError, match="residue must be 0 or 1"):
             verify_top_row_forms(2, 2, 1)
         with pytest.raises(ValueError, match="residue must be 0 or 1"):
