@@ -53,7 +53,6 @@ from .closedform import (
     choice_sequences,
     closed_canonical_family,
     defect_congruences,
-    defect_top_row,
     family_term,
     inv,
     shape_fn,

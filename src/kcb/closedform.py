@@ -168,11 +168,10 @@ def shape_table(a: int) -> dict[int, tuple[int, ...]]:
 def tau(a: int, i: int, n: int, s1: ChoiceSequence) -> Multipartition:
     """Level-2a multipartition: T_{n+1} on the i-corner components chosen
     by s1, T_{n-1} on the unchosen ones, T_n on every opposite-corner
-    component."""
-    if i not in (0, 1):
-        raise ValueError("residue must be 0 or 1")
+    component.  a, n and i are checked as FamilySpec checks them."""
     if s1.length != a:
         raise ValueError(f"choice sequence must have length a={a}")
+    FamilySpec("weyl", a, s1.weight, n, i)
     comps = []
     for u in range(1, 2 * a + 1):
         corner = 0 if u <= a else 1
@@ -238,6 +237,17 @@ class FamilySpec:
     @property
     def flagged(self) -> bool:
         return (self.family, self.n >= 1) in FLAGGED
+
+    @property
+    def defect(self) -> int:
+        """The defect of the family's label, as the abstract claims it:
+        k(a-k) for weyl, k'(a-k') + 2a with k' = k - 1 for the path
+        families, whatever n and i are."""
+        a, k = self.a, self.k
+        if self.family == "weyl":
+            return k * (a - k)
+        k -= 1
+        return k * (a - k) + 2 * a
 
 
 def family_stages(spec: FamilySpec) -> list[tuple[int, int | None]]:
@@ -400,15 +410,7 @@ def closed_canonical_family(spec: FamilySpec) -> CanonicalElement:
     return checked_element(ctx, family_label(spec), _canonical_vector(ctx, spec, {}))
 
 
-# top-row defects and the small-defect catalogue
-
-
-def defect_top_row(a: int, b: int, k: int, i: int) -> int:
-    """Defect of Lambda - k alpha_i on the top row: k(a-k) resp. k(b-k)."""
-    bound = a if i == 0 else b
-    if not 0 <= k <= bound:
-        raise ValueError(f"need 0 <= k <= {bound} for residue {i}, got {k}")
-    return k * (bound - k)
+# defect classes and the small-defect catalogue
 
 
 def defect_congruences(a: int) -> set[int]:

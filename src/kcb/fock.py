@@ -414,10 +414,6 @@ class FockVector:
     def basis(mp: Multipartition) -> "FockVector":
         return FockVector._wrap({mp: 1}, 0, 1)
 
-    @staticmethod
-    def zero() -> "FockVector":
-        return FockVector._wrap({}, 0, 0)
-
     def coefficient(self, mp: Multipartition) -> LaurentPoly:
         x = self._terms.get(mp)
         return LaurentPoly.zero() if x is None else LaurentPoly._own(_decode(x, self._lo))
@@ -570,9 +566,6 @@ class FockVector:
         digits = (_decode(x, self._lo).values() for x in self._terms.values())
         return max(map(abs, chain.from_iterable(digits)), default=0)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __len__(self) -> int:
         return len(self._terms)
 
@@ -684,8 +677,7 @@ def _exponent_map(items) -> dict[int, int]:
 # f_i^(k) of every basis term seen so far, per (e, charges, i, k): the
 # multipartition -> entry memo that apply_f_divided reads.  An entry is
 # one flat tuple (mp_1, s_1, ..., mp_n, s_n, low), read as zip(it, it),
-# which stops at the odd last item: one tuple header per entry, where
-# (low, mps, shifts) took three.
+# which stops at the odd last item: one tuple header per entry.
 _EXPANSIONS: dict[tuple, dict[Multipartition, tuple]] = {}
 
 

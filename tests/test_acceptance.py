@@ -131,13 +131,12 @@ def test_criterion_05_prop_general_families():
         label = family_label(spec)
         oracle = basis.element(label)
         closed = closed_canonical_family(spec)
-        expected_defect = (spec.k - 1) * (spec.a - spec.k + 1) + 2 * spec.a
         supp = set(oracle.vector.support())
         rows.append(
             {
                 "spec": spec,
                 "partner": closed.vector == oracle.vector,
-                "defect_ok": oracle.weight.defect == expected_defect,
+                "defect_ok": oracle.weight.defect == spec.defect,
                 "transpose_ok": {transpose_each(m) for m in supp} == supp,
             }
         )

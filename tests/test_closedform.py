@@ -10,7 +10,6 @@ from kcb.closedform import (
     choice_sequences,
     closed_canonical_family,
     defect_congruences,
-    defect_top_row,
     expand_family,
     family_label,
     family_stages,
@@ -30,6 +29,7 @@ from kcb.crystal import (
     generate_crystal,
     is_external,
     residue_collected_path,
+    weight_info,
 )
 from kcb.fock import FockVector, addable_count, apply_f_divided, content, symmetric_context
 from kcb.laurent import LaurentPoly
@@ -200,6 +200,19 @@ class TestTau:
     def test_residue_one(self):
         got = tau(2, 1, 0, S(1, 0))
         assert got == ((), (), (1,), ())
+
+    @pytest.mark.parametrize("i", [True, 1.0, "1"])
+    def test_residue_must_be_an_int(self, i):
+        with pytest.raises(TypeError):
+            tau(2, i, 1, S(1, 0))
+
+    def test_residue_out_of_range(self):
+        with pytest.raises(ValueError, match="residue must be 0 or 1, got 2"):
+            tau(2, 2, 1, S(1, 0))
+
+    def test_wrong_length(self):
+        with pytest.raises(ValueError, match="choice sequence must have length"):
+            tau(2, 0, 1, S(1, 0, 0))
 
 
 def weyl(a, i, k, n):
@@ -621,12 +634,25 @@ class TestFoldReference:
 
 
 class TestDefectHelpers:
-    def test_defect_top_row(self):
-        assert defect_top_row(3, 3, 1, 0) == 2
-        assert defect_top_row(4, 4, 2, 0) == 4
-        assert defect_top_row(5, 2, 0, 1) == 0
-        with pytest.raises(ValueError):
-            defect_top_row(3, 3, 4, 0)
+    def test_spec_defect_is_the_label_defect(self):
+        # the abstract's claim, k(a-k) for weyl and k'(a-k') + 2a with
+        # k' = k - 1 for the path families, on every spec at a <= 6, n <= 2
+        assert FamilySpec("weyl", 3, 1).defect == 2
+        assert FamilySpec("weyl", 4, 2).defect == 4
+        assert FamilySpec("p0k1", 3, 1, 0, 1).defect == 6
+        assert FamilySpec("p010k", 4, 3, 2).defect == 12
+        count = 0
+        for family, kmin in (("weyl", 0), ("p0k1", 1), ("p10k", 1), ("p010k", 2)):
+            for a in range(1, 7):
+                for k in range(kmin, a + 1):
+                    for n in range(3):
+                        for i in (0, 1):
+                            spec = FamilySpec(family, a, k, n, i)
+                            ctx = spec.ctx
+                            got = weight_info(ctx, content(ctx, family_label(spec))).defect
+                            assert got == spec.defect, spec
+                            count += 1
+        assert count == 504
 
     def test_congruences(self):
         assert defect_congruences(4) == {0, 3, 4}

@@ -116,7 +116,6 @@ TEST_ONLY_API = {
     "at_weight": "every G at one weight, the unit of the paper's tables",
     "shape_fn_closed": "the paper's closed shape functions for k = 1, 2, 3",
     "family_term": "one path-family term for explicit choice sequences, as the paper states it",
-    "defect_top_row": "the paper's top-row defect k(a-k)",
     "small_defect_families": "the paper's defect-2 families at a = 1 and 3",
     "diamond": "the diamond involution by its definition, a replay of the whole"
     " residue-collected path, against which the duality suite's images are tested",
