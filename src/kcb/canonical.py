@@ -20,11 +20,21 @@ is already subtracted and V[nu] = G(mu)[nu] + m_nu, where G(mu)[nu] lies
 in vZ[v].  So the part of V[nu] at exponents <= 0, made bar-symmetric, is
 exactly m_nu, nonzero just when V[nu] lies outside vZ[v] (never when nu is
 not a crystal vertex, so such a term means a wrong seed), and subtracting
-m_nu G(nu) once is exact.  Terms the subtraction pushes out of vZ[v] lie
-below nu and join the pass, which thus needs no crystal graph.  At level
->= 2 a seed can involve canonical elements whose labels strictly dominate
-mu, so the pass starts at the seed's largest term, not at mu; the final
-element is still checked to be dominance-triangular.  The pass, reduce_seed,
+m_nu G(nu) once is exact.  The pass reads only the seed's own terms
+outside vZ[v], sorted once, so it needs no crystal graph, and by
+positivity (Lusztig, Introduction to Quantum Groups, 1993) it misses no
+m_nu.  For lam != mu, A[lam] = G(mu)[lam] + m_lam + sum_{nu > lam}
+m_nu G(nu)[lam]: G(mu)[lam] lies in vZ[v]; each m_nu has coefficients
+>= 0 (the pass raises otherwise) and so has each G(nu)[lam]
+(checked_element raises otherwise); and a nonzero bar-symmetric m_lam
+has a positive coefficient at some exponent <= 0.  So every lam with
+m_lam != 0 lies outside vZ[v] in A itself.  A term that a subtraction
+pushes out of vZ[v] has no positive coefficient at exponents <= 0, and
+a negative one, which the later subtractions can only lower, so
+checked_element rejects the result.  At level >= 2 a seed can involve
+canonical elements whose labels strictly dominate mu, so the pass starts
+at the seed's largest term, not at mu; the final element is still
+checked to be dominance-triangular.  The pass, reduce_seed,
 takes any seed built by divided powers from canonical elements, such as
 the monomial of mu's whole path, and checks that no m_nu has a negative
 coefficient.  It returns G(mu) and its certificate, the (nu, m_nu) it
@@ -38,7 +48,6 @@ import json
 import os
 import tempfile
 import warnings
-from bisect import insort
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
@@ -115,13 +124,8 @@ def reduce_seed(
     """G(label) from a seed that holds it at coefficient 1, where element(nu)
     gives G(nu), and the certificate (module docstring).  ReductionError on
     a negative m_nu, a nu off the crystal, or a failed checked_element."""
-    # terms outside vZ[v], ascending: pop the largest.  A subtraction only
-    # adds terms below nu, so a queued term stays in todo until it is popped.
-    V, todo = seed, sorted(seed.outside_vzv())
-    queued = set(todo)
-    certificate = []
-    while todo:
-        nu = todo.pop()
+    V, certificate = seed, []
+    for nu in sorted(seed.outside_vzv(), reverse=True):
         if nu == label:
             continue
         m_nu = V.symmetric_low(nu)
@@ -137,10 +141,6 @@ def reduce_seed(
             raise ReductionError(f"wrong seed for G({label}): {nu} is not a vertex") from exc
         V = V.add_scaled(g, -m_nu)
         certificate.append((nu, m_nu))
-        for lam in V.outside_vzv(among=g):
-            if lam not in queued:
-                queued.add(lam)
-                insort(todo, lam)
     return checked_element(ctx, label, V), certificate
 
 

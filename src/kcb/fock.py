@@ -342,12 +342,6 @@ class SortedTerms:
         j = bisect_left(mps, mp)
         return self.xs[j] if j < len(mps) and mps[j] == mp else default
 
-    def __getitem__(self, mp: Multipartition) -> int:
-        x = self.get(mp)
-        if x is None:
-            raise KeyError(mp)
-        return x
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SortedTerms):
             return NotImplemented
@@ -497,17 +491,13 @@ class FockVector:
         x = _encode(c, self._lo)
         return [mp for mp, y in self._terms.items() if y == x]
 
-    def outside_vzv(self, among: "FockVector | None" = None) -> list[Multipartition]:
-        """The multipartitions whose coefficient lies outside vZ[v], only
-        those in the support of `among` when it is given."""
+    def outside_vzv(self) -> list[Multipartition]:
+        """The multipartitions whose coefficient lies outside vZ[v]."""
         if self._lo > 0:
             return []
         # the digits at exponents <= 0 are zero exactly when X has no bit below them
         low = (1 << W * (1 - self._lo)) - 1
-        t = self._terms
-        if among is None:
-            return [mp for mp, x in t.items() if x & low]
-        return [mp for mp in among._terms if t.get(mp, 0) & low]
+        return [mp for mp, x in self._terms.items() if x & low]
 
     def symmetric_low(self, mp: Multipartition) -> LaurentPoly:
         """The coefficient at mp cut to exponents <= 0 and made

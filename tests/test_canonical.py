@@ -462,6 +462,37 @@ class TestCertificate:
         with pytest.raises(ReductionError, match="is not 1"):
             reduce_seed(C01, mp, seed.add_scaled(seed, LaurentPoly.one()), PathSeedRoute(C01).element)
 
+    def test_term_pushed_out_of_vzv_raises(self):
+        # G(nu)[lam] = v, so G(mu) + [2] G(nu) - lam holds v^2 at lam, in
+        # vZ[v]; subtracting [2] G(nu) leaves -1 there, which no m_lam can
+        # come from (module docstring)
+        mu, nu, lam = ((2,), ()), ((1,), (1,)), ((), (2,))
+        basis = CanonicalBasis(C01)
+        assert basis.element(nu).vector.coefficient(lam) == mono(1)
+        two = LaurentPoly({-1: 1, 1: 1})
+        seed = basis.element(mu).vector.add_scaled(basis.element(nu).vector, two) - FockVector.basis(lam)
+        assert seed.coefficient(lam) == mono(2)
+        with pytest.raises(ReductionError, match=re.escape(str(lam))):
+            reduce_seed(C01, mu, seed, basis.element)
+
+    @pytest.mark.parametrize("e, charges, degree", SEED_CASES, ids=lambda x: str(x).replace(" ", ""))
+    def test_certificate_lies_in_the_seeds_own_terms(self, e, charges, degree):
+        # positivity: every nu the pass subtracts is a term of the seed
+        # outside vZ[v] before any subtraction, for the basis's seeds and
+        # for the whole-path monomials
+        ctx = FockContext(e, charges)
+        basis, route = CanonicalBasis(ctx), PathSeedRoute(ctx)
+        subtracted = 0
+        for mp in vertices_up_to(basis, degree):
+            seed = basis.monomial(mp)
+            certificate = reduce_seed(ctx, mp, seed, basis.element)[1]
+            assert {nu for nu, _ in certificate} <= set(seed.outside_vzv()), mp
+            route.element(mp)
+            path_seed = path_monomial(ctx, residue_collected_path(ctx, mp))[0]
+            assert {nu for nu, _ in route.certificates[mp]} <= set(path_seed.outside_vzv()), mp
+            subtracted += len(certificate) + len(route.certificates[mp])
+        assert subtracted
+
 
 class TestOrderIndependence:
     def test_reversed_request_order(self):
@@ -745,7 +776,7 @@ class TestCoefficientTable:
             mine, theirs = g.vector._terms, other.element(mp).vector._terms
             assert mine == theirs
             # ints beyond CPython's small-int cache are only shared by a table
-            assert not any(x is theirs[nu] for nu, x in mine.items() if x > 256), mp
+            assert not any(x is theirs.get(nu) for nu, x in mine.items() if x > 256), mp
 
     def test_disk_reads_go_through_the_table(self, basis, tmp_path):
         writer = CanonicalBasis(C01, cache_dir=str(tmp_path))

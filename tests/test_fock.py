@@ -223,6 +223,42 @@ class TestDividedPowers:
                         for k in (2, 3):
                             apply_f_divided_iterative(ctx, v, i, k)  # must not raise
 
+    # (e, charges, degree): every crystal vertex up to degree, as a basis vector
+    SERRE_CASES = (
+        (2, (0,), 8),
+        (2, (0, 1), 6),
+        (2, (0, 0, 1, 1), 5),
+        (3, (0, 1, 2), 6),
+        (3, (0, 0, 1), 6),
+        (4, (0, 1, 3), 5),
+    )
+
+    @pytest.mark.parametrize("e, charges, degree", SERRE_CASES, ids=lambda x: str(x).replace(" ", ""))
+    def test_quantum_serre_relations(self, e, charges, degree):
+        # f_i^(k) is a U_v(sl^_e) action, which the reduction's positivity
+        # rests on: for i != j and n = 1 - a_ij,
+        # sum_{r=0..n} (-1)^r f_i^(n-r) f_j f_i^(r) = 0, with n = 3 at e = 2,
+        # n = 2 for adjacent i, j at e >= 3 and n = 1 (f_i f_j = f_j f_i) else
+        ctx = FockContext(e, charges)
+        graph = generate_crystal(ctx, degree)
+        busy = 0  # relations whose terms are not all zero
+        for mp, d in graph.degrees.items():
+            if d > degree:
+                continue
+            for i in range(e):
+                up = [apply_f_divided(ctx, FockVector.basis(mp), i, r) for r in range(4)]
+                for j in range(e):
+                    if j == i:
+                        continue
+                    n = 3 if e == 2 else 2 if (i - j) % e in (1, e - 1) else 1
+                    total = FockVector()
+                    for r in range(n + 1):
+                        term = apply_f_divided(ctx, apply_f_divided(ctx, up[r], j, 1), i, n - r)
+                        total = total - term if r % 2 else total + term
+                        busy += r == 0 and bool(term)
+                    assert not total, (mp, i, j)
+        assert busy
+
 
 class TestInvLaw:
     def test_coefficient_is_v_inv(self):
@@ -357,8 +393,6 @@ def test_dict_level_reads(cs):
     assert FockVector.from_json(json.loads(json.dumps(v.to_json()))) == v
     outside = {mp for mp, c in v.terms() if c.min_exponent() <= 0}
     assert set(v.outside_vzv()) == outside
-    first = [MPS[0]] if MPS[0] in outside else []
-    assert v.outside_vzv(among=FockVector.basis(MPS[0])) == first
     for mp, c in zip(MPS, cs):
         low = LaurentPoly({e: n for e, n in c.items() if e <= 0})
         assert v.symmetric_low(mp) == low + LaurentPoly({-e: n for e, n in c.items() if e < 0})
@@ -453,12 +487,10 @@ def test_stored_vector_equality_sees_one_coefficient():
 def test_sorted_terms_lookup():
     t = packed([{0: 1}, {1: 2}, {2: 3}]).stored()._terms
     assert list(t) == sorted(MPS) and len(t) == 3
-    assert dict(t.items()) == {mp: t[mp] for mp in MPS}
+    assert dict(t.items()) == {mp: t.get(mp) for mp in MPS}
     # absent terms below, between and above the stored ones
     for mp in (((), ()), ((1,), (1,)), ((9,), ())):
         assert t.get(mp) is None and t.get(mp, 0) == 0
-        with pytest.raises(KeyError):
-            t[mp]
 
 
 def test_rebased_only_lowers():
@@ -477,7 +509,7 @@ def test_interned_moves_to_base_zero_through_the_table(cs, drop):
     assert w._lo == 0 and w._bound == v._bound and as_dicts(w) == as_dicts(v)
     assert all(table[x] is x for x in w._terms.values())
     again = v.interned(table)._terms
-    assert all(again[mp] is x for mp, x in w._terms.items())
+    assert all(again.get(mp) is x for mp, x in w._terms.items())
 
 
 def _with_coefficient_reference(v: FockVector, p: LaurentPoly) -> list:
